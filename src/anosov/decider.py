@@ -11,7 +11,7 @@ decomposition base change, then re-verifies the global matrix from scratch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -27,7 +27,6 @@ from .numfield import (
 from .ratmat import RatMatrix
 from .repdec import ComponentProfile, decompose, restrict_rep
 from .witness import (
-    FIELD_THROUGH_COMMUTANT,
     LATTICE_SEARCH,
     TENSOR_SHORTCUT,
     WitnessCertificate,
@@ -42,7 +41,7 @@ DEFAULT_EXPONENT_BOUND = 10
 DEFAULT_LATTICE_HEIGHT = 4
 
 
-class CriterionError(RuntimeError):
+class CriterionError(ValueError):
     pass
 
 
@@ -126,29 +125,15 @@ def porteous_flat(rep: RationalRep, seed: int = 0) -> Verdict:
         (row["multiplicity"] >= 2 or row["r_components"] >= 2) == row["passes"]
         for row in base.components
     )
-    return Verdict(
-        admits_anosov=base.admits_anosov,
-        class_c=1,
-        components=base.components,
-        seed=seed,
-        timings=base.timings,
-        porteous_agrees=agrees,
-    )
+    return replace(base, porteous_agrees=agrees)
 
 
 def decide_solvable(rep: RationalRep, c: int, d: int, seed: int = 0) -> Verdict:
     """Same criterion; the solvability class d is metadata only."""
     if d < 1:
         raise ValueError("solvability class d must be >= 1")
-    base = decide(rep, c, seed)
-    return Verdict(
-        admits_anosov=base.admits_anosov,
-        class_c=c,
-        components=base.components,
-        seed=seed,
-        timings=base.timings,
-        model={"family": "free-nilpotent-and-solvable", "c": c, "d": d},
-    )
+    model = {"family": "free-nilpotent-and-solvable", "c": c, "d": d}
+    return replace(decide(rep, c, seed), model=model)
 
 
 def _aligned_block_basis(profile: ComponentProfile) -> RatMatrix:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .ratmat import RatMatrix
 
 DEFAULT_MAX_ORDER = 10000
 
 
-class GroupClosureError(RuntimeError):
+class GroupClosureError(ValueError):
     pass
 
 
@@ -51,9 +51,6 @@ class FiniteMatrixGroup:
 
     def generators(self) -> list[RatMatrix]:
         return [self.elements[i] for i in self.gen_indices]
-
-    def index_of(self, m: RatMatrix) -> int:
-        return {e: i for i, e in enumerate(self.elements)}[m]
 
 
 def generate_group(gens: Sequence[RatMatrix], max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import mpmath
@@ -196,14 +195,3 @@ def is_c_hyperbolic_matrix(
         raise SingularMatrixError("c-hyperbolicity requires an invertible matrix")
     f = IntPoly.clear_denominators(m.char_poly())
     return _hyperbolicity_from_poly(f, c, precision_bits, tol_bits)
-
-
-def char_poly_int(m: RatMatrix) -> IntPoly:
-    """Characteristic polynomial as an IntPoly; raises if not in Z[X]."""
-    return IntPoly.from_rationals(m.char_poly())
-
-
-def det_from_char_poly(coeffs: tuple) -> Fraction:
-    """det(M) = (−1)^n · constant coefficient of det(X·I − M)."""
-    n = len(coeffs) - 1
-    return coeffs[0] if n % 2 == 0 else -coeffs[0]

@@ -151,12 +151,6 @@ class IntPoly:
         sign = 1 if self.leading > 0 else -1
         return IntPoly(tuple(sign * c // g for c in self.coeffs))
 
-    def eval_fraction(self, value: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -299,10 +293,6 @@ def divides(f: IntPoly, g: IntPoly) -> bool:
         return g.is_zero
     _, r = sympy.div(_to_sympy(g), _to_sympy(f), _X)
     return r.is_zero
-
-
-def poly_to_json_obj(f: IntPoly) -> list[str]:
-    return [str(c) for c in f.coeffs]
 
 
 def poly_from_json_obj(obj) -> IntPoly:

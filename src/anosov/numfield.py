@@ -96,12 +96,6 @@ def _one(n: int) -> tuple:
     return tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
 
 
-def _theta_power(n: int, j: int) -> tuple:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return tuple(v)
-
-
 # -- field context ----------------------------------------------------------------
 
 
@@ -131,14 +125,6 @@ class NumberFieldCtx:
     @property
     def t_pairs(self) -> int:
         return self.signature[1]
-
-    @property
-    def is_totally_real(self) -> bool:
-        return self.t_pairs == 0
-
-    @property
-    def is_totally_imaginary(self) -> bool:
-        return self.s_real == 0
 
     def log_slots(self) -> list:
         """Embedding indices contributing one log coordinate each."""
@@ -248,11 +234,6 @@ def make_unit(field: NumberFieldCtx, coords: Sequence[Fraction]) -> UnitElem:
     return UnitElem(field=field, coords=coords, log_vector=field.log_moduli(coords))
 
 
-def log_embedding(field: NumberFieldCtx, mu: UnitElem) -> tuple:
-    """log|σ_i(μ)| for the s real embeddings and one per complex pair."""
-    return field.log_moduli(mu.coords)
-
-
 def max_hyperbolicity_bound(field: NumberFieldCtx) -> int:
     """Largest c for which a c-hyperbolic unit can exist: n−1 when the field
     has a real embedding, n/2 − 1 when totally imaginary."""
@@ -301,22 +282,20 @@ def cyclotomic_field(d: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Nu
     return make_field(cyclotomic(d), precision_bits)
 
 
-def cyclotomic_unit_generators(
-    d: int, precision_bits: int = DEFAULT_PRECISION_BITS, field: Optional[NumberFieldCtx] = None
-) -> list[UnitElem]:
-    """Units (1−ζ^a)/(1−ζ) = 1 + ζ + … + ζ^{a−1} for 1 < a < d/2, gcd(a,d)=1."""
-    if d < 5 or d % 4 == 2:
-        raise FieldError("cyclotomic units need d >= 5 with d not ≡ 2 mod 4")
-    if field is None:
-        field = cyclotomic_field(d, precision_bits)
-    n = field.degree
+def _cyclotomic_units(field: NumberFieldCtx, d: int) -> list[UnitElem]:
+    """Units (1−ζ^a)/(1−ζ) = 1 + ζ + … + ζ^{a−1} for 1 < a < d0/2 with
+    gcd(a, d0) = 1, in the field Q[X]/(Φ_d). θ is a primitive d-th root; for
+    d ≡ 2 mod 4 the units live at the odd level d0 = d/2 with ζ = θ², otherwise
+    d0 = d and ζ = θ."""
+    d0, step = (d // 2, 2) if d % 4 == 2 else (d, 1)
     units = []
-    for a in range(2, (d + 1) // 2):
-        if 2 * a == d or gcd(a, d) != 1:
+    for a in range(2, (d0 + 1) // 2):
+        if gcd(a, d0) != 1:
             continue
-        coeffs = [Fraction(1)] * a + [Fraction(0)] * max(0, n - a)
-        coords = tuple(_reduce(coeffs, field.min_poly))
-        units.append(make_unit(field, coords))
+        coeffs = [Fraction(0)] * max(field.degree, (a - 1) * step + 1)
+        for i in range(a):
+            coeffs[i * step] = Fraction(1)
+        units.append(make_unit(field, tuple(_reduce(coeffs, field.min_poly))))
     return units
 
 
@@ -342,23 +321,9 @@ def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
         coords = (x + Fraction(y * b, t), Fraction(2 * y, t))
         return [make_unit(field, coords)]
     d = cyclotomic_index_of(field.min_poly)
-    if d is not None:
-        # θ is a primitive d-th root; for d ≡ 2 mod 4 the units live at the
-        # odd level d/2 with ζ_{d/2} = θ²
-        d0, exp = (d // 2, 2) if d % 4 == 2 else (d, 1)
-        n = field.degree
-        z = el_pow(field.min_poly, _theta_power(n, 1), exp)
-        units = []
-        for a in range(2, (d0 + 1) // 2):
-            if 2 * a == d0 or gcd(a, d0) != 1:
-                continue
-            acc, pw = _one(n), _one(n)
-            for _ in range(1, a):
-                pw = el_mul(field.min_poly, pw, z)
-                acc = tuple(x + y for x, y in zip(acc, pw))
-            units.append(make_unit(field, acc))
-        if units:
-            return units
+    units = _cyclotomic_units(field, d) if d is not None else []
+    if units:
+        return units
     raise UnsupportedFieldError(
         f"no unit-generator source for degree-{field.degree} field {field.min_poly}"
     )
@@ -526,7 +491,7 @@ def _real_subfield_units(n_index: int, precision_bits: int):
         beta_powers.append(el_mul(f, beta_powers[-1], beta))
     basis_matrix = RatMatrix.from_columns([list(b) for b in beta_powers])
     units = []
-    for u in cyclotomic_unit_generators(n_index, precision_bits):
+    for u in _cyclotomic_units(cyclotomic_field(n_index, precision_bits), n_index):
         # complex conjugation ζ ↦ ζ^{n−1}
         conj = [Fraction(0)] * max(2 * field_deg, n_index + 1)
         for i, ci in enumerate(u.coords):

@@ -308,9 +308,6 @@ class RatMatrix:
                 mk = self @ (mk + ident.scale(c))
         return tuple(coeffs)
 
-    def columns_submatrix(self, col_indices: Sequence[int]) -> "RatMatrix":
-        return RatMatrix.from_columns([list(self.column(j)) for j in col_indices])
-
     # -- JSON literal format -------------------------------------------------
 
     def to_json_obj(self) -> list[list[str]]:
@@ -397,12 +394,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        images = list(range(n))
-        images[i], images[j] = images[j], images[i]
-        return cls(images)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self ∘ other: apply `other` first, then `self`."""

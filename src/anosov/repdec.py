@@ -10,8 +10,10 @@ minimal polynomial yields complementary invariant subspaces (primary kernels
 when the factors are coprime, an averaged equivariant projection when the
 minimal polynomial is a proper prime power). Irreducibility is declared after
 a deterministic pass over the commutant basis and its pairwise sums plus a
-run of seeded random combinations, cross-checked by the dim_E = m²·n
-integrality constraint.
+run of seeded random combinations. The dim_E = m²·n integrality constraint
+is checked once per class, in component_profile; every other leaf of the
+splitting is joined to its class representative by an intertwiner checked to
+be invertible, so it has the same dim_E and centre.
 """
 
 from __future__ import annotations
@@ -245,7 +247,6 @@ def _split_once(rep: RationalRep, rng: random.Random, trials: int = RANDOM_TRIAL
         result = _try_split_with(rep, _random_combination(com.basis, rng))
         if result is not None:
             return result
-    _profile_integrality_check(rep, com)
     return IrreducibleCertificate(trials=attempted, commutant_dim=com.dimension)
 
 
@@ -259,18 +260,6 @@ def _center_dimension(basis: Sequence[RatMatrix]) -> int:
             rows.append([br.entries()[pos] for br in brackets])
     system = RatMatrix.from_rows(rows)
     return len(system.kernel_basis())
-
-
-def _profile_integrality_check(rep: RationalRep, com: CommutantBasis) -> None:
-    dim_e = com.dimension
-    n = _center_dimension(com.basis)
-    if n == 0 or dim_e % n:
-        raise DecompositionError(f"dim_E={dim_e} not divisible by center dimension {n}")
-    m = isqrt(dim_e // n)
-    if m * m * n != dim_e:
-        raise DecompositionError(
-            f"dim_E={dim_e}, n={n}: dim_E/n is not a perfect square; decomposition bug"
-        )
 
 
 def component_profile(

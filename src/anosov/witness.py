@@ -14,9 +14,6 @@ Three construction paths, tried cheapest-certified first:
 
 Every certificate is re-verified from scratch: exact commutation, integer
 characteristic polynomial with determinant ±1, and the hyperbolicity report.
-The splitting-field calculus (Vandermonde conjugation and rationalization of
-conjugate block diagonals) is exposed as independent machinery with its own
-exact re-verification.
 """
 
 from __future__ import annotations
@@ -25,11 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import mpmath
-import sympy
-from sympy.abc import x as _X, y as _Y
+from typing import Optional
 
 from .fingrp import RationalRep
 from .hyper import (
@@ -41,21 +34,18 @@ from .hyper import (
 )
 from .intpoly import IntPoly, is_irreducible
 from .numfield import (
-    NumberFieldCtx,
     UnsupportedFieldError,
-    cyclotomic_index_of,
     hyperbolic_companion_poly,
     make_field,
     max_hyperbolicity_bound,
     search_c_hyperbolic_unit,
     unit_generators_for_field,
 )
-from .ratmat import Permutation, RatMatrix, matrix_min_poly
+from .ratmat import RatMatrix, matrix_min_poly
 from .repdec import ComponentProfile, commutant, poly_at_matrix
 
 TENSOR_SHORTCUT = "tensor-shortcut"
 FIELD_THROUGH_COMMUTANT = "field-through-commutant"
-BLOCK_COMPANION = "block-companion"
 LATTICE_SEARCH = "lattice-search"
 
 
@@ -122,33 +112,6 @@ def verify_witness(
         construction_path=construction_path,
         per_generator_commutation=per_gen,
     )
-
-
-# -- block companion ---------------------------------------------------------------
-
-
-def block_companion(c_blocks: Sequence[RatMatrix], m: RatMatrix) -> RatMatrix:
-    """The km×km matrix with identity blocks on the subdiagonal and −C_j down
-    the last block column; commutes with I_m ⊗ M whenever every C_j commutes
-    with M (checked exactly)."""
-    k = m.rows
-    for cj in c_blocks:
-        if cj.rows != k or cj.cols != k:
-            raise ValueError("blocks must match the size of M")
-        if cj @ m != m @ cj:
-            raise WitnessConstructionError("a block does not commute with M")
-    mm = len(c_blocks)
-    if mm == 1:
-        return -c_blocks[0]
-    out = [[Fraction(0)] * (k * mm) for _ in range(k * mm)]
-    for bi in range(mm):
-        for i in range(k):
-            for j in range(k):
-                out[bi * k + i][(mm - 1) * k + j] = -c_blocks[bi][i, j]
-        if bi >= 1:
-            for i in range(k):
-                out[bi * k + i][(bi - 1) * k + i] += Fraction(1)
-    return RatMatrix.from_rows(out)
 
 
 # -- construction paths --------------------------------------------------------------
@@ -304,231 +267,3 @@ def lattice_search(
     if count_only:
         return hit, screened
     return hit
-
-
-# -- splitting-field calculus ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VandermondeData:
-    field: NumberFieldCtx
-    k: int
-    q_numeric: "mpmath.matrix"
-    p_numeric: "mpmath.matrix"
-    galois_permutations: dict
-
-    @property
-    def size(self) -> int:
-        return self.field.degree * self.k
-
-
-def _field_automorphism_permutations(field: NumberFieldCtx, tol) -> dict:
-    """Permutations of the embeddings induced by the field automorphisms, for
-    the shapes with explicit polynomial automorphisms: Q, real/imaginary
-    quadratic, and cyclotomic fields."""
-    n = field.degree
-    theta = list(field.embeddings)
-    perms: dict = {}
-    if n == 1:
-        perms["id"] = Permutation.identity(1)
-        return perms
-    d = cyclotomic_index_of(field.min_poly)
-    if d is not None:
-        exps = []
-        base = mpmath.exp(2j * mpmath.pi / d)
-        for th in theta:
-            a = min(
-                (aa for aa in range(1, d) if sympy.gcd(aa, d) == 1),
-                key=lambda aa: abs(th - base**aa),
-            )
-            if abs(th - base**a) > tol:
-                raise PrecisionError("could not identify cyclotomic embeddings")
-            exps.append(a)
-        for b in range(1, d):
-            if sympy.gcd(b, d) != 1:
-                continue
-            images = [exps.index(b * a % d) for a in exps]
-            perms[f"zeta->zeta^{b}"] = Permutation(images)
-        return perms
-    if n == 2:
-        b = field.min_poly.coeffs[1]
-        sigma_theta = [-th - b for th in theta]
-        images = []
-        for val in sigma_theta:
-            j = min(range(2), key=lambda jj: abs(val - theta[jj]))
-            if abs(val - theta[j]) > tol:
-                raise PrecisionError("could not match quadratic conjugate")
-            images.append(j)
-        perms["id"] = Permutation.identity(2)
-        perms["conj"] = Permutation(images)
-        return perms
-    return perms
-
-
-def vandermonde_P(
-    field: NumberFieldCtx, k: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> VandermondeData:
-    """Numeric Q = (θ_i^{j−1}) ⊗ I_k and P = Q⁻¹, with a conditioning check
-    and, where the Galois action is numerically realizable, the verified
-    permutation of embeddings for every automorphism."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = field.degree
-    with mpmath.workprec(precision_bits + 32):
-        vand = mpmath.matrix(n, n)
-        for i, th in enumerate(field.embeddings):
-            acc = mpmath.mpc(1)
-            for j in range(n):
-                vand[i, j] = acc
-                acc *= th
-        ident_k = mpmath.eye(k)
-        q_num = _mp_kron(vand, ident_k)
-        p_num = mpmath.inverse(q_num)
-        residual = mpmath.mnorm(q_num * p_num - mpmath.eye(n * k), "inf")
-        if residual > mpmath.mpf(2) ** (-(precision_bits // 2)):
-            raise PrecisionError(
-                f"Vandermonde conditioning too poor at {precision_bits} bits"
-            )
-        tol = mpmath.mpf(2) ** (-(precision_bits // 4))
-        perms = _field_automorphism_permutations(field, tol)
-        # verify σ(Q) = K_π^{⊗k}·Q entrywise: row i of σ(Q) is row π(i) of Q
-        for label, pi in perms.items():
-            kp = _mp_perm_kron(pi, k)
-            lhs = kp * q_num
-            for i in range(n):
-                for j in range(n):
-                    if abs(lhs[i * k, j * k] - vand[pi(i), j]) > tol:
-                        raise PrecisionError(f"Galois action {label} failed verification")
-    return VandermondeData(field=field, k=k, q_numeric=q_num, p_numeric=p_num, galois_permutations=perms)
-
-
-def _mp_kron(a, b):
-    out = mpmath.matrix(a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] == 0:
-                continue
-            for p in range(b.rows):
-                for q in range(b.cols):
-                    out[i * b.rows + p, j * b.cols + q] = a[i, j] * b[p, q]
-    return out
-
-
-def _mp_perm_kron(pi: Permutation, k: int):
-    n = len(pi)
-    out = mpmath.matrix(n * k, n * k)
-    for i in range(n):
-        for p in range(k):
-            out[i * k + p, pi(i) * k + p] = 1
-    return out
-
-
-def _norm_char_poly(field: NumberFieldCtx, field_char_poly: Sequence[tuple]) -> list:
-    """Π_i σ_i(h)(X) computed exactly as Res_y(f(y), H(y, X)), for h the
-    characteristic polynomial of a matrix over the field (coefficients given
-    as power-basis coordinate tuples)."""
-    f = field.min_poly
-    fy = sympy.Poly([sympy.Integer(cc) for cc in reversed(f.coeffs)], _Y)
-    h_expr = sympy.Integer(0)
-    for j, coord in enumerate(field_char_poly):
-        cj = sum(
-            sympy.Rational(c.numerator, c.denominator) * _Y**t for t, c in enumerate(coord)
-        )
-        h_expr += cj * _X**j
-    res = sympy.resultant(fy.as_expr(), h_expr, _Y)
-    poly = sympy.Poly(res, _X)
-    return [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in reversed(poly.all_coeffs())]
-
-
-def rationalize_conjugate_blockdiag(
-    vd: VandermondeData,
-    c0_entries: list,
-    target_rep: Optional[RationalRep] = None,
-    denominator_bound: int = 10**9,
-) -> RatMatrix:
-    """Conjugate blockdiag(σ_1(C_0), …, σ_n(C_0)) by P numerically, round the
-    result to rationals, then re-verify exactly: the characteristic polynomial
-    must equal Π_i σ_i(charpoly(C_0)) (computed via resultant norms) and, when
-    a target representation is given, the result must commute with it."""
-    field, k = vd.field, vd.k
-    n = field.degree
-    if len(c0_entries) != k or any(len(r) != k for r in c0_entries):
-        raise ValueError("C_0 must be k×k with power-basis coordinate entries")
-    prec = field.precision_bits
-    with mpmath.workprec(prec + 32):
-        big = mpmath.matrix(n * k, n * k)
-        for i, th in enumerate(field.embeddings):
-            for r in range(k):
-                for s in range(k):
-                    big[i * k + r, i * k + s] = field.evaluate(c0_entries[r][s], th)
-        numeric = vd.p_numeric * big * vd.q_numeric
-        entries = []
-        for i in range(n * k):
-            for j in range(n * k):
-                z = numeric[i, j]
-                if abs(z.imag) > mpmath.mpf(2) ** (-(prec // 4)):
-                    raise PrecisionError("conjugated matrix has a non-real entry")
-                entries.append(
-                    Fraction(mpmath.nstr(z.real, 40)).limit_denominator(denominator_bound)
-                )
-    result = RatMatrix(n * k, n * k, entries)
-    # exact re-verification
-    coord_entries = [[tuple(Fraction(c) for c in e) for e in row] for row in c0_entries]
-    h_coeffs = _matrix_over_field_char_poly(field, coord_entries)
-    expected = _norm_char_poly(field, h_coeffs)
-    if list(result.char_poly()) != expected:
-        raise PrecisionError("rationalization failed the exact characteristic check")
-    if target_rep is not None:
-        for img in target_rep.image_of_generators():
-            if result @ img != img @ result:
-                raise PrecisionError("rationalized matrix does not commute with the target")
-    return result
-
-
-def _matrix_over_field_char_poly(field: NumberFieldCtx, entries: list) -> list:
-    """Characteristic polynomial of a k×k matrix with entries in the field,
-    as a list of power-basis coordinate tuples (ascending degree), by
-    Faddeev–LeVerrier over the field."""
-    from .numfield import el_mul, _one
-
-    n = field.degree
-    k = len(entries)
-    zero = tuple([Fraction(0)] * n)
-    one = _one(n)
-
-    def madd(a, b):
-        return [[tuple(x + y for x, y in zip(a[i][j], b[i][j])) for j in range(k)] for i in range(k)]
-
-    def mscale(a, s):
-        return [[tuple(x * s for x in a[i][j]) for j in range(k)] for i in range(k)]
-
-    def mmul(a, b):
-        out = [[zero for _ in range(k)] for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                acc = zero
-                for t in range(k):
-                    prod = el_mul(field.min_poly, a[i][t], b[t][j])
-                    acc = tuple(x + y for x, y in zip(acc, prod))
-                out[i][j] = acc
-        return out
-
-    def mtrace(a):
-        acc = zero
-        for i in range(k):
-            acc = tuple(x + y for x, y in zip(acc, a[i][i]))
-        return acc
-
-    def scalar_mat(s):
-        return [[tuple(c * (1 if i == j else 0) for c in s) for j in range(k)] for i in range(k)]
-
-    coeffs = [zero] * (k + 1)
-    coeffs[k] = one
-    mk = entries
-    for step in range(1, k + 1):
-        tr = mtrace(mk)
-        c = tuple(-x / step for x in tr)
-        coeffs[k - step] = c
-        if step < k:
-            mk = mmul(entries, madd(mk, scalar_mat(c)))
-    return coeffs

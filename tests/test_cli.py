@@ -124,3 +124,15 @@ def test_missing_class_exit_code(tmp_path, capsys):
 def test_unknown_demo_exit_code(capsys):
     code, _, err = run(["demo", "unknown"], capsys)
     assert code == 2
+
+
+def test_infinite_group_exit_code(tmp_path, capsys):
+    path = write_input(tmp_path, {"generators": [[["2"]]], "class": 1})
+    code, _, err = run(["decide", path, "--max-order", "50"], capsys)
+    assert code == 2 and "invalid input:" in err
+
+
+def test_no_cert_on_yes_verdict_exit_code(tmp_path, capsys):
+    path = write_input(tmp_path, {"generators": [[["1", "0"], ["0", "1"]]], "class": 1})
+    code, _, err = run(["no-cert", path], capsys)
+    assert code == 2 and "invalid input:" in err

@@ -12,10 +12,10 @@ from anosov.decider import (
     no_certificate_search,
     porteous_flat,
 )
-from anosov.fingrp import conjugate_rep, multiple
-from anosov.intpoly import IntPoly
+from anosov.fingrp import conjugate_rep, generate_group, multiple, natural_rep
+from anosov.intpoly import IntPoly, cyclotomic
 from anosov.ratmat import RatMatrix
-from anosov.witness import verify_witness
+from anosov.witness import companion_matrix, verify_witness
 
 from conftest import random_unimodular
 
@@ -98,13 +98,18 @@ class TestWitnessPipeline:
         assert verdict.witness is not None
         assert IntPoly.from_rationals(verdict.witness.witness.char_poly()) == IntPoly((1, -3, 1))
 
-    def test_c5_field_witness(self, c5_rep):
-        verdict = decide_with_witness(c5_rep, 1)
+    @pytest.mark.parametrize("order", [5, 8], ids=["c5", "c8"])
+    def test_c5_field_witness(self, order):
+        rotation = companion_matrix(cyclotomic(order))
+        rep = natural_rep(generate_group([rotation]))
+        verdict = decide_with_witness(rep, 1)
         assert verdict.witness_status == "attached"
-        rotation = c5_rep.image_of_generators()[0]
-        assert verdict.witness.witness == RatMatrix.identity(4) + rotation
-        assert verdict.witness.witness.det() == 1
-        assert verdict.witness.construction_path == "field-through-commutant"
+        cert = verdict.witness
+        assert cert.construction_path == "field-through-commutant"
+        assert verify_witness(rep, cert.witness, 1).is_valid
+        if order == 5:
+            assert cert.witness == RatMatrix.identity(4) + rotation
+            assert cert.witness.det() == 1
 
     def test_no_verdict_skips_search(self, klein):
         verdict = decide_with_witness(klein, 1)

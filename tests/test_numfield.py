@@ -6,12 +6,10 @@ from anosov.intpoly import IntPoly, cyclotomic
 from anosov.numfield import (
     FieldError,
     cyclotomic_field,
-    cyclotomic_unit_generators,
     el_inv,
     el_mul,
     fundamental_unit_real_quadratic,
     hyperbolic_companion_poly,
-    log_embedding,
     make_field,
     make_unit,
     max_hyperbolicity_bound,
@@ -53,7 +51,7 @@ class TestLogEmbedding:
     def test_one_maps_to_zero(self):
         field = make_field(SQRT2)
         unit = make_unit(field, (Fraction(1), Fraction(0)))
-        assert all(abs(v) < 1e-30 for v in log_embedding(field, unit))
+        assert all(abs(v) < 1e-30 for v in field.log_moduli(unit.coords))
 
     def test_silver_unit_logs(self):
         field = make_field(SQRT2)
@@ -93,14 +91,14 @@ class TestFundamentalUnits:
 
 class TestCyclotomicUnits:
     def test_zeta5_unit_is_golden_shaped(self):
-        (unit,) = cyclotomic_unit_generators(5)
+        (unit,) = unit_generators_for_field(cyclotomic_field(5))
         assert unit.coords == (1, 1, 0, 0)  # 1 + zeta
         moduli = sorted(abs(float(v)) for v in unit.log_vector)
         golden = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
         assert moduli[0] == pytest.approx(golden, abs=1e-12)
 
     def test_zeta8_unit(self):
-        units = cyclotomic_unit_generators(8)
+        units = unit_generators_for_field(cyclotomic_field(8))
         first = units[0]
         assert first.coords == (1, 1, 1, 0)
         assert abs(first.min_poly().coeffs[0]) == 1
@@ -112,12 +110,6 @@ class TestCyclotomicUnits:
         one_minus_z = (Fraction(1), Fraction(-1), Fraction(0), Fraction(0))
         ratio = el_mul(f, one_minus_z2, el_inv(f, one_minus_z))
         assert ratio == (1, 1, 0, 0)
-
-    def test_invalid_index_rejected(self):
-        with pytest.raises(FieldError):
-            cyclotomic_unit_generators(4)
-        with pytest.raises(FieldError):
-            cyclotomic_unit_generators(6)
 
 
 class TestHyperbolicUnitSearch:

@@ -1,63 +1,19 @@
-import random
-from fractions import Fraction
-
 import pytest
 
-from anosov.corpus import m_rho3
-from anosov.fingrp import generate_group, multiple, natural_rep
-from anosov.intpoly import IntPoly, cyclotomic
-from anosov.numfield import make_field
+from anosov.fingrp import multiple
+from anosov.intpoly import IntPoly
 from anosov.ratmat import RatMatrix
 from anosov.repdec import decompose
 from anosov.witness import (
     WitnessConstructionError,
-    block_companion,
     companion_matrix,
     field_through_commutant,
     lattice_search,
-    rationalize_conjugate_blockdiag,
     tensor_shortcut,
-    vandermonde_P,
     verify_witness,
 )
 
 PLASTIC = IntPoly((-1, -1, 0, 1))
-
-
-class TestBlockCompanion:
-    def test_single_block_collapses(self):
-        c0 = RatMatrix.from_rows([[3]])
-        assert block_companion([c0], RatMatrix.identity(1)) == -c0
-
-    def test_two_block_swap(self):
-        i2 = RatMatrix.identity(2)
-        out = block_companion([-i2, RatMatrix.zeros(2, 2)], i2)
-        assert out == RatMatrix.from_rows(
-            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
-        )
-
-    def test_scalar_coefficients_give_power_char_poly(self):
-        m = RatMatrix.from_rows([[1, 1], [0, 1]])
-        blocks = [RatMatrix.identity(2).scale(Fraction(c)) for c in PLASTIC.coeffs[:-1]]
-        tilde = block_companion(blocks, m)
-        assert IntPoly.from_rationals(tilde.char_poly()) == PLASTIC * PLASTIC
-
-    def test_commutes_with_diagonal_extension(self):
-        rng = random.Random(13)
-        m = RatMatrix.from_rows([[2, 1], [1, 1]])
-        blocks = []
-        for _ in range(3):
-            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-            blocks.append(m.scale(a) + RatMatrix.identity(2).scale(b))
-        tilde = block_companion(blocks, m)
-        big = RatMatrix.block_diag([m, m, m])
-        assert tilde @ big == big @ tilde
-
-    def test_noncommuting_block_rejected(self):
-        m = RatMatrix.from_rows([[2, 1], [1, 1]])
-        bad = RatMatrix.from_rows([[0, 1], [0, 0]])
-        with pytest.raises(WitnessConstructionError):
-            block_companion([bad], m)
 
 
 class TestTensorShortcut:
@@ -115,59 +71,6 @@ class TestLatticeSearch:
     def test_isotypic_no_direction(self, rho3):
         assert lattice_search(multiple(rho3, 2), 2, 2) is None
         assert lattice_search(rho3, 1, 3) is None
-
-
-class TestVandermonde:
-    def test_rational_field_is_identity(self):
-        field = make_field(IntPoly((-1, 1)))
-        vd = vandermonde_P(field, 3)
-        assert vd.size == 3
-        assert all(vd.q_numeric[i, i] == 1 for i in range(3))
-
-    def test_sqrt2_galois_action(self):
-        vd = vandermonde_P(make_field(IntPoly((-2, 0, 1))), 1)
-        assert vd.galois_permutations["conj"].images == (1, 0)
-
-    def test_zeta5_full_galois_group(self):
-        vd = vandermonde_P(make_field(cyclotomic(5)), 1)
-        assert len(vd.galois_permutations) == 4
-
-
-class TestRationalize:
-    def test_multiplication_by_silver(self):
-        vd = vandermonde_P(make_field(IntPoly((-2, 0, 1))), 1)
-        result = rationalize_conjugate_blockdiag(vd, [[(Fraction(1), Fraction(1))]])
-        assert result == RatMatrix.from_rows([[1, 2], [1, 1]])
-
-    def test_rational_input_unchanged(self):
-        field = make_field(IntPoly((-1, 1)))
-        vd = vandermonde_P(field, 2)
-        c0 = [[(Fraction(3),), (Fraction(1),)], [(Fraction(0),), (Fraction(2),)]]
-        assert rationalize_conjugate_blockdiag(vd, c0) == RatMatrix.from_rows([[3, 1], [0, 2]])
-
-    def test_one_plus_zeta5_char_poly(self, c5_rep):
-        vd = vandermonde_P(make_field(cyclotomic(5)), 1)
-        c0 = [[(Fraction(1), Fraction(1), Fraction(0), Fraction(0))]]
-        result = rationalize_conjugate_blockdiag(vd, c0)
-        rotation = c5_rep.image_of_generators()[0]
-        expected = (RatMatrix.identity(4) + rotation).char_poly()
-        assert result.char_poly() == expected
-
-
-class TestSplittingFieldIntegration:
-    def test_c8_witness_through_conjugate_blockdiag(self):
-        # full pipeline on the order-8 rotation: the rationalized conjugate
-        # block diagonal of a unit is multiplication by that unit in the
-        # power basis, so it commutes with the rotation and is a witness
-        rotation = companion_matrix(cyclotomic(8))
-        rep = natural_rep(generate_group([rotation]))
-        field = make_field(cyclotomic(8))
-        vd = vandermonde_P(field, 1)
-        unit_coords = (Fraction(1), Fraction(1), Fraction(1), Fraction(0))  # 1+z+z^2
-        result = rationalize_conjugate_blockdiag(vd, [[unit_coords]], target_rep=rep)
-        cert = verify_witness(rep, result, 1)
-        assert cert.is_valid
-        assert len(vd.galois_permutations) == 4
 
 
 class TestVerifyWitness:
