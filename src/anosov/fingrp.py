@@ -1,9 +1,13 @@
-"""Finite matrix groups over Q: closure from generators, Cayley structure,
-conjugacy classes, characters, and the indicator sum (1/|G|)·Σ tr ρ(g²).
+"""Finite matrix groups over Q: closure from generators, the generator Cayley
+graph, conjugacy classes, characters, and the indicator sum (1/|G|)·Σ tr ρ(g²).
 
 Groups are always represented faithfully by exact rational matrices; closure
 is breadth-first from the identity with the generator order as given, so the
-element ordering (and everything seeded downstream) is deterministic.
+element ordering (and everything seeded downstream) is deterministic. No step
+forms the |G|² multiplication table: closure, squares, inverses, classes and
+the homomorphism check each take at most |G|·#gens matrix products, walking
+the Cayley graph g ↦ g·s of the generators s (Holt–Eick–O'Brien, *Handbook of
+Computational Group Theory* §4.1).
 """
 
 from __future__ import annotations
@@ -29,17 +33,19 @@ class HomomorphismError(ValueError):
 class FiniteMatrixGroup:
     """Closed finite group of invertible rational matrices.
 
-    elements[0] is the identity; mul_table[g][h] = index of elements[g] @
-    elements[h]; words[g] is a factorization of elements[g] as generator
-    indices applied left to right.
+    elements[0] is the identity, and the elements are in breadth-first order
+    from it. right[g][s] = index of elements[g] @ (generator s): the generator
+    Cayley graph. parent[g] = (i, s) is the breadth-first tree edge with
+    elements[g] = elements[i] @ (generator s); parent[0] is None.
+    sq_map[g] and inv_map[g] are the indices of g² and g⁻¹.
     """
 
     elements: tuple
     gen_indices: tuple
-    mul_table: tuple
+    right: tuple
+    parent: tuple
     sq_map: tuple
     inv_map: tuple
-    words: tuple
 
     @property
     def order(self) -> int:
@@ -57,61 +63,82 @@ def generate_group(gens: Sequence[RatMatrix], max_order: int = DEFAULT_MAX_ORDER
     """Breadth-first closure of the given invertible generators."""
     if not gens:
         raise ValueError("need at least one generator")
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     n = gens[0].rows
     for g in gens:
         if not g.is_square or g.rows != n:
             raise ValueError("generators must be square matrices of equal size")
-        if g.det() == 0:
+        det = g.det()
+        if det == 0:
             raise ValueError("generators must be invertible")
+        if abs(det) != 1:
+            raise ValueError(
+                f"a generator has determinant {det}, so it has infinite order "
+                f"(a rational matrix of finite order has determinant ±1)"
+            )
     ident = RatMatrix.identity(n)
     elements = [ident]
-    words: list[tuple] = [()]
     index = {ident: 0}
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for gi, g in enumerate(gens):
-            prod = elements[i] @ g
-            if prod not in index:
+    parent: list = [None]
+    right = []
+    # elements doubles as the breadth-first queue: it grows while it is read
+    for i, elem in enumerate(elements):
+        row = []
+        for s, g in enumerate(gens):
+            prod = elem @ g
+            j = index.get(prod)
+            if j is None:
                 if len(elements) >= max_order:
                     raise GroupClosureError(
                         f"group order exceeds max_order={max_order}; generators may "
                         f"generate an infinite group"
                     )
-                index[prod] = len(elements)
+                j = index[prod] = len(elements)
                 elements.append(prod)
-                words.append(words[i] + (gi,))
-                queue.append(index[prod])
+                parent.append((i, s))
+            row.append(j)
+        right.append(tuple(row))
 
-    order = len(elements)
-    mul_table = tuple(
-        tuple(index[elements[i] @ elements[j]] for j in range(order)) for i in range(order)
-    )
-    sq_map = tuple(mul_table[i][i] for i in range(order))
-    inv_map = tuple(mul_table[i].index(0) for i in range(order))
-    gen_indices = tuple(index[g] for g in gens)
+    sq_map = tuple(index[e @ e] for e in elements)
+    # (h·s)⁻¹ = s⁻¹·h⁻¹ along the tree; parents precede their children
+    gens_inv = [g.inverse() for g in gens]
+    inv_map = [0]
+    for i, s in parent[1:]:
+        inv_map.append(index[gens_inv[s] @ elements[inv_map[i]]])
     return FiniteMatrixGroup(
         elements=tuple(elements),
-        gen_indices=gen_indices,
-        mul_table=mul_table,
+        gen_indices=tuple(index[g] for g in gens),
+        right=tuple(right),
+        parent=tuple(parent),
         sq_map=sq_map,
-        inv_map=inv_map,
-        words=tuple(words),
+        inv_map=tuple(inv_map),
     )
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[int]]:
     """Partition of element indices; class of the identity first, then by
-    smallest member index. Classes themselves are sorted index lists."""
-    seen = set()
+    smallest member index. Classes themselves are sorted index lists.
+
+    Each class is an orbit of x ↦ s⁻¹·x·s over the generators s, read off the
+    Cayley graph without matrix products: s⁻¹·x·s = ((x·s)⁻¹·s)⁻¹.
+    """
+    right, inv = group.right, group.inv_map
+    seen = [False] * group.order
     classes = []
-    for i in range(group.order):
-        if i in seen:
+    # starting from the smallest unseen index yields the documented order
+    for start in range(group.order):
+        if seen[start]:
             continue
-        orbit = {group.mul_table[group.mul_table[h][i]][group.inv_map[h]] for h in range(group.order)}
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:
+            for s, xs in enumerate(right[x]):
+                y = inv[right[inv[xs]][s]]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
         classes.append(sorted(orbit))
-        seen |= orbit
-    classes.sort(key=lambda cl: (0 not in cl, cl[0]))
     return classes
 
 
@@ -130,19 +157,25 @@ class RationalRep:
         return [self.images[i] for i in self.group.gen_indices]
 
     def check_homomorphism(self) -> None:
-        tab = self.group.mul_table
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                if self.images[tab[g][h]] != self.images[g] @ self.images[h]:
+        """Check ρ(e) = I and ρ(g·s) = ρ(g)·ρ(s) for every element g and
+        generator s. This is complete: for h = s₁⋯s_k, induction on k gives
+        ρ(g·h) = ρ(g)·ρ(s₁)⋯ρ(s_k), and with g = e that product is ρ(h)."""
+        if self.images[0] != RatMatrix.identity(self.dimension):
+            raise HomomorphismError("the identity element's image is not the identity matrix")
+        gen_images = self.image_of_generators()
+        for g, row in enumerate(self.group.right):
+            for s, j in enumerate(row):
+                if self.images[j] != self.images[g] @ gen_images[s]:
                     raise HomomorphismError(
-                        f"images violate the Cayley table at pair ({g}, {h})"
+                        f"images violate the Cayley graph at element {g} times generator {s}"
                     )
 
 
 def rep_from_generator_images(
     group: FiniteMatrixGroup, gen_images: Sequence[RatMatrix], verify: bool = True
 ) -> RationalRep:
-    """Extend images on the generators to the whole group via the closure words.
+    """Extend images on the generators to the whole group along the
+    breadth-first tree, one product per element.
 
     Raises HomomorphismError if the assignment does not define a homomorphism.
     """
@@ -154,13 +187,9 @@ def rep_from_generator_images(
             raise ValueError("generator images must be square of equal size")
         if m.det() == 0:
             raise ValueError("generator images must be invertible")
-    ident = RatMatrix.identity(dim)
-    images = []
-    for word in group.words:
-        img = ident
-        for gi in word:
-            img = img @ gen_images[gi]
-        images.append(img)
+    images = [RatMatrix.identity(dim)]
+    for i, s in group.parent[1:]:
+        images.append(images[i] @ gen_images[s])
     rep = RationalRep(group=group, images=tuple(images))
     if verify:
         rep.check_homomorphism()

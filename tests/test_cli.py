@@ -132,6 +132,19 @@ def test_infinite_group_exit_code(tmp_path, capsys):
     assert code == 2 and "invalid input:" in err
 
 
+def test_infinite_order_generator_fails_fast(tmp_path, capsys):
+    # at the default --max-order the closure would grow entries to 2^10000 first
+    path = write_input(tmp_path, {"generators": [[["2"]]], "class": 1})
+    code, _, err = run(["decide", path], capsys)
+    assert code == 2 and "invalid input:" in err and "determinant 2" in err
+
+
+def test_max_order_below_one_exit_code(tmp_path, capsys):
+    path = write_input(tmp_path, D3_INPUT)
+    code, _, err = run(["decide", path, "--max-order", "0"], capsys)
+    assert code == 2 and "invalid input:" in err and "max_order must be >= 1" in err
+
+
 def test_no_cert_on_yes_verdict_exit_code(tmp_path, capsys):
     path = write_input(tmp_path, {"generators": [[["1", "0"], ["0", "1"]]], "class": 1})
     code, _, err = run(["no-cert", path], capsys)

@@ -6,6 +6,7 @@ from anosov.corpus import d3_degree2_rep, rho3_prime
 from anosov.fingrp import (
     GroupClosureError,
     HomomorphismError,
+    RationalRep,
     character,
     character_inner_product,
     conjugacy_classes,
@@ -17,8 +18,27 @@ from anosov.fingrp import (
     natural_rep,
     rep_from_generator_images,
 )
-from anosov.ratmat import RatMatrix
+from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
+
+
+def perm(images):
+    return perm_matrix(Permutation(images))
+
+
+# the hyperoctahedral group B3 (order 48) and A5 (order 60) on their natural modules
+B3_GENS = [perm([1, 2, 0]), perm([1, 0, 2]), RatMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+A5_GENS = [perm([1, 2, 3, 4, 0]), perm([1, 2, 0, 3, 4])]
+
+
+@pytest.fixture(scope="module")
+def groups(d3, q8_rep):
+    return {
+        "d3": d3,
+        "q8": q8_rep.group,
+        "b3": generate_group(B3_GENS),
+        "a5": generate_group(A5_GENS),
+    }
 
 
 class TestGenerateGroup:
@@ -45,14 +65,52 @@ class TestGenerateGroup:
         with pytest.raises(ValueError):
             generate_group([RatMatrix.from_rows([[1, 1], [1, 1]])])
 
-    def test_cayley_table_consistent(self, d3, q8_rep):
-        for group in (d3, q8_rep.group):
-            for g in range(group.order):
-                for h in range(group.order):
-                    assert (
-                        group.elements[group.mul_table[g][h]]
-                        == group.elements[g] @ group.elements[h]
-                    )
+    def test_determinant_not_plus_minus_one_rejected(self):
+        # a rational matrix of finite order has determinant ±1
+        with pytest.raises(ValueError, match="determinant 2"):
+            generate_group([RatMatrix.from_rows([[2]])])
+
+    def test_max_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_order"):
+            generate_group([RatMatrix.identity(2)], max_order=0)
+
+    @pytest.mark.parametrize("name", ["d3", "q8", "b3"])
+    def test_cayley_graph_squares_inverses(self, name, groups):
+        group = groups[name]
+        gens = group.generators()
+        ident = group.elements[0]
+        assert ident == RatMatrix.identity(group.degree)
+        assert len(set(group.elements)) == group.order
+        for g, elem in enumerate(group.elements):
+            for s, j in enumerate(group.right[g]):
+                assert group.elements[j] == elem @ gens[s]
+            if g:
+                i, s = group.parent[g]
+                assert i < g and group.right[i][s] == g
+            assert group.elements[group.sq_map[g]] == elem @ elem
+            assert elem @ group.elements[group.inv_map[g]] == ident
+
+    @pytest.mark.parametrize(
+        "name, sizes",
+        [
+            ("d3", [1, 2, 3]),
+            ("q8", [1, 1, 2, 2, 2]),
+            ("b3", [1, 1, 3, 3, 6, 6, 6, 6, 8, 8]),
+            ("a5", [1, 12, 12, 15, 20]),
+        ],
+    )
+    def test_classes_match_brute_force_conjugation(self, name, sizes, groups):
+        group = groups[name]
+        index = {elem: i for i, elem in enumerate(group.elements)}
+        inverses = [elem.inverse() for elem in group.elements]
+        expected, seen = [], set()
+        for i, x in enumerate(group.elements):
+            if i not in seen:
+                cls = sorted({index[h @ x @ h_inv] for h, h_inv in zip(group.elements, inverses)})
+                expected.append(cls)
+                seen.update(cls)
+        assert conjugacy_classes(group) == expected
+        assert sorted(len(c) for c in expected) == sizes
 
 
 class TestCharacters:
@@ -112,6 +170,18 @@ class TestRepFromGeneratorImages:
                 d3, [RatMatrix.from_rows([[-1]]), RatMatrix.identity(1)]
             )
 
+    @pytest.mark.parametrize("name", ["d3", "q8", "b3"])
+    def test_check_reaches_every_element(self, name, groups):
+        # altering any single image, generators and the identity included, is caught
+        group = groups[name]
+        rep = natural_rep(group)
+        rep.check_homomorphism()
+        for k in range(group.order):
+            images = list(rep.images)
+            images[k] = -images[k]
+            with pytest.raises(HomomorphismError):
+                RationalRep(group=group, images=tuple(images)).check_homomorphism()
+
     def test_size_mismatch(self, d3):
         with pytest.raises(ValueError):
             rep_from_generator_images(d3, [RatMatrix.identity(1)])
@@ -127,3 +197,23 @@ def test_group_rep_json_schema(d3):
     assert group.order == 6 and rep.dimension == 1 and c == 2
     group2, rep2, c2 = group_rep_from_json_obj({"generators": obj["generators"]})
     assert rep2.dimension == 2 and c2 is None
+
+
+@pytest.mark.parametrize(
+    "gens, with_images", [(B3_GENS, True), (A5_GENS, False)], ids=["b3_images", "a5_natural"]
+)
+def test_products_linear_in_order(gens, with_images, monkeypatch):
+    calls = 0
+    matmul = RatMatrix.__matmul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counting)
+    obj = {"generators": [m.to_json_obj() for m in gens]}
+    if with_images:
+        obj["rep_images"] = obj["generators"]
+    group, _, _ = group_rep_from_json_obj(obj)
+    assert calls <= (2 * len(gens) + 4) * group.order
