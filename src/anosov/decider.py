@@ -25,7 +25,7 @@ from .numfield import (
     unit_generators_for_field,
 )
 from .ratmat import RatMatrix
-from .repdec import ComponentProfile, decompose, restrict_rep
+from .repdec import ComponentProfile, commutant, decompose, restrict_rep
 from .witness import (
     LATTICE_SEARCH,
     TENSOR_SHORTCUT,
@@ -160,12 +160,13 @@ def _block_witness(
         res = tensor_shortcut(profile, c, precision_bits, poly_skip=round_index)
         if res is not None:
             return res[0], TENSOR_SHORTCUT
+    com = commutant(block_rep)
     res = field_through_commutant(
-        block_rep, c, seed, precision_bits, exponent_bound=exponent_bound * (2**round_index)
+        com, c, seed, precision_bits, exponent_bound=exponent_bound * (2**round_index)
     )
     if res is not None:
         return res
-    hit = lattice_search(block_rep, c, lattice_height * (2**round_index), seed, precision_bits)
+    hit = lattice_search(com, c, lattice_height * (2**round_index), seed, precision_bits)
     if hit is not None:
         return hit, LATTICE_SEARCH
     return None
@@ -246,7 +247,7 @@ def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int
     base = decide(rep, c, seed)
     if base.admits_anosov:
         raise CriterionError("no-certificate search requires a NO verdict")
-    hit, screened = lattice_search(rep, c, height_bound, seed, count_only=True)
+    hit, screened = lattice_search(commutant(rep), c, height_bound, seed, count_only=True)
     return {
         "class_c": c,
         "height_bound": height_bound,

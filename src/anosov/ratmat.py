@@ -4,12 +4,21 @@ and Kronecker calculus used by the rest of the package.
 Matrices are immutable and value-semantic: every operation returns a fresh
 matrix and entries are `fractions.Fraction`, which keeps everything in lowest
 terms with positive denominator automatically.
+
+Kernels, ranks, solves and inverses go through one elimination routine,
+`_rref`: fraction-free Gauss–Jordan on sparse integer rows. Each row is
+cleared of denominators, reduced by integer cross-multiplication and divided
+by the gcd of its entries; only the final pivot rows become Fractions.
+`det` runs Bareiss's fraction-free elimination on the same integer rows
+(Bareiss, Math. Comp. 1968). `sparse_kernel_basis` takes a system given as
+sparse rows, for callers whose equations have few nonzero coefficients.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -199,61 +208,66 @@ class RatMatrix:
 
     # -- elimination-based operations ---------------------------------------
 
+    def _sparse_rows(self) -> list[dict]:
+        """The rows as {column: entry} dicts without their zero entries."""
+        c = self.cols
+        return [{j: x for j, x in enumerate(self._e[i * c : (i + 1) * c]) if x} for i in range(self.rows)]
+
     def _rref(self):
-        """Reduced row echelon form; returns (rows as lists, pivot column list)."""
-        m = [list(self.row(i)) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+        """Reduced row echelon form; see the module-level `_rref`."""
+        return _rref(self._sparse_rows())
 
     def rank(self) -> int:
         return len(self._rref()[1])
 
     def det(self) -> Fraction:
+        """Bareiss elimination on the rows cleared to integers, then one
+        division by the product of the row scalings."""
         if not self.is_square:
             raise DimensionError("determinant of non-square matrix")
         n = self.rows
-        m = [list(self.row(i)) for i in range(n)]
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        scale = 1
+        rows = []
+        for row in self._sparse_rows():
+            d, ints = _integer_row(row)
+            scale *= d
+            rows.append(ints)
+        sign, prev = 1, 1
+        for k in range(n):
+            pivot_row = next((i for i in range(k, n) if k in rows[i]), None)
             if pivot_row is None:
                 return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+            if pivot_row != k:
+                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+                sign = -sign
+            prow = rows[k]
+            p = prow[k]
+            # every new entry is a minor of the integer matrix: // is exact
+            for i in range(k + 1, n):
+                row = rows[i]
+                f = row.pop(k, 0)
+                if f:
+                    new = {}
+                    for j in row.keys() | prow.keys():
+                        if j > k:
+                            x = (row.get(j, 0) * p - f * prow.get(j, 0)) // prev
+                            if x:
+                                new[j] = x
+                    rows[i] = new
+                elif p != prev:
+                    rows[i] = {j: v * p // prev for j, v in row.items()}
+            prev = p
+        return Fraction(sign * prev, scale)
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square:
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
-        aug = RatMatrix(n, 2 * n, [x for i in range(n) for x in self.row(i) + RatMatrix.identity(n).row(i)])
-        red, pivots = aug._rref()
+        one, zero = Fraction(1), Fraction(0)
+        red, pivots = _rref({**row, n + i: one} for i, row in enumerate(self._sparse_rows()))
         if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return RatMatrix(n, n, [x for i in range(n) for x in red[i][n:]])
+        return RatMatrix(n, n, [row.get(n + j, zero) for row in red for j in range(n)])
 
     def kernel_basis(self) -> list[tuple]:
         """Rational basis of the null space {x : Mx = 0}, as coordinate tuples.
@@ -261,33 +275,23 @@ class RatMatrix:
         Basis vectors are scaled to primitive integer vectors so downstream
         integer searches can reuse them directly.
         """
-        red, pivots = self._rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r][fc]
-            basis.append(_primitive(v))
-        return basis
+        return sparse_kernel_basis(self._sparse_rows(), self.cols)
 
     def solve(self, rhs: "RatMatrix") -> "RatMatrix":
         """Exact solution X of self @ X = rhs; raises if inconsistent/underdetermined."""
         if rhs.rows != self.rows:
             raise DimensionError("rhs row count mismatch")
-        aug = RatMatrix(
-            self.rows, self.cols + rhs.cols, [x for i in range(self.rows) for x in self.row(i) + rhs.row(i)]
+        n = self.cols
+        red, pivots = _rref(
+            {**a, **{n + j: x for j, x in b.items()}}
+            for a, b in zip(self._sparse_rows(), rhs._sparse_rows())
         )
-        red, pivots = aug._rref()
-        if any(p >= self.cols for p in pivots):
+        if any(p >= n for p in pivots):
             raise SingularMatrixError("inconsistent linear system")
-        if len(pivots) < self.cols:
+        if len(pivots) < n:
             raise SingularMatrixError("underdetermined linear system")
-        sol = [[Fraction(0)] * rhs.cols for _ in range(self.cols)]
-        for r, pc in enumerate(pivots):
-            sol[pc] = red[r][self.cols :]
-        return RatMatrix.from_rows(sol)
+        zero = Fraction(0)
+        return RatMatrix(n, rhs.cols, [row.get(n + j, zero) for row in red for j in range(rhs.cols)])
 
     def char_poly(self) -> tuple:
         """Monic characteristic polynomial det(X·I − M), ascending coefficients.
@@ -327,6 +331,92 @@ class RatMatrix:
         return cls.from_json_obj(json.loads(text))
 
 
+def _integer_row(row: dict) -> tuple[int, dict]:
+    """(d, d·row) for a sparse rational row, d the lcm of its denominators;
+    zero entries are dropped."""
+    d = lcm(*(x.denominator for x in row.values()))
+    return d, {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+
+
+def _primitive_row(row: dict) -> dict:
+    """A nonzero integer row divided by its content."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
+
+
+def _cross(row: dict, prow: dict, p: int) -> dict:
+    """a·row − b·prow with a/b = prow[p]/row[p] in lowest terms: an integer
+    combination that is zero in column p."""
+    a, b = prow[p], row[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in prow.items():
+        x = out.get(j, 0) - b * v
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out
+
+
+def _rref(rows: Iterable[dict]):
+    """Reduced row echelon form of sparse rational rows {column: value}.
+
+    Returns (the nonzero rows as {column: Fraction} with pivot entry 1,
+    their pivot columns ascending). Fraction-free: each row is cleared to
+    integers and reduced by integer cross-multiplication against the stored
+    row of each pivot column it meets, then divided by its content. A row
+    that stays nonzero is stored with its leading column as a new pivot,
+    and that column is cleared from the stored rows. Every stored row thus
+    leads with its pivot and is zero at the other pivots, so the stored rows
+    scaled to pivot 1 are the reduced row echelon form, which is unique.
+    """
+    stored: dict = {}
+    for row in rows:
+        row = _integer_row(row)[1]
+        for p in [j for j in row if j in stored]:
+            row = _cross(row, stored[p], p)
+        if not row:
+            continue
+        row = _primitive_row(row)
+        c = min(row)
+        for q, other in stored.items():
+            if c in other:
+                stored[q] = _primitive_row(_cross(other, row, c))
+        stored[c] = row
+    pivots = sorted(stored)
+    reduced = []
+    for p in pivots:
+        row = stored[p]
+        a = row[p]
+        reduced.append({j: Fraction(v, a) for j, v in row.items()})
+    return reduced, pivots
+
+
+def sparse_kernel_basis(rows: Sequence[dict], ncols: int) -> list[tuple]:
+    """`RatMatrix.kernel_basis` of the system whose rows are the sparse
+    {column: value} dicts `rows` over `ncols` unknowns."""
+    red, pivots = _rref(rows)
+    pivot_set = set(pivots)
+    in_column: dict = {}  # free column -> [(pivot column, entry)]
+    for row, pc in zip(red, pivots):
+        for j, x in row.items():
+            if j != pc:
+                in_column.setdefault(j, []).append((pc, x))
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for pc, x in in_column.get(fc, ()):
+            v[pc] = -x
+        basis.append(_primitive(v))
+    return basis
+
+
 def matrix_min_poly(m: RatMatrix) -> tuple:
     """Monic minimal polynomial of a square matrix, ascending rational
     coefficients, via the first linear dependence among its powers."""
@@ -347,8 +437,6 @@ def matrix_min_poly(m: RatMatrix) -> tuple:
 
 def _primitive(vec: list) -> tuple:
     """Scale a rational vector to a primitive integer vector with fixed sign."""
-    from math import gcd, lcm
-
     denom = lcm(*(x.denominator for x in vec)) if vec else 1
     ints = [int(x * denom) for x in vec]
     g = 0

@@ -18,6 +18,7 @@ be invertible, so it has the same dim_E and centre.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 from .fingrp import RationalRep, character_inner_product, fs_indicator_value
 from .intpoly import IntPoly, factor_over_Q
-from .ratmat import RatMatrix, matrix_min_poly
+from .ratmat import RatMatrix, matrix_min_poly, sparse_kernel_basis
 
 RANDOM_TRIALS = 20
 COEFF_RANGE = 5
@@ -44,6 +45,12 @@ class CommutantBasis:
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    def basis_and_pair_sums(self):
+        """The basis elements, then the sums b_i + b_j for i < j; each sum is
+        built only when an iteration reaches it."""
+        b = self.basis
+        return itertools.chain(b, (b[i] + b[j] for i in range(len(b)) for j in range(i + 1, len(b))))
 
 
 @dataclass(frozen=True)
@@ -100,21 +107,24 @@ class ComponentProfile:
 def intertwiner_space(
     left_images: Sequence[RatMatrix], right_images: Sequence[RatMatrix]
 ) -> list[RatMatrix]:
-    """Basis of {X : X·A_t = B_t·X for all t}, X of shape rows(B) × cols(A)."""
+    """Basis of {X : X·A_t = B_t·X for all t}, X of shape rows(B) × cols(A).
+
+    Equation (t, i, j) has at most rows(B) + cols(A) nonzero coefficients
+    among the rows(B)·cols(A) unknowns, so the system is built sparse."""
     c = left_images[0].cols
     r = right_images[0].rows
     rows = []
     for a, b in zip(left_images, right_images):
+        a_cols = [[(k, a[k, j]) for k in range(c) if a[k, j]] for j in range(c)]
+        b_rows = [[(k, b[i, k]) for k in range(r) if b[i, k]] for i in range(r)]
         for i in range(r):
             for j in range(c):
-                row = [Fraction(0)] * (r * c)
-                for k in range(c):
-                    row[i * c + k] += a[k, j]
-                for k in range(r):
-                    row[k * c + j] -= b[i, k]
+                row = {i * c + k: x for k, x in a_cols[j]}
+                for k, y in b_rows[i]:
+                    pos = k * c + j
+                    row[pos] = row.get(pos, 0) - y
                 rows.append(row)
-    system = RatMatrix.from_rows(rows)
-    return [RatMatrix(r, c, vec) for vec in system.kernel_basis()]
+    return [RatMatrix(r, c, vec) for vec in sparse_kernel_basis(rows, r * c)]
 
 
 def commutant(rep: RationalRep) -> CommutantBasis:
@@ -125,12 +135,17 @@ def commutant(rep: RationalRep) -> CommutantBasis:
 
 
 def poly_at_matrix(coeffs: Sequence[Fraction], m: RatMatrix) -> RatMatrix:
-    acc = RatMatrix.zeros(m.rows, m.rows)
-    for c in reversed(list(coeffs)):
-        acc = acc @ m
+    """p(m) for ascending coefficients, by Horner's rule: each step adds the
+    next coefficient on the diagonal of acc·m."""
+    n = m.rows
+    entries = [Fraction(0)] * (n * n)
+    for step, c in enumerate(reversed(list(coeffs))):
+        if step:
+            entries = list((RatMatrix(n, n, entries) @ m).entries())
         if c:
-            acc = acc + RatMatrix.identity(m.rows).scale(c)
-    return acc
+            for i in range(0, n * n, n + 1):
+                entries[i] += c
+    return RatMatrix(n, n, entries)
 
 
 def restrict_action(basis: RatMatrix, m: RatMatrix) -> RatMatrix:
@@ -175,8 +190,15 @@ def _equivariant_complement(rep: RationalRep, w: RatMatrix) -> RatMatrix:
 
 @dataclass(frozen=True)
 class IrreducibleCertificate:
+    """No split found; carries the commutant it searched, which
+    component_profile reuses."""
+
     trials: int
-    commutant_dim: int
+    commutant: CommutantBasis
+
+    @property
+    def commutant_dim(self) -> int:
+        return self.commutant.dimension
 
 
 def _try_split_with(rep: RationalRep, x: RatMatrix):
@@ -231,13 +253,9 @@ def split_once(rep: RationalRep, seed: int = 0, trials: int = RANDOM_TRIALS):
 def _split_once(rep: RationalRep, rng: random.Random, trials: int = RANDOM_TRIALS):
     com = commutant(rep)
     if rep.dimension == 1 or com.dimension == 1:
-        return IrreducibleCertificate(trials=0, commutant_dim=com.dimension)
-    candidates = list(com.basis)
-    candidates.extend(
-        com.basis[i] + com.basis[j] for i in range(com.dimension) for j in range(i + 1, com.dimension)
-    )
+        return IrreducibleCertificate(trials=0, commutant=com)
     attempted = 0
-    for x in candidates:
+    for x in com.basis_and_pair_sums():
         attempted += 1
         result = _try_split_with(rep, x)
         if result is not None:
@@ -247,29 +265,28 @@ def _split_once(rep: RationalRep, rng: random.Random, trials: int = RANDOM_TRIAL
         result = _try_split_with(rep, _random_combination(com.basis, rng))
         if result is not None:
             return result
-    return IrreducibleCertificate(trials=attempted, commutant_dim=com.dimension)
+    return IrreducibleCertificate(trials=attempted, commutant=com)
 
 
 def _center_dimension(basis: Sequence[RatMatrix]) -> int:
-    """Dimension of the center of the algebra spanned by the commutant basis."""
-    d = len(basis)
+    """Dimension of the center of the algebra spanned by the commutant basis:
+    the kernel of z ↦ ([x, z])_x, one sparse equation per bracket entry."""
     rows = []
     for b in basis:
-        brackets = [x @ b - b @ x for x in basis]
+        brackets = [(x @ b - b @ x).entries() for x in basis]
         for pos in range(basis[0].rows * basis[0].cols):
-            rows.append([br.entries()[pos] for br in brackets])
-    system = RatMatrix.from_rows(rows)
-    return len(system.kernel_basis())
+            rows.append({idx: br[pos] for idx, br in enumerate(brackets) if br[pos]})
+    return len(sparse_kernel_basis(rows, len(basis)))
 
 
 def component_profile(
-    sub_rep: RationalRep,
+    com: CommutantBasis,
     multiplicity: int = 1,
     subspace_basis: Optional[RatMatrix] = None,
     members: tuple = (),
 ) -> ComponentProfile:
-    """Profile of a certified-irreducible component."""
-    com = commutant(sub_rep)
+    """Profile of a certified-irreducible component, from its commutant."""
+    sub_rep = com.rep
     dim_e = com.dimension
     n = _center_dimension(com.basis)
     if n == 0 or dim_e % n:
@@ -325,17 +342,18 @@ def decompose(rep: RationalRep, seed: int = 0) -> list[ComponentProfile]:
         basis, sub = pending.pop(0)
         result = _split_once(sub, rng)
         if isinstance(result, IrreducibleCertificate):
-            leaves.append((basis, sub))
+            leaves.append((basis, result.commutant))
             continue
         k1, k2 = result
         pending.append((basis @ k1, restrict_rep(sub, k1)))
         pending.append((basis @ k2, restrict_rep(sub, k2)))
 
     classes: list[dict] = []
-    for basis, sub in leaves:
+    for basis, com in leaves:
+        sub = com.rep
         placed = False
         for cls in classes:
-            rep0 = cls["rep"]
+            rep0 = cls["commutant"].rep
             if sub.dimension != rep0.dimension:
                 continue
             hom = intertwiner_space(rep0.image_of_generators(), sub.image_of_generators())
@@ -349,7 +367,7 @@ def decompose(rep: RationalRep, seed: int = 0) -> list[ComponentProfile]:
         if not placed:
             classes.append(
                 {
-                    "rep": sub,
+                    "commutant": com,
                     "basis": basis,
                     "members": [ComponentMember(basis=basis, intertwiner=RatMatrix.identity(sub.dimension))],
                 }
@@ -359,7 +377,7 @@ def decompose(rep: RationalRep, seed: int = 0) -> list[ComponentProfile]:
     for cls in classes:
         profiles.append(
             component_profile(
-                cls["rep"],
+                cls["commutant"],
                 multiplicity=len(cls["members"]),
                 subspace_basis=cls["basis"],
                 members=tuple(cls["members"]),

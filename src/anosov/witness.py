@@ -42,7 +42,7 @@ from .numfield import (
     unit_generators_for_field,
 )
 from .ratmat import RatMatrix, matrix_min_poly
-from .repdec import ComponentProfile, commutant, poly_at_matrix
+from .repdec import CommutantBasis, ComponentProfile, poly_at_matrix
 
 TENSOR_SHORTCUT = "tensor-shortcut"
 FIELD_THROUGH_COMMUTANT = "field-through-commutant"
@@ -156,39 +156,41 @@ def companion_matrix(f: IntPoly) -> RatMatrix:
 
 
 def field_through_commutant(
-    block_rep: RationalRep,
+    com: CommutantBasis,
     c: int,
     seed: int = 0,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     exponent_bound: int = 10,
     random_candidates: int = 10,
 ) -> Optional[tuple[RatMatrix, str]]:
-    """Find J in the commutant with irreducible integer minimal polynomial g,
-    search a c-hyperbolic unit μ = p(θ) in Q[X]/(g), return p(J).
+    """Find J in the commutant com of a block representation with irreducible
+    integer minimal polynomial g, search a c-hyperbolic unit μ = p(θ) in
+    Q[X]/(g), return p(J).
 
     Only fields with a supported unit-generator source (real quadratic,
-    cyclotomic) are attempted; other candidates are skipped."""
-    com = commutant(block_rep)
+    cyclotomic) are attempted; other candidates are skipped. Candidates are
+    built one at a time, in order, as the search reaches them."""
     rng = random.Random(seed)
-    gen_imgs = block_rep.image_of_generators()
-    candidates = [
-        g for g in gen_imgs if all(g @ img == img @ g for img in gen_imgs)
-    ]  # central generator images, e.g. the rotation itself for cyclic groups
-    candidates.extend(com.basis)
-    candidates.extend(
-        com.basis[i] + com.basis[j]
-        for i in range(len(com.basis))
-        for j in range(i + 1, len(com.basis))
+    dim = com.rep.dimension
+    gen_imgs = com.rep.image_of_generators()
+
+    def random_elements():
+        for _ in range(random_candidates):
+            coeffs = [rng.randint(-3, 3) for _ in com.basis]
+            if not any(coeffs):
+                continue
+            acc = RatMatrix.zeros(dim, dim)
+            for cf, b in zip(coeffs, com.basis):
+                if cf:
+                    acc = acc + b.scale(cf)
+            yield acc
+
+    candidates = itertools.chain(
+        # central generator images, e.g. the rotation itself for cyclic groups
+        (g for g in gen_imgs if all(g @ img == img @ g for img in gen_imgs)),
+        com.basis_and_pair_sums(),
+        random_elements(),
     )
-    for _ in range(random_candidates):
-        coeffs = [rng.randint(-3, 3) for _ in com.basis]
-        if not any(coeffs):
-            continue
-        acc = RatMatrix.zeros(block_rep.dimension, block_rep.dimension)
-        for cf, b in zip(coeffs, com.basis):
-            if cf:
-                acc = acc + b.scale(cf)
-        candidates.append(acc)
     seen = set()
     for j_mat in candidates:
         coeffs = matrix_min_poly(j_mat)
@@ -217,7 +219,7 @@ def field_through_commutant(
 
 
 def lattice_search(
-    rep: RationalRep,
+    com: CommutantBasis,
     c: int,
     height_bound: int,
     seed: int = 0,
@@ -225,15 +227,14 @@ def lattice_search(
     count_only: bool = False,
     max_candidates: int = 500_000,
 ):
-    """Enumerate integer combinations of the commutant basis by increasing
+    """Enumerate integer combinations of the commutant basis com by increasing
     max-norm height; return the first combination that is integer-like and
     c-hyperbolic, or None. With count_only, return (hit, candidates_screened).
 
     Enumeration stops at max_candidates; high-dimensional commutants are the
     field and tensor paths' job, this is the small-case fallback.
     """
-    com = commutant(rep)
-    dim = rep.dimension
+    dim = com.rep.dimension
     screened = 0
     hit = None
     basis = com.basis

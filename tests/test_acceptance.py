@@ -138,7 +138,7 @@ def test_criterion_6_indicator_trichotomy():
             "q8": (q8_rep(), ("-", 2, 1)),
         }
         for name, (rep, expected) in expectations.items():
-            profile = component_profile(rep)
+            profile = component_profile(commutant(rep))
             assert (profile.fs_sign, profile.e_complex, profile.r_components) == expected, name
             assert profile.dim_E == profile.m_schur**2 * profile.n_field
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -147,3 +148,196 @@ def test_matrix_min_poly_divides_char_poly():
 def test_entries_normalized():
     m = M([["2/4", "3/3"]])
     assert m[0, 0] == Fraction(1, 2) and m[0, 1] == 1
+
+
+# -- the integer elimination core against the Fraction Gauss–Jordan it replaced --
+
+
+def reference_rref(a: RatMatrix):
+    """Gauss–Jordan with Fraction row operations, the elimination RatMatrix
+    used before its integer core; kept as the oracle. Returns every row
+    (zero rows last) and the pivot columns."""
+    m = [list(a.row(i)) for i in range(a.rows)]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pivot_row = next((i for i in range(r, a.rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == a.rows:
+            break
+    return m, pivots
+
+
+def reference_det(a: RatMatrix) -> Fraction:
+    n = a.rows
+    m = [list(a.row(i)) for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def reference_kernel(a: RatMatrix) -> list:
+    red, pivots = reference_rref(a)
+    basis = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        v = [Fraction(0)] * a.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        denom = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * denom) for x in v]
+        g = math.gcd(*ints)
+        ints = [x // g for x in ints]
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        basis.append(tuple(Fraction(x) for x in ints))
+    return basis
+
+
+def reference_solve(a: RatMatrix, rhs: RatMatrix) -> RatMatrix:
+    aug = RatMatrix(a.rows, a.cols + rhs.cols, [x for i in range(a.rows) for x in a.row(i) + rhs.row(i)])
+    red, pivots = reference_rref(aug)
+    if any(p >= a.cols for p in pivots):
+        raise SingularMatrixError("inconsistent linear system")
+    if len(pivots) < a.cols:
+        raise SingularMatrixError("underdetermined linear system")
+    return RatMatrix(a.cols, rhs.cols, [x for r in range(a.cols) for x in red[r][a.cols :]])
+
+
+def reference_inverse(a: RatMatrix) -> RatMatrix:
+    n = a.rows
+    ident = RatMatrix.identity(n)
+    red, pivots = reference_rref(RatMatrix(n, 2 * n, [x for i in range(n) for x in a.row(i) + ident.row(i)]))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return RatMatrix(n, n, [x for i in range(n) for x in red[i][n:]])
+
+
+def outcome(fn, *args):
+    """The result, or the SingularMatrixError message."""
+    try:
+        return fn(*args)
+    except SingularMatrixError as exc:
+        return ("SingularMatrixError", str(exc))
+
+
+NEAR_2_80 = st.builds(lambda s, d: s * (2**80 + d), st.sampled_from([1, -1]), st.integers(-3, 3))
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    NEAR_2_80,
+    st.builds(Fraction, NEAR_2_80, st.integers(1, 5)),
+    st.builds(Fraction, st.integers(-5, 5), NEAR_2_80),
+)
+# about half zeros: pivots are often zero, so elimination swaps rows
+SPARSE_ENTRIES = st.one_of(st.just(0), ENTRIES)
+SIZES = st.integers(0, 8)
+
+
+@st.composite
+def matrices(draw, rows=SIZES, cols=SIZES):
+    """Dense or sparse matrices with some rows and columns zeroed."""
+    n, m = draw(rows), draw(cols)
+    kind = draw(st.sampled_from([ENTRIES, SPARSE_ENTRIES]))
+    entries = draw(st.lists(kind, min_size=n * m, max_size=n * m))
+    zero_rows = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    zero_cols = draw(st.sets(st.integers(0, m - 1))) if m else set()
+    return RatMatrix(n, m, [
+        Fraction(0) if i in zero_rows or j in zero_cols else Fraction(entries[i * m + j])
+        for i in range(n) for j in range(m)
+    ])
+
+
+@st.composite
+def low_rank(draw, rows=st.integers(1, 8), cols=st.integers(1, 8)):
+    """A·B through an inner dimension below both outer ones."""
+    n, m = draw(rows), draw(cols)
+    k = draw(st.integers(0, min(n, m) - 1))
+    return draw(matrices(st.just(n), st.just(k))) @ draw(matrices(st.just(k), st.just(m)))
+
+
+@st.composite
+def permuted_triangular(draw, n):
+    """Rows of an invertible upper-triangular matrix in a drawn order, so
+    that elimination has to swap rows and the determinant's sign depends
+    on the swaps."""
+    order = draw(st.permutations(range(n)))
+    diagonal = draw(st.lists(ENTRIES.filter(bool), min_size=n, max_size=n))
+    upper = draw(st.lists(SPARSE_ENTRIES, min_size=n * n, max_size=n * n))
+    rows = [
+        [diagonal[i] if j == i else upper[i * n + j] if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return RatMatrix.from_rows([rows[i] for i in order])
+
+
+@st.composite
+def square(draw):
+    n = draw(SIZES)
+    kind = draw(st.sampled_from(["entries", "low rank", "permuted triangular"]))
+    if n and kind == "low rank":
+        return draw(low_rank(st.just(n), st.just(n)))
+    if kind == "permuted triangular":
+        return draw(permuted_triangular(n))
+    return draw(matrices(st.just(n), st.just(n)))
+
+
+ANY = st.one_of(matrices(), low_rank())
+DIFFERENTIAL = settings(max_examples=100, deadline=None)
+
+
+class TestEliminationCore:
+    @given(ANY)
+    @DIFFERENTIAL
+    def test_rref_rank_kernel(self, a):
+        red, pivots = a._rref()
+        ref, ref_pivots = reference_rref(a)
+        assert pivots == ref_pivots
+        assert [[row.get(j, 0) for j in range(a.cols)] for row in red] == ref[: len(pivots)]
+        assert all(not any(row) for row in ref[len(pivots) :])
+        assert all(isinstance(x, Fraction) for row in red for x in row.values())
+        assert a.rank() == len(ref_pivots)
+        assert a.kernel_basis() == reference_kernel(a)
+
+    @given(square())
+    @DIFFERENTIAL
+    def test_det_and_inverse(self, a):
+        assert a.det() == reference_det(a)
+        assert outcome(RatMatrix.inverse, a) == outcome(reference_inverse, a)
+
+    @given(ANY, st.integers(0, 3), st.booleans(), st.data())
+    @DIFFERENTIAL
+    def test_solve(self, a, k, consistent, data):
+        if consistent:
+            rhs = a @ data.draw(matrices(st.just(a.cols), st.just(k)))
+        else:
+            rhs = data.draw(matrices(st.just(a.rows), st.just(k)))
+        assert outcome(a.solve, rhs) == outcome(reference_solve, a, rhs)
+
+    def test_non_square_rejected(self):
+        for op in (RatMatrix.det, RatMatrix.inverse):
+            with pytest.raises(DimensionError):
+                op(RatMatrix.zeros(2, 3))

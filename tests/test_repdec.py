@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from anosov import corpus, repdec
 from anosov.corpus import d3_degree2_rep, m_rho3
+from anosov.decider import decide
 from anosov.fingrp import (
     character_inner_product,
     conjugate_rep,
@@ -10,8 +12,9 @@ from anosov.fingrp import (
     generate_group,
     multiple,
     natural_rep,
+    rep_from_generator_images,
 )
-from anosov.ratmat import RatMatrix
+from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import (
     IrreducibleCertificate,
     commutant,
@@ -117,21 +120,77 @@ class TestDecompose:
 
 class TestComponentProfile:
     def test_rho3_real_type(self, rho3):
-        p = component_profile(rho3)
+        p = component_profile(commutant(rho3))
         assert (p.dim_E, p.n_field, p.m_schur, p.e_complex) == (1, 1, 1, 1)
         assert (p.fs_sign, p.r_components) == ("+", 1)
 
     def test_c4_complex_type(self, c4_rep):
-        p = component_profile(c4_rep)
+        p = component_profile(commutant(c4_rep))
         assert (p.dim_E, p.n_field, p.m_schur, p.e_complex) == (2, 2, 1, 2)
         assert (p.fs_sign, p.r_components) == ("0", 1)
 
     def test_q8_quaternionic_type(self, q8_rep):
-        p = component_profile(q8_rep)
+        p = component_profile(commutant(q8_rep))
         assert (p.dim_E, p.n_field, p.m_schur, p.e_complex) == (4, 1, 2, 2)
         assert (p.fs_sign, p.r_components) == ("-", 1)
 
     def test_c5_rotation(self, c5_rep):
-        p = component_profile(c5_rep)
+        p = component_profile(commutant(c5_rep))
         assert (p.dim_E, p.n_field, p.m_schur, p.e_complex) == (4, 4, 1, 4)
         assert (p.fs_sign, p.r_components) == ("0", 2)
+
+
+def regular_d4():
+    """The right regular representation of the dihedral group of order 8:
+    generator s permutes the basis e_g ↦ e_{g·s}."""
+    group = generate_group([RatMatrix.from_rows([[0, -1], [1, 0]]), RatMatrix.from_rows([[1, 0], [0, -1]])])
+    images = [
+        perm_matrix(Permutation(group.right[g][s] for g in range(group.order)))
+        for s in range(len(group.gen_indices))
+    ]
+    return rep_from_generator_images(group, images)
+
+
+def test_pairwise_sums_built_lazily(monkeypatch):
+    """decide tries the commutant basis, then its pairwise sums, and builds a
+    sum only when it tries it. On 8·ρ3 the commutant has dimension 64, and
+    the first basis element already splits the module."""
+    rep = m_rho3(8)
+    d = commutant(rep).dimension
+    calls = 0
+    add = RatMatrix.__add__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return add(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__add__", counting)
+    assert decide(rep, 8).admits_anosov is False
+    assert calls < d * (d - 1) // 2
+
+
+@pytest.mark.parametrize("make_rep", [regular_d4, lambda: multiple(corpus.q8_rep(), 2)], ids=["reg_d4", "2q8"])
+def test_commutant_solved_once_per_split(make_rep, monkeypatch):
+    """Each node of the splitting solves its commutant once, and
+    component_profile reuses the class representative's. The other
+    intertwiner_space calls are the leaf-to-class equivalence tests."""
+    rep = make_rep()
+    solves = splits = 0
+    intertwiners, split = repdec.intertwiner_space, repdec._split_once
+
+    def counting_intertwiners(left, right):
+        nonlocal solves
+        solves += left is right
+        return intertwiners(left, right)
+
+    def counting_split(*args, **kwargs):
+        nonlocal splits
+        splits += 1
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(repdec, "intertwiner_space", counting_intertwiners)
+    monkeypatch.setattr(repdec, "_split_once", counting_split)
+    profiles = decompose(rep, seed=0)
+    assert sum(p.multiplicity for p in profiles) * 2 - 1 == splits
+    assert solves == splits

@@ -3,7 +3,7 @@ import pytest
 from anosov.fingrp import multiple
 from anosov.intpoly import IntPoly
 from anosov.ratmat import RatMatrix
-from anosov.repdec import decompose
+from anosov.repdec import commutant, decompose
 from anosov.witness import (
     WitnessConstructionError,
     companion_matrix,
@@ -41,7 +41,7 @@ class TestTensorShortcut:
 
 class TestFieldThroughCommutant:
     def test_c5_gives_one_plus_rotation(self, c5_rep):
-        result = field_through_commutant(c5_rep, 1)
+        result = field_through_commutant(commutant(c5_rep), 1)
         assert result is not None
         witness, path = result
         rotation = c5_rep.image_of_generators()[0]
@@ -51,26 +51,26 @@ class TestFieldThroughCommutant:
         assert cert.is_valid
 
     def test_c4_has_no_usable_units(self, c4_rep):
-        assert field_through_commutant(c4_rep, 1) is None
+        assert field_through_commutant(commutant(c4_rep), 1) is None
 
 
 class TestLatticeSearch:
     def test_trivial_rep_finds_small_unit(self, torus):
-        hit = lattice_search(torus, 1, 3)
+        hit = lattice_search(commutant(torus), 1, 3)
         assert hit is not None
         cert = verify_witness(torus, hit, 1)
         assert cert.is_valid
 
     def test_klein_bottle_empty(self, klein):
-        hit, screened = lattice_search(klein, 1, 5, count_only=True)
+        hit, screened = lattice_search(commutant(klein), 1, 5, count_only=True)
         assert hit is None and screened == 120
 
     def test_zero_bound_empty(self, torus):
-        assert lattice_search(torus, 1, 0) is None
+        assert lattice_search(commutant(torus), 1, 0) is None
 
     def test_isotypic_no_direction(self, rho3):
-        assert lattice_search(multiple(rho3, 2), 2, 2) is None
-        assert lattice_search(rho3, 1, 3) is None
+        assert lattice_search(commutant(multiple(rho3, 2)), 2, 2) is None
+        assert lattice_search(commutant(rho3), 1, 3) is None
 
 
 class TestVerifyWitness:
