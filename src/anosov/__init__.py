@@ -21,13 +21,18 @@ from .fingrp import (
 )
 from .hyper import (
     HyperbolicityReport,
-    PrecisionError,
     is_c_hyperbolic_matrix,
     is_c_hyperbolic_poly,
     is_integer_like,
 )
 from .intpoly import IntPoly
-from .numfield import NumberFieldCtx, UnitElem, make_field, search_c_hyperbolic_unit
+from .numfield import (
+    NumberFieldCtx,
+    PrecisionError,
+    UnitElem,
+    make_field,
+    search_c_hyperbolic_unit,
+)
 from .ratmat import Permutation, RatMatrix, perm_matrix
 from .repdec import ComponentProfile, commutant, decompose
 from .witness import WitnessCertificate, verify_witness

@@ -5,8 +5,8 @@ units, graded-action, hall-basis, no-cert, demo. Input is a JSON object read
 from a file argument or stdin; output is JSON with a stable field order, or
 a human-readable table with --pretty.
 
-Exit codes: 0 decided, 2 invalid input, 3 undecided at the working numeric
-precision.
+Exit codes: 0 decided, 2 invalid input, 3 a number field's complex
+embeddings could not be paired at the working precision (--precision-bits).
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from .decider import (
 )
 from .fingrp import DEFAULT_MAX_ORDER, group_rep_from_json_obj
 from .freenilp import graded_action, hall_basis, tree_str
-from .hyper import DEFAULT_PRECISION_BITS, PrecisionError
 from .intpoly import IntPoly, poly_from_json_obj
 from .numfield import (
+    DEFAULT_PRECISION_BITS,
+    PrecisionError,
     cyclotomic_field,
     make_field,
     search_c_hyperbolic_unit,

@@ -18,8 +18,8 @@ from typing import Optional
 import sympy
 
 from .fingrp import RationalRep, character
-from .hyper import DEFAULT_PRECISION_BITS
 from .numfield import (
+    DEFAULT_PRECISION_BITS,
     cyclotomic_field,
     search_c_hyperbolic_unit,
     unit_generators_for_field,
@@ -166,7 +166,7 @@ def _block_witness(
     )
     if res is not None:
         return res
-    hit = lattice_search(com, c, lattice_height * (2**round_index), seed, precision_bits)
+    hit = lattice_search(com, c, lattice_height * (2**round_index), seed)
     if hit is not None:
         return hit, LATTICE_SEARCH
     return None
@@ -224,7 +224,7 @@ def decide_with_witness(
         if not ok:
             continue
         candidate = s_all @ RatMatrix.block_diag(blocks) @ s_all_inv
-        cert = verify_witness(rep, candidate, c, precision_bits, construction_path="+".join(paths))
+        cert = verify_witness(rep, candidate, c, construction_path="+".join(paths))
         if cert.is_valid:
             certificate = cert
             break

@@ -1,13 +1,10 @@
-"""Integer polynomial arithmetic: factorization over Q, resultants, cyclotomic
-polynomials, coefficient reversal, and eigenvalue-product (composed-product)
-polynomials.
+"""Integer polynomial arithmetic: factorization over Q, gcds, cyclotomic
+polynomials, coefficient reversal, and eigenvalue-product polynomials.
 
-Heavy exact kernels (factorization, resultants, gcd) are delegated to sympy,
-which implements the standard Zassenhaus/subresultant machinery; everything
-here wraps those behind a small immutable coefficient-tuple type.
-
-Resultant sign convention: Sylvester determinant with the rows of the first
-argument first, i.e. resultant(X−2, X−3) = −1.
+Factorization, gcd and division are delegated to sympy (Zassenhaus and
+subresultant machinery) behind a small immutable coefficient-tuple type. The
+eigenvalue-product polynomials are computed here, in integer arithmetic, from
+power sums of the roots.
 """
 
 from __future__ import annotations
@@ -15,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import comb, gcd as _int_gcd, lcm as _int_lcm
 
 import sympy
-from sympy.abc import x as _X, y as _Y
+from sympy.abc import x as _X
 
 
 class ZeroPolynomialError(ValueError):
@@ -213,13 +210,6 @@ def cyclotomic(d: int) -> IntPoly:
     return _from_sympy(sympy.Poly(sympy.cyclotomic_poly(d, _X), _X))
 
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Res(f, g): Sylvester determinant with the f-rows first."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomialError("resultant of zero polynomial")
-    return int(sympy.resultant(_to_sympy(f), _to_sympy(g)))
-
-
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """gcd over Q, returned primitive with positive leading coefficient."""
     h = sympy.gcd(_to_sympy(f), _to_sympy(g))
@@ -245,32 +235,32 @@ def reversal(f: IntPoly) -> IntPoly:
     return IntPoly(tuple(reversed(f.coeffs)))
 
 
-def composed_product(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Polynomial whose root set is {α·β : p(α) = 0, q(β) = 0}.
-
-    Computed as Res_y(p(y), y^{deg q}·q(X/y)); requires q(0) != 0 so that the
-    resultant keeps full degree in y. Result is primitive with positive
-    leading coefficient.
-    """
-    if p.is_zero or q.is_zero:
-        raise ZeroPolynomialError("composed product of zero polynomial")
-    if q.coeffs[0] == 0:
-        raise ValueError("composed product requires q(0) != 0")
-    py = sympy.Poly(list(reversed(p.coeffs)), _Y, domain=sympy.ZZ)
-    qxy = sum(int(c) * _X**j * _Y ** (q.degree - j) for j, c in enumerate(q.coeffs))
-    res = sympy.resultant(py.as_expr(), qxy, _Y)
-    out = _from_sympy(sympy.Poly(res, _X))
-    return out.primitive_part()
+def _newton_sums(f: IntPoly, count: int) -> list:
+    """Power sums s_0 … s_count of the roots of the monic polynomial f."""
+    n = f.degree
+    a = f.coeffs
+    s = [n] + [0] * count
+    for m in range(1, count + 1):
+        acc = m * a[n - m] if m <= n else 0
+        for i in range(1, min(m - 1, n) + 1):
+            acc += a[n - i] * s[m - i]
+        s[m] = -acc
+    return s
 
 
-def eig_product_poly(f: IntPoly, k: int, squarefree_steps: bool = False) -> IntPoly:
-    """Polynomial whose root set is all products of exactly k roots of f,
-    repetitions allowed.
+def eig_product_poly(f: IntPoly, k: int) -> IntPoly:
+    """Squarefree polynomial whose root set is all products of exactly k
+    roots of f, repetitions allowed.
 
-    Built by iterated composed products h_1 = f, h_{j+1} = h_j ∘× f.
-    Multiplicities are not minimal; with squarefree_steps=True each
-    intermediate result is replaced by its squarefree part to keep the
-    degree growth at the size of the distinct-product set.
+    Power-sum method (Bostan–Flajolet–Salvy–Schost, Fast computation of
+    special resultants, JSC 2006). Let λ_1 … λ_n be the distinct roots of f,
+    scaled by the leading coefficient a to μ_i = a·λ_i, which are the roots
+    of a monic integer polynomial. The D = C(n+k−1, k) products μ^α over the
+    k-multisets α have power sums P_j = h_k(μ_1^j, …, μ_n^j), and
+    i·h_i = Σ_{t ≤ i} s_{tj}·h_{i−t} gives them from the Newton sums s of
+    the μ. Newton's identities turn P_1 … P_D back into the monic polynomial
+    with roots a^k·λ^α; substituting X ↦ a^k·X and taking the squarefree
+    part gives the result.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -278,13 +268,27 @@ def eig_product_poly(f: IntPoly, k: int, squarefree_steps: bool = False) -> IntP
         raise ZeroPolynomialError("zero polynomial")
     if f.coeffs[0] == 0:
         raise ValueError("eigenvalue products need f(0) != 0")
-    h = squarefree_part(f) if squarefree_steps else f
-    base = squarefree_part(f) if squarefree_steps else f
-    for _ in range(k - 1):
-        h = composed_product(h, base)
-        if squarefree_steps:
-            h = squarefree_part(h)
-    return h
+    base = squarefree_part(f)
+    if k == 1 or base.degree == 0:
+        return base
+    n, a = base.degree, base.leading
+    monic = IntPoly(tuple(c * a ** (n - 1 - i) for i, c in enumerate(base.coeffs[:-1])) + (1,))
+    big_d = comb(n + k - 1, k)
+    s = _newton_sums(monic, k * big_d)
+    p = [0] * (big_d + 1)
+    for j in range(1, big_d + 1):
+        h = [1] + [0] * k
+        for i in range(1, k + 1):
+            h[i] = sum(s[t * j] * h[i - t] for t in range(1, i + 1)) // i
+        p[j] = h[k]
+    # e_m = elementary symmetric functions of the roots, m·e_m = Σ ±e_{m−t}·P_t
+    e = [1] + [0] * big_d
+    for m in range(1, big_d + 1):
+        e[m] = sum((e[m - t] if t % 2 else -e[m - t]) * p[t] for t in range(1, m + 1)) // m
+    scale = a**k
+    # ∏ (X − a^k·λ^α) = Σ (−1)^m e_m X^{D−m}; X ↦ a^k X multiplies X^{D−m} by a^{k(D−m)}
+    coeffs = [(-e[m] if m % 2 else e[m]) * scale ** (big_d - m) for m in range(big_d, -1, -1)]
+    return squarefree_part(IntPoly(tuple(coeffs)))
 
 
 def divides(f: IntPoly, g: IntPoly) -> bool:

@@ -4,8 +4,11 @@ generators for real quadratic and cyclotomic fields, and bounded search for
 c-hyperbolic units.
 
 Field elements are coordinate tuples in the power basis 1, θ, …, θ^{n−1} with
-exact rational entries; all algebra is exact, floating point only enters
-through the embeddings (mpmath at a configurable precision).
+exact rational entries; all algebra is exact. Floating point enters only
+through the embeddings (mpmath at a configurable precision), which give the
+log vectors that screen unit candidates; every candidate that passes the
+screen is certified exactly on its minimal polynomial. make_field raises
+PrecisionError when the complex embeddings cannot be paired.
 """
 
 from __future__ import annotations
@@ -20,16 +23,16 @@ import mpmath
 import sympy
 from sympy.abc import x as _X
 
-from .hyper import (
-    DEFAULT_PRECISION_BITS,
-    HyperbolicityReport,
-    PrecisionError,
-    is_c_hyperbolic_poly,
-)
+from .hyper import HyperbolicityReport, is_c_hyperbolic_poly
 from .intpoly import IntPoly, cyclotomic, is_irreducible, _to_sympy
 from .ratmat import RatMatrix, matrix_min_poly
 
+DEFAULT_PRECISION_BITS = 128
 LOG_SCREEN_EPS = 1e-9
+
+
+class PrecisionError(ArithmeticError):
+    """The numeric embeddings could not be computed at the working precision."""
 
 
 class FieldError(ValueError):
@@ -414,10 +417,7 @@ def search_c_hyperbolic_unit(
             mp = field.element_min_poly_int(coords)
             if abs(mp.coeffs[0]) != 1:
                 raise FieldError("generator product is not a unit")
-            try:
-                report = is_c_hyperbolic_poly(mp, c, field.precision_bits)
-            except PrecisionError:
-                continue
+            report = is_c_hyperbolic_poly(mp, c)
             if report.verdict:
                 return UnitSearchOutcome(
                     unit=make_unit(field, coords),
@@ -525,13 +525,10 @@ def hyperbolic_companion_poly(
     for f in _curated_degree_polys(m):
         if abs(f.coeffs[0]) != 1 or not is_irreducible(f):
             continue
-        try:
-            if is_c_hyperbolic_poly(f, c, precision_bits).verdict:
-                if hits >= poly_skip:
-                    return f
-                hits += 1
-        except PrecisionError:
-            continue
+        if is_c_hyperbolic_poly(f, c).verdict:
+            if hits >= poly_skip:
+                return f
+            hits += 1
     for n_index in range(3, 8 * m * m + 2):
         if n_index % 4 == 2 or sympy.totient(n_index) != 2 * m:
             continue

@@ -25,15 +25,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .fingrp import RationalRep
-from .hyper import (
-    DEFAULT_PRECISION_BITS,
-    HyperbolicityReport,
-    PrecisionError,
-    is_c_hyperbolic_matrix,
-    is_integer_like,
-)
+from .hyper import HyperbolicityReport, is_c_hyperbolic_matrix, is_integer_like
 from .intpoly import IntPoly, is_irreducible
 from .numfield import (
+    DEFAULT_PRECISION_BITS,
     UnsupportedFieldError,
     hyperbolic_companion_poly,
     make_field,
@@ -84,7 +79,6 @@ def verify_witness(
     rep: RationalRep,
     candidate: RatMatrix,
     c: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     construction_path: str = "verified-input",
 ) -> WitnessCertificate:
     """Independent verification of the three defining properties; failures are
@@ -97,12 +91,9 @@ def verify_witness(
     commutes = all(candidate @ img == img @ candidate for img in rep.images)
     integer_like = is_integer_like(candidate)
     if candidate.det() != 0:
-        hyperbolicity = is_c_hyperbolic_matrix(candidate, c, precision_bits)
+        hyperbolicity = is_c_hyperbolic_matrix(candidate, c)
     else:
-        hyperbolicity = HyperbolicityReport(
-            c_tested=c, verdict=False, certified_exact=True, precision_bits=precision_bits,
-            offending_product={"k": 1, "indices": [], "abs_product": 0.0},
-        )
+        hyperbolicity = HyperbolicityReport(c_tested=c, verdict=False, offending_product={"k": 1})
     return WitnessCertificate(
         witness=candidate,
         c=c,
@@ -223,7 +214,6 @@ def lattice_search(
     c: int,
     height_bound: int,
     seed: int = 0,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     count_only: bool = False,
     max_candidates: int = 500_000,
 ):
@@ -254,11 +244,7 @@ def lattice_search(
                     acc = acc + b.scale(cf)
             if not is_integer_like(acc):
                 continue
-            try:
-                report = is_c_hyperbolic_matrix(acc, c, precision_bits)
-            except PrecisionError:
-                continue
-            if report.verdict:
+            if is_c_hyperbolic_matrix(acc, c).verdict:
                 hit = acc
                 if not count_only:
                     return acc

@@ -1,6 +1,8 @@
-"""Every module-level import in the library is used by its module."""
+"""Every module-level import in the library is used by its module, and the
+exact modules import no floating-point library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,11 @@ def test_no_unused_module_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+@pytest.mark.parametrize("module", ["anosov.hyper", "anosov.intpoly"])
+def test_exact_modules_hold_no_mpmath(module):
+    # the hyperbolicity verdict path is exact: no floating-point library in it
+    mod = importlib.import_module(module)
+    assert "mpmath" not in vars(mod)
+    assert "mpmath" not in mod.__loader__.get_source(module)

@@ -2,20 +2,21 @@ import itertools
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.abc import x as _X, y as _Y
 
 from anosov.intpoly import (
     IntPoly,
     ZeroPolynomialError,
-    composed_product,
+    _from_sympy,
     cyclotomic,
     divides,
     eig_product_poly,
     factor_over_Q,
     is_irreducible,
     poly_gcd,
-    resultant,
     reversal,
     squarefree_part,
 )
@@ -27,6 +28,23 @@ GOLDEN = IntPoly((-1, -1, 1))  # X^2 - X - 1
 def roots_of(f, prec=80):
     with mpmath.workprec(prec):
         return mpmath.polyroots([mpmath.mpf(c) for c in reversed(f.coeffs)], maxsteps=200, extraprec=prec)
+
+
+def composed_product_oracle(p, q):
+    """Res_y(p(y), y^{deg q}·q(X/y)): the polynomial whose roots are the
+    products α·β of a root of p and a root of q (q(0) != 0), primitive with
+    positive leading coefficient."""
+    py = sympy.Poly(list(reversed(p.coeffs)), _Y, domain=sympy.ZZ)
+    qxy = sum(int(c) * _X**j * _Y ** (q.degree - j) for j, c in enumerate(q.coeffs))
+    return _from_sympy(sympy.Poly(sympy.resultant(py.as_expr(), qxy, _Y), _X)).primitive_part()
+
+
+def eig_product_oracle(f, k):
+    """k-fold products by iterated resultants, with full multiplicities."""
+    h = f
+    for _ in range(k - 1):
+        h = composed_product_oracle(h, f)
+    return h
 
 
 class TestFactor:
@@ -84,18 +102,6 @@ class TestCyclotomic:
             cyclotomic(0)
 
 
-class TestResultant:
-    def test_linear_pair(self):
-        # f-rows-first Sylvester convention
-        assert resultant(IntPoly((-2, 1)), IntPoly((-3, 1))) == -1
-
-    def test_shared_roots_vanish(self):
-        assert resultant(GOLDEN, GOLDEN) == 0
-
-    def test_quadratic_pair(self):
-        assert resultant(IntPoly((1, 0, 1)), IntPoly((-2, 0, 1))) == 9
-
-
 class TestEigProductPoly:
     def test_golden_pairs(self):
         h2 = eig_product_poly(GOLDEN, 2)
@@ -112,8 +118,28 @@ class TestEigProductPoly:
         assert h2.degree == 2
 
     def test_monic_products_stay_monic_up_to_sign(self):
-        h = composed_product(GOLDEN, GOLDEN)
+        h = eig_product_poly(GOLDEN, 2)
         assert abs(h.leading) == 1
+
+    def test_high_degree_product(self):
+        # X^6 - X^5 - 1 has six distinct roots and no multiplicative
+        # relation among them in degree 5: all C(10, 5) products are distinct
+        h = eig_product_poly(IntPoly((-1, 0, 0, 0, 0, -1, 1)), 5)
+        assert h.degree == 252 and abs(h.leading) == 1 and abs(h.coeffs[0]) == 1
+
+    @given(
+        st.lists(st.integers(-5, 5), min_size=2, max_size=5),
+        st.integers(1, 3),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_resultant_oracle(self, coeffs, k, power):
+        # non-monic inputs and, through the power, repeated roots
+        base = IntPoly(tuple(coeffs))
+        assume(base.degree >= 1 and base.coeffs[0] != 0)
+        f = base**power
+        assume(f.degree <= 4)
+        assert eig_product_poly(f, k) == squarefree_part(eig_product_oracle(f, k))
 
     def test_rejects_zero_constant(self):
         with pytest.raises(ValueError):
@@ -134,7 +160,7 @@ class TestEigProductPoly:
             checked += 1
             base = roots_of(f)
             for k in (1, 2, 3):
-                h = squarefree_part(eig_product_poly(f, k, squarefree_steps=True))
+                h = eig_product_poly(f, k)
                 got = roots_of(h)
                 expected = {
                     complex(mpmath.fprod(combo))
