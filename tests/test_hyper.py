@@ -60,6 +60,13 @@ class TestUnitCircleRootTest:
         f = IntPoly((2**100, -(2**101 + 1), 2**100))
         assert unit_circle_root_test(f).status == NONE_CERTIFIED
 
+    def test_closer_roots_certified_without_tolerance(self):
+        # roots 1 ± ~2^-200 need no tighter tolerance to be separated from
+        # the circle; the double root at 1 they approach is found
+        f = IntPoly((2**400, -(2**401 + 1), 2**400))
+        assert unit_circle_root_test(f).status == NONE_CERTIFIED
+        assert unit_circle_root_test(IntPoly((1, -2, 1))).status == FOUND
+
     def test_lehmer_polynomial_found(self):
         # Lehmer's degree-10 polynomial: one real root ~1.17628 outside, its
         # inverse inside and eight roots on the circle
