@@ -25,7 +25,7 @@ from .numfield import (
     unit_generators_for_field,
 )
 from .ratmat import RatMatrix
-from .repdec import ComponentProfile, commutant, decompose, restrict_rep
+from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, restrict_rep
 from .witness import (
     LATTICE_SEARCH,
     TENSOR_SHORTCUT,
@@ -98,12 +98,13 @@ def _component_rows(profiles: list[ComponentProfile], c: int) -> list[dict]:
     return rows
 
 
-def decide(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
-    """Decision only; no witness construction."""
+def decide(rep: RationalRep, c: int, seed: int = 0, ambient: Optional[CommutantBasis] = None) -> Verdict:
+    """Decision only; no witness construction. `ambient` is the commutant
+    of rep when the caller has solved it already."""
     if c < 1:
         raise ValueError("nilpotency class c must be >= 1")
     t0 = time.perf_counter()
-    profiles = decompose(rep, seed)
+    profiles = decompose(rep, seed, ambient)
     t1 = time.perf_counter()
     rows = _component_rows(profiles, c)
     verdict = all(r["passes"] for r in rows)
@@ -166,7 +167,7 @@ def _block_witness(
     )
     if res is not None:
         return res
-    hit = lattice_search(com, c, lattice_height * (2**round_index), seed)
+    hit = lattice_search(com, c, lattice_height * (2**round_index))
     if hit is not None:
         return hit, LATTICE_SEARCH
     return None
@@ -244,10 +245,10 @@ def decide_with_witness(
 def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int = 0) -> dict:
     """Empirical corroboration of a NO verdict: exhaustive lattice search up
     to the height bound, reporting the (expected-zero) hit count."""
-    base = decide(rep, c, seed)
-    if base.admits_anosov:
+    com = commutant(rep)
+    if decide(rep, c, seed, com).admits_anosov:
         raise CriterionError("no-certificate search requires a NO verdict")
-    hit, screened = lattice_search(commutant(rep), c, height_bound, seed, count_only=True)
+    hit, screened = lattice_search(com, c, height_bound, count_only=True)
     return {
         "class_c": c,
         "height_bound": height_bound,

@@ -59,14 +59,24 @@ class HyperbolicityReport:
         return obj
 
 
-def is_integer_like(m: RatMatrix) -> bool:
-    """Characteristic polynomial in Z[X] and determinant ±1."""
+def integer_char_poly(m: RatMatrix) -> Optional[IntPoly]:
+    """The characteristic polynomial of m when m is integer-like, else None.
+
+    The determinant is tested first: it is the cheaper test and the one
+    that fails more often."""
     if not m.is_square:
         raise ValueError("integer-like test requires a square matrix")
+    if abs(m.det()) != 1:
+        return None
     coeffs = m.char_poly()
     if any(c.denominator != 1 for c in coeffs):
-        return False
-    return abs(m.det()) == 1
+        return None
+    return IntPoly(tuple(int(c) for c in coeffs))
+
+
+def is_integer_like(m: RatMatrix) -> bool:
+    """Characteristic polynomial in Z[X] and determinant ±1."""
+    return integer_char_poly(m) is not None
 
 
 def _trace_form(g: IntPoly) -> IntPoly:

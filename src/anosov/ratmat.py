@@ -2,24 +2,34 @@
 and Kronecker calculus used by the rest of the package.
 
 Matrices are immutable and value-semantic: every operation returns a fresh
-matrix and entries are `fractions.Fraction`, which keeps everything in lowest
-terms with positive denominator automatically.
+matrix. A matrix is stored as its row-major integer numerators `_n` over one
+positive common denominator `_d`, kept canonical with gcd(_n…, _d) = 1 (the
+layout of FLINT's fmpq_mat). Equal matrices thus have equal storage, so
+equality and hashing compare integer tuples. Products, sums, scalings,
+transposes and traces work on the integers and normalise once at the end;
+`__getitem__`, `row`, `column` and `entries` hand out `fractions.Fraction`s.
 
 Kernels, ranks, solves and inverses go through one elimination routine,
-`_rref`: fraction-free Gauss–Jordan on sparse integer rows. Each row is
-cleared of denominators, reduced by integer cross-multiplication and divided
-by the gcd of its entries; only the final pivot rows become Fractions.
-`det` runs Bareiss's fraction-free elimination on the same integer rows
-(Bareiss, Math. Comp. 1968). `sparse_kernel_basis` takes a system given as
-sparse rows, for callers whose equations have few nonzero coefficients.
+`_eliminate`: fraction-free Gauss–Jordan on sparse integer rows, each
+reduced by integer cross-multiplication and divided by the gcd of its
+entries. A matrix's rows enter it as its numerators, since scaling a row by
+the denominator changes no kernel, rank or solution. `det` runs Bareiss's
+fraction-free elimination on the numerators (Bareiss, Math. Comp. 1968) and
+`char_poly` Berkowitz's division-free algorithm (Berkowitz, IPL 18, 1984);
+both divide by a power of the denominator once, at the end. The methods are
+those of Cohen, A Course in Computational Algebraic Number Theory, §2.2.
+`sparse_kernel_basis` takes a system given as sparse integer rows, for
+callers whose equations have few nonzero coefficients.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import add, mul, neg, sub
+from typing import Iterable, Optional, Sequence
 
 
 class DimensionError(ValueError):
@@ -39,21 +49,39 @@ def _frac(x) -> Fraction:
 
 
 class RatMatrix:
-    """Dense matrix of arbitrary-precision rationals, row-major storage."""
+    """Dense matrix of rationals: integer numerators `_n`, row-major, over
+    one denominator `_d` > 0 with gcd(_n…, _d) = 1."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_n", "_d")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
+        """The matrix with the given row-major entries (Fractions or ints)."""
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionError("entry count does not match shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_e", tuple(entries))
+        d = lcm(*(x.denominator for x in entries))
+        # entries in lowest terms over the lcm of their denominators share no
+        # factor with it: the form is canonical already
+        _init(self, rows, cols, tuple(x.numerator * (d // x.denominator) for x in entries), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def from_integers(cls, rows: int, cols: int, numerators: Iterable[int], denominator: int = 1) -> "RatMatrix":
+        """The matrix numerators/denominator, row-major, in canonical form."""
+        n = tuple(numerators)
+        if rows < 0 or cols < 0 or len(n) != rows * cols:
+            raise DimensionError("entry count does not match shape")
+        if denominator <= 0:
+            raise ValueError("matrix denominator must be positive")
+        return _make(rows, cols, n, denominator)
+
+    def integer_form(self) -> tuple[tuple, int]:
+        """(numerators, d): the row-major integer numerators over the common
+        denominator d > 0, sharing no factor with it."""
+        return self._n, self._d
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -68,26 +96,27 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        return _make(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return _make(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
     def block_diag(cls, blocks: Sequence["RatMatrix"]) -> "RatMatrix":
         n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * m for _ in range(n)]
+        d = lcm(*(b._d for b in blocks))
+        out = [0] * (n * m)
         r0 = c0 = 0
         for b in blocks:
+            f = d // b._d
             for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r0 + i][c0 + j] = b[i, j]
+                row = b._n[i * b.cols : (i + 1) * b.cols]
+                out[(r0 + i) * m + c0 : (r0 + i) * m + c0 + b.cols] = row if f == 1 else [f * x for x in row]
             r0 += b.rows
             c0 += b.cols
-        return cls.from_rows(out)
+        return _make(n, m, tuple(out), d)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]]) -> "RatMatrix":
@@ -100,16 +129,19 @@ class RatMatrix:
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._e[i * self.cols + j]
+        return Fraction(self._n[i * self.cols + j], self._d)
 
     def row(self, i: int) -> tuple:
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._n[i * self.cols : (i + 1) * self.cols])
 
     def column(self, j: int) -> tuple:
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._n[j :: self.cols])
 
     def entries(self) -> tuple:
-        return self._e
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._n)
 
     @property
     def is_square(self) -> bool:
@@ -120,85 +152,72 @@ class RatMatrix:
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._e == other._e
+            and self._d == other._d
+            and self._n == other._n
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self._d, self._n))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMatrix[{body}]"
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+    def _combine(self, other: "RatMatrix", op, name: str) -> "RatMatrix":
+        """self op other for op = add or sub, over the lcm of the denominators."""
         if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in addition")
-        return RatMatrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
+            raise DimensionError(f"shape mismatch in {name}")
+        a, b, da, db = self._n, other._n, self._d, other._d
+        if da == db:
+            return _make(self.rows, self.cols, tuple(map(op, a, b)), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(self.rows, self.cols, tuple(map(op, map(mul, a, repeat(fa)), map(mul, b, repeat(fb)))), da * fa)
+
+    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._combine(other, add, "addition")
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in subtraction")
-        return RatMatrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
+        return self._combine(other, sub, "subtraction")
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [-a for a in self._e])
+        return _make(self.rows, self.cols, tuple(map(neg, self._n)), self._d)
 
     def scale(self, s) -> "RatMatrix":
         s = _frac(s)
-        return RatMatrix(self.rows, self.cols, [s * a for a in self._e])
+        return _make(self.rows, self.cols, tuple(map(mul, self._n, repeat(s.numerator))), self._d * s.denominator)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions do not match")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self._e, other._e
-        zero = Fraction(0)
-        out = [zero] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            orow = out
-            base = i * m
-            for t in range(k):
-                x = arow[t]
-                if not x:
-                    continue
-                brow = b[t * m : (t + 1) * m]
-                for j in range(m):
-                    y = brow[j]
-                    if y:
-                        orow[base + j] += x * y
-        return RatMatrix(n, m, out)
+        product = _int_matmul(self._n, other._n, self.rows, self.cols, other.cols)
+        return _make(self.rows, other.cols, product, self._d * other._d)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows, [self._e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        )
+        c = self.cols
+        return _make(c, self.rows, tuple(x for j in range(c) for x in self._n[j::c]), self._d)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise DimensionError("trace of non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(self._n[:: self.cols + 1]), self._d)
 
     def is_zero(self) -> bool:
-        return all(not x for x in self._e)
+        return not any(self._n)
 
     # -- Kronecker calculus --------------------------------------------------
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         """Kronecker product self ⊗ other with the standard block layout."""
-        n, m = self.rows * other.rows, self.cols * other.cols
-        out = [Fraction(0)] * (n * m)
+        a, b = self._n, other._n
+        out = []
         for i in range(self.rows):
-            for j in range(self.cols):
-                x = self[i, j]
-                if not x:
-                    continue
-                for p in range(other.rows):
-                    for q in range(other.cols):
-                        y = other[p, q]
-                        if y:
-                            out[(i * other.rows + p) * m + j * other.cols + q] = x * y
-        return RatMatrix(n, m, out)
+            arow = a[i * self.cols : (i + 1) * self.cols]
+            for p in range(other.rows):
+                brow = b[p * other.cols : (p + 1) * other.cols]
+                for x in arow:
+                    out.extend(map(mul, brow, repeat(x)))
+        return _make(self.rows * other.rows, self.cols * other.cols, tuple(out), self._d * other._d)
 
     def kron_identity(self, k: int) -> "RatMatrix":
         """self ⊗ I_k: every entry m_ij is replaced by m_ij·I_k."""
@@ -208,30 +227,31 @@ class RatMatrix:
 
     # -- elimination-based operations ---------------------------------------
 
-    def _sparse_rows(self) -> list[dict]:
-        """The rows as {column: entry} dicts without their zero entries."""
-        c = self.cols
-        return [{j: x for j, x in enumerate(self._e[i * c : (i + 1) * c]) if x} for i in range(self.rows)]
+    def _sparse_rows(self, scale: int = 1, offset: int = 0) -> list[dict]:
+        """The numerator rows times scale as {offset + column: entry} dicts
+        without their zero entries."""
+        c, n = self.cols, self._n
+        return [
+            {offset + j: scale * x for j, x in enumerate(n[i * c : (i + 1) * c]) if x}
+            for i in range(self.rows)
+        ]
 
     def _rref(self):
-        """Reduced row echelon form; see the module-level `_rref`."""
-        return _rref(self._sparse_rows())
+        """Reduced row echelon form: (the nonzero rows as {column: Fraction}
+        with pivot entry 1, their pivot columns ascending)."""
+        stored = _eliminate(self._sparse_rows())
+        pivots = sorted(stored)
+        return [{j: Fraction(v, stored[p][p]) for j, v in stored[p].items()} for p in pivots], pivots
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return len(_eliminate(self._sparse_rows()))
 
     def det(self) -> Fraction:
-        """Bareiss elimination on the rows cleared to integers, then one
-        division by the product of the row scalings."""
+        """Bareiss elimination on the numerators, then one division by d^n."""
         if not self.is_square:
             raise DimensionError("determinant of non-square matrix")
         n = self.rows
-        scale = 1
-        rows = []
-        for row in self._sparse_rows():
-            d, ints = _integer_row(row)
-            scale *= d
-            rows.append(ints)
+        rows = self._sparse_rows()
         sign, prev = 1, 1
         for k in range(n):
             pivot_row = next((i for i in range(k, n) if k in rows[i]), None)
@@ -257,17 +277,20 @@ class RatMatrix:
                 elif p != prev:
                     rows[i] = {j: v * p // prev for j, v in row.items()}
             prev = p
-        return Fraction(sign * prev, scale)
+        return Fraction(sign * prev, self._d**n)
 
     def inverse(self) -> "RatMatrix":
+        """Gauss–Jordan on [N | d·I], which has the row space of [M | I]."""
         if not self.is_square:
             raise DimensionError("inverse of non-square matrix")
-        n = self.rows
-        one, zero = Fraction(1), Fraction(0)
-        red, pivots = _rref({**row, n + i: one} for i, row in enumerate(self._sparse_rows()))
-        if pivots[:n] != list(range(n)):
+        n, d = self.rows, self._d
+        rows = self._sparse_rows()
+        for i, row in enumerate(rows):
+            row[n + i] = d
+        stored = _eliminate(rows)
+        if any(p >= n for p in stored):
             raise SingularMatrixError("matrix is singular")
-        return RatMatrix(n, n, [row.get(n + j, zero) for row in red for j in range(n)])
+        return _right_block(stored, n, n)
 
     def kernel_basis(self) -> list[tuple]:
         """Rational basis of the null space {x : Mx = 0}, as coordinate tuples.
@@ -275,42 +298,51 @@ class RatMatrix:
         Basis vectors are scaled to primitive integer vectors so downstream
         integer searches can reuse them directly.
         """
-        return sparse_kernel_basis(self._sparse_rows(), self.cols)
+        return [tuple(map(Fraction, v)) for v in sparse_kernel_basis(self._sparse_rows(), self.cols)]
 
     def solve(self, rhs: "RatMatrix") -> "RatMatrix":
         """Exact solution X of self @ X = rhs; raises if inconsistent/underdetermined."""
         if rhs.rows != self.rows:
             raise DimensionError("rhs row count mismatch")
         n = self.cols
-        red, pivots = _rref(
-            {**a, **{n + j: x for j, x in b.items()}}
-            for a, b in zip(self._sparse_rows(), rhs._sparse_rows())
-        )
-        if any(p >= n for p in pivots):
+        g = gcd(self._d, rhs._d)
+        # row i of [A | B] times d_A·d_B/g is integral
+        rows = self._sparse_rows(rhs._d // g)
+        for row, b in zip(rows, rhs._sparse_rows(self._d // g, n)):
+            row.update(b)
+        stored = _eliminate(rows)
+        if any(p >= n for p in stored):
             raise SingularMatrixError("inconsistent linear system")
-        if len(pivots) < n:
+        if len(stored) < n:
             raise SingularMatrixError("underdetermined linear system")
-        zero = Fraction(0)
-        return RatMatrix(n, rhs.cols, [row.get(n + j, zero) for row in red for j in range(rhs.cols)])
+        return _right_block(stored, n, rhs.cols)
 
     def char_poly(self) -> tuple:
         """Monic characteristic polynomial det(X·I − M), ascending coefficients.
 
-        Faddeev–LeVerrier over exact rationals; no floating point anywhere.
+        Berkowitz's division-free algorithm on the numerator matrix N: the
+        characteristic polynomial of each leading (k+1)×(k+1) block is a
+        Toeplitz matrix times that of the leading k×k block. With M = N/d
+        the coefficient of X^(n−k) is that of N divided by d^k.
         """
         if not self.is_square:
             raise DimensionError("characteristic polynomial of non-square matrix")
-        n = self.rows
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        mk = self
-        ident = RatMatrix.identity(n)
-        for k in range(1, n + 1):
-            c = -mk.trace() / k
-            coeffs[n - k] = c
-            if k < n:
-                mk = self @ (mk + ident.scale(c))
-        return tuple(coeffs)
+        n, a, d = self.rows, self._n, self._d
+        rows = [a[i * n : (i + 1) * n] for i in range(n)]
+        p = [1]  # descending coefficients for the leading k×k block
+        for k in range(n):
+            # t = (1, −a_kk, −R·S, −R·A·S, …, −R·A^(k−1)·S): R the row k and S
+            # the column k inside the leading block A
+            r = rows[k][:k]
+            lead = [row[:k] for row in rows[:k]]
+            s = [row[k] for row in rows[:k]]
+            t = [1, -rows[k][k]]
+            for step in range(k):
+                t.append(-sum(map(mul, r, s)))
+                if step < k - 1:
+                    s = [sum(map(mul, row, s)) for row in lead]
+            p = [sum(t[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) for i in range(k + 2)]
+        return tuple(Fraction(p[k], d**k) for k in range(n, -1, -1))
 
     # -- JSON literal format -------------------------------------------------
 
@@ -331,11 +363,58 @@ class RatMatrix:
         return cls.from_json_obj(json.loads(text))
 
 
-def _integer_row(row: dict) -> tuple[int, dict]:
-    """(d, d·row) for a sparse rational row, d the lcm of its denominators;
-    zero entries are dropped."""
-    d = lcm(*(x.denominator for x in row.values()))
-    return d, {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+def _init(m: RatMatrix, rows: int, cols: int, n: tuple, d: int) -> None:
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "_n", n)
+    object.__setattr__(m, "_d", d)
+
+
+def _make(rows: int, cols: int, n: tuple, d: int) -> RatMatrix:
+    """The matrix n/d, d > 0, divided through by gcd(n…, d)."""
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n = tuple(x // g for x in n)
+            d //= g
+    m = object.__new__(RatMatrix)
+    _init(m, rows, cols, n, d)
+    return m
+
+
+def _int_matmul(a: tuple, b: tuple, n: int, k: int, m: int) -> tuple:
+    """The n×m integer product of the row-major n×k a and k×m b. A row of a
+    that is at least half zeros combines the rows of b it selects; a denser
+    one takes dot products with the columns of b."""
+    brows = [b[t * m : (t + 1) * m] for t in range(k)]
+    cols = None
+    out = []
+    for i in range(n):
+        arow = a[i * k : (i + 1) * k]
+        if 2 * arow.count(0) >= k:
+            acc = [0] * m
+            for x, brow in zip(arow, brows):
+                if x:
+                    acc = list(map(add, acc, map(mul, brow, repeat(x))))
+            out.extend(acc)
+        else:
+            if cols is None:
+                cols = [b[j::m] for j in range(m)]
+            out.extend([sum(map(mul, arow, col)) for col in cols])
+    return tuple(out)
+
+
+def _right_block(stored: dict, n: int, width: int) -> RatMatrix:
+    """Columns n … n+width−1 of the reduced row echelon form whose pivots
+    are 0 … n−1, from the stored integer rows of `_eliminate`: row p is
+    stored[p] divided by its pivot entry, all over the lcm of the pivots."""
+    rows = [stored[p] for p in range(n)]
+    d = lcm(*(row[p] for p, row in enumerate(rows)))
+    out = []
+    for p, row in enumerate(rows):
+        f = d // row[p]  # exact and of the pivot's sign
+        out.extend(f * row.get(n + j, 0) for j in range(width))
+    return _make(n, width, tuple(out), d)
 
 
 def _primitive_row(row: dict) -> dict:
@@ -360,94 +439,96 @@ def _cross(row: dict, prow: dict, p: int) -> dict:
     return out
 
 
-def _rref(rows: Iterable[dict]):
-    """Reduced row echelon form of sparse rational rows {column: value}.
+def _insert(stored: dict, row: dict) -> Optional[int]:
+    """One step of `_eliminate`: reduce the integer row against the stored
+    rows, store what is left under its leading column and clear that column
+    from the other stored rows. Returns the new pivot column, or None if the
+    row reduced to zero."""
+    row = {j: v for j, v in row.items() if v}
+    for p in [j for j in row if j in stored]:
+        row = _cross(row, stored[p], p)
+    if not row:
+        return None
+    row = _primitive_row(row)
+    c = min(row)
+    for q, other in stored.items():
+        if c in other:
+            stored[q] = _primitive_row(_cross(other, row, c))
+    stored[c] = row
+    return c
 
-    Returns (the nonzero rows as {column: Fraction} with pivot entry 1,
-    their pivot columns ascending). Fraction-free: each row is cleared to
-    integers and reduced by integer cross-multiplication against the stored
-    row of each pivot column it meets, then divided by its content. A row
-    that stays nonzero is stored with its leading column as a new pivot,
-    and that column is cleared from the stored rows. Every stored row thus
-    leads with its pivot and is zero at the other pivots, so the stored rows
-    scaled to pivot 1 are the reduced row echelon form, which is unique.
+
+def _eliminate(rows: Iterable[dict]) -> dict:
+    """Fraction-free Gauss–Jordan on sparse integer rows {column: value}.
+
+    Returns {pivot column: row}: the reduced row echelon form, each row as
+    a primitive integer multiple. Each row is reduced by integer
+    cross-multiplication against the stored row of each pivot column it
+    meets, then divided by its content. A row that stays nonzero is stored
+    with its leading column as a new pivot, and that column is cleared from
+    the stored rows. Every stored row thus leads with its pivot and is zero
+    at the other pivots, so the stored rows scaled to pivot 1 are the
+    reduced row echelon form, which is unique.
     """
     stored: dict = {}
     for row in rows:
-        row = _integer_row(row)[1]
-        for p in [j for j in row if j in stored]:
-            row = _cross(row, stored[p], p)
-        if not row:
-            continue
-        row = _primitive_row(row)
-        c = min(row)
-        for q, other in stored.items():
-            if c in other:
-                stored[q] = _primitive_row(_cross(other, row, c))
-        stored[c] = row
-    pivots = sorted(stored)
-    reduced = []
-    for p in pivots:
-        row = stored[p]
-        a = row[p]
-        reduced.append({j: Fraction(v, a) for j, v in row.items()})
-    return reduced, pivots
+        _insert(stored, row)
+    return stored
 
 
 def sparse_kernel_basis(rows: Sequence[dict], ncols: int) -> list[tuple]:
-    """`RatMatrix.kernel_basis` of the system whose rows are the sparse
-    {column: value} dicts `rows` over `ncols` unknowns."""
-    red, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    in_column: dict = {}  # free column -> [(pivot column, entry)]
-    for row, pc in zip(red, pivots):
+    """Basis of the null space of the system whose rows are the sparse
+    integer {column: value} dicts `rows` over `ncols` unknowns: one
+    primitive integer vector per free column, its first nonzero entry
+    positive, as a tuple of ints."""
+    stored = _eliminate(rows)
+    in_column: dict = {}  # free column -> [(pivot column, pivot entry, entry)]
+    for pc, row in stored.items():
+        a = row[pc]
         for j, x in row.items():
             if j != pc:
-                in_column.setdefault(j, []).append((pc, x))
-    zero, one = Fraction(0), Fraction(1)
+                in_column.setdefault(j, []).append((pc, a, x))
     basis = []
     for fc in range(ncols):
-        if fc in pivot_set:
+        if fc in stored:
             continue
-        v = [zero] * ncols
-        v[fc] = one
-        for pc, x in in_column.get(fc, ()):
-            v[pc] = -x
-        basis.append(_primitive(v))
+        terms = in_column.get(fc, ())
+        scale = lcm(*(a for _, a, _ in terms))
+        v = [0] * ncols
+        v[fc] = scale
+        for pc, a, x in terms:
+            v[pc] = -x * (scale // a)
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append(tuple(x // g for x in v))
     return basis
 
 
 def matrix_min_poly(m: RatMatrix) -> tuple:
     """Monic minimal polynomial of a square matrix, ascending rational
-    coefficients, via the first linear dependence among its powers."""
+    coefficients, via the first linear dependence among its powers.
+
+    The powers enter one elimination one at a time, each as the row
+    (vec M^s | e_s) times its denominator; the e-columns record which
+    combination of powers a stored row is. The first row that reduces to
+    zero in the vec-columns is the dependence."""
     if not m.is_square:
         raise DimensionError("minimal polynomial of non-square matrix")
     n = m.rows
-    powers = [RatMatrix.identity(n)]
-    for _ in range(n + 1):
-        powers.append(powers[-1] @ m)
-        system = RatMatrix.from_columns([list(p.entries()) for p in powers])
-        kernel = system.kernel_basis()
-        if kernel:
-            vec = kernel[0]
-            lead = next(i for i in range(len(vec) - 1, -1, -1) if vec[i])
-            return tuple(vec[i] / vec[lead] for i in range(lead + 1))
+    size = n * n
+    stored: dict = {}
+    power = RatMatrix.identity(n)
+    for s in range(n + 1):
+        if s:
+            power = power @ m
+        row = dict(enumerate(power._n))
+        row[size + s] = power._d
+        pivot = _insert(stored, row)
+        if pivot >= size:
+            dependence = stored[pivot]
+            return tuple(Fraction(dependence.get(size + i, 0), dependence[size + s]) for i in range(s + 1))
     raise ArithmeticError("no dependence among matrix powers")  # pragma: no cover
-
-
-def _primitive(vec: list) -> tuple:
-    """Scale a rational vector to a primitive integer vector with fixed sign."""
-    denom = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
 
 
 class Permutation:
@@ -499,5 +580,4 @@ class Permutation:
 def perm_matrix(pi: Permutation) -> RatMatrix:
     """Matrix K with K[i,j] = 1 iff j = π(i); K_{π1}·K_{π2} = K_{π2∘π1}."""
     n = len(pi)
-    one, zero = Fraction(1), Fraction(0)
-    return RatMatrix(n, n, [one if pi(i) == j else zero for i in range(n) for j in range(n)])
+    return RatMatrix.from_integers(n, n, (int(pi(i) == j) for i in range(n) for j in range(n)))

@@ -22,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .fingrp import RationalRep, character_inner_product, fs_indicator_value
@@ -110,13 +110,17 @@ def intertwiner_space(
     """Basis of {X : X·A_t = B_t·X for all t}, X of shape rows(B) × cols(A).
 
     Equation (t, i, j) has at most rows(B) + cols(A) nonzero coefficients
-    among the rows(B)·cols(A) unknowns, so the system is built sparse."""
+    among the rows(B)·cols(A) unknowns, so the system is built sparse, from
+    the numerators of A_t and B_t over their common denominator."""
     c = left_images[0].cols
     r = right_images[0].rows
     rows = []
     for a, b in zip(left_images, right_images):
-        a_cols = [[(k, a[k, j]) for k in range(c) if a[k, j]] for j in range(c)]
-        b_rows = [[(k, b[i, k]) for k in range(r) if b[i, k]] for i in range(r)]
+        (na, da), (nb, db) = a.integer_form(), b.integer_form()
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        a_cols = [[(k, fa * na[k * c + j]) for k in range(c) if na[k * c + j]] for j in range(c)]
+        b_rows = [[(k, fb * nb[i * r + k]) for k in range(r) if nb[i * r + k]] for i in range(r)]
         for i in range(r):
             for j in range(c):
                 row = {i * c + k: x for k, x in a_cols[j]}
@@ -124,7 +128,7 @@ def intertwiner_space(
                     pos = k * c + j
                     row[pos] = row.get(pos, 0) - y
                 rows.append(row)
-    return [RatMatrix(r, c, vec) for vec in sparse_kernel_basis(rows, r * c)]
+    return [RatMatrix.from_integers(r, c, vec) for vec in sparse_kernel_basis(rows, r * c)]
 
 
 def commutant(rep: RationalRep) -> CommutantBasis:
@@ -135,17 +139,12 @@ def commutant(rep: RationalRep) -> CommutantBasis:
 
 
 def poly_at_matrix(coeffs: Sequence[Fraction], m: RatMatrix) -> RatMatrix:
-    """p(m) for ascending coefficients, by Horner's rule: each step adds the
-    next coefficient on the diagonal of acc·m."""
-    n = m.rows
-    entries = [Fraction(0)] * (n * n)
-    for step, c in enumerate(reversed(list(coeffs))):
-        if step:
-            entries = list((RatMatrix(n, n, entries) @ m).entries())
-        if c:
-            for i in range(0, n * n, n + 1):
-                entries[i] += c
-    return RatMatrix(n, n, entries)
+    """p(m) for ascending coefficients, by Horner's rule."""
+    ident = RatMatrix.identity(m.rows)
+    acc = RatMatrix.zeros(m.rows, m.rows)
+    for c in reversed(list(coeffs)):
+        acc = acc @ m + ident.scale(c)
+    return acc
 
 
 def restrict_action(basis: RatMatrix, m: RatMatrix) -> RatMatrix:
@@ -250,8 +249,11 @@ def split_once(rep: RationalRep, seed: int = 0, trials: int = RANDOM_TRIALS):
     return _split_once(rep, random.Random(seed), trials)
 
 
-def _split_once(rep: RationalRep, rng: random.Random, trials: int = RANDOM_TRIALS):
-    com = commutant(rep)
+def _split_once(
+    rep: RationalRep, rng: random.Random, trials: int = RANDOM_TRIALS, com: Optional[CommutantBasis] = None
+):
+    if com is None:
+        com = commutant(rep)
     if rep.dimension == 1 or com.dimension == 1:
         return IrreducibleCertificate(trials=0, commutant=com)
     attempted = 0
@@ -270,12 +272,15 @@ def _split_once(rep: RationalRep, rng: random.Random, trials: int = RANDOM_TRIAL
 
 def _center_dimension(basis: Sequence[RatMatrix]) -> int:
     """Dimension of the center of the algebra spanned by the commutant basis:
-    the kernel of z ↦ ([x, z])_x, one sparse equation per bracket entry."""
+    the kernel of z ↦ ([x, z])_x, one sparse equation per bracket entry,
+    scaled to integers by the lcm of the brackets' denominators."""
     rows = []
     for b in basis:
-        brackets = [(x @ b - b @ x).entries() for x in basis]
+        brackets = [(x @ b - b @ x).integer_form() for x in basis]
+        d = lcm(*(den for _, den in brackets))
+        columns = [(num, d // den) for num, den in brackets]
         for pos in range(basis[0].rows * basis[0].cols):
-            rows.append({idx: br[pos] for idx, br in enumerate(brackets) if br[pos]})
+            rows.append({idx: f * num[pos] for idx, (num, f) in enumerate(columns) if num[pos]})
     return len(sparse_kernel_basis(rows, len(basis)))
 
 
@@ -331,22 +336,25 @@ def component_profile(
     )
 
 
-def decompose(rep: RationalRep, seed: int = 0) -> list[ComponentProfile]:
+def decompose(
+    rep: RationalRep, seed: int = 0, ambient: Optional[CommutantBasis] = None
+) -> list[ComponentProfile]:
     """Recursive splitting into Q-irreducibles, grouped into equivalence
-    classes; deterministic given (rep, seed)."""
+    classes; deterministic given (rep, seed). `ambient` is the commutant of
+    rep when the caller has solved it already."""
     rng = random.Random(seed)
     n = rep.dimension
-    pending = [(RatMatrix.identity(n), rep)]
+    pending = [(RatMatrix.identity(n), rep, ambient)]
     leaves = []
     while pending:
-        basis, sub = pending.pop(0)
-        result = _split_once(sub, rng)
+        basis, sub, com = pending.pop(0)
+        result = _split_once(sub, rng, com=com)
         if isinstance(result, IrreducibleCertificate):
             leaves.append((basis, result.commutant))
             continue
         k1, k2 = result
-        pending.append((basis @ k1, restrict_rep(sub, k1)))
-        pending.append((basis @ k2, restrict_rep(sub, k2)))
+        pending.append((basis @ k1, restrict_rep(sub, k1), None))
+        pending.append((basis @ k2, restrict_rep(sub, k2), None))
 
     classes: list[dict] = []
     for basis, com in leaves:

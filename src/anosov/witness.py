@@ -25,7 +25,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .fingrp import RationalRep
-from .hyper import HyperbolicityReport, is_c_hyperbolic_matrix, is_integer_like
+from .hyper import (
+    HyperbolicityReport,
+    integer_char_poly,
+    is_c_hyperbolic_matrix,
+    is_c_hyperbolic_poly,
+    is_integer_like,
+)
 from .intpoly import IntPoly, is_irreducible
 from .numfield import (
     DEFAULT_PRECISION_BITS,
@@ -213,7 +219,6 @@ def lattice_search(
     com: CommutantBasis,
     c: int,
     height_bound: int,
-    seed: int = 0,
     count_only: bool = False,
     max_candidates: int = 500_000,
 ):
@@ -242,9 +247,10 @@ def lattice_search(
             for cf, b in zip(vec, basis):
                 if cf:
                     acc = acc + b.scale(cf)
-            if not is_integer_like(acc):
+            f = integer_char_poly(acc)
+            if f is None:
                 continue
-            if is_c_hyperbolic_matrix(acc, c).verdict:
+            if is_c_hyperbolic_poly(f, c).verdict:
                 hit = acc
                 if not count_only:
                     return acc

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from anosov import decider, repdec
 from anosov.corpus import circle_rep, m_rho3
 from anosov.decider import (
     CriterionError,
@@ -158,6 +159,42 @@ class TestNoCertificateSearch:
     def test_requires_no_verdict(self, torus):
         with pytest.raises(CriterionError):
             no_certificate_search(torus, 1, 3)
+
+    def test_ambient_commutant_solved_once(self, q8_rep, monkeypatch):
+        calls = []
+        original = repdec.commutant
+
+        def counting(rep):
+            calls.append(rep)
+            return original(rep)
+
+        monkeypatch.setattr(repdec, "commutant", counting)
+        monkeypatch.setattr(decider, "commutant", counting)
+        no_certificate_search(q8_rep, 1, 1)
+        assert calls == [q8_rep]
+
+    def test_one_char_poly_per_unimodular_candidate(self, q8_rep, monkeypatch):
+        """The determinant screens the candidates; the characteristic
+        polynomial is computed once for each one it lets through."""
+        unimodular, char_polys = set(), []
+        det, char_poly = RatMatrix.det, RatMatrix.char_poly
+
+        def counting_det(m):
+            value = det(m)
+            if abs(value) == 1:
+                unimodular.add(m)
+            return value
+
+        def counting_char_poly(m):
+            char_polys.append(m)
+            return char_poly(m)
+
+        monkeypatch.setattr(RatMatrix, "det", counting_det)
+        monkeypatch.setattr(RatMatrix, "char_poly", counting_char_poly)
+        report = no_certificate_search(q8_rep, 1, 1)
+        assert report["candidates_screened"] == 80
+        assert unimodular and len(char_polys) <= len(unimodular)
+        assert set(char_polys) <= unimodular
 
 
 class TestDemos:

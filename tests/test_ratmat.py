@@ -341,3 +341,169 @@ class TestEliminationCore:
         for op in (RatMatrix.det, RatMatrix.inverse):
             with pytest.raises(DimensionError):
                 op(RatMatrix.zeros(2, 3))
+
+
+# -- the integer-backed storage against the Fraction arithmetic it replaced --
+
+
+def as_rows(a: RatMatrix) -> list:
+    return [list(a.row(i)) for i in range(a.rows)]
+
+
+def fraction_matmul(a: list, b: list, inner: int, width: int) -> list:
+    """Row-by-column products of Fraction rows; the shared dimension
+    `inner` and the width of b are given, so that empty factors are well
+    defined."""
+    return [[sum((row[t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(width)] for row in a]
+
+
+def fraction_kron(a: list, b: list) -> list:
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+
+def fraction_char_poly(a: list) -> tuple:
+    """Faddeev–LeVerrier over Fractions, the characteristic polynomial
+    RatMatrix computed before Berkowitz's algorithm; ascending, monic."""
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = a
+    for k in range(1, n + 1):
+        c = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = c
+        if k < n:
+            shifted = [[x + (c if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mk)]
+            mk = fraction_matmul(a, shifted, n, n)
+    return tuple(coeffs)
+
+
+def reference_min_poly(a: RatMatrix) -> tuple:
+    """The first dependence among I, A, A², …, with a fresh kernel of the
+    matrix of vectorised powers for each new power."""
+    powers = [RatMatrix.identity(a.rows)]
+    while True:
+        powers.append(powers[-1] @ a)
+        kernel = RatMatrix(a.rows * a.rows, len(powers), [
+            p[i, j] for i in range(a.rows) for j in range(a.rows) for p in powers
+        ]).kernel_basis()
+        if kernel:
+            vec = kernel[0]
+            lead = max(i for i, x in enumerate(vec) if x)
+            return tuple(x / vec[lead] for x in vec[: lead + 1])
+
+
+def assert_canonical(m: RatMatrix) -> None:
+    numerators, d = m.integer_form()
+    assert d > 0 and math.gcd(d, *numerators) == 1
+    assert all(type(x) is int for x in numerators)
+    assert len(numerators) == m.rows * m.cols
+
+
+# fewer examples than DIFFERENTIAL: the Fraction oracles dominate the run time
+STORAGE = settings(max_examples=60, deadline=None)
+SCALARS = st.one_of(st.just(0), st.integers(-5, 5), ENTRIES, st.fractions(max_denominator=10**30))
+
+
+class TestIntegerStorage:
+    @given(matrices(), st.data())
+    @STORAGE
+    def test_matmul(self, a, data):
+        b = data.draw(matrices(st.just(a.cols), SIZES))
+        product = a @ b
+        assert_canonical(product)
+        assert as_rows(product) == fraction_matmul(as_rows(a), as_rows(b), a.cols, b.cols)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+
+    @given(matrices(), st.data())
+    @STORAGE
+    def test_add_and_sub(self, a, data):
+        b = data.draw(matrices(st.just(a.rows), st.just(a.cols)))
+        for result, op in ((a + b, Fraction.__add__), (a - b, Fraction.__sub__), (-a, None)):
+            assert_canonical(result)
+            expected = [
+                [op(x, y) if op else -x for x, y in zip(ra, rb)] for ra, rb in zip(as_rows(a), as_rows(b))
+            ]
+            assert as_rows(result) == expected
+        assert (a - a).is_zero() and (a - a) == RatMatrix.zeros(a.rows, a.cols)
+
+    @given(matrices(), SCALARS)
+    @STORAGE
+    def test_scale(self, a, s):
+        scaled = a.scale(s)
+        assert_canonical(scaled)
+        assert as_rows(scaled) == [[Fraction(s) * x for x in row] for row in as_rows(a)]
+
+    @given(matrices())
+    @STORAGE
+    def test_transpose_trace_entries(self, a):
+        t = a.transpose()
+        assert_canonical(t)
+        assert as_rows(t) == [[a[i, j] for i in range(a.rows)] for j in range(a.cols)]
+        assert [a.column(j) for j in range(a.cols)] == [t.row(j) for j in range(a.cols)]
+        assert all(isinstance(x, Fraction) for x in a.entries())
+        assert a.entries() == tuple(x for row in as_rows(a) for x in row)
+        if a.is_square:
+            assert a.trace() == sum((a[i, i] for i in range(a.rows)), Fraction(0))
+
+    @given(matrices(SIZES, st.integers(0, 3)), matrices(st.integers(0, 3), SIZES))
+    @STORAGE
+    def test_kron(self, a, b):
+        k = a.kron(b)
+        assert_canonical(k)
+        assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+        assert as_rows(k) == fraction_kron(as_rows(a), as_rows(b))
+
+    @given(square())
+    @STORAGE
+    def test_char_poly_matches_faddeev_leverrier(self, a):
+        coeffs = a.char_poly()
+        assert coeffs == fraction_char_poly(as_rows(a))
+        assert all(isinstance(x, Fraction) for x in coeffs)
+
+    @given(square())
+    @STORAGE
+    def test_min_poly_is_first_dependence(self, a):
+        assert matrix_min_poly(a) == reference_min_poly(a)
+
+    @given(square(), st.data())
+    @STORAGE
+    def test_inverse_solve_det_canonical(self, a, data):
+        assert a.det() == reference_det(a)
+        if a.det():
+            inv = a.inverse()
+            assert_canonical(inv)
+            assert inv == reference_inverse(a) and a @ inv == RatMatrix.identity(a.rows)
+            rhs = data.draw(matrices(st.just(a.rows), st.integers(0, 3)))
+            solved = a.solve(rhs)
+            assert_canonical(solved)
+            assert solved == reference_solve(a, rhs) and a @ solved == rhs
+
+    @given(matrices(), SCALARS.filter(bool))
+    @STORAGE
+    def test_equal_values_have_equal_storage(self, m, s):
+        s = Fraction(s)
+        routes = [
+            m.scale(Fraction(2, 3)).scale(Fraction(3, 2)),
+            m.scale(s).scale(1 / s),
+            (m + m) - m,
+            -(-m),
+            m.transpose().transpose(),
+            m @ RatMatrix.identity(m.cols),
+            RatMatrix(m.rows, m.cols, m.entries()),
+            RatMatrix.from_integers(m.rows, m.cols, [6 * x for x in m.integer_form()[0]], 6 * m.integer_form()[1]),
+        ]
+        for other in routes:
+            assert_canonical(other)
+            assert other == m and hash(other) == hash(m)
+            assert other.integer_form() == m.integer_form()
+
+    def test_zero_matrix_is_canonical(self):
+        zero = RatMatrix.from_rows([["1/3", "2/3"]]).scale(0)
+        assert zero.integer_form() == ((0, 0), 1)
+        assert zero == RatMatrix.zeros(1, 2) and hash(zero) == hash(RatMatrix.zeros(1, 2))
+
+    def test_from_integers_rejects_bad_input(self):
+        for d in (0, -1):
+            with pytest.raises(ValueError):
+                RatMatrix.from_integers(1, 1, [1], d)
+        with pytest.raises(DimensionError):
+            RatMatrix.from_integers(2, 1, [1])
