@@ -383,24 +383,16 @@ def _make(rows: int, cols: int, n: tuple, d: int) -> RatMatrix:
 
 
 def _int_matmul(a: tuple, b: tuple, n: int, k: int, m: int) -> tuple:
-    """The n×m integer product of the row-major n×k a and k×m b. A row of a
-    that is at least half zeros combines the rows of b it selects; a denser
-    one takes dot products with the columns of b."""
+    """The n×m integer product of the row-major n×k a and k×m b: each row of
+    a combines the rows of b that its nonzero entries select."""
     brows = [b[t * m : (t + 1) * m] for t in range(k)]
-    cols = None
     out = []
     for i in range(n):
-        arow = a[i * k : (i + 1) * k]
-        if 2 * arow.count(0) >= k:
-            acc = [0] * m
-            for x, brow in zip(arow, brows):
-                if x:
-                    acc = list(map(add, acc, map(mul, brow, repeat(x))))
-            out.extend(acc)
-        else:
-            if cols is None:
-                cols = [b[j::m] for j in range(m)]
-            out.extend([sum(map(mul, arow, col)) for col in cols])
+        acc = [0] * m
+        for x, brow in zip(a[i * k : (i + 1) * k], brows):
+            if x:
+                acc = list(map(add, acc, map(mul, brow, repeat(x))))
+        out.extend(acc)
     return tuple(out)
 
 
