@@ -3,7 +3,8 @@
 `golden_cli.json` holds the JSON printed by each invocation in INVOCATIONS,
 with every `timings` field removed: the six demos, and `decide`,
 `decide --witness`, `no-cert`, `decompose` and `porteous` on small corpus
-inputs (multiples of ρ3, Q8, the C5 rotation). A change that is meant to
+inputs (multiples of ρ3, Q8, the C5 rotation), and `units`, `graded-action`
+and `hall-basis` on the README's examples. A change that is meant to
 leave every result alone, such as a speed-up or a refactor, must keep each
 output byte-identical. After a change that is meant to alter output, record
 the fixture again with `PYTHONPATH=src python tests/test_golden.py` and
@@ -55,18 +56,30 @@ INPUTS = {
     "c5_c1": _input(C5, 1, 1),
 }
 
+GRADED_INPUT = {"r": 2, "class": 2, "matrix": [["2", "1"], ["1", "1"]]}
+
+# name: (argv, the object fed on stdin or None)
 INVOCATIONS = {
     **{f"demo {name}": (["demo", name], None) for name in ("d3", "q8", "klein", "torus", "c5", "c4")},
-    **{f"decide {key}": (["decide", "-"], key) for key in INPUTS},
+    **{f"decide {key}": (["decide", "-"], INPUTS[key]) for key in INPUTS},
     **{
-        f"witness {key}": (["decide", "-", "--witness"], key)
+        f"witness {key}": (["decide", "-", "--witness"], INPUTS[key])
         for key in ("2rho3_c1", "3rho3_c2", "q8_c1", "c5_c1")
     },
     **{
-        f"no-cert {key} h{h}": (["no-cert", "-", "--height-bound", str(h)], key)
+        f"no-cert {key} h{h}": (["no-cert", "-", "--height-bound", str(h)], INPUTS[key])
         for key, h in (("rho3_c1", 2), ("2rho3_c2", 1), ("q8_c1", 1))
     },
-    **{f"{cmd} {key}": ([cmd, "-"], key) for cmd in ("decompose", "porteous") for key in ("3rho3_c2", "2q8_c2")},
+    **{
+        f"{cmd} {key}": ([cmd, "-"], INPUTS[key])
+        for cmd in ("decompose", "porteous")
+        for key in ("3rho3_c2", "2q8_c2")
+    },
+    "units sqrt 2": (["units", "--sqrt", "2", "--class", "1", "--bound", "12"], None),
+    "units zeta 5": (["units", "--zeta", "5", "--class", "2", "--bound", "12"], None),
+    "units min-poly": (["units", "--min-poly", "[-1,-1,1]", "--class", "1", "--bound", "6"], None),
+    "graded-action readme": (["graded-action", "-"], GRADED_INPUT),
+    "hall-basis r3 c3": (["hall-basis", "--r", "3", "--class", "3"], None),
 }
 
 
@@ -80,9 +93,9 @@ def _strip_timings(obj):
 
 def run_invocation(name: str):
     """The invocation's JSON output without its timings."""
-    argv, key = INVOCATIONS[name]
+    argv, stdin = INVOCATIONS[name]
     saved = sys.stdin, sys.stdout
-    sys.stdin = io.StringIO("" if key is None else json.dumps(INPUTS[key]))
+    sys.stdin = io.StringIO("" if stdin is None else json.dumps(stdin))
     sys.stdout = io.StringIO()
     try:
         code = main(argv)
