@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: decide (with --witness / --solvable), porteous, decompose,
-units, graded-action, hall-basis, no-cert, demo. Input is a JSON object read
-from a file argument or stdin; output is JSON with a stable field order, or
-a human-readable table with --pretty.
+units, graded-action, hall-basis, no-cert, demo. Each registers only the
+flags its handler reads. Input is a JSON object read from a file argument or
+stdin; output is JSON with a stable field order, or a human-readable table
+with --pretty.
 
 Exit codes: 0 decided, 2 invalid input, 3 a number field's complex
-embeddings could not be paired at the working precision (--precision-bits).
+embeddings could not be paired at the fixed working precision.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .fingrp import DEFAULT_MAX_ORDER, group_rep_from_json_obj
 from .freenilp import graded_action, hall_basis, tree_str
 from .intpoly import IntPoly, poly_from_json_obj
 from .numfield import (
-    DEFAULT_PRECISION_BITS,
     PrecisionError,
     cyclotomic_field,
     make_field,
@@ -39,8 +39,17 @@ from .repdec import decompose, decomposition_report
 
 
 def _read_json_input(path: str | None):
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
-    return json.loads(text)
+    if path in (None, "-"):
+        return json.loads(sys.stdin.read())
+    with open(path) as f:
+        return json.loads(f.read())
+
+
+def _read_json_object(path: str | None) -> dict:
+    obj = _read_json_input(path)
+    if not isinstance(obj, dict):
+        raise ValueError("input must be a JSON object")
+    return obj
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -96,13 +105,14 @@ def _fmt_scalar(value) -> str:
 
 
 def _load_rep(args):
-    obj = _read_json_input(getattr(args, "input", None))
-    group, rep, class_c = group_rep_from_json_obj(obj, max_order=args.max_order)
-    c = args.class_c if args.class_c is not None else class_c
-    return rep, c
+    """The representation read from the input, and the input's "class"."""
+    _, rep, class_c = group_rep_from_json_obj(_read_json_input(args.input), max_order=args.max_order)
+    return rep, class_c
 
 
-def _require_class(c) -> int:
+def _require_class(args, input_class) -> int:
+    """--class if given, else the input's "class" field."""
+    c = args.class_c if args.class_c is not None else input_class
     if c is None:
         raise ValueError("nilpotency class required: pass --class or a \"class\" field")
     return c
@@ -110,11 +120,11 @@ def _require_class(c) -> int:
 
 def cmd_decide(args) -> None:
     rep, c = _load_rep(args)
-    c = _require_class(c)
+    c = _require_class(args, c)
     if args.solvable is not None:
         verdict = decide_solvable(rep, c, args.solvable, args.seed)
     elif args.witness:
-        verdict = decide_with_witness(rep, c, args.seed, precision_bits=args.precision_bits)
+        verdict = decide_with_witness(rep, c, args.seed)
     else:
         verdict = decide(rep, c, args.seed)
     _emit(verdict.to_json_obj(), args.pretty)
@@ -132,14 +142,14 @@ def cmd_decompose(args) -> None:
 
 def cmd_no_cert(args) -> None:
     rep, c = _load_rep(args)
-    c = _require_class(c)
+    c = _require_class(args, c)
     _emit(no_certificate_search(rep, c, args.height_bound, args.seed), args.pretty)
 
 
 def cmd_units(args) -> None:
     request = {}
     if args.input:
-        request = _read_json_input(args.input)
+        request = _read_json_object(args.input)
     if args.sqrt is not None:
         request["field"] = f"sqrt {args.sqrt}"
     if args.zeta is not None:
@@ -153,14 +163,14 @@ def cmd_units(args) -> None:
     c = int(request.get("c", 1))
     bound = int(request.get("bound", 10))
     if "min_poly" in request:
-        field = make_field(poly_from_json_obj(request["min_poly"]), args.precision_bits)
+        field = make_field(poly_from_json_obj(request["min_poly"]))
     elif "field" in request:
         kind, _, value = str(request["field"]).partition(" ")
         d = int(value)
         if kind == "sqrt":
-            field = make_field(IntPoly((-d, 0, 1)), args.precision_bits)
+            field = make_field(IntPoly((-d, 0, 1)))
         elif kind == "zeta":
-            field = cyclotomic_field(d, args.precision_bits)
+            field = cyclotomic_field(d)
         else:
             raise ValueError('field must be "sqrt d" or "zeta d"')
     else:
@@ -184,7 +194,7 @@ def cmd_units(args) -> None:
 
 
 def cmd_graded_action(args) -> None:
-    obj = _read_json_input(args.input)
+    obj = _read_json_object(args.input)
     r, c = int(obj["r"]), int(obj["class"] if "class" in obj else obj["c"])
     matrix = RatMatrix.from_json_obj(obj["matrix"])
     basis = hall_basis(r, c)
@@ -226,36 +236,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", default=None, help="JSON file, or - for stdin")
+    def add_input(p):
+        p.add_argument("input", nargs="?", default=None, help="JSON file, or - for stdin")
+
+    def add_class(p):
         p.add_argument("--class", dest="class_c", type=int, default=None)
+
+    def rep_parser(name, help, func):
+        """A subcommand that reads a representation from the input."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        add_input(p)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
-        p.add_argument("--height-bound", type=int, default=5)
         p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
         p.add_argument("--pretty", action="store_true")
+        return p
 
-    p = sub.add_parser("decide", help="run the component criterion")
-    add_common(p)
+    p = rep_parser("decide", "run the component criterion", cmd_decide)
+    add_class(p)
     p.add_argument("--witness", action="store_true", help="construct a verified witness on YES")
     p.add_argument("--solvable", type=int, default=None, metavar="D", help="solvable-model metadata")
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("porteous", help="the flat c = 1 criterion")
-    add_common(p)
-    p.set_defaults(func=cmd_porteous)
-
-    p = sub.add_parser("decompose", help="report the Q-irreducible component profiles")
-    add_common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("no-cert", help="exhaustive empty-search report for NO verdicts")
-    add_common(p)
-    p.set_defaults(func=cmd_no_cert)
+    rep_parser("porteous", "the flat c = 1 criterion", cmd_porteous)
+    rep_parser("decompose", "report the Q-irreducible component profiles", cmd_decompose)
+    p = rep_parser("no-cert", "exhaustive empty-search report for NO verdicts", cmd_no_cert)
+    add_class(p)
+    p.add_argument("--height-bound", type=int, default=5)
 
     p = sub.add_parser("units", help="search a number field for c-hyperbolic units")
-    add_common(p)
+    add_input(p)
+    add_class(p)
+    p.add_argument("--pretty", action="store_true")
     p.add_argument("--sqrt", type=int, default=None, metavar="D")
     p.add_argument("--zeta", type=int, default=None, metavar="D")
     p.add_argument("--min-poly", type=str, default=None, help='ascending coefficients, e.g. "[-1,-1,1]"')
@@ -263,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_units)
 
     p = sub.add_parser("graded-action", help="induced action on the free nilpotent gradeds")
-    add_common(p)
+    add_input(p)
+    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_graded_action)
 
     p = sub.add_parser("hall-basis", help="Hall basis dimensions and elements")

@@ -18,12 +18,7 @@ from typing import Optional
 import sympy
 
 from .fingrp import RationalRep, character
-from .numfield import (
-    DEFAULT_PRECISION_BITS,
-    cyclotomic_field,
-    search_c_hyperbolic_unit,
-    unit_generators_for_field,
-)
+from .numfield import cyclotomic_field, search_c_hyperbolic_unit, unit_generators_for_field
 from .ratmat import RatMatrix
 from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, restrict_rep
 from .witness import (
@@ -37,8 +32,8 @@ from .witness import (
 )
 
 WITNESS_ROUNDS = 3
-DEFAULT_EXPONENT_BOUND = 10
-DEFAULT_LATTICE_HEIGHT = 4
+EXPONENT_BOUND = 10
+LATTICE_HEIGHT = 4
 
 
 class CriterionError(ValueError):
@@ -148,39 +143,24 @@ def _aligned_block_basis(profile: ComponentProfile) -> RatMatrix:
 
 
 def _block_witness(
-    profile: ComponentProfile,
-    block_rep: RationalRep,
-    c: int,
-    seed: int,
-    precision_bits: int,
-    round_index: int,
-    exponent_bound: int,
-    lattice_height: int,
+    profile: ComponentProfile, com: CommutantBasis, c: int, seed: int, round_index: int
 ) -> Optional[tuple[RatMatrix, str]]:
+    """A witness for one isotypic block, whose representation has commutant
+    com; the searches widen with round_index."""
     if profile.absolutely_irreducible and profile.multiplicity > c:
-        res = tensor_shortcut(profile, c, precision_bits, poly_skip=round_index)
+        res = tensor_shortcut(profile, c, poly_skip=round_index)
         if res is not None:
             return res[0], TENSOR_SHORTCUT
-    com = commutant(block_rep)
-    res = field_through_commutant(
-        com, c, seed, precision_bits, exponent_bound=exponent_bound * (2**round_index)
-    )
+    res = field_through_commutant(com, c, seed, exponent_bound=EXPONENT_BOUND * (2**round_index))
     if res is not None:
         return res
-    hit = lattice_search(com, c, lattice_height * (2**round_index))
+    hit, _ = lattice_search(com, c, LATTICE_HEIGHT * (2**round_index))
     if hit is not None:
         return hit, LATTICE_SEARCH
     return None
 
 
-def decide_with_witness(
-    rep: RationalRep,
-    c: int,
-    seed: int = 0,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-    lattice_height: int = DEFAULT_LATTICE_HEIGHT,
-) -> Verdict:
+def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
     """Decision plus, on YES, a verified witness assembled from per-isotypic
     constructions. A YES verdict is kept even when the bounded searches fail;
     the witness is then marked not-found-within-bounds."""
@@ -202,7 +182,7 @@ def decide_with_witness(
         )
     t1 = time.perf_counter()
     block_bases = [_aligned_block_basis(p) for p in profiles]
-    block_reps = [restrict_rep(rep, b) for b in block_bases]
+    block_coms = [commutant(restrict_rep(rep, b)) for b in block_bases]
     s_all = RatMatrix.from_columns(
         [list(b.column(j)) for b in block_bases for j in range(b.cols)]
     )
@@ -212,11 +192,8 @@ def decide_with_witness(
         blocks = []
         paths = []
         ok = True
-        for profile, block_rep in zip(profiles, block_reps):
-            res = _block_witness(
-                profile, block_rep, c, seed, precision_bits, round_index,
-                exponent_bound, lattice_height,
-            )
+        for profile, com in zip(profiles, block_coms):
+            res = _block_witness(profile, com, c, seed, round_index)
             if res is None:
                 ok = False
                 break
@@ -248,7 +225,7 @@ def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int
     com = commutant(rep)
     if decide(rep, c, seed, com).admits_anosov:
         raise CriterionError("no-certificate search requires a NO verdict")
-    hit, screened = lattice_search(com, c, height_bound, count_only=True)
+    hit, screened = lattice_search(com, c, height_bound)
     return {
         "class_c": c,
         "height_bound": height_bound,

@@ -171,9 +171,7 @@ class RationalRep:
                     )
 
 
-def rep_from_generator_images(
-    group: FiniteMatrixGroup, gen_images: Sequence[RatMatrix], verify: bool = True
-) -> RationalRep:
+def rep_from_generator_images(group: FiniteMatrixGroup, gen_images: Sequence[RatMatrix]) -> RationalRep:
     """Extend images on the generators to the whole group along the
     breadth-first tree, one product per element.
 
@@ -191,8 +189,7 @@ def rep_from_generator_images(
     for i, s in group.parent[1:]:
         images.append(images[i] @ gen_images[s])
     rep = RationalRep(group=group, images=tuple(images))
-    if verify:
-        rep.check_homomorphism()
+    rep.check_homomorphism()
     return rep
 
 
@@ -257,11 +254,13 @@ def group_rep_from_json_obj(obj, max_order: int = DEFAULT_MAX_ORDER):
 
     Returns (group, rep, class_c). rep_images defaults to the generators.
     """
-    if not isinstance(obj, dict) or "generators" not in obj:
-        raise ValueError('input must be an object with a "generators" field')
+    if not isinstance(obj, dict) or not isinstance(obj.get("generators"), list):
+        raise ValueError('input must be an object with a "generators" array')
     gens = [RatMatrix.from_json_obj(m) for m in obj["generators"]]
     group = generate_group(gens, max_order=max_order)
-    if "rep_images" in obj and obj["rep_images"] is not None:
+    if obj.get("rep_images") is not None:
+        if not isinstance(obj["rep_images"], list):
+            raise ValueError('"rep_images" must be an array of matrices')
         images = [RatMatrix.from_json_obj(m) for m in obj["rep_images"]]
         rep = rep_from_generator_images(group, images)
     else:

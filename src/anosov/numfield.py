@@ -5,10 +5,10 @@ c-hyperbolic units.
 
 Field elements are coordinate tuples in the power basis 1, θ, …, θ^{n−1} with
 exact rational entries; all algebra is exact. Floating point enters only
-through the embeddings (mpmath at a configurable precision), which give the
-log vectors that screen unit candidates; every candidate that passes the
-screen is certified exactly on its minimal polynomial. make_field raises
-PrecisionError when the complex embeddings cannot be paired.
+through the embeddings (mpmath at a fixed 128-bit working precision), which
+give the log vectors that screen unit candidates; every candidate that
+passes the screen is certified exactly on its minimal polynomial. make_field
+raises PrecisionError when the complex embeddings cannot be paired.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .hyper import HyperbolicityReport, is_c_hyperbolic_poly
 from .intpoly import IntPoly, cyclotomic, is_irreducible, _to_sympy
 from .ratmat import RatMatrix, matrix_min_poly
 
-DEFAULT_PRECISION_BITS = 128
+PRECISION_BITS = 128
 LOG_SCREEN_EPS = 1e-9
 
 
@@ -113,7 +113,6 @@ class NumberFieldCtx:
     """
 
     min_poly: IntPoly
-    precision_bits: int
     embeddings: tuple
     signature: tuple
 
@@ -142,7 +141,7 @@ class NumberFieldCtx:
     def log_moduli(self, coords: Sequence[Fraction]) -> tuple:
         if not any(coords):
             raise ZeroDivisionError("log embedding of zero")
-        with mpmath.workprec(self.precision_bits + 32):
+        with mpmath.workprec(PRECISION_BITS + 32):
             return tuple(mpmath.log(abs(self.evaluate(coords, self.embeddings[i]))) for i in self.log_slots())
 
     def mult_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
@@ -171,7 +170,7 @@ class NumberFieldCtx:
         return abs(mp.coeffs[0]) == 1
 
 
-def make_field(min_poly: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> NumberFieldCtx:
+def make_field(min_poly: IntPoly) -> NumberFieldCtx:
     """Build a field context; raises FieldError for non-monic or reducible input."""
     if not min_poly.is_monic:
         raise FieldError("minimal polynomial must be monic")
@@ -183,7 +182,7 @@ def make_field(min_poly: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) 
     s = int(_to_sympy(min_poly).count_roots())
     t, rem = divmod(n - s, 2)
     assert rem == 0
-    with mpmath.workprec(precision_bits + 32):
+    with mpmath.workprec(PRECISION_BITS + 32):
         if n == 1:
             roots = [mpmath.mpc(-min_poly.coeffs[0])]
         else:
@@ -192,23 +191,18 @@ def make_field(min_poly: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) 
                 for r in mpmath.polyroots(
                     [mpmath.mpf(c) for c in reversed(min_poly.coeffs)],
                     maxsteps=200,
-                    extraprec=precision_bits,
+                    extraprec=PRECISION_BITS,
                 )
             ]
         roots.sort(key=lambda z: abs(z.imag))
         reals = sorted((z.real for z in roots[:s]))
         uppers = sorted((z for z in roots[s:] if z.imag > 0), key=lambda z: (z.real, z.imag))
         if len(uppers) != t:
-            raise PrecisionError("could not pair complex embeddings; increase precision")
+            raise PrecisionError("could not pair complex embeddings at the working precision")
         embeddings = [mpmath.mpc(r) for r in reals]
         for z in uppers:
             embeddings.extend([z, mpmath.conj(z)])
-    return NumberFieldCtx(
-        min_poly=min_poly,
-        precision_bits=precision_bits,
-        embeddings=tuple(embeddings),
-        signature=(s, t),
-    )
+    return NumberFieldCtx(min_poly=min_poly, embeddings=tuple(embeddings), signature=(s, t))
 
 
 @dataclass(frozen=True)
@@ -251,12 +245,12 @@ def _is_squarefree(d: int) -> bool:
     return d > 1 and all(e == 1 for e in sympy.factorint(d).values())
 
 
-def fundamental_unit_real_quadratic(d: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> UnitElem:
+def fundamental_unit_real_quadratic(d: int) -> UnitElem:
     """Fundamental unit of Q(√d) (smallest unit > 1) by the continued-fraction
     expansion of the reduced generator of the maximal order."""
     if not _is_squarefree(d):
         raise FieldError(f"{d} is not squarefree > 1")
-    field = make_field(IntPoly((-d, 0, 1)), precision_bits)
+    field = make_field(IntPoly((-d, 0, 1)))
     a0 = isqrt(d)
     if d % 4 == 1:
         # maximal order Z[(1+√d)/2]; reduced surd (b+√d)/2 with b odd
@@ -281,8 +275,8 @@ def fundamental_unit_real_quadratic(d: int, precision_bits: int = DEFAULT_PRECIS
     return make_unit(field, (x, y))
 
 
-def cyclotomic_field(d: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> NumberFieldCtx:
-    return make_field(cyclotomic(d), precision_bits)
+def cyclotomic_field(d: int) -> NumberFieldCtx:
+    return make_field(cyclotomic(d))
 
 
 def _cyclotomic_units(field: NumberFieldCtx, d: int) -> list[UnitElem]:
@@ -319,7 +313,7 @@ def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
             if e % 2:
                 d0 *= int(p)
         t = isqrt(disc // d0)
-        eps = fundamental_unit_real_quadratic(d0, field.precision_bits)
+        eps = fundamental_unit_real_quadratic(d0)
         x, y = eps.coords
         coords = (x + Fraction(y * b, t), Fraction(2 * y, t))
         return [make_unit(field, coords)]
@@ -477,13 +471,13 @@ def _beta_coords(n_index: int, f: IntPoly) -> tuple:
     return tuple(_reduce(beta, f))
 
 
-def _real_subfield_units(n_index: int, precision_bits: int):
+def _real_subfield_units(n_index: int):
     """Relative norms u·ū of the cyclotomic units, expressed in the power
     basis of the real subfield Q(ζ + ζ⁻¹)."""
     f = cyclotomic(n_index)
     field_deg = f.degree
     subpoly = totally_real_cyclotomic_subfield_poly(n_index)
-    subfield = make_field(subpoly, precision_bits)
+    subfield = make_field(subpoly)
     m = subpoly.degree
     beta = _beta_coords(n_index, f)
     beta_powers = [_one(field_deg)]
@@ -491,7 +485,7 @@ def _real_subfield_units(n_index: int, precision_bits: int):
         beta_powers.append(el_mul(f, beta_powers[-1], beta))
     basis_matrix = RatMatrix.from_columns([list(b) for b in beta_powers])
     units = []
-    for u in _cyclotomic_units(cyclotomic_field(n_index, precision_bits), n_index):
+    for u in _cyclotomic_units(cyclotomic_field(n_index), n_index):
         # complex conjugation ζ ↦ ζ^{n−1}
         conj = [Fraction(0)] * max(2 * field_deg, n_index + 1)
         for i, ci in enumerate(u.coords):
@@ -505,13 +499,7 @@ def _real_subfield_units(n_index: int, precision_bits: int):
     return subfield, units
 
 
-def hyperbolic_companion_poly(
-    m: int,
-    c: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    exponent_bound: int = 10,
-    poly_skip: int = 0,
-) -> Optional[IntPoly]:
+def hyperbolic_companion_poly(m: int, c: int, poly_skip: int = 0) -> Optional[IntPoly]:
     """A monic integer polynomial of degree m with constant term ±1 whose
     companion matrix is c-hyperbolic, or None.
 
@@ -533,10 +521,10 @@ def hyperbolic_companion_poly(
         if n_index % 4 == 2 or sympy.totient(n_index) != 2 * m:
             continue
         try:
-            subfield, units = _real_subfield_units(n_index, precision_bits)
+            subfield, units = _real_subfield_units(n_index)
         except FieldError:
             continue
-        outcome = search_c_hyperbolic_unit(subfield, units, c, exponent_bound)
+        outcome = search_c_hyperbolic_unit(subfield, units, c)
         if outcome.found:
             mp = outcome.unit.min_poly()
             if mp.degree == m:

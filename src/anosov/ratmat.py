@@ -25,6 +25,7 @@ callers whose equations have few nonzero coefficients.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -46,6 +47,18 @@ def _frac(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
+
+
+# "p" or "p/q" with q ≠ 0
+_JSON_ENTRY = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _json_entry(x) -> Fraction:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and _JSON_ENTRY.fullmatch(x):
+        return Fraction(x)
+    raise ValueError(f'matrix entry {x!r} is not an integer or a "p" or "p/q" string with q != 0')
 
 
 class RatMatrix:
@@ -356,7 +369,7 @@ class RatMatrix:
     def from_json_obj(cls, obj) -> "RatMatrix":
         if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
             raise ValueError("matrix literal must be a non-empty array of arrays")
-        return cls.from_rows([[_frac(x) for x in row] for row in obj])
+        return cls.from_rows([[_json_entry(x) for x in row] for row in obj])
 
     @classmethod
     def from_json(cls, text: str) -> "RatMatrix":

@@ -243,15 +243,13 @@ def _random_combination(basis: Sequence[RatMatrix], rng: random.Random) -> RatMa
     return acc
 
 
-def split_once(rep: RationalRep, seed: int = 0, trials: int = RANDOM_TRIALS):
+def split_once(rep: RationalRep, seed: int = 0):
     """Either an IrreducibleCertificate or a pair of complementary invariant
     subspace bases (as column matrices)."""
-    return _split_once(rep, random.Random(seed), trials)
+    return _split_once(rep, random.Random(seed))
 
 
-def _split_once(
-    rep: RationalRep, rng: random.Random, trials: int = RANDOM_TRIALS, com: Optional[CommutantBasis] = None
-):
+def _split_once(rep: RationalRep, rng: random.Random, com: Optional[CommutantBasis] = None):
     if com is None:
         com = commutant(rep)
     if rep.dimension == 1 or com.dimension == 1:
@@ -262,7 +260,7 @@ def _split_once(
         result = _try_split_with(rep, x)
         if result is not None:
             return result
-    for _ in range(trials):
+    for _ in range(RANDOM_TRIALS):
         attempted += 1
         result = _try_split_with(rep, _random_combination(com.basis, rng))
         if result is not None:

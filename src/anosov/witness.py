@@ -12,8 +12,9 @@ Three construction paths, tried cheapest-certified first:
 * lattice-search — bounded enumeration of integer combinations of the
   commutant basis.
 
-Every certificate is re-verified from scratch: exact commutation, integer
-characteristic polynomial with determinant ±1, and the hyperbolicity report.
+Every certificate is re-verified from scratch: exact commutation with the
+generator images, integer characteristic polynomial with determinant ±1, and
+the hyperbolicity report.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .hyper import (
 )
 from .intpoly import IntPoly, is_irreducible
 from .numfield import (
-    DEFAULT_PRECISION_BITS,
     UnsupportedFieldError,
     hyperbolic_companion_poly,
     make_field,
@@ -48,6 +48,8 @@ from .repdec import CommutantBasis, ComponentProfile, poly_at_matrix
 TENSOR_SHORTCUT = "tensor-shortcut"
 FIELD_THROUGH_COMMUTANT = "field-through-commutant"
 LATTICE_SEARCH = "lattice-search"
+RANDOM_CANDIDATES = 10
+MAX_LATTICE_CANDIDATES = 500_000
 
 
 class WitnessConstructionError(RuntimeError):
@@ -88,13 +90,15 @@ def verify_witness(
     construction_path: str = "verified-input",
 ) -> WitnessCertificate:
     """Independent verification of the three defining properties; failures are
-    recorded in the certificate rather than raised."""
+    recorded in the certificate rather than raised. Commutation is checked on
+    the generators only, which is complete: a matrix commuting with ρ(s₁), …,
+    ρ(s_k) commutes with their product ρ(s₁⋯s_k), by induction on k."""
     if candidate.rows != rep.dimension or not candidate.is_square:
         raise ValueError("witness size does not match the representation")
     per_gen = tuple(
         candidate @ img == img @ candidate for img in rep.image_of_generators()
     )
-    commutes = all(candidate @ img == img @ candidate for img in rep.images)
+    commutes = all(per_gen)
     integer_like = is_integer_like(candidate)
     if candidate.det() != 0:
         hyperbolicity = is_c_hyperbolic_matrix(candidate, c)
@@ -115,10 +119,7 @@ def verify_witness(
 
 
 def tensor_shortcut(
-    profile: ComponentProfile,
-    c: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    poly_skip: int = 0,
+    profile: ComponentProfile, c: int, poly_skip: int = 0
 ) -> Optional[tuple[RatMatrix, IntPoly]]:
     """Witness for an isotypic block of an absolutely irreducible component:
     companion(f) ⊗ I_k in the aligned basis, f a degree-m hyperbolic unit
@@ -130,7 +131,7 @@ def tensor_shortcut(
         raise WitnessConstructionError(
             f"multiplicity {m} <= c = {c}: no c-hyperbolic commuting matrix exists"
         )
-    f = hyperbolic_companion_poly(m, c, precision_bits, poly_skip=poly_skip)
+    f = hyperbolic_companion_poly(m, c, poly_skip=poly_skip)
     if f is None:
         return None
     w = companion_matrix(f)
@@ -153,12 +154,7 @@ def companion_matrix(f: IntPoly) -> RatMatrix:
 
 
 def field_through_commutant(
-    com: CommutantBasis,
-    c: int,
-    seed: int = 0,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    exponent_bound: int = 10,
-    random_candidates: int = 10,
+    com: CommutantBasis, c: int, seed: int = 0, exponent_bound: int = 10
 ) -> Optional[tuple[RatMatrix, str]]:
     """Find J in the commutant com of a block representation with irreducible
     integer minimal polynomial g, search a c-hyperbolic unit μ = p(θ) in
@@ -172,7 +168,7 @@ def field_through_commutant(
     gen_imgs = com.rep.image_of_generators()
 
     def random_elements():
-        for _ in range(random_candidates):
+        for _ in range(RANDOM_CANDIDATES):
             coeffs = [rng.randint(-3, 3) for _ in com.basis]
             if not any(coeffs):
                 continue
@@ -200,7 +196,7 @@ def field_through_commutant(
         seen.add(g)
         if g.degree < 2 or not is_irreducible(g):
             continue
-        field = make_field(g, precision_bits)
+        field = make_field(g)
         if c > max_hyperbolicity_bound(field):
             continue
         try:
@@ -216,28 +212,23 @@ def field_through_commutant(
 
 
 def lattice_search(
-    com: CommutantBasis,
-    c: int,
-    height_bound: int,
-    count_only: bool = False,
-    max_candidates: int = 500_000,
-):
+    com: CommutantBasis, c: int, height_bound: int
+) -> tuple[Optional[RatMatrix], int]:
     """Enumerate integer combinations of the commutant basis com by increasing
-    max-norm height; return the first combination that is integer-like and
-    c-hyperbolic, or None. With count_only, return (hit, candidates_screened).
+    max-norm height; return (hit, candidates_screened), where hit is the first
+    combination that is integer-like and c-hyperbolic, or None.
 
-    Enumeration stops at max_candidates; high-dimensional commutants are the
-    field and tensor paths' job, this is the small-case fallback.
+    Enumeration stops at MAX_LATTICE_CANDIDATES; high-dimensional commutants
+    are the field and tensor paths' job, this is the small-case fallback.
     """
     dim = com.rep.dimension
     screened = 0
-    hit = None
     basis = com.basis
     if not basis:
-        return (None, 0) if count_only else None
+        return None, 0
     for h in range(1, height_bound + 1):
         coords = list(range(h, -h - 1, -1))
-        if (2 * h + 1) ** len(basis) > max_candidates:
+        if (2 * h + 1) ** len(basis) > MAX_LATTICE_CANDIDATES:
             break
         for vec in itertools.product(coords, repeat=len(basis)):
             if not vec or max(abs(e) for e in vec) != h:
@@ -251,12 +242,5 @@ def lattice_search(
             if f is None:
                 continue
             if is_c_hyperbolic_poly(f, c).verdict:
-                hit = acc
-                if not count_only:
-                    return acc
-                break
-        if hit is not None:
-            break
-    if count_only:
-        return hit, screened
-    return hit
+                return acc, screened
+    return None, screened

@@ -149,3 +149,41 @@ def test_no_cert_on_yes_verdict_exit_code(tmp_path, capsys):
     path = write_input(tmp_path, {"generators": [[["1", "0"], ["0", "1"]]], "class": 1})
     code, _, err = run(["no-cert", path], capsys)
     assert code == 2 and "invalid input:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["decide"], {"generators": [[[1.5]]], "class": 1}),
+        (["decide"], {"generators": [[[True]]], "class": 1}),
+        (["decide"], {"generators": [[["-1.0"]]], "class": 1}),
+        (["decide"], {"generators": 5, "class": 1}),
+        (["decide"], {"generators": D3_INPUT["generators"], "rep_images": 5, "class": 1}),
+        (["decide"], {"generators": [[["-1"]]], "rep_images": [[["1/0"]]], "class": 1}),
+        (["decide"], {"generators": [[["-1"]]], "rep_images": [[["-1/00"]]], "class": 1}),
+        (["units", "--sqrt", "2"], [1]),
+        (["graded-action"], [1]),
+    ],
+)
+def test_malformed_json_exit_code(tmp_path, capsys, argv, obj):
+    path = write_input(tmp_path, obj)
+    code, _, err = run([argv[0], path, *argv[1:]], capsys)
+    assert code == 2 and "invalid input:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--precision-bits", "64"],
+        ["units", "--sqrt", "2", "--precision-bits", "64"],
+        ["porteous", "--height-bound", "3"],
+        ["decompose", "--class", "2"],
+        ["graded-action", "--class", "2"],
+        ["units", "--seed", "1"],
+    ],
+)
+def test_removed_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -56,21 +56,21 @@ class TestFieldThroughCommutant:
 
 class TestLatticeSearch:
     def test_trivial_rep_finds_small_unit(self, torus):
-        hit = lattice_search(commutant(torus), 1, 3)
+        hit, _ = lattice_search(commutant(torus), 1, 3)
         assert hit is not None
         cert = verify_witness(torus, hit, 1)
         assert cert.is_valid
 
     def test_klein_bottle_empty(self, klein):
-        hit, screened = lattice_search(commutant(klein), 1, 5, count_only=True)
+        hit, screened = lattice_search(commutant(klein), 1, 5)
         assert hit is None and screened == 120
 
     def test_zero_bound_empty(self, torus):
-        assert lattice_search(commutant(torus), 1, 0) is None
+        assert lattice_search(commutant(torus), 1, 0) == (None, 0)
 
     def test_isotypic_no_direction(self, rho3):
-        assert lattice_search(commutant(multiple(rho3, 2)), 2, 2) is None
-        assert lattice_search(commutant(rho3), 1, 3) is None
+        assert lattice_search(commutant(multiple(rho3, 2)), 2, 2)[0] is None
+        assert lattice_search(commutant(rho3), 1, 3)[0] is None
 
 
 class TestVerifyWitness:
