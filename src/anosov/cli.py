@@ -34,7 +34,7 @@ from .numfield import (
     search_c_hyperbolic_unit,
     unit_generators_for_field,
 )
-from .ratmat import RatMatrix
+from .ratmat import RatMatrix, json_int
 from .repdec import decompose, decomposition_report
 
 
@@ -160,8 +160,8 @@ def cmd_units(args) -> None:
         request["c"] = args.class_c
     if args.bound is not None:
         request["bound"] = args.bound
-    c = int(request.get("c", 1))
-    bound = int(request.get("bound", 10))
+    c = json_int(request.get("c", 1), '"c"')
+    bound = json_int(request.get("bound", 10), '"bound"')
     if "min_poly" in request:
         field = make_field(poly_from_json_obj(request["min_poly"]))
     elif "field" in request:
@@ -195,7 +195,8 @@ def cmd_units(args) -> None:
 
 def cmd_graded_action(args) -> None:
     obj = _read_json_object(args.input)
-    r, c = int(obj["r"]), int(obj["class"] if "class" in obj else obj["c"])
+    key = "class" if "class" in obj else "c"
+    r, c = json_int(obj["r"], '"r"'), json_int(obj[key], f'"{key}"')
     matrix = RatMatrix.from_json_obj(obj["matrix"])
     basis = hall_basis(r, c)
     out = {"r": r, "class": c, "degree_dims": basis.degree_dims(), "actions": []}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratmat import RatMatrix
+from .ratmat import RatMatrix, json_int
 
 DEFAULT_MAX_ORDER = 10000
 
@@ -267,7 +267,7 @@ def group_rep_from_json_obj(obj, max_order: int = DEFAULT_MAX_ORDER):
         rep = natural_rep(group)
     class_c = obj.get("class")
     if class_c is not None:
-        class_c = int(class_c)
+        class_c = json_int(class_c, '"class"')
         if class_c < 1:
             raise ValueError("nilpotency class must be >= 1")
     return group, rep, class_c

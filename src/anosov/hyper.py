@@ -5,11 +5,13 @@ coefficients and its determinant is ±1. It is c-hyperbolic when no product of
 k ≤ c eigenvalues (repetitions allowed) has absolute value 1.
 
 Every verdict is exact. For each k ≤ c the k-fold eigenvalue products are the
-roots of an integer polynomial (`eig_product_poly`), and the unit-circle test
-on it is a gcd with the reversal followed by a Sturm count: a root on the
-circle is shared with the reversal, and the palindromic part of the gcd is
-X^d·T(X + 1/X) with a real root of T in (−2, 2) for each conjugate pair on
-the circle.
+roots of an integer polynomial, built from the squarefree part of the input,
+which is computed once for all k. The unit-circle test on it is a gcd with
+the reversal followed by a Sturm count: a root on the circle is shared with
+the reversal, and the palindromic part of the gcd is X^d·T(X + 1/X) with a
+real root of T in (−2, 2) for each conjugate pair on the circle. Neither step
+needs a squarefree input: a root z occurs in the gcd as often as 1/z does,
+and a Sturm sequence counts distinct roots.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from typing import Optional
 
 from .intpoly import (
     IntPoly,
-    _to_sympy,
-    eig_product_poly,
+    _eig_products,
     poly_gcd,
+    real_root_count,
     reversal,
     squarefree_part,
 )
@@ -97,19 +99,19 @@ def _trace_form(g: IntPoly) -> IntPoly:
 def unit_circle_root_test(f: IntPoly) -> UnitCircleResult:
     """Decide exactly whether f has a root on the unit circle.
 
-    found: a root has absolute value 1. none-certified: no root does.
+    found: a root has absolute value 1. none-certified: no root does. f need
+    not be squarefree.
     """
     if f.is_zero or f.coeffs[0] == 0:
         raise ValueError("unit-circle test requires f != 0 with f(0) != 0")
-    fs = squarefree_part(f)
-    g = poly_gcd(fs, reversal(fs))
+    g = poly_gcd(f, reversal(f))
     if g.degree < 1:
         return UnitCircleResult(NONE_CERTIFIED)
     if g(1) == 0 or g(-1) == 0:
         return UnitCircleResult(FOUND)
-    # the roots of g are closed under z ↦ 1/z and exclude ±1, so g is
-    # palindromic of even degree
-    if _to_sympy(_trace_form(g)).count_roots(-2, 2) > 0:
+    # z and 1/z have the same multiplicity in g, and ±1 is not a root, so g
+    # is palindromic of even degree
+    if real_root_count(_trace_form(g), -2, 2) > 0:
         return UnitCircleResult(FOUND)
     return UnitCircleResult(NONE_CERTIFIED)
 
@@ -117,8 +119,9 @@ def unit_circle_root_test(f: IntPoly) -> UnitCircleResult:
 def _hyperbolicity_from_poly(f: IntPoly, c: int) -> HyperbolicityReport:
     if c < 1:
         raise ValueError("c must be >= 1")
+    base = squarefree_part(f)
     for k in range(1, c + 1):
-        if unit_circle_root_test(eig_product_poly(f, k)).status == FOUND:
+        if unit_circle_root_test(_eig_products(base, k)).status == FOUND:
             return HyperbolicityReport(c_tested=c, verdict=False, offending_product={"k": k})
     return HyperbolicityReport(c_tested=c, verdict=True)
 

@@ -1,10 +1,12 @@
 """Integer polynomial arithmetic: factorization over Q, gcds, cyclotomic
 polynomials, coefficient reversal, and eigenvalue-product polynomials.
 
-Factorization, gcd and division are delegated to sympy (Zassenhaus and
-subresultant machinery) behind a small immutable coefficient-tuple type. The
-eigenvalue-product polynomials are computed here, in integer arithmetic, from
-power sums of the roots.
+Factorization, gcds, squarefree parts, division and Sturm root counts run on
+sympy's dense integer kernels (`dup_*` over ZZ: Zassenhaus factorization,
+heuristic and subresultant gcds), which take coefficient lists directly; an
+`IntPoly` crosses that boundary as a list of ZZ elements, leading coefficient
+first, and comes back through `int`. The eigenvalue-product polynomials are
+computed here, in integer arithmetic, from power sums of the roots.
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd as _int_gcd, lcm as _int_lcm
 
-import sympy
-from sympy.abc import x as _X
+from sympy.polys.densearith import dup_div
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
+from sympy.polys.rootisolation import dup_count_real_roots
+from sympy.polys.sqfreetools import dup_sqf_part
+
+from .ratmat import json_int
 
 
 class ZeroPolynomialError(ValueError):
@@ -169,15 +177,17 @@ class IntPoly:
         return text
 
 
-# -- sympy bridge --------------------------------------------------------------
+# -- dense ZZ boundary ----------------------------------------------------------
 
 
-def _to_sympy(f: IntPoly) -> sympy.Poly:
-    return sympy.Poly(list(reversed(f.coeffs)), _X, domain=sympy.ZZ)
+def _dense(f: IntPoly) -> list:
+    """f as a dense coefficient list over ZZ, leading coefficient first."""
+    return [ZZ(c) for c in reversed(f.coeffs)]
 
 
-def _from_sympy(p: sympy.Poly) -> IntPoly:
-    return IntPoly(tuple(int(c) for c in reversed(p.all_coeffs())))
+def _from_dense(coeffs: list) -> IntPoly:
+    """The inverse of `_dense`; IntPoly reads each coefficient with int()."""
+    return IntPoly(tuple(reversed(coeffs)))
 
 
 # -- operations -----------------------------------------------------------------
@@ -191,8 +201,8 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    _, factors = _to_sympy(f).factor_list()
-    return [(_from_sympy(p), int(m)) for p, m in factors]
+    _, factors = dup_factor_list(_dense(f), ZZ)
+    return [(_from_dense(p), m) for p, m in factors]
 
 
 def is_irreducible(f: IntPoly) -> bool:
@@ -207,25 +217,26 @@ def cyclotomic(d: int) -> IntPoly:
     """d-th cyclotomic polynomial, monic of degree φ(d)."""
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    return _from_sympy(sympy.Poly(sympy.cyclotomic_poly(d, _X), _X))
+    return _from_dense(dup_zz_cyclotomic_poly(d, ZZ))
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """gcd over Q, returned primitive with positive leading coefficient."""
-    h = sympy.gcd(_to_sympy(f), _to_sympy(g))
-    return _from_sympy(sympy.Poly(h, _X)).primitive_part()
+    return _from_dense(dup_gcd(_dense(f), _dense(g), ZZ)).primitive_part()
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:
     """f / gcd(f, f'), primitive with positive leading coefficient."""
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    if f.degree == 0:
-        return IntPoly((1,))
-    g = poly_gcd(f, f.derivative())
-    q, r = sympy.div(_to_sympy(f), _to_sympy(g), _X)
-    assert r.is_zero
-    return _from_sympy(sympy.Poly(q, _X)).primitive_part()
+    return _from_dense(dup_sqf_part(_dense(f), ZZ))
+
+
+def real_root_count(f: IntPoly, lo=None, hi=None) -> int:
+    """Number of distinct real roots of f in [lo, hi] (Sturm sequence); an
+    omitted bound is infinite."""
+    bounds = [None if b is None else QQ(b) for b in (lo, hi)]
+    return dup_count_real_roots(_dense(f), ZZ, *bounds)
 
 
 def reversal(f: IntPoly) -> IntPoly:
@@ -250,18 +261,8 @@ def _newton_sums(f: IntPoly, count: int) -> list:
 
 def eig_product_poly(f: IntPoly, k: int) -> IntPoly:
     """Squarefree polynomial whose root set is all products of exactly k
-    roots of f, repetitions allowed.
-
-    Power-sum method (Bostan–Flajolet–Salvy–Schost, Fast computation of
-    special resultants, JSC 2006). Let λ_1 … λ_n be the distinct roots of f,
-    scaled by the leading coefficient a to μ_i = a·λ_i, which are the roots
-    of a monic integer polynomial. The D = C(n+k−1, k) products μ^α over the
-    k-multisets α have power sums P_j = h_k(μ_1^j, …, μ_n^j), and
-    i·h_i = Σ_{t ≤ i} s_{tj}·h_{i−t} gives them from the Newton sums s of
-    the μ. Newton's identities turn P_1 … P_D back into the monic polynomial
-    with roots a^k·λ^α; substituting X ↦ a^k·X and taking the squarefree
-    part gives the result.
-    """
+    roots of f, repetitions allowed: the squarefree part of `_eig_products`
+    on the squarefree part of f."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if f.is_zero:
@@ -269,6 +270,23 @@ def eig_product_poly(f: IntPoly, k: int) -> IntPoly:
     if f.coeffs[0] == 0:
         raise ValueError("eigenvalue products need f(0) != 0")
     base = squarefree_part(f)
+    return base if k == 1 else squarefree_part(_eig_products(base, k))
+
+
+def _eig_products(base: IntPoly, k: int) -> IntPoly:
+    """The polynomial ∏_α (X − λ^α), up to a constant, over the k-multisets α
+    of the roots λ_1 … λ_n of the squarefree polynomial base, with base(0) ≠ 0.
+    Its roots are the k-fold products, with multiplicity when products
+    coincide.
+
+    Power-sum method (Bostan–Flajolet–Salvy–Schost, Fast computation of
+    special resultants, JSC 2006). Scaled by the leading coefficient a, the
+    μ_i = a·λ_i are the roots of a monic integer polynomial. The
+    D = C(n+k−1, k) products μ^α have power sums P_j = h_k(μ_1^j, …, μ_n^j),
+    and i·h_i = Σ_{t ≤ i} s_{tj}·h_{i−t} gives them from the Newton sums s of
+    the μ. Newton's identities turn P_1 … P_D back into the monic polynomial
+    with roots a^k·λ^α, and substituting X ↦ a^k·X gives the result.
+    """
     if k == 1 or base.degree == 0:
         return base
     n, a = base.degree, base.leading
@@ -288,18 +306,19 @@ def eig_product_poly(f: IntPoly, k: int) -> IntPoly:
     scale = a**k
     # ∏ (X − a^k·λ^α) = Σ (−1)^m e_m X^{D−m}; X ↦ a^k X multiplies X^{D−m} by a^{k(D−m)}
     coeffs = [(-e[m] if m % 2 else e[m]) * scale ** (big_d - m) for m in range(big_d, -1, -1)]
-    return squarefree_part(IntPoly(tuple(coeffs)))
+    return IntPoly(tuple(coeffs))
 
 
 def divides(f: IntPoly, g: IntPoly) -> bool:
     """True iff f divides g over Q."""
     if f.is_zero:
         return g.is_zero
-    _, r = sympy.div(_to_sympy(g), _to_sympy(f), _X)
-    return r.is_zero
+    # over Z a primitive f divides g exactly when it does over Q (Gauss)
+    _, r = dup_div(_dense(g), _dense(f.primitive_part()), ZZ)
+    return not r
 
 
 def poly_from_json_obj(obj) -> IntPoly:
     if not isinstance(obj, list):
         raise ValueError("polynomial literal must be an array of integer strings")
-    return IntPoly(tuple(int(c) for c in obj))
+    return IntPoly(tuple(json_int(c, "min_poly entry") for c in obj))

@@ -24,7 +24,7 @@ import sympy
 from sympy.abc import x as _X
 
 from .hyper import HyperbolicityReport, is_c_hyperbolic_poly
-from .intpoly import IntPoly, cyclotomic, is_irreducible, _to_sympy
+from .intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
 from .ratmat import RatMatrix, matrix_min_poly
 
 PRECISION_BITS = 128
@@ -179,7 +179,7 @@ def make_field(min_poly: IntPoly) -> NumberFieldCtx:
     if not is_irreducible(min_poly):
         raise FieldError(f"{min_poly} is reducible over Q")
     n = min_poly.degree
-    s = int(_to_sympy(min_poly).count_roots())
+    s = real_root_count(min_poly)
     t, rem = divmod(n - s, 2)
     assert rem == 0
     with mpmath.workprec(PRECISION_BITS + 32):

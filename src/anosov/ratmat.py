@@ -61,6 +61,19 @@ def _json_entry(x) -> Fraction:
     raise ValueError(f'matrix entry {x!r} is not an integer or a "p" or "p/q" string with q != 0')
 
 
+_JSON_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def json_int(x, name: str) -> int:
+    """A scalar JSON field read as an integer: a JSON integer (not a boolean)
+    or a decimal-integer string; anything else raises ValueError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and _JSON_INT.fullmatch(x):
+        return int(x)
+    raise ValueError(f"{name} {x!r} is not an integer or a decimal-integer string")
+
+
 class RatMatrix:
     """Dense matrix of rationals: integer numerators `_n`, row-major, over
     one denominator `_d` > 0 with gcd(_n…, _d) = 1."""

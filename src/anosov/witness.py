@@ -220,9 +220,12 @@ def lattice_search(
 
     Enumeration stops at MAX_LATTICE_CANDIDATES; high-dimensional commutants
     are the field and tensor paths' job, this is the small-case fallback.
+    Many candidates share a characteristic polynomial, and the verdict
+    depends only on that polynomial and c, so each is tested once.
     """
     dim = com.rep.dimension
     screened = 0
+    verdicts: dict[IntPoly, bool] = {}
     basis = com.basis
     if not basis:
         return None, 0
@@ -241,6 +244,8 @@ def lattice_search(
             f = integer_char_poly(acc)
             if f is None:
                 continue
-            if is_c_hyperbolic_poly(f, c).verdict:
+            if f not in verdicts:
+                verdicts[f] = is_c_hyperbolic_poly(f, c).verdict
+            if verdicts[f]:
                 return acc, screened
     return None, screened

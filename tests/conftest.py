@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import mpmath
 import pytest
 
 from anosov import corpus
@@ -65,3 +67,14 @@ def random_unimodular(rng: random.Random, n: int, shears: int = 6) -> RatMatrix:
             rows[i], rows[j] = rows[j], rows[i]
             m = RatMatrix.from_rows(rows)
     return m
+
+
+def roots_of(f, prec=80) -> list:
+    """Numeric roots of the IntPoly f, for tests that check exact results."""
+    with mpmath.workprec(prec):
+        return mpmath.polyroots([mpmath.mpf(c) for c in reversed(f.coeffs)], maxsteps=200, extraprec=prec)
+
+
+def k_fold_products(roots, k: int) -> list:
+    """The products of the k-multisets of the given numeric roots, as complex."""
+    return [complex(mpmath.fprod(combo)) for combo in itertools.combinations_with_replacement(roots, k)]

@@ -163,6 +163,17 @@ def test_no_cert_on_yes_verdict_exit_code(tmp_path, capsys):
         (["decide"], {"generators": [[["-1"]]], "rep_images": [[["-1/00"]]], "class": 1}),
         (["units", "--sqrt", "2"], [1]),
         (["graded-action"], [1]),
+        # scalar fields: a JSON integer or a decimal-integer string, nothing else
+        (["decide"], {"generators": [[["-1"]]], "class": [1]}),
+        (["decide"], {"generators": [[["-1"]]], "class": 1.5}),
+        (["decide"], {"generators": [[["-1"]]], "class": True}),
+        (["decide"], {"generators": [[["-1"]]], "class": "1.0"}),
+        (["units"], {"field": "sqrt 2", "c": [1]}),
+        (["units"], {"field": "sqrt 2", "c": 1, "bound": 2.5}),
+        (["units"], {"min_poly": ["-2", "0", 1.0], "c": 1}),
+        (["units"], {"min_poly": [-2, 0, {"1": 1}], "c": 1}),
+        (["graded-action"], {"r": [2], "class": 1, "matrix": [["1", "0"], ["0", "1"]]}),
+        (["graded-action"], {"r": 2, "c": 1.5, "matrix": [["1", "0"], ["0", "1"]]}),
     ],
 )
 def test_malformed_json_exit_code(tmp_path, capsys, argv, obj):

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosov.corpus import m_rho3
+from anosov.fingrp import multiple
 from anosov.freenilp import full_action_hyperbolic
 from anosov.hyper import (
     FOUND,
@@ -13,11 +17,12 @@ from anosov.hyper import (
     is_integer_like,
     unit_circle_root_test,
 )
-from anosov.intpoly import IntPoly, cyclotomic
+from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q, squarefree_part
 from anosov.ratmat import RatMatrix
-from anosov.witness import companion_matrix
+from anosov.repdec import commutant
+from anosov.witness import companion_matrix, lattice_search
 
-from conftest import random_unimodular
+from conftest import k_fold_products, random_unimodular, roots_of
 
 FIB = RatMatrix.from_rows([[2, 1], [1, 1]])
 PLASTIC = IntPoly((-1, -1, 0, 1))  # X^3 - X - 1
@@ -85,6 +90,83 @@ class TestUnitCircleRootTest:
     )
     def test_roots_on_circle_found(self, f):
         assert unit_circle_root_test(f).status == FOUND
+
+
+# irreducible factors, cyclotomic ones among them, for products with multiplicity
+SMALL_FACTORS = [
+    IntPoly((-1, 1)),  # X − 1
+    IntPoly((1, 1)),  # X + 1
+    IntPoly((1, 0, 1)),  # X² + 1
+    IntPoly((1, -1, 1)),  # X² − X + 1
+    IntPoly((1, 1, 1)),  # X² + X + 1
+    IntPoly((-2, 1)),  # X − 2
+    IntPoly((-1, 2)),  # 2X − 1
+    IntPoly((-1, -1, 1)),  # X² − X − 1
+    IntPoly((1, -3, 1)),  # X² − 3X + 1
+    IntPoly((-2, 0, 1)),  # X² − 2
+    PLASTIC,
+]
+
+factored_polys = st.lists(
+    st.tuples(st.sampled_from(SMALL_FACTORS), st.integers(1, 3)), min_size=1, max_size=3, unique_by=lambda t: t[0]
+)
+
+
+def _product(factors) -> IntPoly:
+    f = IntPoly((1,))
+    for g, m in factors:
+        f = f * g**m
+    return f
+
+
+def brute_force_c_hyperbolic(factors, c) -> bool:
+    """No k-fold product of numeric roots, k ≤ c, within 1e-9 of the circle."""
+    roots = [z for g, _ in factors for z in roots_of(g)]
+    return all(abs(abs(p) - 1) > 1e-9 for k in range(1, c + 1) for p in k_fold_products(roots, k))
+
+
+class TestNonSquarefreeInput:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            IntPoly((1, 0, 1)) ** 2 * IntPoly((-2, 1)),
+            IntPoly((1, -1, 1)) ** 3 * IntPoly((1, -3, 1)),
+            IntPoly((1, -3, 1)) ** 2 * IntPoly((-1, -1, 1)) ** 3,
+        ],
+        ids=["gauss2-x-2", "phi6_3-salem", "salem2-golden3"],
+    )
+    def test_unit_circle_matches_squarefree_part(self, f):
+        assert unit_circle_root_test(f) == unit_circle_root_test(squarefree_part(f))
+
+    @given(factored_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_unit_circle_matches_squarefree_part_random(self, factors):
+        f = _product(factors)
+        assert unit_circle_root_test(f) == unit_circle_root_test(squarefree_part(f))
+
+    @given(factored_polys, st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_poly_verdict_matches_brute_force(self, factors, c):
+        f = _product(factors)
+        assert is_c_hyperbolic_poly(f, c).verdict == brute_force_c_hyperbolic(factors, c)
+
+
+def test_exact_path_builds_no_poly_objects(rho3, monkeypatch):
+    # the exact layer runs on dense coefficient lists, never on sympy.Poly
+    com = commutant(multiple(rho3, 2))
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("sympy.Poly built on the exact path")
+
+    monkeypatch.setattr(sympy.Poly, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        sympy.Poly([1, 0, 1], sympy.Symbol("x"))
+    assert is_c_hyperbolic_poly(PLASTIC, 2).verdict
+    assert not is_c_hyperbolic_poly(PLASTIC, 3).verdict
+    f = IntPoly((1, 0, 1)) ** 2 * IntPoly((1, -3, 1))
+    assert factor_over_Q(f) == [(IntPoly((1, -3, 1)), 1), (IntPoly((1, 0, 1)), 2)]
+    assert squarefree_part(f) == IntPoly((1, 0, 1)) * IntPoly((1, -3, 1))
+    assert lattice_search(com, 2, 1) == (None, 80)
 
 
 class TestMatrixHyperbolicity:

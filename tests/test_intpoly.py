@@ -1,6 +1,3 @@
-import itertools
-
-import mpmath
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -10,24 +7,61 @@ from sympy.abc import x as _X, y as _Y
 from anosov.intpoly import (
     IntPoly,
     ZeroPolynomialError,
-    _from_sympy,
     cyclotomic,
     divides,
     eig_product_poly,
     factor_over_Q,
     is_irreducible,
     poly_gcd,
+    real_root_count,
     reversal,
     squarefree_part,
 )
+from conftest import k_fold_products, roots_of
 
 X_MINUS_1 = IntPoly((-1, 1))
 GOLDEN = IntPoly((-1, -1, 1))  # X^2 - X - 1
 
 
-def roots_of(f, prec=80):
-    with mpmath.workprec(prec):
-        return mpmath.polyroots([mpmath.mpf(c) for c in reversed(f.coeffs)], maxsteps=200, extraprec=prec)
+# -- oracles: the same operations through sympy's Poly wrapper layer ----------
+
+
+def _to_sympy(f):
+    return sympy.Poly(list(reversed(f.coeffs)), _X, domain=sympy.ZZ)
+
+
+def _from_sympy(p):
+    return IntPoly(tuple(int(c) for c in reversed(p.all_coeffs())))
+
+
+def factor_oracle(f):
+    _, factors = _to_sympy(f).factor_list()
+    return [(_from_sympy(p), int(m)) for p, m in factors]
+
+
+def gcd_oracle(f, g):
+    h = sympy.gcd(_to_sympy(f), _to_sympy(g))
+    return _from_sympy(sympy.Poly(h, _X)).primitive_part()
+
+
+def squarefree_oracle(f):
+    if f.degree == 0:
+        return IntPoly((1,))
+    g = gcd_oracle(f, f.derivative())
+    q, r = sympy.div(_to_sympy(f), _to_sympy(g), _X)
+    assert r.is_zero
+    return _from_sympy(sympy.Poly(q, _X)).primitive_part()
+
+
+def divides_oracle(f, g):
+    if f.is_zero:
+        return g.is_zero
+    _, r = sympy.div(_to_sympy(g), _to_sympy(f), _X)
+    return r.is_zero
+
+
+def sturm_count_oracle(f, lo=None, hi=None):
+    return int(_to_sympy(f).count_roots(lo, hi))
 
 
 def composed_product_oracle(p, q):
@@ -45,6 +79,53 @@ def eig_product_oracle(f, k):
     for _ in range(k - 1):
         h = composed_product_oracle(h, f)
     return h
+
+
+small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda c: IntPoly(tuple(c)))
+nonzero_polys = small_polys.filter(lambda f: not f.is_zero)
+
+
+class TestDenseKernelsMatchPolyOracle:
+    """The dense ZZ routes against the same questions asked through Poly."""
+
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_gcd(self, a, b, common):
+        # a shared factor makes most gcds nontrivial
+        assert poly_gcd(a * common, b * common) == gcd_oracle(a * common, b * common)
+        assert poly_gcd(a, b) == gcd_oracle(a, b)
+
+    @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_squarefree_part(self, a, b, power):
+        f = a**power * b
+        assert squarefree_part(f) == squarefree_oracle(f)
+
+    @given(nonzero_polys, small_polys, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_divides(self, f, g, multiple):
+        if multiple:
+            g = g * f.scale(3)  # a non-primitive multiple
+        assert divides(f, g) == divides_oracle(f, g)
+        assert divides(f.scale(-2), g) == divides_oracle(f.scale(-2), g)
+
+    @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_factor_over_Q(self, a, b, power):
+        # factors and multiplicities, in order
+        f = a**power * b
+        assert factor_over_Q(f) == factor_oracle(f)
+
+    @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_sturm_count(self, a, b, power):
+        f = a**power * b
+        assert real_root_count(f, -2, 2) == sturm_count_oracle(f, -2, 2)
+        assert real_root_count(f) == sturm_count_oracle(f)
+
+    def test_cyclotomic_to_60(self):
+        for d in range(1, 61):
+            assert cyclotomic(d) == _from_sympy(sympy.Poly(sympy.cyclotomic_poly(d, _X), _X))
 
 
 class TestFactor:
@@ -162,10 +243,7 @@ class TestEigProductPoly:
             for k in (1, 2, 3):
                 h = eig_product_poly(f, k)
                 got = roots_of(h)
-                expected = {
-                    complex(mpmath.fprod(combo))
-                    for combo in itertools.combinations_with_replacement(base, k)
-                }
+                expected = set(k_fold_products(base, k))
                 for z in got:
                     assert min(abs(complex(z) - w) for w in expected) < 1e-8
                 for w in expected:

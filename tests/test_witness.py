@@ -1,5 +1,6 @@
 import pytest
 
+from anosov import witness
 from anosov.fingrp import multiple
 from anosov.intpoly import IntPoly
 from anosov.ratmat import RatMatrix
@@ -71,6 +72,20 @@ class TestLatticeSearch:
     def test_isotypic_no_direction(self, rho3):
         assert lattice_search(commutant(multiple(rho3, 2)), 2, 2)[0] is None
         assert lattice_search(commutant(rho3), 1, 3)[0] is None
+
+    def test_one_verdict_per_char_poly(self, rho3, monkeypatch):
+        # the 40 integer-like candidates at height 1 have 8 distinct
+        # characteristic polynomials; each is tested once
+        calls = []
+        original = witness.is_c_hyperbolic_poly
+
+        def counting(f, c):
+            calls.append(f)
+            return original(f, c)
+
+        monkeypatch.setattr(witness, "is_c_hyperbolic_poly", counting)
+        assert lattice_search(commutant(multiple(rho3, 2)), 2, 1) == (None, 80)
+        assert len(calls) == 8 and len(set(calls)) == 8
 
 
 class TestVerifyWitness:
