@@ -2,7 +2,8 @@
 
 Subcommands: decide (with --witness / --solvable), porteous, decompose,
 units, graded-action, hall-basis, no-cert, demo. Each registers only the
-flags its handler reads. Input is a JSON object read from a file argument or
+flags its handler reads, and `main` builds the parser of the subcommand it
+is given alone. Input is a JSON object read from a file argument or
 stdin; output is JSON with a stable field order, or a human-readable table
 with --pretty.
 
@@ -229,43 +230,50 @@ def cmd_demo(args) -> None:
     _emit(demo(args.name, args.seed), args.pretty)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="anosov",
-        description="Decide whether an infra-nilmanifold holonomy datum admits an "
-        "Anosov diffeomorphism, and construct verified witness matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_input(p) -> None:
+    p.add_argument("input", nargs="?", default=None, help="JSON file, or - for stdin")
 
-    def add_input(p):
-        p.add_argument("input", nargs="?", default=None, help="JSON file, or - for stdin")
 
-    def add_class(p):
-        p.add_argument("--class", dest="class_c", type=int, default=None)
+def _add_class(p) -> None:
+    p.add_argument("--class", dest="class_c", type=int, default=None)
 
-    def rep_parser(name, help, func):
-        """A subcommand that reads a representation from the input."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        add_input(p)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-        p.add_argument("--pretty", action="store_true")
-        return p
 
-    p = rep_parser("decide", "run the component criterion", cmd_decide)
-    add_class(p)
+def _rep_parser(sub, name, help, func):
+    """A subcommand that reads a representation from the input."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    _add_input(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--pretty", action="store_true")
+    return p
+
+
+def _add_decide(sub) -> None:
+    p = _rep_parser(sub, "decide", "run the component criterion", cmd_decide)
+    _add_class(p)
     p.add_argument("--witness", action="store_true", help="construct a verified witness on YES")
     p.add_argument("--solvable", type=int, default=None, metavar="D", help="solvable-model metadata")
-    rep_parser("porteous", "the flat c = 1 criterion", cmd_porteous)
-    rep_parser("decompose", "report the Q-irreducible component profiles", cmd_decompose)
-    p = rep_parser("no-cert", "exhaustive empty-search report for NO verdicts", cmd_no_cert)
-    add_class(p)
+
+
+def _add_porteous(sub) -> None:
+    _rep_parser(sub, "porteous", "the flat c = 1 criterion", cmd_porteous)
+
+
+def _add_decompose(sub) -> None:
+    _rep_parser(sub, "decompose", "report the Q-irreducible component profiles", cmd_decompose)
+
+
+def _add_no_cert(sub) -> None:
+    p = _rep_parser(sub, "no-cert", "exhaustive empty-search report for NO verdicts", cmd_no_cert)
+    _add_class(p)
     p.add_argument("--height-bound", type=int, default=5)
 
+
+def _add_units(sub) -> None:
     p = sub.add_parser("units", help="search a number field for c-hyperbolic units")
-    add_input(p)
-    add_class(p)
+    _add_input(p)
+    _add_class(p)
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--sqrt", type=int, default=None, metavar="D")
     p.add_argument("--zeta", type=int, default=None, metavar="D")
@@ -273,29 +281,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_units)
 
+
+def _add_graded_action(sub) -> None:
     p = sub.add_parser("graded-action", help="induced action on the free nilpotent gradeds")
-    add_input(p)
+    _add_input(p)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_graded_action)
 
+
+def _add_hall_basis(sub) -> None:
     p = sub.add_parser("hall-basis", help="Hall basis dimensions and elements")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--class", dest="class_c", type=int, required=True)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_hall_basis)
 
+
+def _add_demo(sub) -> None:
     p = sub.add_parser("demo", help="run a named corpus entry")
     p.add_argument("name")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_demo)
 
+
+SUBCOMMANDS = {
+    "decide": _add_decide,
+    "porteous": _add_porteous,
+    "decompose": _add_decompose,
+    "no-cert": _add_no_cert,
+    "units": _add_units,
+    "graded-action": _add_graded_action,
+    "hall-basis": _add_hall_basis,
+    "demo": _add_demo,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with the named one alone. The
+    named one alone keeps the metavar that lists all of them, so its usage
+    lines and errors read the same."""
+    parser = argparse.ArgumentParser(
+        prog="anosov",
+        description="Decide whether an infra-nilmanifold holonomy datum admits an "
+        "Anosov diffeomorphism, and construct verified witness matrices.",
+    )
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a subcommand's parser alone, when the first argument names one; help,
+    # a missing command and an unknown one get the parser with all of them
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         args.func(args)
     except PrecisionError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd as _int_gcd, lcm as _int_lcm
+from math import comb, gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from sympy.polys.densearith import dup_div
 from sympy.polys.domains import QQ, ZZ
@@ -197,10 +197,19 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Irreducible factorization over Q.
 
     Factors are primitive with positive leading coefficient; the product of
-    factors^multiplicities equals the input up to a rational unit.
+    factors^multiplicities equals the input up to a rational unit. A linear
+    polynomial, and a quadratic whose discriminant is not a square, is its
+    own only factor, without a call into sympy.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
+    if f.degree == 1:
+        return [(f.primitive_part(), 1)]
+    if f.degree == 2:
+        c, b, a = f.coeffs
+        disc = b * b - 4 * a * c
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            return [(f.primitive_part(), 1)]
     _, factors = dup_factor_list(_dense(f), ZZ)
     return [(_from_dense(p), m) for p, m in factors]
 

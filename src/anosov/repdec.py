@@ -8,12 +8,26 @@ count e = m·n, the sign of the indicator sum, and the real-component count r.
 Splitting is commutant-driven: an element of the commutant with a reducible
 minimal polynomial yields complementary invariant subspaces (primary kernels
 when the factors are coprime, an averaged equivariant projection when the
-minimal polynomial is a proper prime power). Irreducibility is declared after
-a deterministic pass over the commutant basis and its pairwise sums plus a
-run of seeded random combinations. The dim_E = m²·n integrality constraint
-is checked once per class, in component_profile; every other leaf of the
-splitting is joined to its class representative by an intertwiner checked to
-be invertible, so it has the same dim_E and centre.
+minimal polynomial is a proper prime power). The trial elements are the
+commutant basis, its pairwise sums and a run of seeded random combinations.
+
+A leaf V with commutant E is proved irreducible, exactly, by one of:
+- "dimension-one": dim V = 1 or E = Q;
+- "definite": dim E ≤ 4 and (x, y) ↦ tr_V(x·y) is negative definite on the
+  trace-zero part of E, so E has no idempotent but 0 and 1 (an idempotent e
+  of rank k, 0 < k < dim V, gives x = e − (k/dim V)·I with tr_V(x²) > 0);
+  this covers every E with E⊗R one of C or H, such as Q8's quaternions and
+  the C4 rotation's Q(i);
+- "field": a trial's minimal polynomial is irreducible of degree dim E, so
+  E = Q[x] is a field, such as Q(ζ5) and Q(ζ8) for the C5 and C8 rotations.
+Any other leaf, such as one whose commutant is an indefinite quaternion
+algebra or a noncommutative division algebra of dimension over 4, is still
+declared irreducible only after every trial fails to split it ("search").
+
+The dim_E = m²·n integrality constraint is checked once per class, in
+component_profile; every other leaf of the splitting is joined to its class
+representative by an intertwiner checked to be invertible, so it has the
+same dim_E and centre.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .fingrp import RationalRep, character_inner_product, fs_indicator_value
@@ -189,25 +204,24 @@ def _equivariant_complement(rep: RationalRep, w: RatMatrix) -> RatMatrix:
 
 @dataclass(frozen=True)
 class IrreducibleCertificate:
-    """No split found; carries the commutant it searched, which
+    """The leaf is irreducible. proof says why (see the module docstring):
+    "dimension-one", "definite", "field" or "search"; trials counts the
+    commutant elements tried. Carries the commutant, which
     component_profile reuses."""
 
     trials: int
     commutant: CommutantBasis
+    proof: str
 
     @property
     def commutant_dim(self) -> int:
         return self.commutant.dimension
 
 
-def _try_split_with(rep: RationalRep, x: RatMatrix):
-    """Split the module using a commutant element, or None if its minimal
-    polynomial is irreducible."""
-    coeffs = matrix_min_poly(x)
-    mp = IntPoly.clear_denominators(coeffs)
-    factors = factor_over_Q(mp)
-    if len(factors) == 1 and factors[0][1] == 1:
-        return None
+def _split_with(rep: RationalRep, x: RatMatrix, factors: list):
+    """Complementary invariant subspaces from a commutant element x whose
+    minimal polynomial has the given factors, which are not one simple
+    irreducible."""
     if len(factors) >= 2:
         f1 = factors[0][0] ** factors[0][1]
         rest = IntPoly((1,))
@@ -243,6 +257,30 @@ def _random_combination(basis: Sequence[RatMatrix], rng: random.Random) -> RatMa
     return acc
 
 
+def _trace_form_negative_definite(basis: Sequence[RatMatrix]) -> bool:
+    """Whether (x, y) ↦ tr(x·y) is negative definite on the trace-zero part
+    of span(basis), a subalgebra holding the identity.
+
+    Each basis element is scaled to its integer numerators, which rescales
+    the form by positive factors only. With t_i the traces and t_p ≠ 0, the
+    x_i = t_p·N_i − t_i·N_p (i ≠ p) span the trace-zero part; the form is
+    negative definite iff every leading principal minor of its negated Gram
+    matrix is positive."""
+    n = basis[0].rows
+    nums = [b.integer_form()[0] for b in basis]
+    traces = [sum(m[:: n + 1]) for m in nums]
+    p = next(i for i, t in enumerate(traces) if t)
+    xs = [
+        [traces[p] * a - traces[i] * b for a, b in zip(m, nums[p])]
+        for i, m in enumerate(nums)
+        if i != p
+    ]
+    # tr(x·y) = Σ x[k,l]·y[l,k]: pair x with y transposed
+    transposed = [[x[l * n + k] for k in range(n) for l in range(n)] for x in xs]
+    gram = [[-sum(map(mul, x, yt)) for yt in transposed] for x in xs]
+    return all(RatMatrix.from_rows([row[:k] for row in gram[:k]]).det() > 0 for k in range(1, len(xs) + 1))
+
+
 def split_once(rep: RationalRep, seed: int = 0):
     """Either an IrreducibleCertificate or a pair of complementary invariant
     subspace bases (as column matrices)."""
@@ -253,19 +291,21 @@ def _split_once(rep: RationalRep, rng: random.Random, com: Optional[CommutantBas
     if com is None:
         com = commutant(rep)
     if rep.dimension == 1 or com.dimension == 1:
-        return IrreducibleCertificate(trials=0, commutant=com)
+        return IrreducibleCertificate(trials=0, commutant=com, proof="dimension-one")
+    # E⊗R is R, C or H only if dim E <= 4
+    if com.dimension <= 4 and _trace_form_negative_definite(com.basis):
+        return IrreducibleCertificate(trials=0, commutant=com, proof="definite")
+    # the random combinations are drawn only when the loop reaches them
+    randoms = (_random_combination(com.basis, rng) for _ in range(RANDOM_TRIALS))
     attempted = 0
-    for x in com.basis_and_pair_sums():
+    for x in itertools.chain(com.basis_and_pair_sums(), randoms):
         attempted += 1
-        result = _try_split_with(rep, x)
-        if result is not None:
-            return result
-    for _ in range(RANDOM_TRIALS):
-        attempted += 1
-        result = _try_split_with(rep, _random_combination(com.basis, rng))
-        if result is not None:
-            return result
-    return IrreducibleCertificate(trials=attempted, commutant=com)
+        factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(x)))
+        if len(factors) > 1 or factors[0][1] > 1:
+            return _split_with(rep, x, factors)
+        if factors[0][0].degree == com.dimension:
+            return IrreducibleCertificate(trials=attempted, commutant=com, proof="field")
+    return IrreducibleCertificate(trials=attempted, commutant=com, proof="search")
 
 
 def _center_dimension(basis: Sequence[RatMatrix]) -> int:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from anosov.cli import main
+from anosov import cli
+from anosov.cli import SUBCOMMANDS, build_parser, main
 
 D3_INPUT = {
     "generators": [[["0", "-1"], ["1", "-1"]], [["0", "-1"], ["-1", "0"]]],
@@ -198,3 +199,56 @@ def test_removed_flags_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parse_args, which exits on help and
+    on a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+def test_top_level_help_lists_every_subcommand(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert all(f"    {name} " in out for name in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["--bogus"], ["dec"]])
+def test_unknown_or_missing_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: anosov [-h]") and "{decide,porteous," in err
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("tail", [["-h"], ["--bogus"], ["a", "b", "c"]])
+def test_one_subcommand_parser_reads_as_the_full_one(name, tail, capsys, monkeypatch):
+    """main builds only the subcommand it is given; its help, usage lines,
+    errors and exit codes match the parser with every subcommand."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_outcome(build_parser(), [name, *tail], capsys)
+    alone = _parse_outcome(build_parser(name), [name, *tail], capsys)
+    assert alone == full
+    assert full[0] in (0, 2)
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["hall-basis", "--r", "2", "--class", "2"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == ["hall-basis", None]

@@ -3,6 +3,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.abc import x as _X, y as _Y
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from anosov.intpoly import (
     IntPoly,
@@ -81,8 +83,22 @@ def eig_product_oracle(f, k):
     return h
 
 
+def dense_factor_oracle(f):
+    """dup_factor_list on every input, the route before the closed forms."""
+    _, factors = dup_factor_list([ZZ(c) for c in reversed(f.coeffs)], ZZ)
+    return [(IntPoly(tuple(int(c) for c in reversed(p))), m) for p, m in factors]
+
+
 small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda c: IntPoly(tuple(c)))
 nonzero_polys = small_polys.filter(lambda f: not f.is_zero)
+low_coeffs = st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40))
+linears = st.builds(lambda q, p: IntPoly((q, p)), low_coeffs, low_coeffs.filter(bool))
+quadratics = st.one_of(
+    # a random discriminant is almost never a square
+    st.builds(lambda c, b, a: IntPoly((c, b, a)), low_coeffs, low_coeffs, low_coeffs.filter(bool)),
+    st.builds(lambda u, v: u * v, linears, linears),  # a square discriminant
+    linears.map(lambda u: u * u),  # a zero discriminant
+)
 
 
 class TestDenseKernelsMatchPolyOracle:
@@ -115,6 +131,14 @@ class TestDenseKernelsMatchPolyOracle:
         # factors and multiplicities, in order
         f = a**power * b
         assert factor_over_Q(f) == factor_oracle(f)
+
+    @given(st.one_of(linears, quadratics), st.integers(-12, 12).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_factor_over_Q_degree_at_most_two(self, f, content):
+        # factors, multiplicities and normal form, with content > 1 and
+        # negative leading coefficients
+        for g in (f, f.scale(content)):
+            assert factor_over_Q(g) == dense_factor_oracle(g)
 
     @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
     @settings(max_examples=80, deadline=None)

@@ -1,6 +1,12 @@
+import importlib.util
+import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosov import corpus, repdec
 from anosov.corpus import d3_degree2_rep, m_rho3
@@ -8,13 +14,17 @@ from anosov.decider import decide
 from anosov.fingrp import (
     character_inner_product,
     conjugate_rep,
+    direct_sum,
     fs_indicator_value,
     generate_group,
+    group_rep_from_json_obj,
     multiple,
     natural_rep,
     rep_from_generator_images,
 )
-from anosov.ratmat import Permutation, RatMatrix, perm_matrix
+from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q
+from anosov.ratmat import Permutation, RatMatrix, matrix_min_poly, perm_matrix
+from anosov.witness import companion_matrix
 from anosov.repdec import (
     IrreducibleCertificate,
     commutant,
@@ -194,3 +204,127 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
     profiles = decompose(rep, seed=0)
     assert sum(p.multiplicity for p in profiles) * 2 - 1 == splits
     assert solves == splits
+
+
+# -- irreducibility certificates ----------------------------------------------
+
+
+def c8_rep():
+    return natural_rep(generate_group([companion_matrix(cyclotomic(8))]))
+
+
+def _reducible_reps():
+    d3 = corpus.d3_group()
+    return {
+        "2rho3": m_rho3(2),
+        "klein": corpus.klein_rep(),
+        "torus2": corpus.torus_rep(2),
+        "rho1+rho2": direct_sum([corpus.rho1(d3), corpus.rho2(d3)]),
+        "2q8": multiple(corpus.q8_rep(), 2),
+    }
+
+
+def _irreducible_reps():
+    """Each with the proof its certificate must carry."""
+    return {
+        "rho3": (corpus.rho3(), "dimension-one"),
+        "q8": (corpus.q8_rep(), "definite"),
+        "c4": (corpus.c4_rep(), "definite"),
+        "c5": (corpus.c5_rep(), "field"),
+        "c8": (c8_rep(), "field"),
+    }
+
+
+REDUCIBLE = _reducible_reps()
+IRREDUCIBLE = _irreducible_reps()
+
+
+def _outcome(result):
+    return result.proof if isinstance(result, IrreducibleCertificate) else "split"
+
+
+def _old_search_splits(rep, rng: random.Random) -> bool:
+    """The exhaustive search that once declared a leaf irreducible: the
+    commutant basis, its pairwise sums and 20 random combinations, each
+    tested for a reducible minimal polynomial."""
+    com = commutant(rep)
+    if rep.dimension == 1 or com.dimension == 1:
+        return False
+    b = com.basis
+    trials = list(b) + [b[i] + b[j] for i, j in itertools.combinations(range(len(b)), 2)]
+    trials += [repdec._random_combination(b, rng) for _ in range(20)]
+    for x in trials:
+        factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(x)))
+        if len(factors) > 1 or factors[0][1] > 1:
+            return True
+    return False
+
+
+def _benchmark_cases():
+    """perfbench/cases.py, the benchmark's fixed corpus, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestIrreducibleCertificate:
+    @pytest.mark.parametrize("name", sorted(REDUCIBLE))
+    def test_reducible_never_certified(self, name):
+        assert _outcome(split_once(REDUCIBLE[name], seed=0)) == "split"
+
+    @pytest.mark.parametrize("name", sorted(IRREDUCIBLE))
+    def test_irreducible_certified_with_proof(self, name):
+        rep, proof = IRREDUCIBLE[name]
+        result = split_once(rep, seed=0)
+        assert isinstance(result, IrreducibleCertificate)
+        assert result.proof == proof
+        assert result.trials <= (2 if proof == "field" else 0)
+
+    @given(st.sampled_from(sorted(REDUCIBLE) + sorted(IRREDUCIBLE)), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_outcome_invariant_under_base_change(self, name, seed):
+        rep, expected = IRREDUCIBLE[name] if name in IRREDUCIBLE else (REDUCIBLE[name], "split")
+        moved = conjugate_rep(rep, random_unimodular(random.Random(seed), rep.dimension))
+        assert _outcome(split_once(moved, seed=0)) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corpus_leaves_proved_and_old_search_agrees(self, seed):
+        """Every leaf that decompose reaches on the benchmark's isotypic and
+        witness corpora carries an exact proof, and the old exhaustive
+        search finds no split of it either."""
+        cases = _benchmark_cases()
+        seen = set()
+        for case in cases.FULL["isotypic"]() + cases.FULL["witness"]():
+            key = (case.generators, case.rep_images)
+            if key in seen:
+                continue
+            seen.add(key)
+            _, rep, _ = group_rep_from_json_obj(case.input_obj(seed))
+            for profile in decompose(rep, seed=0):
+                for member in profile.members:
+                    leaf = restrict_rep(rep, member.basis)
+                    assert _outcome(split_once(leaf, seed=0)) != "search", case.case_id
+                    assert not _old_search_splits(leaf, random.Random(0)), case.case_id
+
+    def test_q8_leaf_needs_no_minimal_polynomial(self, q8_rep, monkeypatch):
+        """Q8's commutant is the rational quaternions, a definite algebra: the
+        leaf is proved without a trial, where the search made 30."""
+        calls = 0
+        min_poly = repdec.matrix_min_poly
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return min_poly(x)
+
+        monkeypatch.setattr(repdec, "matrix_min_poly", counting)
+        profiles = decompose(q8_rep, seed=0)
+        assert [p.dim_E for p in profiles] == [4]
+        assert calls == 0
+
+    def test_proof_not_in_default_json(self, q8_rep):
+        assert all("proof" not in row for row in repdec.decomposition_report(decompose(q8_rep, seed=0)))
+        assert "proof" not in str(decide(q8_rep, 1).to_json_obj())
