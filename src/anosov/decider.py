@@ -17,7 +17,7 @@ from typing import Optional
 
 import sympy
 
-from .fingrp import RationalRep, character
+from .fingrp import RationalRep, class_character
 from .numfield import cyclotomic_field, search_c_hyperbolic_unit, unit_generators_for_field
 from .ratmat import RatMatrix
 from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, restrict_rep
@@ -250,16 +250,15 @@ def demo(name: str, seed: int = 0) -> dict:
     if name == "d3":
         group = corpus.d3_group()
         reps = [corpus.rho1(group), corpus.rho2(group), corpus.rho3(group)]
-        class_reps = [0, group.gen_indices[0], group.gen_indices[1]]
-        table = [[str(character(r)[g]) for g in class_reps] for r in reps]
-        a_img, b_img = corpus.rho3(group).image_of_generators()
+        table = [[str(x) for x in class_character(r)] for r in reps]
+        a_img, b_img = corpus.rho3(group).gen_images
         pairs = [(1, 3), (1, 4), (2, 3), (2, 4)]
         mat_a = restricted_degree2_action(RatMatrix.block_diag([a_img, a_img]), pairs)
         mat_b = restricted_degree2_action(RatMatrix.block_diag([b_img, b_img]), pairs)
         return {
             "name": "d3",
             "group_order": group.order,
-            "conjugacy_class_sizes": [1, 2, 3],
+            "conjugacy_class_sizes": list(group.class_data.sizes),
             "character_table": table,
             "degree2_action_a": mat_a.to_json_obj(),
             "degree2_action_b": mat_b.to_json_obj(),

@@ -1,19 +1,29 @@
 """Finite matrix groups over Q: closure from generators, the generator Cayley
-graph, conjugacy classes, characters, and the indicator sum (1/|G|)·Σ tr ρ(g²).
+graph, conjugacy classes, and class sums: characters, the inner product
+⟨χ,ψ⟩ and the indicator sum (1/|G|)·Σ tr ρ(g²).
 
 Groups are always represented faithfully by exact rational matrices; closure
 is breadth-first from the identity with the generator order as given, so the
 element ordering (and everything seeded downstream) is deterministic. No step
-forms the |G|² multiplication table: closure, squares, inverses, classes and
-the homomorphism check each take at most |G|·#gens matrix products, walking
-the Cayley graph g ↦ g·s of the generators s (Holt–Eick–O'Brien, *Handbook of
-Computational Group Theory* §4.1).
+forms the |G|² multiplication table: closure and the homomorphism check each
+take at most |G|·#gens matrix products, walking the Cayley graph g ↦ g·s of
+the generators s (Holt–Eick–O'Brien, *Handbook of Computational Group
+Theory* §4.1); squares, inverses and conjugacy classes are read off that
+graph with no products at all.
+
+After ingestion every step costs #generators or #classes, not |G|. A
+representation is held by its generator images, and its full image list is
+built only when read. Characters are class functions (Serre, *Linear
+Representations of Finite Groups*, §2.2–2.5), so the class sums read a
+representation's image only at one representative per class, with the class
+sizes and the classes of rep² and rep⁻¹ computed once per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .ratmat import RatMatrix, json_int
@@ -58,6 +68,35 @@ class FiniteMatrixGroup:
     def generators(self) -> list[RatMatrix]:
         return [self.elements[i] for i in self.gen_indices]
 
+    @cached_property
+    def class_data(self) -> "ClassData":
+        """The conjugacy classes as the class sums read them; computed once
+        per group."""
+        classes = conjugacy_classes(self)
+        class_of = [0] * self.order
+        for c, members in enumerate(classes):
+            for g in members:
+                class_of[g] = c
+        reps = tuple(members[0] for members in classes)
+        return ClassData(
+            sizes=tuple(len(members) for members in classes),
+            reps=reps,
+            sq_class=tuple(class_of[self.sq_map[g]] for g in reps),
+            inv_class=tuple(class_of[self.inv_map[g]] for g in reps),
+        )
+
+
+@dataclass(frozen=True)
+class ClassData:
+    """Per conjugacy class, in the order of conjugacy_classes: its size, its
+    smallest element index as representative, and the classes of rep² and
+    rep⁻¹."""
+
+    sizes: tuple
+    reps: tuple
+    sq_class: tuple
+    inv_class: tuple
+
 
 def generate_group(gens: Sequence[RatMatrix], max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
     """Breadth-first closure of the given invertible generators."""
@@ -100,18 +139,33 @@ def generate_group(gens: Sequence[RatMatrix], max_order: int = DEFAULT_MAX_ORDER
             row.append(j)
         right.append(tuple(row))
 
-    sq_map = tuple(index[e @ e] for e in elements)
-    # (h·s)⁻¹ = s⁻¹·h⁻¹ along the tree; parents precede their children
-    gens_inv = [g.inverse() for g in gens]
-    inv_map = [0]
-    for i, s in parent[1:]:
-        inv_map.append(index[gens_inv[s] @ elements[inv_map[i]]])
+    # For g's tree word s₁⋯s_k, g² = g·s₁⋯s_k: walk the word through right
+    # from g. g⁻¹ is the x with x·s₁⋯s_k = e: walk it backwards from e
+    # through back[s], the inverse permutation of g ↦ g·s.
+    back = [[0] * len(elements) for _ in gens]
+    for g, row in enumerate(right):
+        for s, j in enumerate(row):
+            back[s][j] = g
+    sq_map, inv_map = [], []
+    for g in range(len(elements)):
+        word = []
+        h = g
+        while h:
+            h, s = parent[h]
+            word.append(s)
+        x, y = g, 0
+        for s in word:
+            y = back[s][y]
+        for s in reversed(word):
+            x = right[x][s]
+        sq_map.append(x)
+        inv_map.append(y)
     return FiniteMatrixGroup(
         elements=tuple(elements),
         gen_indices=tuple(index[g] for g in gens),
         right=tuple(right),
         parent=tuple(parent),
-        sq_map=sq_map,
+        sq_map=tuple(sq_map),
         inv_map=tuple(inv_map),
     )
 
@@ -144,17 +198,22 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class RationalRep:
-    """Rational representation: one invertible matrix per group element."""
+    """Rational representation, held by its generator images, one per entry
+    of group.gen_indices. `images`, one matrix per group element, is built
+    on first read."""
 
     group: FiniteMatrixGroup
-    images: tuple
+    gen_images: tuple
 
     @property
     def dimension(self) -> int:
-        return self.images[0].rows
+        return self.gen_images[0].rows
 
-    def image_of_generators(self) -> list[RatMatrix]:
-        return [self.images[i] for i in self.group.gen_indices]
+    @cached_property
+    def images(self) -> tuple:
+        """ρ(g) for every element g, in element order."""
+        images = _tree_images(self, range(self.group.order))
+        return tuple(images[g] for g in range(self.group.order))
 
     def check_homomorphism(self) -> None:
         """Check ρ(e) = I and ρ(g·s) = ρ(g)·ρ(s) for every element g and
@@ -162,18 +221,34 @@ class RationalRep:
         ρ(g·h) = ρ(g)·ρ(s₁)⋯ρ(s_k), and with g = e that product is ρ(h)."""
         if self.images[0] != RatMatrix.identity(self.dimension):
             raise HomomorphismError("the identity element's image is not the identity matrix")
-        gen_images = self.image_of_generators()
         for g, row in enumerate(self.group.right):
             for s, j in enumerate(row):
-                if self.images[j] != self.images[g] @ gen_images[s]:
+                if self.images[j] != self.images[g] @ self.gen_images[s]:
                     raise HomomorphismError(
                         f"images violate the Cayley graph at element {g} times generator {s}"
                     )
 
 
+def _tree_images(rep: RationalRep, targets) -> dict:
+    """ρ at the target element indices and at their breadth-first ancestors,
+    keyed by index: one product per element, from its parent's image."""
+    parent = rep.group.parent
+    needed = {0}
+    for g in targets:
+        while g not in needed:
+            needed.add(g)
+            g = parent[g][0]
+    images = {0: RatMatrix.identity(rep.dimension)}
+    # parents precede their children
+    for g in sorted(needed)[1:]:
+        i, s = parent[g]
+        images[g] = images[i] @ rep.gen_images[s]
+    return images
+
+
 def rep_from_generator_images(group: FiniteMatrixGroup, gen_images: Sequence[RatMatrix]) -> RationalRep:
-    """Extend images on the generators to the whole group along the
-    breadth-first tree, one product per element.
+    """The representation with the given generator images; every image is
+    built along the breadth-first tree, one product per element, and checked.
 
     Raises HomomorphismError if the assignment does not define a homomorphism.
     """
@@ -185,27 +260,22 @@ def rep_from_generator_images(group: FiniteMatrixGroup, gen_images: Sequence[Rat
             raise ValueError("generator images must be square of equal size")
         if m.det() == 0:
             raise ValueError("generator images must be invertible")
-    images = [RatMatrix.identity(dim)]
-    for i, s in group.parent[1:]:
-        images.append(images[i] @ gen_images[s])
-    rep = RationalRep(group=group, images=tuple(images))
+    rep = RationalRep(group=group, gen_images=tuple(gen_images))
     rep.check_homomorphism()
     return rep
 
 
 def natural_rep(group: FiniteMatrixGroup) -> RationalRep:
     """The defining representation: each element maps to itself."""
-    return RationalRep(group=group, images=group.elements)
+    return RationalRep(group=group, gen_images=tuple(group.generators()))
 
 
 def direct_sum(reps: Sequence[RationalRep]) -> RationalRep:
     group = reps[0].group
     if any(r.group is not group for r in reps[1:]):
         raise ValueError("direct sum requires representations of the same group object")
-    images = tuple(
-        RatMatrix.block_diag([r.images[i] for r in reps]) for i in range(group.order)
-    )
-    return RationalRep(group=group, images=images)
+    gen_images = tuple(RatMatrix.block_diag(blocks) for blocks in zip(*(r.gen_images for r in reps)))
+    return RationalRep(group=group, gen_images=gen_images)
 
 
 def multiple(rep: RationalRep, m: int) -> RationalRep:
@@ -218,34 +288,40 @@ def multiple(rep: RationalRep, m: int) -> RationalRep:
 def conjugate_rep(rep: RationalRep, u: RatMatrix) -> RationalRep:
     """Base change g ↦ U ρ(g) U⁻¹."""
     u_inv = u.inverse()
-    return RationalRep(group=rep.group, images=tuple(u @ img @ u_inv for img in rep.images))
+    return RationalRep(group=rep.group, gen_images=tuple(u @ img @ u_inv for img in rep.gen_images))
 
 
-def character(rep: RationalRep) -> list[Fraction]:
-    """χ(g) = tr ρ(g), indexed by element; constant on conjugacy classes."""
-    return [img.trace() for img in rep.images]
+def class_character(rep: RationalRep) -> list[Fraction]:
+    """χ = tr ρ on each conjugacy class, in the order of group.class_data,
+    read at the class representatives."""
+    reps = rep.group.class_data.reps
+    images = _tree_images(rep, reps)
+    return [images[g].trace() for g in reps]
 
 
 def fs_indicator_value(rep: RationalRep) -> Fraction:
-    """(1/|G|)·Σ_g tr ρ(g²), exact.
+    """(1/|G|)·Σ_g tr ρ(g²) = (1/|G|)·Σ_C |C|·χ(C²), exact.
 
     For a complex-irreducible character this is the classical ±1/0 indicator;
     applied to a rational representation it returns the sum over the full
     character, which for a Q-irreducible is (m·n)·(indicator of one complex
     constituent).
     """
-    group = rep.group
-    total = sum((rep.images[group.sq_map[g]].trace() for g in range(group.order)), Fraction(0))
-    return total / group.order
+    data = rep.group.class_data
+    chi = class_character(rep)
+    total = sum((size * chi[sq] for size, sq in zip(data.sizes, data.sq_class)), Fraction(0))
+    return total / rep.group.order
 
 
 def character_inner_product(rep_a: RationalRep, rep_b: RationalRep) -> Fraction:
-    """⟨χ_a, χ_b⟩ = (1/|G|)·Σ χ_a(g)·χ_b(g⁻¹), exact."""
-    group = rep_a.group
-    total = Fraction(0)
-    for g in range(group.order):
-        total += rep_a.images[g].trace() * rep_b.images[group.inv_map[g]].trace()
-    return total / group.order
+    """⟨χ_a, χ_b⟩ = (1/|G|)·Σ_C |C|·χ_a(C)·χ_b(C⁻¹), exact."""
+    data = rep_a.group.class_data
+    chi_a = class_character(rep_a)
+    chi_b = chi_a if rep_b is rep_a else class_character(rep_b)
+    total = sum(
+        (size * x * chi_b[inv] for size, x, inv in zip(data.sizes, chi_a, data.inv_class)), Fraction(0)
+    )
+    return total / rep_a.group.order
 
 
 def group_rep_from_json_obj(obj, max_order: int = DEFAULT_MAX_ORDER):

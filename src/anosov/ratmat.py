@@ -210,6 +210,8 @@ class RatMatrix:
         return _make(self.rows, self.cols, tuple(map(neg, self._n)), self._d)
 
     def scale(self, s) -> "RatMatrix":
+        if isinstance(s, int):
+            return _make(self.rows, self.cols, tuple(map(mul, self._n, repeat(s))), self._d)
         s = _frac(s)
         return _make(self.rows, self.cols, tuple(map(mul, self._n, repeat(s.numerator))), self._d * s.denominator)
 

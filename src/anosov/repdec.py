@@ -148,7 +148,7 @@ def intertwiner_space(
 
 def commutant(rep: RationalRep) -> CommutantBasis:
     """Basis of {X : X·ρ(g) = ρ(g)·X}, solved over the generators only."""
-    gens = rep.image_of_generators()
+    gens = rep.gen_images
     basis = intertwiner_space(gens, gens)
     return CommutantBasis(rep=rep, basis=tuple(basis))
 
@@ -169,12 +169,15 @@ def restrict_action(basis: RatMatrix, m: RatMatrix) -> RatMatrix:
 
 
 def restrict_rep(rep: RationalRep, basis: RatMatrix) -> RationalRep:
-    return RationalRep(group=rep.group, images=tuple(restrict_action(basis, img) for img in rep.images))
+    """The subrepresentation on the column span of basis, one solve per
+    generator; a span invariant under the generators is invariant under G."""
+    return RationalRep(group=rep.group, gen_images=tuple(restrict_action(basis, img) for img in rep.gen_images))
 
 
 def _equivariant_complement(rep: RationalRep, w: RatMatrix) -> RatMatrix:
     """Invariant complement of the invariant column span of w, by averaging a
-    projection over the group."""
+    projection over the group: the one step that reads rep's full image
+    list, reached only when a minimal polynomial is a proper prime power."""
     n = rep.dimension
     cols = [list(w.column(j)) for j in range(w.cols)]
     for i in range(n):
@@ -402,7 +405,7 @@ def decompose(
             rep0 = cls["commutant"].rep
             if sub.dimension != rep0.dimension:
                 continue
-            hom = intertwiner_space(rep0.image_of_generators(), sub.image_of_generators())
+            hom = intertwiner_space(rep0.gen_images, sub.gen_images)
             if hom:
                 t = hom[0]
                 if t.det() == 0:

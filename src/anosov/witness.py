@@ -96,7 +96,7 @@ def verify_witness(
     if candidate.rows != rep.dimension or not candidate.is_square:
         raise ValueError("witness size does not match the representation")
     per_gen = tuple(
-        candidate @ img == img @ candidate for img in rep.image_of_generators()
+        candidate @ img == img @ candidate for img in rep.gen_images
     )
     commutes = all(per_gen)
     integer_like = is_integer_like(candidate)
@@ -165,7 +165,7 @@ def field_through_commutant(
     built one at a time, in order, as the search reaches them."""
     rng = random.Random(seed)
     dim = com.rep.dimension
-    gen_imgs = com.rep.image_of_generators()
+    gen_imgs = com.rep.gen_images
 
     def random_elements():
         for _ in range(RANDOM_CANDIDATES):

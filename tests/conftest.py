@@ -1,11 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from anosov import corpus
-from anosov.ratmat import RatMatrix
+from anosov.fingrp import rep_from_generator_images
+from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +80,37 @@ def roots_of(f, prec=80) -> list:
 def k_fold_products(roots, k: int) -> list:
     """The products of the k-multisets of the given numeric roots, as complex."""
     return [complex(mpmath.fprod(combo)) for combo in itertools.combinations_with_replacement(roots, k)]
+
+
+def regular_rep(group):
+    """The right regular representation: generator s permutes the basis
+    e_g ↦ e_{g·s}."""
+    images = [
+        perm_matrix(Permutation(group.right[g][s] for g in range(group.order)))
+        for s in range(len(group.gen_indices))
+    ]
+    return rep_from_generator_images(group, images)
+
+
+# -- per-element oracles for the class sums of anosov.fingrp ------------------
+
+
+def character(rep) -> list:
+    """χ(g) = tr ρ(g), indexed by element."""
+    return [img.trace() for img in rep.images]
+
+
+def fs_indicator_by_element(rep) -> Fraction:
+    """(1/|G|)·Σ_g tr ρ(g²), summed over every element."""
+    group = rep.group
+    total = sum((rep.images[group.sq_map[g]].trace() for g in range(group.order)), Fraction(0))
+    return total / group.order
+
+
+def inner_product_by_element(rep_a, rep_b) -> Fraction:
+    """⟨χ_a, χ_b⟩ = (1/|G|)·Σ_g χ_a(g)·χ_b(g⁻¹), summed over every element."""
+    group = rep_a.group
+    total = Fraction(0)
+    for g in range(group.order):
+        total += rep_a.images[g].trace() * rep_b.images[group.inv_map[g]].trace()
+    return total / group.order

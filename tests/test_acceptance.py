@@ -23,7 +23,6 @@ from anosov.corpus import (
 )
 from anosov.decider import decide, decide_with_witness, no_certificate_search, porteous_flat
 from anosov.fingrp import (
-    character,
     character_inner_product,
     conjugacy_classes,
     generate_group,
@@ -41,6 +40,8 @@ from anosov.numfield import (
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import commutant, component_profile, decompose
 from anosov.witness import verify_witness
+
+from conftest import character
 
 A_EXPECTED = RatMatrix.from_rows([[0, 0, 0, 1], [0, 0, -1, 1], [0, -1, 0, 1], [1, -1, -1, 1]])
 B_EXPECTED = RatMatrix.from_rows([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
@@ -121,7 +122,7 @@ def test_criterion_5_cyclic_field_path():
         w = verdict.witness.witness
         assert w.det() == 1
         assert is_c_hyperbolic_matrix(w, 1).verdict
-        rotation = c5_rep().image_of_generators()[0]
+        rotation = c5_rep().gen_images[0]
         assert w == RatMatrix.identity(4) + rotation
         assert not decide(c4_rep(), 1, seed=0).admits_anosov
         gaussian = cyclotomic_field(4)

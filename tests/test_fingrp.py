@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,10 @@ from anosov.fingrp import (
     GroupClosureError,
     HomomorphismError,
     RationalRep,
-    character,
     character_inner_product,
+    class_character,
     conjugacy_classes,
+    conjugate_rep,
     direct_sum,
     fs_indicator_value,
     generate_group,
@@ -21,14 +23,24 @@ from anosov.fingrp import (
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
 
+from conftest import (
+    character,
+    fs_indicator_by_element,
+    inner_product_by_element,
+    random_unimodular,
+    regular_rep,
+)
+
 
 def perm(images):
     return perm_matrix(Permutation(images))
 
 
-# the hyperoctahedral group B3 (order 48) and A5 (order 60) on their natural modules
+# the hyperoctahedral group B3 (order 48), A5 (order 60) and S5 (order 120)
+# on their natural modules
 B3_GENS = [perm([1, 2, 0]), perm([1, 0, 2]), RatMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
 A5_GENS = [perm([1, 2, 3, 4, 0]), perm([1, 2, 0, 3, 4])]
+S5_GENS = [perm([1, 2, 3, 4, 0]), perm([1, 0, 2, 3, 4])]
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +50,7 @@ def groups(d3, q8_rep):
         "q8": q8_rep.group,
         "b3": generate_group(B3_GENS),
         "a5": generate_group(A5_GENS),
+        "s5": generate_group(S5_GENS),
     }
 
 
@@ -157,11 +170,41 @@ class TestIndicatorSum:
         assert total == fs_indicator_value(rho3) + fs_indicator_value(rho2)
 
 
+class TestClassSums:
+    """The class sums against the per-element sums they replaced, on natural
+    and regular representations and on random unimodular conjugates."""
+
+    @pytest.mark.parametrize("name", ["d3", "q8", "b3", "a5", "s5"])
+    def test_match_per_element_sums(self, name, groups):
+        group = groups[name]
+        rng = random.Random(name)
+        reps = [natural_rep(group), regular_rep(group)]
+        reps += [conjugate_rep(rep, random_unimodular(rng, rep.dimension)) for rep in reps]
+        reps.append(direct_sum(reps[:2]))
+        for a in reps:
+            chi = character(a)
+            assert class_character(a) == [chi[g] for g in group.class_data.reps]
+            assert fs_indicator_value(a) == fs_indicator_by_element(a)
+            for b in reps:
+                assert character_inner_product(a, b) == inner_product_by_element(a, b)
+
+    @pytest.mark.parametrize("name", ["d3", "q8", "b3", "a5", "s5"])
+    def test_class_data(self, name, groups):
+        group = groups[name]
+        classes = conjugacy_classes(group)
+        data = group.class_data
+        assert data is group.class_data
+        assert data.sizes == tuple(len(c) for c in classes)
+        assert data.reps == tuple(c[0] for c in classes)
+        for g, sq, inv in zip(data.reps, data.sq_class, data.inv_class):
+            assert group.sq_map[g] in classes[sq] and group.inv_map[g] in classes[inv]
+
+
 class TestRepFromGeneratorImages:
     def test_rho3_prime_valid_and_equivalent(self, d3, rho3):
         rep = rho3_prime(d3)
         rep.check_homomorphism()
-        hom = intertwiner_space(rho3.image_of_generators(), rep.image_of_generators())
+        hom = intertwiner_space(rho3.gen_images, rep.gen_images)
         assert hom, "swapped reflection must stay Q-equivalent to the natural model"
 
     def test_relation_violation_raises(self, d3):
@@ -179,8 +222,11 @@ class TestRepFromGeneratorImages:
         for k in range(group.order):
             images = list(rep.images)
             images[k] = -images[k]
+            altered = RationalRep(group=group, gen_images=tuple(images[i] for i in group.gen_indices))
+            # the check reads this list as given, not one rebuilt from the generators
+            vars(altered)["images"] = tuple(images)
             with pytest.raises(HomomorphismError):
-                RationalRep(group=group, images=tuple(images)).check_homomorphism()
+                altered.check_homomorphism()
 
     def test_size_mismatch(self, d3):
         with pytest.raises(ValueError):

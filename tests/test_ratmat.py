@@ -432,6 +432,16 @@ class TestIntegerStorage:
         assert_canonical(scaled)
         assert as_rows(scaled) == [[Fraction(s) * x for x in row] for row in as_rows(a)]
 
+    @given(matrices(), st.one_of(st.integers(-5, 5), NEAR_2_80, st.booleans()))
+    @STORAGE
+    def test_scale_by_int(self, a, s):
+        """An int scales the numerators over the same denominator, with the
+        storage that scaling by the equal Fraction gives."""
+        scaled = a.scale(s)
+        assert_canonical(scaled)
+        assert scaled.integer_form() == a.scale(Fraction(s)).integer_form()
+        assert as_rows(scaled) == [[s * x for x in row] for row in as_rows(a)]
+
     @given(matrices())
     @STORAGE
     def test_transpose_trace_entries(self, a):

@@ -12,6 +12,7 @@ from anosov import corpus, repdec
 from anosov.corpus import d3_degree2_rep, m_rho3
 from anosov.decider import decide
 from anosov.fingrp import (
+    RationalRep,
     character_inner_product,
     conjugate_rep,
     direct_sum,
@@ -20,7 +21,6 @@ from anosov.fingrp import (
     group_rep_from_json_obj,
     multiple,
     natural_rep,
-    rep_from_generator_images,
 )
 from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q
 from anosov.ratmat import Permutation, RatMatrix, matrix_min_poly, perm_matrix
@@ -34,7 +34,7 @@ from anosov.repdec import (
     split_once,
 )
 
-from conftest import random_unimodular
+from conftest import random_unimodular, regular_rep
 
 
 class TestCommutant:
@@ -55,7 +55,7 @@ class TestCommutant:
 
     def test_basis_elements_commute_exactly(self, q8_rep):
         for b in commutant(q8_rep).basis:
-            for img in q8_rep.image_of_generators():
+            for img in q8_rep.gen_images:
                 assert b @ img == img @ b
 
 
@@ -115,7 +115,7 @@ class TestDecompose:
         for member in profiles[0].members:
             sub = restrict_rep(rep, member.basis)
             t = member.intertwiner
-            for g_sub, g_rep0 in zip(sub.image_of_generators(), rep0.image_of_generators()):
+            for g_sub, g_rep0 in zip(sub.gen_images, rep0.gen_images):
                 assert g_sub @ t == t @ g_rep0
 
     def test_base_change_invariance(self, rho3):
@@ -151,14 +151,10 @@ class TestComponentProfile:
 
 
 def regular_d4():
-    """The right regular representation of the dihedral group of order 8:
-    generator s permutes the basis e_g ↦ e_{g·s}."""
-    group = generate_group([RatMatrix.from_rows([[0, -1], [1, 0]]), RatMatrix.from_rows([[1, 0], [0, -1]])])
-    images = [
-        perm_matrix(Permutation(group.right[g][s] for g in range(group.order)))
-        for s in range(len(group.gen_indices))
-    ]
-    return rep_from_generator_images(group, images)
+    """The right regular representation of the dihedral group of order 8."""
+    return regular_rep(
+        generate_group([RatMatrix.from_rows([[0, -1], [1, 0]]), RatMatrix.from_rows([[1, 0], [0, -1]])])
+    )
 
 
 def test_pairwise_sums_built_lazily(monkeypatch):
@@ -204,6 +200,49 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
     profiles = decompose(rep, seed=0)
     assert sum(p.multiplicity for p in profiles) * 2 - 1 == splits
     assert solves == splits
+
+
+def _perm_group(*images):
+    return generate_group([perm_matrix(Permutation(p)) for p in images])
+
+
+def test_restriction_solves_once_per_generator(monkeypatch):
+    """restrict_rep maps the generators only: on the regular representation
+    of A5 (order 60) it makes one solve per generator."""
+    group = _perm_group([1, 2, 3, 4, 0], [1, 2, 0, 3, 4])
+    rep = regular_rep(group)
+    n = rep.dimension
+    ones = RatMatrix.from_columns([[1] * n])
+    sum_zero = RatMatrix.from_columns([[int(i == j) - int(i == j + 1) for i in range(n)] for j in range(n - 1)])
+    calls = 0
+    solve = RatMatrix.solve
+
+    def counting(self, rhs):
+        nonlocal calls
+        calls += 1
+        return solve(self, rhs)
+
+    monkeypatch.setattr(RatMatrix, "solve", counting)
+    trivial = restrict_rep(rep, ones)
+    assert calls == len(group.gen_indices) == 2
+    assert trivial.gen_images == (RatMatrix.identity(1),) * 2
+    calls = 0
+    augmentation = restrict_rep(rep, sum_zero)
+    assert calls == 2
+    assert character_inner_product(augmentation, augmentation) == group.order - 1
+
+
+def test_decompose_builds_no_full_image_list(monkeypatch):
+    """On the natural representation of S5 (order 120) no split node, leaf
+    or class sum reads a full image list."""
+    rep = natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4]))
+
+    def forbidden(self):
+        raise AssertionError("a full image list was built")
+
+    monkeypatch.setattr(RationalRep, "images", property(forbidden))
+    profiles = decompose(rep, seed=0)
+    assert sorted((p.dimension, p.multiplicity, p.dim_E) for p in profiles) == [(1, 1, 1), (4, 1, 1)]
 
 
 # -- irreducibility certificates ----------------------------------------------

@@ -45,7 +45,7 @@ class TestFieldThroughCommutant:
         result = field_through_commutant(commutant(c5_rep), 1)
         assert result is not None
         witness, path = result
-        rotation = c5_rep.image_of_generators()[0]
+        rotation = c5_rep.gen_images[0]
         assert witness == RatMatrix.identity(4) + rotation
         assert witness.det() == 1
         cert = verify_witness(c5_rep, witness, 1, construction_path=path)
