@@ -23,6 +23,7 @@ from .ratmat import RatMatrix
 from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, restrict_rep
 from .witness import (
     LATTICE_SEARCH,
+    MAX_LATTICE_CANDIDATES,
     TENSOR_SHORTCUT,
     WitnessCertificate,
     field_through_commutant,
@@ -221,8 +222,16 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
 
 def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int = 0) -> dict:
     """Empirical corroboration of a NO verdict: exhaustive lattice search up
-    to the height bound, reporting the (expected-zero) hit count."""
+    to the height bound and MAX_LATTICE_CANDIDATES, reporting the
+    (expected-zero) hit count. A commutant so large that height 1 alone is
+    over the limit is refused: its search would screen nothing."""
     com = commutant(rep)
+    if 3**com.dimension > MAX_LATTICE_CANDIDATES:
+        raise ValueError(
+            f"no-certificate search over a commutant of dimension dim E = {com.dimension} "
+            f"has 3^{com.dimension} candidates at height 1, over the limit of "
+            f"{MAX_LATTICE_CANDIDATES}"
+        )
     if decide(rep, c, seed, com).admits_anosov:
         raise CriterionError("no-certificate search requires a NO verdict")
     hit, screened = lattice_search(com, c, height_bound)

@@ -23,6 +23,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .fingrp import RationalRep
@@ -222,6 +224,16 @@ def lattice_search(
     are the field and tensor paths' job, this is the small-case fallback.
     Many candidates share a characteristic polynomial, and the verdict
     depends only on that polynomial and c, so each is tested once.
+
+    Each candidate is screened once, but only one of each pair ±X is tested.
+    −X has the eigenvalues of X negated: its determinant is ±det X, its
+    characteristic polynomial (−1)ⁿ·f(−t) is integral exactly when f is,
+    and every k-fold eigenvalue product keeps its modulus, so −X is a hit
+    exactly when X is. Coordinates run h, h−1, …, −h, so of the two vectors
+    ±v of height h the one whose first nonzero coordinate is positive comes
+    first; the other is counted and skipped. A skipped vector could be a hit
+    only if its partner, already tested, was one and returned, so the first
+    hit and the count are those of testing every candidate.
     """
     dim = com.rep.dimension
     screened = 0
@@ -229,18 +241,21 @@ def lattice_search(
     basis = com.basis
     if not basis:
         return None, 0
+    forms = [b.integer_form() for b in basis]
+    d = lcm(*(den for _, den in forms))
+    # entries[i]: the i-th numerator of every basis element, over d
+    entries = list(zip(*(tuple(x * (d // den) for x in n) for n, den in forms)))
     for h in range(1, height_bound + 1):
         coords = list(range(h, -h - 1, -1))
         if (2 * h + 1) ** len(basis) > MAX_LATTICE_CANDIDATES:
             break
         for vec in itertools.product(coords, repeat=len(basis)):
-            if not vec or max(abs(e) for e in vec) != h:
+            if max(map(abs, vec)) != h:
                 continue
             screened += 1
-            acc = RatMatrix.zeros(dim, dim)
-            for cf, b in zip(vec, basis):
-                if cf:
-                    acc = acc + b.scale(cf)
+            if next(filter(None, vec)) < 0:
+                continue
+            acc = RatMatrix.from_integers(dim, dim, [sum(map(mul, vec, e)) for e in entries], d)
             f = integer_char_poly(acc)
             if f is None:
                 continue

@@ -1,13 +1,18 @@
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from anosov import corpus
 from anosov.fingrp import rep_from_generator_images
+from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
+from anosov.witness import MAX_LATTICE_CANDIDATES
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +87,16 @@ def k_fold_products(roots, k: int) -> list:
     return [complex(mpmath.fprod(combo)) for combo in itertools.combinations_with_replacement(roots, k)]
 
 
+def benchmark_cases():
+    """perfbench/cases.py, the benchmark's fixed corpus, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def regular_rep(group):
     """The right regular representation: generator s permutes the basis
     e_g ↦ e_{g·s}."""
@@ -114,3 +129,37 @@ def inner_product_by_element(rep_a, rep_b) -> Fraction:
     for g in range(group.order):
         total += rep_a.images[g].trace() * rep_b.images[group.inv_map[g]].trace()
     return total / group.order
+
+
+# -- every-candidate oracle for anosov.witness.lattice_search -----------------
+
+
+def lattice_search_every_candidate(com, c: int, height_bound: int):
+    """(hit, candidates_screened) of the lattice search that builds every
+    candidate as Σ c_i·b_i and tests each one, ±X alike, in the same order."""
+    dim = com.rep.dimension
+    screened = 0
+    verdicts = {}
+    basis = com.basis
+    if not basis:
+        return None, 0
+    for h in range(1, height_bound + 1):
+        coords = list(range(h, -h - 1, -1))
+        if (2 * h + 1) ** len(basis) > MAX_LATTICE_CANDIDATES:
+            break
+        for vec in itertools.product(coords, repeat=len(basis)):
+            if max(abs(e) for e in vec) != h:
+                continue
+            screened += 1
+            acc = RatMatrix.zeros(dim, dim)
+            for cf, b in zip(vec, basis):
+                if cf:
+                    acc = acc + b.scale(cf)
+            f = integer_char_poly(acc)
+            if f is None:
+                continue
+            if f not in verdicts:
+                verdicts[f] = is_c_hyperbolic_poly(f, c).verdict
+            if verdicts[f]:
+                return acc, screened
+    return None, screened

@@ -4,6 +4,8 @@ import pytest
 
 from anosov import cli
 from anosov.cli import SUBCOMMANDS, build_parser, main
+from anosov.ratmat import RatMatrix
+from anosov.witness import MAX_LATTICE_CANDIDATES
 
 D3_INPUT = {
     "generators": [[["0", "-1"], ["1", "-1"]], [["0", "-1"], ["-1", "0"]]],
@@ -150,6 +152,25 @@ def test_no_cert_on_yes_verdict_exit_code(tmp_path, capsys):
     path = write_input(tmp_path, {"generators": [[["1", "0"], ["0", "1"]]], "class": 1})
     code, _, err = run(["no-cert", path], capsys)
     assert code == 2 and "invalid input:" in err
+
+
+def test_no_cert_refuses_a_search_that_screens_nothing(tmp_path, capsys):
+    # 2·Q8 has a commutant of dimension 16: 3^16 candidates at height 1 are
+    # over the candidate limit already, so no height would screen any
+    q8 = [
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    ]
+    gens = [RatMatrix.from_rows(g) for g in q8]
+    obj = {
+        "generators": [g.to_json_obj() for g in gens],
+        "rep_images": [RatMatrix.block_diag([g, g]).to_json_obj() for g in gens],
+        "class": 2,
+    }
+    path = write_input(tmp_path, obj)
+    code, out, err = run(["no-cert", path, "--height-bound", "3"], capsys)
+    assert code == 2 and out == ""
+    assert "invalid input:" in err and "dim E = 16" in err and str(MAX_LATTICE_CANDIDATES) in err
 
 
 @pytest.mark.parametrize(

@@ -68,7 +68,7 @@ INVOCATIONS = {
     },
     **{
         f"no-cert {key} h{h}": (["no-cert", "-", "--height-bound", str(h)], INPUTS[key])
-        for key, h in (("rho3_c1", 2), ("2rho3_c2", 1), ("q8_c1", 1))
+        for key, h in (("rho3_c1", 2), ("2rho3_c2", 1), ("2rho3_c2", 3), ("q8_c1", 1))
     },
     **{
         f"{cmd} {key}": ([cmd, "-"], INPUTS[key])

@@ -1,8 +1,5 @@
-import importlib.util
 import itertools
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +31,7 @@ from anosov.repdec import (
     split_once,
 )
 
-from conftest import random_unimodular, regular_rep
+from conftest import benchmark_cases, random_unimodular, regular_rep
 
 
 class TestCommutant:
@@ -299,16 +296,6 @@ def _old_search_splits(rep, rng: random.Random) -> bool:
     return False
 
 
-def _benchmark_cases():
-    """perfbench/cases.py, the benchmark's fixed corpus, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
-    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestIrreducibleCertificate:
     @pytest.mark.parametrize("name", sorted(REDUCIBLE))
     def test_reducible_never_certified(self, name):
@@ -334,7 +321,7 @@ class TestIrreducibleCertificate:
         """Every leaf that decompose reaches on the benchmark's isotypic and
         witness corpora carries an exact proof, and the old exhaustive
         search finds no split of it either."""
-        cases = _benchmark_cases()
+        cases = benchmark_cases()
         seen = set()
         for case in cases.FULL["isotypic"]() + cases.FULL["witness"]():
             key = (case.generators, case.rep_images)

@@ -1,7 +1,12 @@
-import pytest
+from functools import cache
 
-from anosov import witness
-from anosov.fingrp import multiple
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anosov import corpus, witness
+from anosov.fingrp import group_rep_from_json_obj, multiple
+from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
 from anosov.intpoly import IntPoly
 from anosov.ratmat import RatMatrix
 from anosov.repdec import commutant, decompose
@@ -14,7 +19,44 @@ from anosov.witness import (
     verify_witness,
 )
 
+from conftest import benchmark_cases, lattice_search_every_candidate
+
 PLASTIC = IntPoly((-1, -1, 0, 1))
+
+# (case name, whether the search finds a hit) for the differential test
+LATTICE_DIFFERENTIAL = [
+    ("2rho3_c1_h2", True),
+    ("3rho3_c2_h1", True),
+    ("t2_c1_h2", True),
+    ("c5_c1_h1", True),
+    ("klein_c1_h5", False),
+    ("circle_c1_h5", False),
+    ("2rho3_c2_h1", False),
+    ("q8_c1_h1", False),
+]
+
+
+def _lattice_case(name):
+    """(case, height bound) from the benchmark corpus: YES cases of its
+    witness corpus at a fixed height, NO cases of its lattice workload at
+    their own height bound."""
+    cases = benchmark_cases()
+    yes = {
+        "2rho3_c1_h2": (cases.k_rho3(2, 1), 2),
+        "3rho3_c2_h1": (cases.k_rho3(3, 2), 1),
+        "t2_c1_h2": (cases.torus(2, 1), 2),
+        "c5_c1_h1": (cases.cyclic("c5", cases.C5, 1, 1, 4), 1),
+    }
+    if name in yes:
+        return yes[name]
+    (case,) = [case for case in cases.WORKLOADS["lattice"]() if case.case_id == name]
+    return case, case.height_bound
+
+
+@cache
+def _small_commutant(name):
+    rep = {"2rho3": multiple(corpus.rho3(), 2), "q8": corpus.q8_rep(), "c5": corpus.c5_rep()}[name]
+    return commutant(rep)
 
 
 class TestTensorShortcut:
@@ -74,18 +116,55 @@ class TestLatticeSearch:
         assert lattice_search(commutant(rho3), 1, 3)[0] is None
 
     def test_one_verdict_per_char_poly(self, rho3, monkeypatch):
-        # the 40 integer-like candidates at height 1 have 8 distinct
-        # characteristic polynomials; each is tested once
+        # of the 80 candidates at height 1, 40 are negatives of the other 40
+        # and are counted without a test; the 20 integer-like ones tested
+        # have 7 distinct characteristic polynomials, each tested once
+        char_poly_calls = []
         calls = []
+        original_char_poly = witness.integer_char_poly
         original = witness.is_c_hyperbolic_poly
+
+        def counting_char_poly(m):
+            char_poly_calls.append(m)
+            return original_char_poly(m)
 
         def counting(f, c):
             calls.append(f)
             return original(f, c)
 
+        monkeypatch.setattr(witness, "integer_char_poly", counting_char_poly)
         monkeypatch.setattr(witness, "is_c_hyperbolic_poly", counting)
         assert lattice_search(commutant(multiple(rho3, 2)), 2, 1) == (None, 80)
-        assert len(calls) == 8 and len(set(calls)) == 8
+        assert len(char_poly_calls) == 40
+        assert len(calls) == 7 and len(set(calls)) == 7
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name, finds_hit", LATTICE_DIFFERENTIAL)
+    def test_matches_every_candidate_search(self, name, finds_hit, seed):
+        case, height = _lattice_case(name)
+        _, rep, c = group_rep_from_json_obj(case.input_obj(seed))
+        com = commutant(rep)
+        hit, screened = lattice_search(com, c, height)
+        assert (hit, screened) == lattice_search_every_candidate(com, c, height)
+        assert (hit is not None) == finds_hit
+
+    @given(st.sampled_from(["2rho3", "q8", "c5"]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_negation_keeps_integrality_and_hyperbolicity(self, name, data):
+        # the lemma the skip of -X rests on
+        com = _small_commutant(name)
+        # a height drawn first, so that low heights, where most integer-like
+        # combinations lie, are drawn often
+        h = data.draw(st.integers(1, 3))
+        coords = data.draw(st.lists(st.integers(-h, h), min_size=com.dimension, max_size=com.dimension))
+        x = RatMatrix.zeros(com.rep.dimension, com.rep.dimension)
+        for cf, b in zip(coords, com.basis):
+            x = x + b.scale(cf)
+        f, g = integer_char_poly(x), integer_char_poly(-x)
+        assert (f is None) == (g is None)
+        if f is not None:
+            for c in (1, 2, 3):
+                assert is_c_hyperbolic_poly(f, c).verdict == is_c_hyperbolic_poly(g, c).verdict
 
 
 class TestVerifyWitness:
