@@ -14,7 +14,7 @@ from .fingrp import (
 )
 from .intpoly import cyclotomic
 from .ratmat import RatMatrix
-from .witness import companion_matrix
+from .numfield import companion_matrix
 
 DEMO_NAMES = ("d3", "q8", "klein", "torus", "c5", "c4")
 

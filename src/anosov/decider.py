@@ -27,6 +27,7 @@ from .witness import (
     TENSOR_SHORTCUT,
     WitnessCertificate,
     field_through_commutant,
+    lattice_height,
     lattice_search,
     tensor_shortcut,
     verify_witness,
@@ -52,6 +53,7 @@ class Verdict:
     witness_status: str = "not-requested"
     model: dict = field(default_factory=dict)
     porteous_agrees: Optional[bool] = None
+    profiles: tuple = field(default=(), repr=False, compare=False)  # not serialized
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -96,7 +98,8 @@ def _component_rows(profiles: list[ComponentProfile], c: int) -> list[dict]:
 
 def decide(rep: RationalRep, c: int, seed: int = 0, ambient: Optional[CommutantBasis] = None) -> Verdict:
     """Decision only; no witness construction. `ambient` is the commutant
-    of rep when the caller has solved it already."""
+    of rep when the caller has solved it already. The verdict keeps the
+    component profiles, unserialized, for decide_with_witness."""
     if c < 1:
         raise ValueError("nilpotency class c must be >= 1")
     t0 = time.perf_counter()
@@ -110,6 +113,7 @@ def decide(rep: RationalRep, c: int, seed: int = 0, ambient: Optional[CommutantB
         components=tuple(rows),
         seed=seed,
         timings={"decompose_s": round(t1 - t0, 6), "total_s": round(time.perf_counter() - t0, 6)},
+        profiles=tuple(profiles),
     )
 
 
@@ -165,24 +169,13 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
     """Decision plus, on YES, a verified witness assembled from per-isotypic
     constructions. A YES verdict is kept even when the bounded searches fail;
     the witness is then marked not-found-within-bounds."""
-    if c < 1:
-        raise ValueError("nilpotency class c must be >= 1")
     t0 = time.perf_counter()
-    profiles = decompose(rep, seed)
-    rows = _component_rows(profiles, c)
-    verdict = all(r["passes"] for r in rows)
-    timings = {"decompose_s": round(time.perf_counter() - t0, 6)}
-    if not verdict:
-        return Verdict(
-            admits_anosov=False,
-            class_c=c,
-            components=tuple(rows),
-            seed=seed,
-            timings={**timings, "total_s": round(time.perf_counter() - t0, 6)},
-            witness_status="not-applicable",
-        )
+    base = decide(rep, c, seed)
+    if not base.admits_anosov:
+        return replace(base, witness_status="not-applicable")
+    timings = {"decompose_s": base.timings["decompose_s"]}
     t1 = time.perf_counter()
-    block_bases = [_aligned_block_basis(p) for p in profiles]
+    block_bases = [_aligned_block_basis(p) for p in base.profiles]
     block_coms = [commutant(restrict_rep(rep, b)) for b in block_bases]
     s_all = RatMatrix.from_columns(
         [list(b.column(j)) for b in block_bases for j in range(b.cols)]
@@ -193,7 +186,7 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
         blocks = []
         paths = []
         ok = True
-        for profile, com in zip(profiles, block_coms):
+        for profile, com in zip(base.profiles, block_coms):
             res = _block_witness(profile, com, c, seed, round_index)
             if res is None:
                 ok = False
@@ -209,11 +202,8 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
             break
     timings["witness_s"] = round(time.perf_counter() - t1, 6)
     timings["total_s"] = round(time.perf_counter() - t0, 6)
-    return Verdict(
-        admits_anosov=True,
-        class_c=c,
-        components=tuple(rows),
-        seed=seed,
+    return replace(
+        base,
         timings=timings,
         witness=certificate,
         witness_status="attached" if certificate is not None else "not-found-within-bounds",
@@ -223,7 +213,8 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
 def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int = 0) -> dict:
     """Empirical corroboration of a NO verdict: exhaustive lattice search up
     to the height bound and MAX_LATTICE_CANDIDATES, reporting the
-    (expected-zero) hit count. A commutant so large that height 1 alone is
+    (expected-zero) hit count and, as height_bound, the largest height whose
+    shell was screened in full. A commutant so large that height 1 alone is
     over the limit is refused: its search would screen nothing."""
     com = commutant(rep)
     if 3**com.dimension > MAX_LATTICE_CANDIDATES:
@@ -234,10 +225,11 @@ def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int
         )
     if decide(rep, c, seed, com).admits_anosov:
         raise CriterionError("no-certificate search requires a NO verdict")
-    hit, screened = lattice_search(com, c, height_bound)
+    height = lattice_height(com.dimension, height_bound)
+    hit, screened = lattice_search(com, c, height)
     return {
         "class_c": c,
-        "height_bound": height_bound,
+        "height_bound": height,
         "candidates_screened": screened,
         "hits": 0 if hit is None else 1,
         "hit": None if hit is None else hit.to_json_obj(),

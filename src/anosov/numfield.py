@@ -3,12 +3,15 @@ embeddings and signature, logarithmic embedding of units, explicit unit
 generators for real quadratic and cyclotomic fields, and bounded search for
 c-hyperbolic units.
 
-Field elements are coordinate tuples in the power basis 1, θ, …, θ^{n−1} with
-exact rational entries; all algebra is exact. Floating point enters only
-through the embeddings (mpmath at a fixed 128-bit working precision), which
-give the log vectors that screen unit candidates; every candidate that
-passes the screen is certified exactly on its minimal polynomial. make_field
-raises PrecisionError when the complex embeddings cannot be paired.
+A field element is its multiplication matrix in the power basis 1, θ, …,
+θ^{n−1}: the element p(θ) is p evaluated at the companion matrix of the
+minimal polynomial, and its coordinates are that matrix's column 0. Products,
+powers and inverses are RatMatrix products and inverses, so all algebra is
+exact. Floating point appears only in the log screen: the embeddings (mpmath
+at a fixed 128-bit working precision) give the log vectors that screen unit
+candidates, and every candidate that passes the screen is certified exactly
+on its minimal polynomial. make_field raises PrecisionError when the complex
+embeddings cannot be paired.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from typing import Optional, Sequence
 
 import mpmath
 import sympy
-from sympy.abc import x as _X
 
 from .hyper import HyperbolicityReport, is_c_hyperbolic_poly
 from .intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
 from .ratmat import RatMatrix, matrix_min_poly
+from .repdec import poly_at_matrix
 
 PRECISION_BITS = 128
 LOG_SCREEN_EPS = 1e-9
@@ -43,68 +46,23 @@ class UnsupportedFieldError(FieldError):
     """No unit-generator source is implemented for this field."""
 
 
-# -- power-basis arithmetic ------------------------------------------------------
-
-
-def _reduce(coeffs: list, f: IntPoly) -> list:
-    """Reduce a coefficient list modulo the monic polynomial f, in place."""
-    n = f.degree
-    for d in range(len(coeffs) - 1, n - 1, -1):
-        c = coeffs[d]
-        if c:
-            coeffs[d] = Fraction(0)
-            for j, fc in enumerate(f.coeffs[:-1]):
-                coeffs[d - n + j] -= c * fc
-    del coeffs[n:]
-    while len(coeffs) < n:
-        coeffs.append(Fraction(0))
-    return coeffs
-
-
-def el_mul(f: IntPoly, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
-    out = [Fraction(0)] * (2 * f.degree)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return tuple(_reduce(out, f))
-
-
-def el_pow(f: IntPoly, a: Sequence[Fraction], k: int) -> tuple:
-    if k < 0:
-        return el_pow(f, el_inv(f, a), -k)
-    result = _one(f.degree)
-    base = tuple(a)
-    while k:
-        if k & 1:
-            result = el_mul(f, result, base)
-        base = el_mul(f, base, base)
-        k >>= 1
-    return result
-
-
-def el_inv(f: IntPoly, a: Sequence[Fraction]) -> tuple:
-    if not any(a):
-        raise ZeroDivisionError("inverse of zero field element")
-    pa = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, a)])), _X, domain=sympy.QQ)
-    pf = sympy.Poly([sympy.Integer(c) for c in reversed(f.coeffs)], _X, domain=sympy.QQ)
-    inv = sympy.invert(pa, pf)
-    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(inv, _X, domain=sympy.QQ).all_coeffs())]
-    coeffs += [Fraction(0)] * (f.degree - len(coeffs))
-    return tuple(coeffs)
-
-
-def _one(n: int) -> tuple:
-    return tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
-
-
 # -- field context ----------------------------------------------------------------
+
+
+def companion_matrix(f: IntPoly) -> RatMatrix:
+    """Companion matrix of a monic polynomial: subdiagonal ones, last column
+    −coefficients. It is multiplication by θ in the power basis of Q[X]/(f)."""
+    if not f.is_monic:
+        raise ValueError("companion matrix needs a monic polynomial")
+    n = f.degree
+    entries = [int(i == j + 1) - (f.coeffs[i] if j == n - 1 else 0) for i in range(n) for j in range(n)]
+    return RatMatrix.from_integers(n, n, entries)
 
 
 @dataclass(frozen=True)
 class NumberFieldCtx:
-    """A number field Q[X]/(min_poly) with cached numeric embeddings.
+    """A number field Q[X]/(min_poly) with cached numeric embeddings and θ,
+    the companion matrix of min_poly.
 
     embeddings holds the n roots: the s real ones first (ascending), then the
     complex ones as adjacent conjugate pairs (positive-imaginary member
@@ -115,6 +73,7 @@ class NumberFieldCtx:
     min_poly: IntPoly
     embeddings: tuple
     signature: tuple
+    theta: RatMatrix
 
     @property
     def degree(self) -> int:
@@ -146,19 +105,11 @@ class NumberFieldCtx:
 
     def mult_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
         """Matrix of multiplication by the element in the power basis;
-        column j is the image of θ^j."""
-        n = self.degree
-        cols = [tuple(Fraction(c) for c in coords)]
-        for _ in range(n - 1):
-            shifted = [Fraction(0)] + list(cols[-1])
-            cols.append(tuple(_reduce(shifted, self.min_poly)))
-        return RatMatrix.from_columns([list(c) for c in cols])
-
-    def element_min_poly(self, coords: Sequence[Fraction]) -> tuple:
-        return matrix_min_poly(self.mult_matrix(coords))
+        column j is the image of θ^j, and column 0 gives back coords."""
+        return poly_at_matrix(coords, self.theta)
 
     def element_min_poly_int(self, coords: Sequence[Fraction]) -> IntPoly:
-        return IntPoly.from_rationals(self.element_min_poly(coords))
+        return IntPoly.from_rationals(matrix_min_poly(self.mult_matrix(coords)))
 
     def is_unit(self, coords: Sequence[Fraction]) -> bool:
         """Algebraic integer with unit norm: integer minimal polynomial with
@@ -202,7 +153,9 @@ def make_field(min_poly: IntPoly) -> NumberFieldCtx:
         embeddings = [mpmath.mpc(r) for r in reals]
         for z in uppers:
             embeddings.extend([z, mpmath.conj(z)])
-    return NumberFieldCtx(min_poly=min_poly, embeddings=tuple(embeddings), signature=(s, t))
+    return NumberFieldCtx(
+        min_poly=min_poly, embeddings=tuple(embeddings), signature=(s, t), theta=companion_matrix(min_poly)
+    )
 
 
 @dataclass(frozen=True)
@@ -285,15 +238,12 @@ def _cyclotomic_units(field: NumberFieldCtx, d: int) -> list[UnitElem]:
     d ≡ 2 mod 4 the units live at the odd level d0 = d/2 with ζ = θ², otherwise
     d0 = d and ζ = θ."""
     d0, step = (d // 2, 2) if d % 4 == 2 else (d, 1)
-    units = []
-    for a in range(2, (d0 + 1) // 2):
-        if gcd(a, d0) != 1:
-            continue
-        coeffs = [Fraction(0)] * max(field.degree, (a - 1) * step + 1)
-        for i in range(a):
-            coeffs[i * step] = Fraction(1)
-        units.append(make_unit(field, tuple(_reduce(coeffs, field.min_poly))))
-    return units
+    zeta = _power(field.theta, step)
+    return [
+        make_unit(field, poly_at_matrix([1] * a, zeta).column(0))
+        for a in range(2, (d0 + 1) // 2)
+        if gcd(a, d0) == 1
+    ]
 
 
 def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
@@ -361,10 +311,21 @@ def _multiset_sums_clear_zero(values: Sequence, c: int, eps: float) -> bool:
     return True
 
 
-def _exponent_shells(g: int, bound: int):
-    for h in range(bound + 1):
-        coords = list(range(h, -h - 1, -1))
-        yield [v for v in itertools.product(coords, repeat=g) if max(abs(e) for e in v) == h]
+def max_norm_shell(dim: int, h: int):
+    """The integer vectors of length dim and max-norm h, in the order of
+    itertools.product over h, h−1, …, −h. A first coordinate ±h is followed
+    by the whole cube one dimension down, any other by the shell one
+    dimension down, so the inner cube is never walked."""
+    if dim == 1:
+        yield (h,)
+        if h:
+            yield (-h,)
+        return
+    values = range(h, -h - 1, -1)
+    for v in values:
+        tails = itertools.product(values, repeat=dim - 1) if abs(v) == h else max_norm_shell(dim - 1, h)
+        for tail in tails:
+            yield (v, *tail)
 
 
 def search_c_hyperbolic_unit(
@@ -389,38 +350,52 @@ def search_c_hyperbolic_unit(
         return UnitSearchOutcome(None, None, None, 0, "theoretical-bound")
     if not generators:
         return UnitSearchOutcome(None, None, None, 0, "exhausted-bound")
-    g = len(generators)
     logs = [gen.log_vector for gen in generators]
-    screened = 0
-    for shell in _exponent_shells(g, exponent_bound):
-        def log_of(vec):
-            return [sum(e * lv[i] for e, lv in zip(vec, logs)) for i in range(len(logs[0]))]
+    mats = [field.mult_matrix(gen.coords) for gen in generators]
 
+    def log_of(vec):
+        return [sum(e * lv[i] for e, lv in zip(vec, logs)) for i in range(len(logs[0]))]
+
+    screened = 0
+    for h in range(exponent_bound + 1):
         ordered = sorted(
-            shell,
+            max_norm_shell(len(generators), h),
             key=lambda vec: 0 if sum(1 for v in log_of(vec) if v > 0) == 1 else 1,
         )
         for vec in ordered:
             screened += 1
             if not _multiset_sums_clear_zero(log_of(vec), c, LOG_SCREEN_EPS):
                 continue
-            coords = _one(field.degree)
-            for e, gen in zip(vec, generators):
+            element = RatMatrix.identity(field.degree)
+            for e, m in zip(vec, mats):
                 if e:
-                    coords = el_mul(field.min_poly, coords, el_pow(field.min_poly, gen.coords, e))
-            mp = field.element_min_poly_int(coords)
+                    element = element @ _power(m, e)
+            mp = IntPoly.from_rationals(matrix_min_poly(element))
             if abs(mp.coeffs[0]) != 1:
                 raise FieldError("generator product is not a unit")
             report = is_c_hyperbolic_poly(mp, c)
             if report.verdict:
                 return UnitSearchOutcome(
-                    unit=make_unit(field, coords),
+                    unit=make_unit(field, element.column(0)),
                     report=report,
                     exponents=vec,
                     candidates_screened=screened,
                     reason="found",
                 )
     return UnitSearchOutcome(None, None, None, screened, "exhausted-bound")
+
+
+def _power(m: RatMatrix, k: int) -> RatMatrix:
+    """m^k by repeated squaring; a negative k inverts m first."""
+    if k < 0:
+        m, k = m.inverse(), -k
+    result = RatMatrix.identity(m.rows)
+    while k:
+        if k & 1:
+            result = result @ m
+        m = m @ m
+        k >>= 1
+    return result
 
 
 # -- ready-made hyperbolic companion polynomials -------------------------------------
@@ -432,80 +407,27 @@ _PISOT_FAMILY = {
 
 
 def _curated_degree_polys(m: int) -> list[IntPoly]:
-    if m in _PISOT_FAMILY:
-        return list(_PISOT_FAMILY[m])
-    out = []
-    # X^m − X^{m−1} − 1 and X^m − X − 1
-    out.append(IntPoly.monomials((m, 1), (m - 1, -1), (0, -1)))
-    out.append(IntPoly.monomials((m, 1), (1, -1), (0, -1)))
+    """The Pisot family for m, or X^m − X^{m−1} − 1 and X^m − X − 1; then
+    X^m − aX^{m−1} − 1 for a = 2, 3, which by Rouché on |X| = 1 has m − 1
+    roots inside the unit circle and one outside, so it is irreducible."""
+    out = list(_PISOT_FAMILY.get(m, ())) or [
+        IntPoly.monomials((m, 1), (m - 1, -1), (0, -1)),
+        IntPoly.monomials((m, 1), (1, -1), (0, -1)),
+    ]
+    for a in (2, 3):
+        f = IntPoly.monomials((m, 1), (m - 1, -a), (0, -1))
+        if f not in out:
+            out.append(f)
     return out
-
-
-def totally_real_cyclotomic_subfield_poly(n_index: int) -> IntPoly:
-    """Minimal polynomial of ζ + ζ⁻¹ in the n_index-th cyclotomic field,
-    monic of degree φ(n_index)/2."""
-    f = cyclotomic(n_index)
-    field_deg = f.degree
-    coords = _beta_coords(n_index, f)
-    # min poly of β from the first dependence among its powers
-    pw = _one(field_deg)
-    rows = [pw]
-    for _ in range(field_deg // 2):
-        pw = el_mul(f, pw, coords)
-        rows.append(pw)
-    system = RatMatrix.from_columns([list(r) for r in rows])
-    kernel = system.kernel_basis()
-    if not kernel:
-        raise FieldError("no dependence found for real subfield generator")
-    vec = kernel[0]
-    lead = next(i for i in range(len(vec) - 1, -1, -1) if vec[i])
-    return IntPoly.from_rationals([vec[i] / vec[lead] for i in range(lead + 1)])
-
-
-def _beta_coords(n_index: int, f: IntPoly) -> tuple:
-    """ζ + ζ⁻¹ in the power basis of Q(ζ_{n_index})."""
-    size = max(2 * f.degree, n_index + 1)
-    beta = [Fraction(0)] * size
-    beta[1] += Fraction(1)
-    beta[n_index - 1] += Fraction(1)
-    return tuple(_reduce(beta, f))
-
-
-def _real_subfield_units(n_index: int):
-    """Relative norms u·ū of the cyclotomic units, expressed in the power
-    basis of the real subfield Q(ζ + ζ⁻¹)."""
-    f = cyclotomic(n_index)
-    field_deg = f.degree
-    subpoly = totally_real_cyclotomic_subfield_poly(n_index)
-    subfield = make_field(subpoly)
-    m = subpoly.degree
-    beta = _beta_coords(n_index, f)
-    beta_powers = [_one(field_deg)]
-    for _ in range(m - 1):
-        beta_powers.append(el_mul(f, beta_powers[-1], beta))
-    basis_matrix = RatMatrix.from_columns([list(b) for b in beta_powers])
-    units = []
-    for u in _cyclotomic_units(cyclotomic_field(n_index), n_index):
-        # complex conjugation ζ ↦ ζ^{n−1}
-        conj = [Fraction(0)] * max(2 * field_deg, n_index + 1)
-        for i, ci in enumerate(u.coords):
-            if ci:
-                conj[(i * (n_index - 1)) % n_index] += ci
-        conj = tuple(_reduce(conj, f))
-        norm = el_mul(f, u.coords, conj)
-        rhs = RatMatrix.from_columns([list(norm)])
-        sub_coords = tuple(basis_matrix.solve(rhs).column(0))
-        units.append(make_unit(subfield, sub_coords))
-    return subfield, units
 
 
 def hyperbolic_companion_poly(m: int, c: int, poly_skip: int = 0) -> Optional[IntPoly]:
     """A monic integer polynomial of degree m with constant term ±1 whose
     companion matrix is c-hyperbolic, or None.
 
-    Tries a curated Pisot family first, then searches for units in totally
-    real cyclotomic subfields of degree m. Requires c ≤ m − 1. poly_skip
-    skips that many certified hits, for callers that need an alternative.
+    Tries a curated list of Pisot-type polynomials. Requires c ≤ m − 1.
+    poly_skip skips that many certified hits, for callers that need an
+    alternative.
     """
     if m < 2 or c >= m:
         return None
@@ -517,18 +439,4 @@ def hyperbolic_companion_poly(m: int, c: int, poly_skip: int = 0) -> Optional[In
             if hits >= poly_skip:
                 return f
             hits += 1
-    for n_index in range(3, 8 * m * m + 2):
-        if n_index % 4 == 2 or sympy.totient(n_index) != 2 * m:
-            continue
-        try:
-            subfield, units = _real_subfield_units(n_index)
-        except FieldError:
-            continue
-        outcome = search_c_hyperbolic_unit(subfield, units, c)
-        if outcome.found:
-            mp = outcome.unit.min_poly()
-            if mp.degree == m:
-                if hits >= poly_skip:
-                    return mp
-                hits += 1
     return None

@@ -22,10 +22,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Optional
+
+from sympy import integer_nthroot
 
 from .fingrp import RationalRep
 from .hyper import (
@@ -38,9 +39,11 @@ from .hyper import (
 from .intpoly import IntPoly, is_irreducible
 from .numfield import (
     UnsupportedFieldError,
+    companion_matrix,
     hyperbolic_companion_poly,
     make_field,
     max_hyperbolicity_bound,
+    max_norm_shell,
     search_c_hyperbolic_unit,
     unit_generators_for_field,
 )
@@ -141,20 +144,6 @@ def tensor_shortcut(
     return w.kron_identity(k), f
 
 
-def companion_matrix(f: IntPoly) -> RatMatrix:
-    """Companion matrix of a monic polynomial: subdiagonal ones, last column
-    −coefficients."""
-    if not f.is_monic:
-        raise ValueError("companion matrix needs a monic polynomial")
-    n = f.degree
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = Fraction(1)
-    for i in range(n):
-        rows[i][n - 1] = Fraction(-f.coeffs[i])
-    return RatMatrix.from_rows(rows)
-
-
 def field_through_commutant(
     com: CommutantBasis, c: int, seed: int = 0, exponent_bound: int = 10
 ) -> Optional[tuple[RatMatrix, str]]:
@@ -213,6 +202,14 @@ def field_through_commutant(
     return None
 
 
+def lattice_height(dim: int, height_bound: int) -> int:
+    """The largest height up to height_bound whose cube [−h, h]^dim holds at
+    most MAX_LATTICE_CANDIDATES vectors: the height to which lattice_search
+    screens every shell in full."""
+    side = integer_nthroot(MAX_LATTICE_CANDIDATES, dim)[0]  # largest s with s^dim ≤ the limit
+    return min(height_bound, (side - 1) // 2)
+
+
 def lattice_search(
     com: CommutantBasis, c: int, height_bound: int
 ) -> tuple[Optional[RatMatrix], int]:
@@ -220,7 +217,7 @@ def lattice_search(
     max-norm height; return (hit, candidates_screened), where hit is the first
     combination that is integer-like and c-hyperbolic, or None.
 
-    Enumeration stops at MAX_LATTICE_CANDIDATES; high-dimensional commutants
+    Enumeration stops at lattice_height; high-dimensional commutants
     are the field and tensor paths' job, this is the small-case fallback.
     Many candidates share a characteristic polynomial, and the verdict
     depends only on that polynomial and c, so each is tested once.
@@ -245,13 +242,8 @@ def lattice_search(
     d = lcm(*(den for _, den in forms))
     # entries[i]: the i-th numerator of every basis element, over d
     entries = list(zip(*(tuple(x * (d // den) for x in n) for n, den in forms)))
-    for h in range(1, height_bound + 1):
-        coords = list(range(h, -h - 1, -1))
-        if (2 * h + 1) ** len(basis) > MAX_LATTICE_CANDIDATES:
-            break
-        for vec in itertools.product(coords, repeat=len(basis)):
-            if max(map(abs, vec)) != h:
-                continue
+    for h in range(1, lattice_height(len(basis), height_bound) + 1):
+        for vec in max_norm_shell(len(basis), h):
             screened += 1
             if next(filter(None, vec)) < 0:
                 continue

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from anosov import cli
+from anosov import cli, witness
 from anosov.cli import SUBCOMMANDS, build_parser, main
 from anosov.ratmat import RatMatrix
 from anosov.witness import MAX_LATTICE_CANDIDATES
@@ -102,6 +102,19 @@ def test_no_cert_subcommand(tmp_path, capsys):
     code, out, _ = run(["no-cert", path, "--height-bound", "5"], capsys)
     report = json.loads(out)
     assert code == 0 and report["hits"] == 0
+    assert report["height_bound"] == 5 and report["candidates_screened"] == 11**2 - 1
+
+
+def test_no_cert_reports_the_height_screened_in_full(tmp_path, capsys, monkeypatch):
+    # the Klein bottle's commutant has dimension 2: under a limit of 100
+    # candidates the search stops at height 4 (9² ≤ 100 < 11²), below the
+    # requested 6, and reports that height
+    monkeypatch.setattr(witness, "MAX_LATTICE_CANDIDATES", 100)
+    path = write_input(tmp_path, {"generators": [[["1", "0"], ["0", "-1"]]], "class": 1})
+    code, out, _ = run(["no-cert", path, "--height-bound", "6"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["hits"] == 0
+    assert report["height_bound"] == 4 and report["candidates_screened"] == 80
 
 
 def test_demo_subcommand(capsys):

@@ -116,6 +116,22 @@ class TestWitnessPipeline:
         verdict = decide_with_witness(klein, 1)
         assert not verdict.admits_anosov
         assert verdict.witness is None and verdict.witness_status == "not-applicable"
+        assert list(verdict.timings) == ["decompose_s", "total_s"]
+
+    def test_decomposes_once_through_decide(self, monkeypatch):
+        calls = []
+        original = decider.decompose
+
+        def counting(rep, *args):
+            calls.append(rep)
+            return original(rep, *args)
+
+        monkeypatch.setattr(decider, "decompose", counting)
+        rep = m_rho3(3)
+        verdict = decide_with_witness(rep, 2)
+        assert calls == [rep] and verdict.witness_status == "attached"
+        assert list(verdict.timings) == ["decompose_s", "witness_s", "total_s"]
+        assert verdict.to_json_obj()["components"] == decide(rep, 2).to_json_obj()["components"]
 
     def test_mixed_classes_assemble(self, d3, rho3, rho1):
         from anosov.fingrp import direct_sum

@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath
 import pytest
 from fractions import Fraction
@@ -5,16 +7,15 @@ from fractions import Fraction
 from anosov.intpoly import IntPoly, cyclotomic
 from anosov.numfield import (
     FieldError,
+    companion_matrix,
     cyclotomic_field,
-    el_inv,
-    el_mul,
     fundamental_unit_real_quadratic,
     hyperbolic_companion_poly,
     make_field,
     make_unit,
     max_hyperbolicity_bound,
+    max_norm_shell,
     search_c_hyperbolic_unit,
-    totally_real_cyclotomic_subfield_poly,
     unit_generators_for_field,
 )
 from anosov.hyper import is_c_hyperbolic_poly
@@ -45,6 +46,35 @@ class TestMakeField:
         assert max_hyperbolicity_bound(make_field(SQRT2)) == 1
         assert max_hyperbolicity_bound(make_field(cyclotomic(5))) == 1
         assert max_hyperbolicity_bound(make_field(PLASTIC)) == 2
+
+
+class TestElementsAsMatrices:
+    def test_theta_is_the_companion_matrix(self):
+        field = make_field(PLASTIC)
+        assert field.theta == companion_matrix(PLASTIC)
+        assert field.mult_matrix((0, 1, 0)) == field.theta
+
+    def test_coordinates_are_column_zero(self):
+        field = make_field(PLASTIC)
+        coords = (Fraction(1, 2), Fraction(-3), Fraction(2, 7))
+        m = field.mult_matrix(coords)
+        assert m.column(0) == coords
+        # column j is the image of theta^j
+        assert m.column(1) == (m @ field.theta).column(0)
+
+    def test_products_commute_and_multiply_coordinates(self):
+        field = make_field(cyclotomic(8))
+        a, b = field.mult_matrix((1, 2, 0, -1)), field.mult_matrix((0, 1, 1, 3))
+        assert a @ b == b @ a
+        assert field.mult_matrix((a @ b).column(0)) == a @ b
+
+
+class TestMaxNormShell:
+    @pytest.mark.parametrize("dim", range(1, 6))
+    @pytest.mark.parametrize("h", range(5))
+    def test_equals_the_filtered_cube(self, dim, h):
+        cube = itertools.product(range(h, -h - 1, -1), repeat=dim)
+        assert list(max_norm_shell(dim, h)) == [v for v in cube if max(map(abs, v)) == h]
 
 
 class TestLogEmbedding:
@@ -105,11 +135,12 @@ class TestCyclotomicUnits:
 
     def test_geometric_ratio_identity(self):
         # (1 - zeta^2) / (1 - zeta) = 1 + zeta, exactly
-        f = cyclotomic(5)
-        one_minus_z2 = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
-        one_minus_z = (Fraction(1), Fraction(-1), Fraction(0), Fraction(0))
-        ratio = el_mul(f, one_minus_z2, el_inv(f, one_minus_z))
-        assert ratio == (1, 1, 0, 0)
+        field = cyclotomic_field(5)
+        one_minus_z2 = field.mult_matrix((1, 0, -1, 0))
+        one_minus_z = field.mult_matrix((1, -1, 0, 0))
+        ratio = one_minus_z2 @ one_minus_z.inverse()
+        assert ratio == field.mult_matrix((1, 1, 0, 0))
+        assert ratio.column(0) == (1, 1, 0, 0)
 
 
 class TestHyperbolicUnitSearch:
@@ -176,7 +207,15 @@ class TestCompanionPolys:
             f = hyperbolic_companion_poly(m, c)
             assert is_c_hyperbolic_poly(f, c).verdict and abs(f.coeffs[0]) == 1
 
-    def test_real_subfield_min_poly(self):
-        assert totally_real_cyclotomic_subfield_poly(5) == IntPoly((-1, 1, 1))
-        quartic = totally_real_cyclotomic_subfield_poly(15)
-        assert quartic.degree == 4 and make_field(quartic).signature == (4, 0)
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_three_distinct_alternatives(self, m):
+        for c in range(1, m):
+            polys = [hyperbolic_companion_poly(m, c, poly_skip=k) for k in range(3)]
+            assert len(set(polys)) == 3
+            for f in polys:
+                assert f.degree == m and f.is_monic and abs(f.coeffs[0]) == 1
+                assert is_c_hyperbolic_poly(f, c).verdict
+
+    def test_rouche_family_follows_the_first_hits(self):
+        assert hyperbolic_companion_poly(5, 1) == IntPoly((-1, -1, 0, 0, 0, 1))  # X^5 - X - 1
+        assert hyperbolic_companion_poly(5, 1, poly_skip=1) == IntPoly((-1, 0, 0, 0, -2, 1))
