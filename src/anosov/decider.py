@@ -13,14 +13,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from functools import cache, partial
+from typing import Callable, Optional
 
 import sympy
 
 from .fingrp import RationalRep, class_character
 from .numfield import cyclotomic_field, search_c_hyperbolic_unit, unit_generators_for_field
 from .ratmat import RatMatrix
-from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, restrict_rep
+from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, intertwiner, restrict_rep
 from .witness import (
     LATTICE_SEARCH,
     MAX_LATTICE_CANDIDATES,
@@ -139,27 +140,35 @@ def decide_solvable(rep: RationalRep, c: int, d: int, seed: int = 0) -> Verdict:
 
 def _aligned_block_basis(profile: ComponentProfile) -> RatMatrix:
     """Columns spanning the isotypic subspace, ordered copy-major so the
-    restricted representation is I_m ⊗ ρ0."""
-    columns = []
-    for member in profile.members:
-        aligned = member.basis @ member.intertwiner
-        columns.extend(list(aligned.column(j)) for j in range(aligned.cols))
-    return RatMatrix.from_columns(columns)
+    restricted representation is I_m ⊗ ρ0: each member's basis moved by an
+    intertwiner from the representative ρ0."""
+    first, *others = profile.members
+    blocks = [first.basis] + [m.basis @ intertwiner(profile.sub_rep, m.commutant.rep) for m in others]
+    return RatMatrix.from_columns([list(b.column(j)) for b in blocks for j in range(b.cols)])
+
+
+def _block_commutant(rep: RationalRep, profile: ComponentProfile, basis: RatMatrix) -> CommutantBasis:
+    """The commutant of rep on a block's aligned basis. A multiplicity-one
+    block's is its leaf's basis, and restricting rep to it gives the leaf's
+    representation, so its commutant is the one decompose solved."""
+    if profile.multiplicity == 1:
+        return profile.commutant
+    return commutant(restrict_rep(rep, basis))
 
 
 def _block_witness(
-    profile: ComponentProfile, com: CommutantBasis, c: int, seed: int, round_index: int
+    profile: ComponentProfile, com: Callable[[], CommutantBasis], c: int, seed: int, round_index: int
 ) -> Optional[tuple[RatMatrix, str]]:
     """A witness for one isotypic block, whose representation has commutant
-    com; the searches widen with round_index."""
+    com(); the searches widen with round_index."""
     if profile.absolutely_irreducible and profile.multiplicity > c:
         res = tensor_shortcut(profile, c, poly_skip=round_index)
         if res is not None:
             return res[0], TENSOR_SHORTCUT
-    res = field_through_commutant(com, c, seed, exponent_bound=EXPONENT_BOUND * (2**round_index))
+    res = field_through_commutant(com(), c, seed, exponent_bound=EXPONENT_BOUND * (2**round_index))
     if res is not None:
         return res
-    hit, _ = lattice_search(com, c, LATTICE_HEIGHT * (2**round_index))
+    hit, _ = lattice_search(com(), c, LATTICE_HEIGHT * (2**round_index))
     if hit is not None:
         return hit, LATTICE_SEARCH
     return None
@@ -176,7 +185,8 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
     timings = {"decompose_s": base.timings["decompose_s"]}
     t1 = time.perf_counter()
     block_bases = [_aligned_block_basis(p) for p in base.profiles]
-    block_coms = [commutant(restrict_rep(rep, b)) for b in block_bases]
+    # each solved the first time a round reads it, then kept
+    block_coms = [cache(partial(_block_commutant, rep, p, b)) for p, b in zip(base.profiles, block_bases)]
     s_all = RatMatrix.from_columns(
         [list(b.column(j)) for b in block_bases for j in range(b.cols)]
     )
@@ -216,6 +226,8 @@ def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int
     (expected-zero) hit count and, as height_bound, the largest height whose
     shell was screened in full. A commutant so large that height 1 alone is
     over the limit is refused: its search would screen nothing."""
+    if height_bound < 0:
+        raise ValueError(f"height_bound must be >= 0, got {height_bound}")
     com = commutant(rep)
     if 3**com.dimension > MAX_LATTICE_CANDIDATES:
         raise ValueError(

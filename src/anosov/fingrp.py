@@ -15,8 +15,9 @@ After ingestion every step costs #generators or #classes, not |G|. A
 representation is held by its generator images, and its full image list is
 built only when read. Characters are class functions (Serre, *Linear
 Representations of Finite Groups*, §2.2–2.5), so the class sums read a
-representation's image only at one representative per class, with the class
-sizes and the classes of rep² and rep⁻¹ computed once per group.
+representation's character, the trace of its image at one representative per
+class, evaluated once per representation; the class sizes and the classes of
+rep² and rep⁻¹ are computed once per group.
 """
 
 from __future__ import annotations
@@ -215,6 +216,14 @@ class RationalRep:
         images = _tree_images(self, range(self.group.order))
         return tuple(images[g] for g in range(self.group.order))
 
+    @cached_property
+    def character(self) -> tuple:
+        """χ = tr ρ on each conjugacy class, in the order of group.class_data,
+        read at the class representatives; evaluated once per representation."""
+        reps = self.group.class_data.reps
+        images = _tree_images(self, reps)
+        return tuple(images[g].trace() for g in reps)
+
     def check_homomorphism(self) -> None:
         """Check ρ(e) = I and ρ(g·s) = ρ(g)·ρ(s) for every element g and
         generator s. This is complete: for h = s₁⋯s_k, induction on k gives
@@ -292,11 +301,8 @@ def conjugate_rep(rep: RationalRep, u: RatMatrix) -> RationalRep:
 
 
 def class_character(rep: RationalRep) -> list[Fraction]:
-    """χ = tr ρ on each conjugacy class, in the order of group.class_data,
-    read at the class representatives."""
-    reps = rep.group.class_data.reps
-    images = _tree_images(rep, reps)
-    return [images[g].trace() for g in reps]
+    """χ = tr ρ on each conjugacy class, in the order of group.class_data."""
+    return list(rep.character)
 
 
 def fs_indicator_value(rep: RationalRep) -> Fraction:
@@ -308,7 +314,7 @@ def fs_indicator_value(rep: RationalRep) -> Fraction:
     constituent).
     """
     data = rep.group.class_data
-    chi = class_character(rep)
+    chi = rep.character
     total = sum((size * chi[sq] for size, sq in zip(data.sizes, data.sq_class)), Fraction(0))
     return total / rep.group.order
 
@@ -316,8 +322,7 @@ def fs_indicator_value(rep: RationalRep) -> Fraction:
 def character_inner_product(rep_a: RationalRep, rep_b: RationalRep) -> Fraction:
     """⟨χ_a, χ_b⟩ = (1/|G|)·Σ_C |C|·χ_a(C)·χ_b(C⁻¹), exact."""
     data = rep_a.group.class_data
-    chi_a = class_character(rep_a)
-    chi_b = chi_a if rep_b is rep_a else class_character(rep_b)
+    chi_a, chi_b = rep_a.character, rep_b.character
     total = sum(
         (size * x * chi_b[inv] for size, x, inv in zip(data.sizes, chi_a, data.inv_class)), Fraction(0)
     )

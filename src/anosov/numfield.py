@@ -346,6 +346,8 @@ def search_c_hyperbolic_unit(
     """
     if c < 1:
         raise ValueError("c must be >= 1")
+    if exponent_bound < 0:
+        raise ValueError(f"exponent_bound must be >= 0, got {exponent_bound}")
     if c > max_hyperbolicity_bound(field):
         return UnitSearchOutcome(None, None, None, 0, "theoretical-bound")
     if not generators:

@@ -24,10 +24,10 @@ Any other leaf, such as one whose commutant is an indefinite quaternion
 algebra or a noncommutative division algebra of dimension over 4, is still
 declared irreducible only after every trial fails to split it ("search").
 
-The dim_E = m²·n integrality constraint is checked once per class, in
-component_profile; every other leaf of the splitting is joined to its class
-representative by an intertwiner checked to be invertible, so it has the
-same dim_E and centre.
+Leaves are grouped into classes by character: irreducibles V, W are
+isomorphic iff dim_Q Hom_G(V, W) = ⟨χ_V, χ_W⟩ > 0 (Serre, §2.3–2.6), so the
+dim_E = m²·n constraint is checked once per class, in component_profile, and
+an intertwiner is solved only to align a witness block (intertwiner).
 """
 
 from __future__ import annotations
@@ -70,30 +70,41 @@ class CommutantBasis:
 
 @dataclass(frozen=True)
 class ComponentMember:
-    """One occurrence of a component class inside the ambient representation.
-
-    basis columns span the invariant subspace in ambient coordinates;
-    intertwiner T maps the class representative's model to this member's
-    model: member_rep(g) · T = T · representative_rep(g).
-    """
+    """One occurrence of a component class inside the ambient representation:
+    basis columns span the invariant subspace in ambient coordinates, and
+    commutant is that of the leaf's representation on the span."""
 
     basis: RatMatrix
-    intertwiner: RatMatrix
+    commutant: CommutantBasis
 
 
 @dataclass(frozen=True)
 class ComponentProfile:
-    subspace_basis: RatMatrix
-    sub_rep: RationalRep
-    multiplicity: int
-    dim_E: int
+    """A component class. members[0] is its representative; the commutant,
+    representation and dim_E are the representative's."""
+
+    members: tuple = field(repr=False)
     n_field: int
     m_schur: int
     e_complex: int
     fs_sign: str
     r_components: int
-    k_dim: int
-    members: tuple = field(default=(), repr=False)
+
+    @property
+    def commutant(self) -> CommutantBasis:
+        return self.members[0].commutant
+
+    @property
+    def sub_rep(self) -> RationalRep:
+        return self.commutant.rep
+
+    @property
+    def dim_E(self) -> int:
+        return self.commutant.dimension
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.members)
 
     @property
     def dimension(self) -> int:
@@ -151,6 +162,16 @@ def commutant(rep: RationalRep) -> CommutantBasis:
     gens = rep.gen_images
     basis = intertwiner_space(gens, gens)
     return CommutantBasis(rep=rep, basis=tuple(basis))
+
+
+def intertwiner(source: RationalRep, target: RationalRep) -> RatMatrix:
+    """An invertible T with target(g)·T = T·source(g), for isomorphic
+    irreducibles: the first basis vector of Hom_G(source, target), invertible
+    by Schur's lemma; a singular one means a leaf was not irreducible."""
+    hom = intertwiner_space(source.gen_images, target.gen_images)
+    if hom[0].det() == 0:
+        raise DecompositionError("nonzero intertwiner between irreducibles is singular")
+    return hom[0]
 
 
 def poly_at_matrix(coeffs: Sequence[Fraction], m: RatMatrix) -> RatMatrix:
@@ -215,10 +236,6 @@ class IrreducibleCertificate:
     trials: int
     commutant: CommutantBasis
     proof: str
-
-    @property
-    def commutant_dim(self) -> int:
-        return self.commutant.dimension
 
 
 def _split_with(rep: RationalRep, x: RatMatrix, factors: list):
@@ -325,13 +342,11 @@ def _center_dimension(basis: Sequence[RatMatrix]) -> int:
     return len(sparse_kernel_basis(rows, len(basis)))
 
 
-def component_profile(
-    com: CommutantBasis,
-    multiplicity: int = 1,
-    subspace_basis: Optional[RatMatrix] = None,
-    members: tuple = (),
-) -> ComponentProfile:
-    """Profile of a certified-irreducible component, from its commutant."""
+def component_profile(com: CommutantBasis, members: Sequence[ComponentMember] = ()) -> ComponentProfile:
+    """Profile of a certified-irreducible component, from its commutant com.
+    members are its occurrences in the ambient representation, the first
+    being the one com was solved on; by default the component alone, in its
+    own coordinates."""
     sub_rep = com.rep
     dim_e = com.dimension
     n = _center_dimension(com.basis)
@@ -360,78 +375,38 @@ def component_profile(
     dim = sub_rep.dimension
     if dim % e:
         raise DecompositionError(f"component dimension {dim} not divisible by e={e}")
-    if subspace_basis is None:
-        subspace_basis = RatMatrix.identity(dim)
     return ComponentProfile(
-        subspace_basis=subspace_basis,
-        sub_rep=sub_rep,
-        multiplicity=multiplicity,
-        dim_E=dim_e,
+        members=tuple(members) or (ComponentMember(RatMatrix.identity(dim), com),),
         n_field=n,
         m_schur=m,
         e_complex=e,
         fs_sign=fs_sign,
         r_components=r,
-        k_dim=dim // e,
-        members=members,
     )
 
 
 def decompose(
     rep: RationalRep, seed: int = 0, ambient: Optional[CommutantBasis] = None
 ) -> list[ComponentProfile]:
-    """Recursive splitting into Q-irreducibles, grouped into equivalence
-    classes; deterministic given (rep, seed). `ambient` is the commutant of
-    rep when the caller has solved it already."""
+    """Recursive splitting into Q-irreducibles, grouped into classes by
+    character in the order of their first leaves; deterministic given
+    (rep, seed). `ambient` is the commutant of rep when the caller has
+    solved it already."""
     rng = random.Random(seed)
     n = rep.dimension
     pending = [(RatMatrix.identity(n), rep, ambient)]
-    leaves = []
+    classes: dict[tuple, list[ComponentMember]] = {}
     while pending:
         basis, sub, com = pending.pop(0)
         result = _split_once(sub, rng, com=com)
         if isinstance(result, IrreducibleCertificate):
-            leaves.append((basis, result.commutant))
+            classes.setdefault(sub.character, []).append(ComponentMember(basis, result.commutant))
             continue
         k1, k2 = result
         pending.append((basis @ k1, restrict_rep(sub, k1), None))
         pending.append((basis @ k2, restrict_rep(sub, k2), None))
 
-    classes: list[dict] = []
-    for basis, com in leaves:
-        sub = com.rep
-        placed = False
-        for cls in classes:
-            rep0 = cls["commutant"].rep
-            if sub.dimension != rep0.dimension:
-                continue
-            hom = intertwiner_space(rep0.gen_images, sub.gen_images)
-            if hom:
-                t = hom[0]
-                if t.det() == 0:
-                    raise DecompositionError("nonzero intertwiner between irreducibles is singular")
-                cls["members"].append(ComponentMember(basis=basis, intertwiner=t))
-                placed = True
-                break
-        if not placed:
-            classes.append(
-                {
-                    "commutant": com,
-                    "basis": basis,
-                    "members": [ComponentMember(basis=basis, intertwiner=RatMatrix.identity(sub.dimension))],
-                }
-            )
-
-    profiles = []
-    for cls in classes:
-        profiles.append(
-            component_profile(
-                cls["commutant"],
-                multiplicity=len(cls["members"]),
-                subspace_basis=cls["basis"],
-                members=tuple(cls["members"]),
-            )
-        )
+    profiles = [component_profile(members[0].commutant, members) for members in classes.values()]
     total = sum(p.multiplicity * p.dimension for p in profiles)
     if total != n:
         raise DecompositionError(f"component dimensions sum to {total}, ambient is {n}")

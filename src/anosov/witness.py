@@ -14,7 +14,8 @@ Three construction paths, tried cheapest-certified first:
 
 Every certificate is re-verified from scratch: exact commutation with the
 generator images, integer characteristic polynomial with determinant ±1, and
-the hyperbolicity report.
+the hyperbolicity report, the last two read off one characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from typing import Optional
 from sympy import integer_nthroot
 
 from .fingrp import RationalRep
-from .hyper import (
-    HyperbolicityReport,
-    integer_char_poly,
-    is_c_hyperbolic_matrix,
-    is_c_hyperbolic_poly,
-    is_integer_like,
-)
+from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
 from .intpoly import IntPoly, is_irreducible
 from .numfield import (
     UnsupportedFieldError,
@@ -63,7 +58,10 @@ class WitnessConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class WitnessCertificate:
+    """char_poly is the witness's characteristic polynomial, ascending."""
+
     witness: RatMatrix
+    char_poly: tuple
     c: int
     commutes: bool
     integer_like: bool
@@ -76,11 +74,10 @@ class WitnessCertificate:
         return self.commutes and self.integer_like and self.hyperbolicity.verdict
 
     def to_json_obj(self) -> dict:
-        coeffs = self.witness.char_poly()
         return {
             "matrix": self.witness.to_json_obj(),
             "construction_path": self.construction_path,
-            "char_poly": [str(c) for c in coeffs],
+            "char_poly": [str(c) for c in self.char_poly],
             "commutes": self.commutes,
             "integer_like": self.integer_like,
             "per_generator_commutation": list(self.per_generator_commutation),
@@ -97,20 +94,24 @@ def verify_witness(
     """Independent verification of the three defining properties; failures are
     recorded in the certificate rather than raised. Commutation is checked on
     the generators only, which is complete: a matrix commuting with ρ(s₁), …,
-    ρ(s_k) commutes with their product ρ(s₁⋯s_k), by induction on k."""
+    ρ(s_k) commutes with their product ρ(s₁⋯s_k), by induction on k. The
+    other two properties are read off the characteristic polynomial f, with
+    |det| = |f(0)|."""
     if candidate.rows != rep.dimension or not candidate.is_square:
         raise ValueError("witness size does not match the representation")
     per_gen = tuple(
         candidate @ img == img @ candidate for img in rep.gen_images
     )
     commutes = all(per_gen)
-    integer_like = is_integer_like(candidate)
-    if candidate.det() != 0:
-        hyperbolicity = is_c_hyperbolic_matrix(candidate, c)
+    f = candidate.char_poly()
+    integer_like = abs(f[0]) == 1 and all(x.denominator == 1 for x in f)
+    if f[0] != 0:
+        hyperbolicity = is_c_hyperbolic_poly(IntPoly.clear_denominators(f), c)
     else:
         hyperbolicity = HyperbolicityReport(c_tested=c, verdict=False, offending_product={"k": 1})
     return WitnessCertificate(
         witness=candidate,
+        char_poly=f,
         c=c,
         commutes=commutes,
         integer_like=integer_like,

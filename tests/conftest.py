@@ -12,6 +12,7 @@ from anosov import corpus
 from anosov.fingrp import rep_from_generator_images
 from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
+from anosov.repdec import intertwiner_space
 from anosov.witness import MAX_LATTICE_CANDIDATES
 
 
@@ -129,6 +130,30 @@ def inner_product_by_element(rep_a, rep_b) -> Fraction:
     for g in range(group.order):
         total += rep_a.images[g].trace() * rep_b.images[group.inv_map[g]].trace()
     return total / group.order
+
+
+# -- Hom-space oracle for the leaf grouping of anosov.repdec.decompose --------
+
+
+def classes_by_hom(leaves) -> list:
+    """Group the leaves (ComponentMembers, in split order) into classes by
+    Hom spaces: a leaf joins the first class whose representative ρ0 has a
+    nonzero intertwiner to it, which must be invertible, or starts a class."""
+    classes = []
+    for leaf in leaves:
+        sub = leaf.commutant.rep
+        for cls in classes:
+            rep0 = cls[0].commutant.rep
+            if sub.dimension != rep0.dimension:
+                continue
+            hom = intertwiner_space(rep0.gen_images, sub.gen_images)
+            if hom:
+                assert hom[0].det() != 0, "nonzero intertwiner between irreducibles is singular"
+                cls.append(leaf)
+                break
+        else:
+            classes.append([leaf])
+    return classes
 
 
 # -- every-candidate oracle for anosov.witness.lattice_search -----------------

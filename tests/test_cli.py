@@ -209,6 +209,9 @@ def test_no_cert_refuses_a_search_that_screens_nothing(tmp_path, capsys):
         (["units"], {"min_poly": [-2, 0, {"1": 1}], "c": 1}),
         (["graded-action"], {"r": [2], "class": 1, "matrix": [["1", "0"], ["0", "1"]]}),
         (["graded-action"], {"r": 2, "c": 1.5, "matrix": [["1", "0"], ["0", "1"]]}),
+        # negative search bounds
+        (["no-cert", "--height-bound", "-1"], {"generators": [[["1", "0"], ["0", "-1"]]], "class": 1}),
+        (["units", "--sqrt", "2", "--bound", "-3"], {}),
     ],
 )
 def test_malformed_json_exit_code(tmp_path, capsys, argv, obj):

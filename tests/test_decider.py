@@ -1,8 +1,9 @@
 import random
+from functools import cached_property
 
 import pytest
 
-from anosov import decider, repdec
+from anosov import corpus, decider, repdec
 from anosov.corpus import circle_rep, m_rho3
 from anosov.decider import (
     CriterionError,
@@ -13,12 +14,12 @@ from anosov.decider import (
     no_certificate_search,
     porteous_flat,
 )
-from anosov.fingrp import conjugate_rep, generate_group, multiple, natural_rep
+from anosov.fingrp import RationalRep, conjugate_rep, direct_sum, generate_group, multiple, natural_rep
 from anosov.intpoly import IntPoly, cyclotomic
 from anosov.ratmat import RatMatrix
 from anosov.witness import companion_matrix, verify_witness
 
-from conftest import random_unimodular
+from conftest import random_unimodular, regular_rep
 
 
 class TestDecide:
@@ -249,3 +250,76 @@ class TestDemos:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             demo("nope")
+
+
+# -- each component computed once -------------------------------------------------
+
+
+def _grouping_reps():
+    d3 = corpus.d3_group()
+    return {
+        "3rho3": conjugate_rep(m_rho3(3), random_unimodular(random.Random(5), 6)),
+        "2q8": multiple(corpus.q8_rep(), 2),
+        "rho1+rho1+rho3+rho3": direct_sum([corpus.rho1(d3)] * 2 + [corpus.rho3(d3)] * 2),
+        "reg_d4": regular_rep(
+            generate_group([RatMatrix.from_rows([[0, -1], [1, 0]]), RatMatrix.from_rows([[1, 0], [0, -1]])])
+        ),
+    }
+
+
+def _count_intertwiner_calls(monkeypatch) -> list:
+    """Record (left is right) for every intertwiner_space call."""
+    calls = []
+    original = repdec.intertwiner_space
+
+    def counting(left, right):
+        calls.append(left is right)
+        return original(left, right)
+
+    monkeypatch.setattr(repdec, "intertwiner_space", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_grouping_reps()))
+def test_decide_solves_no_hom_space(name, monkeypatch):
+    """decide groups components by character: every intertwiner_space call
+    it makes is a commutant solve."""
+    calls = _count_intertwiner_calls(monkeypatch)
+    decide(_grouping_reps()[name], 1)
+    assert calls and all(calls)
+
+
+@pytest.mark.parametrize(
+    "make_rep, c",
+    [(corpus.c5_rep, 1), (lambda: m_rho3(3), 2), (lambda: corpus.torus_rep(3), 2)],
+    ids=["c5", "3rho3", "torus3"],
+)
+def test_witness_solves_no_commutant_beyond_decompose(make_rep, c, monkeypatch):
+    """A multiplicity-one block reuses its leaf's commutant, and a block the
+    tensor shortcut serves never solves one."""
+    calls = _count_intertwiner_calls(monkeypatch)
+    decide(make_rep(), c)
+    decide_solves = calls.count(True)
+    calls.clear()
+    verdict = decide_with_witness(make_rep(), c)
+    assert verdict.witness_status == "attached"
+    assert calls.count(True) == decide_solves
+
+
+@pytest.mark.parametrize("name", sorted(_grouping_reps()))
+def test_one_character_per_representation(name, monkeypatch):
+    """Each representation evaluates its class character at most once; the
+    pipeline evaluates one per leaf of the splitting."""
+    evaluated = []
+    original = RationalRep.__dict__["character"].func
+
+    def counting(rep):
+        evaluated.append(rep)
+        return original(rep)
+
+    prop = cached_property(counting)
+    prop.__set_name__(RationalRep, "character")
+    monkeypatch.setattr(RationalRep, "character", prop)
+    verdict = decide_with_witness(_grouping_reps()[name], 1)
+    assert len({id(rep) for rep in evaluated}) == len(evaluated)
+    assert len(evaluated) == sum(p.multiplicity for p in verdict.profiles)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anosov import corpus, repdec
 from anosov.corpus import d3_degree2_rep, m_rho3
-from anosov.decider import decide
+from anosov.decider import _aligned_block_basis, decide
 from anosov.fingrp import (
     RationalRep,
     character_inner_product,
@@ -23,6 +23,7 @@ from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q
 from anosov.ratmat import Permutation, RatMatrix, matrix_min_poly, perm_matrix
 from anosov.witness import companion_matrix
 from anosov.repdec import (
+    ComponentMember,
     IrreducibleCertificate,
     commutant,
     component_profile,
@@ -31,7 +32,7 @@ from anosov.repdec import (
     split_once,
 )
 
-from conftest import benchmark_cases, random_unimodular, regular_rep
+from conftest import benchmark_cases, classes_by_hom, random_unimodular, regular_rep
 
 
 class TestCommutant:
@@ -66,7 +67,7 @@ class TestSplitOnce:
     def test_rho3_certified_irreducible(self, rho3):
         result = split_once(rho3, seed=0)
         assert isinstance(result, IrreducibleCertificate)
-        assert result.commutant_dim == 1
+        assert result.commutant.dimension == 1
 
     def test_degree2_rep_splits_into_1_1_2(self, d3):
         profiles = decompose(d3_degree2_rep(d3), seed=0)
@@ -95,7 +96,7 @@ class TestDecompose:
             assert sum(p.multiplicity * p.dimension for p in profiles) == rep.dimension
             for p in profiles:
                 assert p.dim_E == p.m_schur**2 * p.n_field
-                assert p.k_dim * p.e_complex == p.dimension
+                assert p.dimension % p.e_complex == 0
                 assert fs_indicator_value(p.sub_rep) in (p.e_complex, 0, -p.e_complex)
 
     def test_deterministic_given_seed(self, rho3):
@@ -103,17 +104,26 @@ class TestDecompose:
         first = decompose(rep, seed=42)
         second = decompose(rep, seed=42)
         assert [p.to_json_obj() for p in first] == [p.to_json_obj() for p in second]
-        assert [p.subspace_basis for p in first] == [p.subspace_basis for p in second]
+        assert [[m.basis for m in p.members] for p in first] == [[m.basis for m in p.members] for p in second]
 
-    def test_members_carry_explicit_base_change(self, rho3):
-        rep = multiple(rho3, 3)
-        profiles = decompose(rep, seed=0)
-        rep0 = profiles[0].sub_rep
-        for member in profiles[0].members:
-            sub = restrict_rep(rep, member.basis)
-            t = member.intertwiner
-            for g_sub, g_rep0 in zip(sub.gen_images, rep0.gen_images):
-                assert g_sub @ t == t @ g_rep0
+    @pytest.mark.parametrize(
+        "make_rep",
+        [
+            lambda: conjugate_rep(m_rho3(3), random_unimodular(random.Random(2), 6)),
+            lambda: multiple(corpus.q8_rep(), 2),
+            lambda: regular_d4(),
+        ],
+        ids=["3rho3", "2q8", "reg_d4"],
+    )
+    def test_aligned_block_basis_gives_copies_of_representative(self, make_rep):
+        """In the aligned basis of an isotypic block the representation is
+        m copies of the class representative ρ0, block by block."""
+        rep = make_rep()
+        for p in decompose(rep, seed=0):
+            block = restrict_rep(rep, _aligned_block_basis(p))
+            assert block.gen_images == tuple(
+                RatMatrix.block_diag([g] * p.multiplicity) for g in p.sub_rep.gen_images
+            )
 
     def test_base_change_invariance(self, rho3):
         rng = random.Random(4)
@@ -176,15 +186,16 @@ def test_pairwise_sums_built_lazily(monkeypatch):
 @pytest.mark.parametrize("make_rep", [regular_d4, lambda: multiple(corpus.q8_rep(), 2)], ids=["reg_d4", "2q8"])
 def test_commutant_solved_once_per_split(make_rep, monkeypatch):
     """Each node of the splitting solves its commutant once, and
-    component_profile reuses the class representative's. The other
-    intertwiner_space calls are the leaf-to-class equivalence tests."""
+    component_profile reuses the class representative's. decompose makes no
+    other intertwiner_space call: it groups the leaves by character."""
     rep = make_rep()
-    solves = splits = 0
+    solves = calls = splits = 0
     intertwiners, split = repdec.intertwiner_space, repdec._split_once
 
     def counting_intertwiners(left, right):
-        nonlocal solves
+        nonlocal solves, calls
         solves += left is right
+        calls += 1
         return intertwiners(left, right)
 
     def counting_split(*args, **kwargs):
@@ -196,7 +207,33 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
     monkeypatch.setattr(repdec, "_split_once", counting_split)
     profiles = decompose(rep, seed=0)
     assert sum(p.multiplicity for p in profiles) * 2 - 1 == splits
-    assert solves == splits
+    assert solves == calls == splits
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_classes_by_character_match_classes_by_hom(seed, monkeypatch):
+    """On every leaf of the benchmark's isotypic and witness corpora,
+    grouping by character gives the classes and member order that grouping
+    by Hom spaces gives: dim Hom_G(V, W) = ⟨χ_V, χ_W⟩."""
+    leaves = []
+
+    def recording(basis, com):
+        leaf = ComponentMember(basis, com)
+        leaves.append(leaf)
+        return leaf
+
+    monkeypatch.setattr(repdec, "ComponentMember", recording)
+    cases = benchmark_cases()
+    seen = set()
+    for case in cases.FULL["isotypic"]() + cases.FULL["witness"]():
+        key = (case.generators, case.rep_images)
+        if key in seen:
+            continue
+        seen.add(key)
+        _, rep, _ = group_rep_from_json_obj(case.input_obj(seed))
+        leaves.clear()
+        profiles = decompose(rep, seed=0)
+        assert [list(p.members) for p in profiles] == classes_by_hom(leaves), case.case_id
 
 
 def _perm_group(*images):

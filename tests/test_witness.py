@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from anosov import corpus, witness
 from anosov.fingrp import group_rep_from_json_obj, multiple
-from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
+from anosov.hyper import (
+    HyperbolicityReport,
+    integer_char_poly,
+    is_c_hyperbolic_matrix,
+    is_c_hyperbolic_poly,
+    is_integer_like,
+)
 from anosov.intpoly import IntPoly
 from anosov.ratmat import RatMatrix
 from anosov.repdec import commutant, decompose
@@ -192,3 +198,52 @@ class TestVerifyWitness:
         cert = verify_witness(rep, w, 2)
         again = verify_witness(rep, cert.witness, 2)
         assert again.is_valid
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 1], [1, 1]],
+            [[0, 0], [0, 0]],
+            [[1, 0], [0, 1]],
+            [["1/2", 0], [0, 2]],
+            [[1, "1/2"], [0, 1]],
+            [["1/2", 0], [0, "1/2"]],
+            [[0, 1], [1, 1]],
+        ],
+    )
+    def test_char_poly_route_matches_matrix_predicates(self, torus, rows):
+        """Integrality and hyperbolicity read off the one characteristic
+        polynomial agree with the matrix predicates of anosov.hyper, and a
+        singular candidate reports k = 1."""
+        m = RatMatrix.from_rows(rows)
+        cert = verify_witness(torus, m, 2)
+        assert cert.integer_like == is_integer_like(m)
+        if m.det() == 0:
+            expected = HyperbolicityReport(c_tested=2, verdict=False, offending_product={"k": 1})
+        else:
+            expected = is_c_hyperbolic_matrix(m, 2)
+        assert cert.hyperbolicity == expected
+        assert cert.char_poly == m.char_poly()
+
+    def test_one_char_poly_and_no_det(self, rho3, monkeypatch):
+        """Verifying a candidate and emitting its JSON compute its
+        characteristic polynomial once and no determinant."""
+        rep = multiple(rho3, 3)
+        witness = companion_matrix(PLASTIC).kron_identity(2)
+        calls = []
+        det, char_poly = RatMatrix.det, RatMatrix.char_poly
+
+        def counting_det(m):
+            calls.append("det")
+            return det(m)
+
+        def counting_char_poly(m):
+            calls.append("char_poly")
+            return char_poly(m)
+
+        monkeypatch.setattr(RatMatrix, "det", counting_det)
+        monkeypatch.setattr(RatMatrix, "char_poly", counting_char_poly)
+        obj = verify_witness(rep, witness, 2).to_json_obj()
+        assert calls == ["char_poly"]
+        assert obj["char_poly"] == [str(c) for c in (PLASTIC * PLASTIC).coeffs]
+        assert obj["integer_like"] and obj["hyperbolicity"]["verdict"]
