@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Optional
 
-import sympy
-
 from .fingrp import RationalRep, class_character
 from .numfield import cyclotomic_field, search_c_hyperbolic_unit, unit_generators_for_field
 from .ratmat import RatMatrix
@@ -319,17 +317,22 @@ def demo(name: str, seed: int = 0) -> dict:
 
 def _q8_splitting_field_family() -> list[dict]:
     """The two-dimensional model over Q(√(−1−α²)) for small rational α: the
-    defining relations hold exactly, and the field is always imaginary."""
+    defining relations hold exactly, and the field is always imaginary. An
+    element of Q(√d) is its multiplication matrix on the basis 1, √d, so a
+    2×2 matrix over the field is a 4×4 rational one."""
     out = []
+    one, minus_one = RatMatrix.identity(2), -RatMatrix.identity(4)
+    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+    rho_i = RatMatrix.from_rows([[0, -1], [1, 0]]).kron(one)
     for alpha in (0, 1, 2):
         d = -1 - alpha * alpha
-        beta = sympy.sqrt(d)
-        rho_i = sympy.Matrix([[0, -1], [1, 0]])
-        rho_j = sympy.Matrix([[alpha, beta], [beta, -alpha]])
+        sqrt_d = RatMatrix.from_rows([[0, d], [1, 0]])
+        # [[α, √d], [√d, −α]] as the block matrix [[α·I, sqrt_d], [sqrt_d, −α·I]]
+        rho_j = RatMatrix.from_rows([[alpha, 0], [0, -alpha]]).kron(one) + swap.kron(sqrt_d)
         relations = (
-            sympy.simplify(rho_i**2 + sympy.eye(2)) == sympy.zeros(2)
-            and sympy.simplify(rho_j**2 + sympy.eye(2)) == sympy.zeros(2)
-            and sympy.simplify(rho_i * rho_j + rho_j * rho_i) == sympy.zeros(2)
+            rho_i @ rho_i == minus_one
+            and rho_j @ rho_j == minus_one
+            and (rho_i @ rho_j + rho_j @ rho_i).is_zero()
         )
         out.append({"alpha": alpha, "field": f"Q(sqrt({d}))", "relations_hold": relations, "imaginary": d < 0})
     return out

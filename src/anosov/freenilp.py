@@ -18,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import divisors
-from sympy.functions.combinatorial.numbers import mobius
-
 from .hyper import FOUND, unit_circle_root_test
 from .intpoly import IntPoly, divides, eig_product_poly, factor_over_Q
 from .ratmat import RatMatrix, SingularMatrixError
@@ -30,9 +27,22 @@ MAX_TOTAL_DIMENSION = 10**5
 
 def witt_dimension(r: int, d: int) -> int:
     """(1/d)·Σ_{e|d} μ(e)·r^{d/e}, the rank of the degree-d component."""
-    total = sum(int(mobius(e)) * r ** (d // e) for e in divisors(d))
+    total = sum(_mobius(e) * r ** (d // e) for e in range(1, d + 1) if d % e == 0)
     assert total % d == 0
     return total // d
+
+
+def _mobius(n: int) -> int:
+    """The Möbius function μ(n) of n ≥ 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 def tree_degree(t) -> int:

@@ -1,12 +1,17 @@
 """Integer polynomial arithmetic: factorization over Q, gcds, cyclotomic
 polynomials, coefficient reversal, and eigenvalue-product polynomials.
 
-Factorization, gcds, squarefree parts, division and Sturm root counts run on
-sympy's dense integer kernels (`dup_*` over ZZ: Zassenhaus factorization,
-heuristic and subresultant gcds), which take coefficient lists directly; an
-`IntPoly` crosses that boundary as a list of ZZ elements, leading coefficient
-first, and comes back through `int`. The eigenvalue-product polynomials are
-computed here, in integer arithmetic, from power sums of the roots.
+Factorization takes a closed form where the answer has one: the power of X,
+small integer roots and every quadratic are split off here. The rest of a
+factorization, and gcds, squarefree parts, division and Sturm root counts,
+run on sympy's dense integer kernels (`dup_*` over ZZ: Zassenhaus
+factorization, heuristic and subresultant gcds), which take coefficient lists
+directly; an `IntPoly` crosses that boundary as a list of ZZ elements,
+leading coefficient first, and comes back through `int`. Each kernel is
+imported inside the function that calls it, so that a run whose polynomials
+all factor in closed form never loads sympy. The eigenvalue-product
+polynomials are computed here, in integer arithmetic, from power sums of the
+roots.
 """
 
 from __future__ import annotations
@@ -16,14 +21,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd as _int_gcd, isqrt, lcm as _int_lcm
 
-from sympy.polys.densearith import dup_div
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
-from sympy.polys.rootisolation import dup_count_real_roots
-from sympy.polys.sqfreetools import dup_sqf_part
-
 from .ratmat import json_int
+
+# The integer-root step of factor_over_Q runs when the constant term is below
+# this bound: its divisors are then found by at most isqrt(2**20) = 1024
+# trial divisions. A larger constant term goes to Zassenhaus whole.
+INTEGER_ROOT_BOUND = 2**20
 
 
 class ZeroPolynomialError(ValueError):
@@ -182,6 +185,8 @@ class IntPoly:
 
 def _dense(f: IntPoly) -> list:
     """f as a dense coefficient list over ZZ, leading coefficient first."""
+    from sympy.polys.domains import ZZ
+
     return [ZZ(c) for c in reversed(f.coeffs)]
 
 
@@ -197,21 +202,80 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Irreducible factorization over Q.
 
     Factors are primitive with positive leading coefficient; the product of
-    factors^multiplicities equals the input up to a rational unit. A linear
-    polynomial, and a quadratic whose discriminant is not a square, is its
-    own only factor, without a call into sympy.
+    factors^multiplicities equals the input up to a rational unit. They come
+    in sympy's order (degree, multiplicity, coefficients leading-first), and
+    every factorization equals `dup_factor_list`'s. The power of X, the
+    integer roots of a monic polynomial with a small constant term, and a
+    residual of degree at most two are split off in closed form; only a
+    residual of degree three or more goes to Zassenhaus.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    if f.degree == 1:
-        return [(f.primitive_part(), 1)]
-    if f.degree == 2:
-        c, b, a = f.coeffs
-        disc = b * b - 4 * a * c
-        if disc < 0 or isqrt(disc) ** 2 != disc:
-            return [(f.primitive_part(), 1)]
-    _, factors = dup_factor_list(_dense(f), ZZ)
-    return [(_from_dense(p), m) for p, m in factors]
+    k = next(i for i, c in enumerate(f.coeffs) if c)
+    g = IntPoly(f.coeffs[k:]).primitive_part()
+    factors = [(IntPoly((0, 1)), k)] if k else []
+    if g.degree > 2 and g.leading == 1 and abs(g.coeffs[0]) < INTEGER_ROOT_BOUND:
+        g = _split_integer_roots(g, factors)
+    if g.degree <= 2:
+        factors += _factor_quadratic(g)
+    else:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dup_factor_list
+
+        factors += [(_from_dense(p), m) for p, m in dup_factor_list(_dense(g), ZZ)[1]]
+    return sorted(factors, key=lambda fm: (fm[0].degree, fm[1], fm[0].coeffs[::-1]))
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n ≥ 1, by trial division up to √n."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _deflate(g: IntPoly, r: int) -> tuple[int, IntPoly]:
+    """(g(r), the quotient of g by X − r), by Horner's scheme."""
+    acc, quotient = 0, []
+    for c in reversed(g.coeffs):
+        acc = acc * r + c
+        quotient.append(acc)
+    remainder = quotient.pop()
+    return remainder, IntPoly(tuple(reversed(quotient)))
+
+
+def _split_integer_roots(g: IntPoly, factors: list) -> IntPoly:
+    """Append (X − r, multiplicity) to factors for every integer root r of the
+    monic g, and return g with them divided out. An integer root of a monic
+    integer polynomial divides its constant term."""
+    for d in _divisors(abs(g.coeffs[0])):
+        for r in (d, -d):
+            m = 0
+            while g.coeffs[0] % r == 0:
+                remainder, quotient = _deflate(g, r)
+                if remainder:
+                    break
+                g, m = quotient, m + 1
+            if m:
+                factors.append((IntPoly((-r, 1)), m))
+    return g
+
+
+def _factor_quadratic(g: IntPoly) -> list[tuple[IntPoly, int]]:
+    """Factors of a primitive g of degree at most two with positive leading
+    coefficient. A quadratic with a square discriminant has the rational roots
+    (−b ± √disc)/(2a), and its factors are their linear factors, made
+    primitive (Gauss: their product is primitive, so it is g)."""
+    if g.degree < 1:
+        return []
+    if g.degree == 1:
+        return [(g, 1)]
+    c, b, a = g.coeffs
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return [(g, 1)]
+    roots = [Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)]
+    linear = [IntPoly((-r.numerator, r.denominator)) for r in roots]
+    return [(linear[0], 2)] if s == 0 else [(p, 1) for p in linear]
 
 
 def is_irreducible(f: IntPoly) -> bool:
@@ -226,11 +290,17 @@ def cyclotomic(d: int) -> IntPoly:
     """d-th cyclotomic polynomial, monic of degree φ(d)."""
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_zz_cyclotomic_poly
+
     return _from_dense(dup_zz_cyclotomic_poly(d, ZZ))
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """gcd over Q, returned primitive with positive leading coefficient."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
     return _from_dense(dup_gcd(_dense(f), _dense(g), ZZ)).primitive_part()
 
 
@@ -238,12 +308,18 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     """f / gcd(f, f'), primitive with positive leading coefficient."""
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.sqfreetools import dup_sqf_part
+
     return _from_dense(dup_sqf_part(_dense(f), ZZ))
 
 
 def real_root_count(f: IntPoly, lo=None, hi=None) -> int:
     """Number of distinct real roots of f in [lo, hi] (Sturm sequence); an
     omitted bound is infinite."""
+    from sympy.polys.domains import QQ, ZZ
+    from sympy.polys.rootisolation import dup_count_real_roots
+
     bounds = [None if b is None else QQ(b) for b in (lo, hi)]
     return dup_count_real_roots(_dense(f), ZZ, *bounds)
 
@@ -322,6 +398,9 @@ def divides(f: IntPoly, g: IntPoly) -> bool:
     """True iff f divides g over Q."""
     if f.is_zero:
         return g.is_zero
+    from sympy.polys.densearith import dup_div
+    from sympy.polys.domains import ZZ
+
     # over Z a primitive f divides g exactly when it does over Q (Gauss)
     _, r = dup_div(_dense(g), _dense(f.primitive_part()), ZZ)
     return not r

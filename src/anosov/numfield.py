@@ -11,7 +11,9 @@ exact. Floating point appears only in the log screen: the embeddings (mpmath
 at a fixed 128-bit working precision) give the log vectors that screen unit
 candidates, and every candidate that passes the screen is certified exactly
 on its minimal polynomial. make_field raises PrecisionError when the complex
-embeddings cannot be paired.
+embeddings cannot be paired. mpmath, and sympy's integer factorization, are
+imported by the functions that use them, so importing this module loads
+neither.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence
-
-import mpmath
-import sympy
 
 from .hyper import HyperbolicityReport, is_c_hyperbolic_poly
 from .intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
@@ -92,12 +91,16 @@ class NumberFieldCtx:
         return list(range(self.s_real)) + [self.s_real + 2 * j for j in range(self.t_pairs)]
 
     def evaluate(self, coords: Sequence[Fraction], root) -> "mpmath.mpc":
+        import mpmath
+
         acc = mpmath.mpc(0)
         for c in reversed(list(coords)):
             acc = acc * root + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
         return acc
 
     def log_moduli(self, coords: Sequence[Fraction]) -> tuple:
+        import mpmath
+
         if not any(coords):
             raise ZeroDivisionError("log embedding of zero")
         with mpmath.workprec(PRECISION_BITS + 32):
@@ -123,6 +126,8 @@ class NumberFieldCtx:
 
 def make_field(min_poly: IntPoly) -> NumberFieldCtx:
     """Build a field context; raises FieldError for non-monic or reducible input."""
+    import mpmath
+
     if not min_poly.is_monic:
         raise FieldError("minimal polynomial must be monic")
     if min_poly.degree < 1:
@@ -195,6 +200,8 @@ def max_hyperbolicity_bound(field: NumberFieldCtx) -> int:
 
 
 def _is_squarefree(d: int) -> bool:
+    import sympy
+
     return d > 1 and all(e == 1 for e in sympy.factorint(d).values())
 
 
@@ -254,6 +261,8 @@ def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
     if rank == 0:
         return []
     if field.degree == 2 and field.s_real == 2:
+        import sympy
+
         # X² + bX + c with positive discriminant; express the fundamental
         # unit of Q(√d0) in this power basis via √d0 = (2θ + b)/t
         b, c = field.min_poly.coeffs[1], field.min_poly.coeffs[0]
@@ -280,6 +289,8 @@ def cyclotomic_index_of(f: IntPoly) -> Optional[int]:
     """d with f = Φ_d, or None. Uses φ(d) ≥ √(d/2) to bound the search."""
     if not f.is_monic or f.degree < 1:
         return None
+    import sympy
+
     k = f.degree
     for d in range(1, 2 * k * k + 2):
         if sympy.totient(d) == k and cyclotomic(d) == f:

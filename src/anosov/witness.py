@@ -27,8 +27,6 @@ from math import lcm
 from operator import mul
 from typing import Optional
 
-from sympy import integer_nthroot
-
 from .fingrp import RationalRep
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
 from .intpoly import IntPoly, is_irreducible
@@ -207,8 +205,16 @@ def lattice_height(dim: int, height_bound: int) -> int:
     """The largest height up to height_bound whose cube [−h, h]^dim holds at
     most MAX_LATTICE_CANDIDATES vectors: the height to which lattice_search
     screens every shell in full."""
-    side = integer_nthroot(MAX_LATTICE_CANDIDATES, dim)[0]  # largest s with s^dim ≤ the limit
-    return min(height_bound, (side - 1) // 2)
+    return min(height_bound, (_integer_root(MAX_LATTICE_CANDIDATES, dim) - 1) // 2)
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The largest s ≥ 0 with s^k ≤ n, by bisection on [0, n + 1)."""
+    lo, hi = 0, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+    return lo
 
 
 def lattice_search(

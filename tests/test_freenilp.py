@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from sympy import divisors, mobius
 
 from anosov.freenilp import (
     full_action_hyperbolic,
@@ -39,6 +40,14 @@ class TestHallBasis:
         basis = hall_basis(r, c)
         for d in range(1, c + 1):
             assert len(basis.elements(d)) == witt_dimension(r, d)
+
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_witt_dimension_matches_sympy_mobius(self, d):
+        # the integer Möbius function against sympy's, through squares and
+        # several primes
+        for r in (1, 2, 3, 5):
+            total = sum(int(mobius(e)) * r ** (d // e) for e in divisors(d))
+            assert witt_dimension(r, d) == total // d
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,23 @@
-"""Every module-level import in the library is used by its module, and no
-module but numfield, whose embeddings give the log-vector screen, names a
-floating-point library."""
+"""Every module-level import in the library is used by its module; no module
+but numfield, whose embeddings give the log-vector screen, names a
+floating-point library; and no module imports sympy or mpmath when it is
+imported, so that the decision path starts without them."""
 
 import ast
+import dataclasses
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import benchmark_cases
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "anosov"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+HEAVY = ("sympy", "mpmath")
 
 
 def _imported_names(tree: ast.Module) -> list[str]:
@@ -20,6 +28,22 @@ def _imported_names(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             names.extend(a.asname or a.name for a in node.names)
     return names
+
+
+def _import_time_modules(tree: ast.Module) -> list[str]:
+    """The absolute modules named by every import statement that runs when
+    the module is imported: all of them outside function bodies."""
+    modules, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            modules.extend(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return modules
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -36,3 +60,58 @@ def test_exact_modules_hold_no_mpmath(module):
     mod = importlib.import_module(module)
     assert "mpmath" not in vars(mod)
     assert "mpmath" not in mod.__loader__.get_source(module)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_heavy_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    heavy = [m for m in _import_time_modules(tree) if m.split(".")[0] in HEAVY]
+    assert not heavy, f"{path.name} imports at module level: {heavy}"
+
+
+# Runs argv lists from stdin through the CLI in one fresh interpreter and
+# prints their outputs, then the heavy modules that were loaded.
+CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from anosov.cli import main
+outputs = []
+for argv, text in json.load(sys.stdin):
+    sys.stdin, buf = io.StringIO(text), io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    outputs.append([rc, buf.getvalue()])
+print(json.dumps({"outputs": outputs, "loaded": [m for m in sys.argv[2:] if m in sys.modules]}))
+"""
+
+
+def test_decision_path_loads_no_sympy_or_mpmath():
+    cases = benchmark_cases()
+    corpus = cases.FULL["isotypic"]() + cases.FULL["closure"]()
+    runs = []
+    for case in corpus:
+        for seed in (0, 1):
+            text = json.dumps(case.input_obj(seed))
+            for command in ("decide", "decompose", "porteous"):
+                runs.append(((case, command), [[command, "-"], text]))
+    runs.append((None, [["demo", "q8"], ""]))
+    runs.append((None, [["hall-basis", "--r", "3", "--class", "6"], ""]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(SRC.parent), *HEAVY],
+        input=json.dumps([run for _, run in runs]), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    for (key, _), (rc, out) in zip(runs, result["outputs"]):
+        assert rc == 0
+        if key is None:
+            continue
+        case, command = key
+        obj = json.loads(out)
+        if command == "decompose":
+            rows = sorted((p["dimension"], p["multiplicity"], p["r_components"]) for p in obj)
+            assert rows == sorted(case.components), case.case_id
+        else:
+            flat = case if command == "decide" else dataclasses.replace(case, c=1)
+            assert cases.fingerprint(flat, obj) == flat.expected(), (case.case_id, command)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -6,6 +8,10 @@ from sympy.abc import x as _X, y as _Y
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
+import anosov.intpoly
+import anosov.repdec
+from anosov.decider import decide
+from anosov.fingrp import group_rep_from_json_obj
 from anosov.intpoly import (
     IntPoly,
     ZeroPolynomialError,
@@ -19,7 +25,7 @@ from anosov.intpoly import (
     reversal,
     squarefree_part,
 )
-from conftest import k_fold_products, roots_of
+from conftest import benchmark_cases, k_fold_products, roots_of
 
 X_MINUS_1 = IntPoly((-1, 1))
 GOLDEN = IntPoly((-1, -1, 1))  # X^2 - X - 1
@@ -101,6 +107,55 @@ quadratics = st.one_of(
 )
 
 
+def _from_roots(roots) -> IntPoly:
+    f = IntPoly((1,))
+    for r in roots:
+        f = f * IntPoly((-r, 1))
+    return f
+
+
+irreducible_tails = st.one_of(
+    st.just(IntPoly((1,))),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=3)
+    .map(lambda c: IntPoly((*c, 1)))
+    .filter(lambda q: _to_sympy(q).is_irreducible),
+)
+
+
+@st.composite
+def split_products(draw):
+    """Monic linear factors with random and repeated integer roots, times
+    X^k, times an irreducible quadratic or cubic or nothing."""
+    roots = draw(st.lists(st.integers(-40, 40), max_size=5))
+    if roots:
+        roots += draw(st.lists(st.sampled_from(roots), max_size=3))
+    power_of_x = IntPoly((0,) * draw(st.integers(0, 3)) + (1,))
+    return _from_roots(roots) * power_of_x * draw(irreducible_tails)
+
+
+# a sign, a content, and a non-monic factor of degree one or two
+non_monic = st.builds(
+    lambda f, g, k: (f * g).scale(k),
+    split_products(),
+    st.sampled_from([IntPoly((1,)), IntPoly((1, 2)), IntPoly((-3, 5)), IntPoly((1, 0, 3))]),
+    st.sampled_from([1, -1, 2, -6]),
+)
+# constant terms up to 10^40 at degree three or more: a random one, and one
+# that is a product of large integer roots
+large_constants = st.one_of(
+    st.builds(
+        lambda c, middle: IntPoly((c, *middle, 1)),
+        st.integers(-(10**40), 10**40).filter(bool),
+        st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+    ),
+    st.builds(
+        lambda roots, f: _from_roots(roots) * f,
+        st.lists(st.integers(-(10**13), 10**13), min_size=1, max_size=3),
+        split_products(),
+    ).filter(lambda f: f.degree >= 3),
+)
+
+
 class TestDenseKernelsMatchPolyOracle:
     """The dense ZZ routes against the same questions asked through Poly."""
 
@@ -139,6 +194,13 @@ class TestDenseKernelsMatchPolyOracle:
         # negative leading coefficients
         for g in (f, f.scale(content)):
             assert factor_over_Q(g) == dense_factor_oracle(g)
+
+    @given(st.one_of(split_products(), non_monic, large_constants))
+    @settings(max_examples=200, deadline=None)
+    def test_factor_over_Q_closed_forms(self, f):
+        # factors, multiplicities and order on the inputs the closed forms
+        # take, and on those they hand to Zassenhaus
+        assert factor_over_Q(f) == factor_oracle(f)
 
     @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
@@ -185,6 +247,44 @@ class TestFactor:
             product = product * factor**mult
         if f.degree >= 1:
             assert product.primitive_part() == f.primitive_part()
+
+
+def test_corpus_decides_factor_in_closed_form(monkeypatch):
+    """decide on the isotypic and closure corpora never calls Zassenhaus, and
+    takes every closed form: the power of X, integer roots, and quadratics
+    with and without a square discriminant."""
+    zassenhaus, branches = [], Counter()
+    monkeypatch.setattr(
+        "sympy.polys.factortools.dup_factor_list", lambda *args: zassenhaus.append(args) or dup_factor_list(*args)
+    )
+    factor, split, quadratic = factor_over_Q, anosov.intpoly._split_integer_roots, anosov.intpoly._factor_quadratic
+
+    def counted_factor(f):
+        branches["power of X"] += f.coeffs[0] == 0
+        return factor(f)
+
+    def counted_split(g, factors):
+        before = len(factors)
+        residual = split(g, factors)
+        branches["integer roots"] += len(factors) > before
+        return residual
+
+    def counted_quadratic(g):
+        out = quadratic(g)
+        if g.degree == 2:
+            branches["square" if all(p.degree == 1 for p, _ in out) else "irreducible quadratic"] += 1
+        return out
+
+    monkeypatch.setattr(anosov.repdec, "factor_over_Q", counted_factor)
+    monkeypatch.setattr(anosov.intpoly, "_split_integer_roots", counted_split)
+    monkeypatch.setattr(anosov.intpoly, "_factor_quadratic", counted_quadratic)
+    cases = benchmark_cases()
+    for case in cases.FULL["isotypic"]() + cases.FULL["closure"]():
+        for seed in (0, 1):
+            _, rep, c = group_rep_from_json_obj(case.input_obj(seed))
+            assert decide(rep, c).admits_anosov == case.expected()["verdict"]
+    assert zassenhaus == []
+    assert set(+branches) == {"power of X", "integer roots", "square", "irreducible quadratic"}, branches
 
 
 class TestCyclotomic:

@@ -3,6 +3,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import integer_nthroot
 
 from anosov import corpus, witness
 from anosov.fingrp import group_rep_from_json_obj, multiple
@@ -17,9 +18,11 @@ from anosov.intpoly import IntPoly
 from anosov.ratmat import RatMatrix
 from anosov.repdec import commutant, decompose
 from anosov.witness import (
+    MAX_LATTICE_CANDIDATES,
     WitnessConstructionError,
     companion_matrix,
     field_through_commutant,
+    lattice_height,
     lattice_search,
     tensor_shortcut,
     verify_witness,
@@ -113,6 +116,15 @@ class TestLatticeSearch:
     def test_klein_bottle_empty(self, klein):
         hit, screened = lattice_search(commutant(klein), 1, 5)
         assert hit is None and screened == 120
+
+    @pytest.mark.parametrize("dim", range(1, 25))
+    def test_lattice_height_matches_integer_nthroot(self, dim):
+        # the bisection root against sympy's, at and around exact powers
+        side = integer_nthroot(MAX_LATTICE_CANDIDATES, dim)[0]
+        assert lattice_height(dim, 10**6) == (side - 1) // 2
+        assert lattice_height(dim, 1) == min(1, (side - 1) // 2)
+        for n in (side**dim - 1, side**dim, side**dim + 1):
+            assert witness._integer_root(n, dim) == integer_nthroot(n, dim)[0]
 
     def test_zero_bound_empty(self, torus):
         assert lattice_search(commutant(torus), 1, 0) == (None, 0)
