@@ -31,6 +31,7 @@ from .intpoly import IntPoly, poly_from_json_obj
 from .numfield import (
     PrecisionError,
     cyclotomic_field,
+    lattice_height,
     make_field,
     search_c_hyperbolic_unit,
     unit_generators_for_field,
@@ -182,7 +183,8 @@ def cmd_units(args) -> None:
         "field_min_poly": [str(x) for x in field.min_poly.coeffs],
         "signature": list(field.signature),
         "c": c,
-        "bound": bound,
+        # the height screened in full: the bound, or less under the candidate limit
+        "bound": lattice_height(len(generators), bound),
         "found": outcome.found,
         "reason": outcome.reason,
         "candidates_screened": outcome.candidates_screened,

@@ -17,16 +17,20 @@ from functools import cache, partial
 from typing import Callable, Optional
 
 from .fingrp import RationalRep, class_character
-from .numfield import cyclotomic_field, search_c_hyperbolic_unit, unit_generators_for_field
+from .numfield import (
+    MAX_LATTICE_CANDIDATES,
+    cyclotomic_field,
+    lattice_height,
+    search_c_hyperbolic_unit,
+    unit_generators_for_field,
+)
 from .ratmat import RatMatrix
 from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, intertwiner, restrict_rep
 from .witness import (
     LATTICE_SEARCH,
-    MAX_LATTICE_CANDIDATES,
     TENSOR_SHORTCUT,
     WitnessCertificate,
     field_through_commutant,
-    lattice_height,
     lattice_search,
     tensor_shortcut,
     verify_witness,
@@ -227,7 +231,7 @@ def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int
     if height_bound < 0:
         raise ValueError(f"height_bound must be >= 0, got {height_bound}")
     com = commutant(rep)
-    if 3**com.dimension > MAX_LATTICE_CANDIDATES:
+    if lattice_height(com.dimension, 1) == 0:
         raise ValueError(
             f"no-certificate search over a commutant of dimension dim E = {com.dimension} "
             f"has 3^{com.dimension} candidates at height 1, over the limit of "

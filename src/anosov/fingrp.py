@@ -12,12 +12,13 @@ Theory* §4.1); squares, inverses and conjugacy classes are read off that
 graph with no products at all.
 
 After ingestion every step costs #generators or #classes, not |G|. A
-representation is held by its generator images, and its full image list is
-built only when read. Characters are class functions (Serre, *Linear
-Representations of Finite Groups*, §2.2–2.5), so the class sums read a
-representation's character, the trace of its image at one representative per
-class, evaluated once per representation; the class sizes and the classes of
-rep² and rep⁻¹ are computed once per group.
+representation is held by its generator images; its full image list is built
+on first read, and only check_homomorphism, at ingestion, reads it.
+Characters are class functions (Serre, *Linear Representations of Finite
+Groups*, §2.2–2.5), so the class sums read a representation's character, the
+trace of its image at one representative per class, evaluated once per
+representation; the class sizes and the classes of rep² and rep⁻¹ are
+computed once per group.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[int]]:
 class RationalRep:
     """Rational representation, held by its generator images, one per entry
     of group.gen_indices. `images`, one matrix per group element, is built
-    on first read."""
+    on first read; check_homomorphism is its only reader."""
 
     group: FiniteMatrixGroup
     gen_images: tuple

@@ -24,13 +24,14 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .hyper import HyperbolicityReport, is_c_hyperbolic_poly
+from .hyper import HyperbolicityReport, is_c_hyperbolic_poly, is_integer_like
 from .intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
 from .ratmat import RatMatrix, matrix_min_poly
 from .repdec import poly_at_matrix
 
 PRECISION_BITS = 128
 LOG_SCREEN_EPS = 1e-9
+MAX_LATTICE_CANDIDATES = 500_000
 
 
 class PrecisionError(ArithmeticError):
@@ -115,13 +116,10 @@ class NumberFieldCtx:
         return IntPoly.from_rationals(matrix_min_poly(self.mult_matrix(coords)))
 
     def is_unit(self, coords: Sequence[Fraction]) -> bool:
-        """Algebraic integer with unit norm: integer minimal polynomial with
-        constant term ±1."""
-        try:
-            mp = self.element_min_poly_int(coords)
-        except ValueError:
-            return False
-        return abs(mp.coeffs[0]) == 1
+        """Algebraic integer with unit norm: the multiplication matrix is
+        integer-like, as its characteristic polynomial is a power of the
+        element's minimal polynomial."""
+        return is_integer_like(self.mult_matrix(coords))
 
 
 def make_field(min_poly: IntPoly) -> NumberFieldCtx:
@@ -322,6 +320,23 @@ def _multiset_sums_clear_zero(values: Sequence, c: int, eps: float) -> bool:
     return True
 
 
+def lattice_height(dim: int, height_bound: int) -> int:
+    """The largest height up to height_bound whose cube [−h, h]^dim holds at
+    most MAX_LATTICE_CANDIDATES vectors: the height to which an integer
+    search over dim coordinates screens every shell in full. It is 0 when
+    height 1 alone is over the limit."""
+    return min(height_bound, (_integer_root(MAX_LATTICE_CANDIDATES, dim) - 1) // 2)
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The largest s ≥ 0 with s^k ≤ n, by bisection on [0, n + 1)."""
+    lo, hi = 0, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+    return lo
+
+
 def max_norm_shell(dim: int, h: int):
     """The integer vectors of length dim and max-norm h, in the order of
     itertools.product over h, h−1, …, −h. A first coordinate ±h is followed
@@ -346,7 +361,8 @@ def search_c_hyperbolic_unit(
     exponent_bound: int = 10,
 ) -> UnitSearchOutcome:
     """First certified c-hyperbolic unit among products of generator powers
-    with exponents of max-norm up to the bound.
+    with exponents of max-norm up to lattice_height(#generators, bound);
+    raises ValueError when height 1 alone is over MAX_LATTICE_CANDIDATES.
 
     Candidates are enumerated shell by shell in increasing max-norm; inside a
     shell, candidates whose log vector has exactly one positive coordinate
@@ -363,6 +379,11 @@ def search_c_hyperbolic_unit(
         return UnitSearchOutcome(None, None, None, 0, "theoretical-bound")
     if not generators:
         return UnitSearchOutcome(None, None, None, 0, "exhausted-bound")
+    if lattice_height(len(generators), 1) == 0:
+        raise ValueError(
+            f"a unit search over {len(generators)} generators has 3^{len(generators)} candidates "
+            f"at height 1, over the limit of {MAX_LATTICE_CANDIDATES}"
+        )
     logs = [gen.log_vector for gen in generators]
     mats = [field.mult_matrix(gen.coords) for gen in generators]
 
@@ -370,7 +391,7 @@ def search_c_hyperbolic_unit(
         return [sum(e * lv[i] for e, lv in zip(vec, logs)) for i in range(len(logs[0]))]
 
     screened = 0
-    for h in range(exponent_bound + 1):
+    for h in range(lattice_height(len(generators), exponent_bound) + 1):
         ordered = sorted(
             max_norm_shell(len(generators), h),
             key=lambda vec: 0 if sum(1 for v in log_of(vec) if v > 0) == 1 else 1,

@@ -5,11 +5,14 @@ endomorphism-algebra dimension dim_E, character-field degree n (dimension of
 the commutant's center), the square root m of dim_E/n, the complex-component
 count e = m·n, the sign of the indicator sum, and the real-component count r.
 
-Splitting is commutant-driven: an element of the commutant with a reducible
-minimal polynomial yields complementary invariant subspaces (primary kernels
-when the factors are coprime, an averaged equivariant projection when the
-minimal polynomial is a proper prime power). The trial elements are the
-commutant basis, its pairwise sums and a run of seeded random combinations.
+Splitting is commutant-driven: a trial x in the commutant E whose minimal
+polynomial has two coprime factors splits V into their primary kernels. If
+it is a proper prime power p^m, y = p(x) is nilpotent and nonzero. The trace
+form tr_V(u·v) of the semisimple E is nondegenerate (its radical is an ideal
+whose elements have powers of trace 0, so it is nil, so zero), so tr(b·y) ≠ 0
+for a basis element b, and z = b·y, singular but not nilpotent, has minimal
+polynomial X^j·q with q(0) ≠ 0. The trials are the commutant basis, its
+pairwise sums and a run of seeded random combinations.
 
 A leaf V with commutant E is proved irreducible, exactly, by one of:
 - "dimension-one": dim V = 1 or E = Q;
@@ -35,7 +38,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -174,7 +176,7 @@ def intertwiner(source: RationalRep, target: RationalRep) -> RatMatrix:
     return hom[0]
 
 
-def poly_at_matrix(coeffs: Sequence[Fraction], m: RatMatrix) -> RatMatrix:
+def poly_at_matrix(coeffs: Sequence, m: RatMatrix) -> RatMatrix:
     """p(m) for ascending coefficients, by Horner's rule."""
     ident = RatMatrix.identity(m.rows)
     acc = RatMatrix.zeros(m.rows, m.rows)
@@ -195,37 +197,6 @@ def restrict_rep(rep: RationalRep, basis: RatMatrix) -> RationalRep:
     return RationalRep(group=rep.group, gen_images=tuple(restrict_action(basis, img) for img in rep.gen_images))
 
 
-def _equivariant_complement(rep: RationalRep, w: RatMatrix) -> RatMatrix:
-    """Invariant complement of the invariant column span of w, by averaging a
-    projection over the group: the one step that reads rep's full image
-    list, reached only when a minimal polynomial is a proper prime power."""
-    n = rep.dimension
-    cols = [list(w.column(j)) for j in range(w.cols)]
-    for i in range(n):
-        if len(cols) == n:
-            break
-        unit = [Fraction(0)] * n
-        unit[i] = Fraction(1)
-        candidate = RatMatrix.from_columns(cols + [unit])
-        if candidate.rank() == len(cols) + 1:
-            cols.append(unit)
-    full = RatMatrix.from_columns(cols)
-    # coordinate projection onto the w-span part of the completed basis
-    proj0 = RatMatrix.from_rows(
-        [[Fraction(1) if (i == j and i < w.cols) else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-    raw = full @ proj0 @ full.inverse()
-    group = rep.group
-    acc = RatMatrix.zeros(n, n)
-    for g in range(group.order):
-        acc = acc + rep.images[g] @ raw @ rep.images[group.inv_map[g]]
-    averaged = acc.scale(Fraction(1, group.order))
-    kernel = averaged.kernel_basis()
-    if len(kernel) != n - w.cols:
-        raise DecompositionError("averaged projection has wrong corank")
-    return RatMatrix.from_columns([list(v) for v in kernel])
-
-
 @dataclass(frozen=True)
 class IrreducibleCertificate:
     """The leaf is irreducible. proof says why (see the module docstring):
@@ -240,29 +211,31 @@ class IrreducibleCertificate:
 
 def _split_with(rep: RationalRep, x: RatMatrix, factors: list):
     """Complementary invariant subspaces from a commutant element x whose
-    minimal polynomial has the given factors, which are not one simple
-    irreducible."""
-    if len(factors) >= 2:
-        f1 = factors[0][0] ** factors[0][1]
-        rest = IntPoly((1,))
-        for p, mult in factors[1:]:
-            rest = rest * p**mult
-        k1 = poly_at_matrix([Fraction(c) for c in f1.coeffs], x).kernel_basis()
-        k2 = poly_at_matrix([Fraction(c) for c in rest.coeffs], x).kernel_basis()
-        if not k1 or not k2 or len(k1) + len(k2) != rep.dimension:
-            raise DecompositionError("primary kernels do not decompose the space")
-        return (
-            RatMatrix.from_columns([list(v) for v in k1]),
-            RatMatrix.from_columns([list(v) for v in k2]),
-        )
-    # single irreducible factor with multiplicity >= 2: its kernel is a proper
-    # nonzero invariant subspace; complement by averaging
-    p = factors[0][0]
-    kernel = poly_at_matrix([Fraction(c) for c in p.coeffs], x).kernel_basis()
-    if not kernel or len(kernel) == rep.dimension:
-        raise DecompositionError("prime-power kernel is not proper")
-    w = RatMatrix.from_columns([list(v) for v in kernel])
-    return w, _equivariant_complement(rep, w)
+    minimal polynomial has two or more coprime factors, such as _trace_partner
+    makes from a prime-power trial: the kernels of the first factor's power
+    and of the product of the rest."""
+    f1 = factors[0][0] ** factors[0][1]
+    rest = IntPoly((1,))
+    for p, mult in factors[1:]:
+        rest = rest * p**mult
+    k1 = poly_at_matrix(f1.coeffs, x).kernel_basis()
+    k2 = poly_at_matrix(rest.coeffs, x).kernel_basis()
+    if not k1 or not k2 or len(k1) + len(k2) != rep.dimension:
+        raise DecompositionError("primary kernels do not decompose the space")
+    return (
+        RatMatrix.from_columns([list(v) for v in k1]),
+        RatMatrix.from_columns([list(v) for v in k2]),
+    )
+
+
+def _trace_partner(com: CommutantBasis, y: RatMatrix) -> RatMatrix:
+    """z = b·y for the first basis element b of com with tr(b·y) ≠ 0, y a
+    nonzero nilpotent in com (module docstring); only b·y is formed."""
+    traces = _trace_pairings((b.integer_form()[0] for b in com.basis), y.integer_form()[0], y.rows)
+    b = next((b for b, t in zip(com.basis, traces) if t), None)
+    if b is None:
+        raise DecompositionError("a nonzero nilpotent is orthogonal to the commutant under the trace form")
+    return b @ y
 
 
 def _random_combination(basis: Sequence[RatMatrix], rng: random.Random) -> RatMatrix:
@@ -275,6 +248,13 @@ def _random_combination(basis: Sequence[RatMatrix], rng: random.Random) -> RatMa
         if c:
             acc = acc + b.scale(c)
     return acc
+
+
+def _trace_pairings(xs, y: Sequence[int], n: int):
+    """tr(x·y) = Σ x[k,l]·y[l,k] for each x, on the row-major integer
+    numerators of n×n matrices: each x is paired with y transposed."""
+    yt = [y[l * n + k] for k in range(n) for l in range(n)]
+    return (sum(map(mul, x, yt)) for x in xs)
 
 
 def _trace_form_negative_definite(basis: Sequence[RatMatrix]) -> bool:
@@ -295,9 +275,7 @@ def _trace_form_negative_definite(basis: Sequence[RatMatrix]) -> bool:
         for i, m in enumerate(nums)
         if i != p
     ]
-    # tr(x·y) = Σ x[k,l]·y[l,k]: pair x with y transposed
-    transposed = [[x[l * n + k] for k in range(n) for l in range(n)] for x in xs]
-    gram = [[-sum(map(mul, x, yt)) for yt in transposed] for x in xs]
+    gram = [[-t for t in _trace_pairings(xs, y, n)] for y in xs]
     return all(RatMatrix.from_rows([row[:k] for row in gram[:k]]).det() > 0 for k in range(1, len(xs) + 1))
 
 
@@ -321,7 +299,10 @@ def _split_once(rep: RationalRep, rng: random.Random, com: Optional[CommutantBas
     for x in itertools.chain(com.basis_and_pair_sums(), randoms):
         attempted += 1
         factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(x)))
-        if len(factors) > 1 or factors[0][1] > 1:
+        if len(factors) == 1 and factors[0][1] > 1:
+            x = _trace_partner(com, poly_at_matrix(factors[0][0].coeffs, x))
+            factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(x)))
+        if len(factors) > 1:
             return _split_with(rep, x, factors)
         if factors[0][0].degree == com.dimension:
             return IrreducibleCertificate(trials=attempted, commutant=com, proof="field")

@@ -34,6 +34,7 @@ from .numfield import (
     UnsupportedFieldError,
     companion_matrix,
     hyperbolic_companion_poly,
+    lattice_height,
     make_field,
     max_hyperbolicity_bound,
     max_norm_shell,
@@ -47,7 +48,6 @@ TENSOR_SHORTCUT = "tensor-shortcut"
 FIELD_THROUGH_COMMUTANT = "field-through-commutant"
 LATTICE_SEARCH = "lattice-search"
 RANDOM_CANDIDATES = 10
-MAX_LATTICE_CANDIDATES = 500_000
 
 
 class WitnessConstructionError(RuntimeError):
@@ -193,28 +193,14 @@ def field_through_commutant(
             generators = unit_generators_for_field(field)
         except UnsupportedFieldError:
             continue
+        if lattice_height(len(generators), 1) == 0:
+            continue
         outcome = search_c_hyperbolic_unit(field, generators, c, exponent_bound)
         if not outcome.found:
             continue
         witness = poly_at_matrix(outcome.unit.coords, j_mat)
         return witness, FIELD_THROUGH_COMMUTANT
     return None
-
-
-def lattice_height(dim: int, height_bound: int) -> int:
-    """The largest height up to height_bound whose cube [−h, h]^dim holds at
-    most MAX_LATTICE_CANDIDATES vectors: the height to which lattice_search
-    screens every shell in full."""
-    return min(height_bound, (_integer_root(MAX_LATTICE_CANDIDATES, dim) - 1) // 2)
-
-
-def _integer_root(n: int, k: int) -> int:
-    """The largest s ≥ 0 with s^k ≤ n, by bisection on [0, n + 1)."""
-    lo, hi = 0, n + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
-    return lo
 
 
 def lattice_search(

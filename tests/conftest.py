@@ -13,7 +13,7 @@ from anosov.fingrp import rep_from_generator_images
 from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
-from anosov.witness import MAX_LATTICE_CANDIDATES
+from anosov.numfield import MAX_LATTICE_CANDIDATES
 
 
 @pytest.fixture(scope="session")

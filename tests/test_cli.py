@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from anosov import cli, witness
+from anosov import cli, numfield
 from anosov.cli import SUBCOMMANDS, build_parser, main
 from anosov.ratmat import RatMatrix
-from anosov.witness import MAX_LATTICE_CANDIDATES
+from anosov.numfield import MAX_LATTICE_CANDIDATES
 
 D3_INPUT = {
     "generators": [[["0", "-1"], ["1", "-1"]], [["0", "-1"], ["-1", "0"]]],
@@ -82,6 +82,27 @@ def test_units_json_input(tmp_path, capsys):
     assert code == 0 and result["found"] is True
 
 
+def test_units_refuses_a_search_over_the_candidate_limit(capsys):
+    # Q(ζ120) has 15 cyclotomic unit generators: 3^15 exponent vectors at
+    # height 1 are over the candidate limit, so the search is refused
+    code, out, err = run(["units", "--zeta", "120", "--class", "1", "--bound", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "invalid input:" in err and "15 generators" in err and str(MAX_LATTICE_CANDIDATES) in err
+
+
+def test_units_reports_the_height_screened_in_full(capsys, monkeypatch):
+    # Q(√2) has one unit generator: under a limit of 10 candidates the search
+    # screens up to height 4 (9 ≤ 10 < 11) and reports it; under a limit of
+    # 2, height 1 alone (3 candidates) is over it
+    monkeypatch.setattr(numfield, "MAX_LATTICE_CANDIDATES", 10)
+    code, out, _ = run(["units", "--sqrt", "2", "--class", "1", "--bound", "12"], capsys)
+    result = json.loads(out)
+    assert code == 0 and result["found"] is True and result["bound"] == 4
+    monkeypatch.setattr(numfield, "MAX_LATTICE_CANDIDATES", 2)
+    code, out, err = run(["units", "--sqrt", "2", "--class", "1", "--bound", "12"], capsys)
+    assert code == 2 and out == "" and "3^1 candidates" in err
+
+
 def test_graded_action_subcommand(tmp_path, capsys):
     path = write_input(tmp_path, {"r": 2, "class": 2, "matrix": [["2", "1"], ["1", "1"]]})
     code, out, _ = run(["graded-action", path], capsys)
@@ -109,7 +130,7 @@ def test_no_cert_reports_the_height_screened_in_full(tmp_path, capsys, monkeypat
     # the Klein bottle's commutant has dimension 2: under a limit of 100
     # candidates the search stops at height 4 (9² ≤ 100 < 11²), below the
     # requested 6, and reports that height
-    monkeypatch.setattr(witness, "MAX_LATTICE_CANDIDATES", 100)
+    monkeypatch.setattr(numfield, "MAX_LATTICE_CANDIDATES", 100)
     path = write_input(tmp_path, {"generators": [[["1", "0"], ["0", "-1"]]], "class": 1})
     code, out, _ = run(["no-cert", path, "--height-bound", "6"], capsys)
     report = json.loads(out)

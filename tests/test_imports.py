@@ -1,7 +1,8 @@
 """Every module-level import in the library is used by its module; no module
 but numfield, whose embeddings give the log-vector screen, names a
-floating-point library; and no module imports sympy or mpmath when it is
-imported, so that the decision path starts without them."""
+floating-point library; no module imports sympy or mpmath when it is
+imported, so that the decision path starts without them; and only the
+homomorphism check reads a representation's full image list."""
 
 import ast
 import dataclasses
@@ -67,6 +68,36 @@ def test_no_module_level_heavy_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     heavy = [m for m in _import_time_modules(tree) if m.split(".")[0] in HEAVY]
     assert not heavy, f"{path.name} imports at module level: {heavy}"
+
+
+# The one reader of RationalRep.images, and Permutation's own field of that
+# name: (module, enclosing class and function names) prefixes.
+IMAGES_READERS = (("fingrp.py", "RationalRep", "check_homomorphism"), ("ratmat.py", "Permutation"))
+
+
+def _images_reads(tree: ast.Module) -> list[tuple]:
+    """The enclosing class and function names of every `.images` attribute."""
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Attribute) and node.attr == "images":
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_full_image_list_read_only_by_the_homomorphism_check(path):
+    # after ingestion every step costs #generators or #classes, not |G|
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [(path.name, *scope) for scope in _images_reads(tree)]
+    stray = [r for r in reads if not any(r[: len(a)] == a for a in IMAGES_READERS)]
+    assert not stray, f"{path.name} reads .images in {stray}"
 
 
 # Runs argv lists from stdin through the CLI in one fresh interpreter and

@@ -28,6 +28,7 @@ from anosov.repdec import (
     commutant,
     component_profile,
     decompose,
+    restrict_action,
     restrict_rep,
     split_once,
 )
@@ -267,16 +268,98 @@ def test_restriction_solves_once_per_generator(monkeypatch):
 
 
 def test_decompose_builds_no_full_image_list(monkeypatch):
-    """On the natural representation of S5 (order 120) no split node, leaf
-    or class sum reads a full image list."""
-    rep = natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4]))
+    """On the natural representation of S5 (order 120), and on benchmark
+    inputs whose splitting meets proper prime-power minimal polynomials, no
+    split node, leaf or class sum reads a full image list."""
+    s5 = natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4]))
+    cases = {case.case_id: case for case in benchmark_cases().FULL["isotypic"]() + benchmark_cases().FULL["closure"]()}
+    # ingestion checks the homomorphism on the full image list: build first
+    prime_power = [
+        (cases[name], group_rep_from_json_obj(cases[name].input_obj(seed, 0))[1])
+        for name, seed in (("4rho3_c3", 1), ("2q8_c1", 2), ("2s5_c1", 1))
+    ]
 
     def forbidden(self):
         raise AssertionError("a full image list was built")
 
     monkeypatch.setattr(RationalRep, "images", property(forbidden))
-    profiles = decompose(rep, seed=0)
+    profiles = decompose(s5, seed=0)
     assert sorted((p.dimension, p.multiplicity, p.dim_E) for p in profiles) == [(1, 1, 1), (4, 1, 1)]
+    steps = 0
+    partner = repdec._trace_partner
+
+    def counting(com, y):
+        nonlocal steps
+        steps += 1
+        return partner(com, y)
+
+    monkeypatch.setattr(repdec, "_trace_partner", counting)
+    for case, rep in prime_power:
+        steps = 0
+        profiles = decompose(rep, seed=0)
+        rows = sorted((p.dimension, p.multiplicity, p.r_components) for p in profiles)
+        assert rows == sorted(case.components), case.case_id
+        assert steps > 0, case.case_id
+
+
+def _prime_power_trials(com):
+    """The basis elements and pair sums of com whose minimal polynomial is a
+    proper prime power p^m, each with p."""
+    for x in com.basis_and_pair_sums():
+        factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(x)))
+        if len(factors) == 1 and factors[0][1] > 1:
+            yield x, factors[0][0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "make_rep, has_trials",
+    [
+        (lambda: m_rho3(2), True),
+        (lambda: m_rho3(4), True),
+        (lambda: multiple(corpus.q8_rep(), 2), True),
+        (regular_d4, False),
+    ],
+    ids=["2rho3", "4rho3", "2q8", "reg_d4"],
+)
+def test_trace_partner_splits_every_prime_power_trial(make_rep, has_trials, seed):
+    """For each trial x with minimal polynomial p^m, m ≥ 2, z = b·p(x) is
+    formed with the first basis element b of nonzero trace pairing (checked
+    against tr(b·p(x)) from the matrix product), tr z ≠ 0, and the primary
+    kernels of z are two nonzero complementary invariant subspaces. Seed 0
+    is the representation itself, other seeds a unimodular conjugate. The
+    isotypic commutants are matrix algebras, whose bases hold nilpotents; the
+    regular representation's basis and pair sums may have no such trial."""
+    rep = make_rep()
+    if seed:
+        rep = conjugate_rep(rep, random_unimodular(random.Random(seed), rep.dimension))
+    com = commutant(rep)
+    trials = 0
+    for x, p in _prime_power_trials(com):
+        trials += 1
+        y = repdec.poly_at_matrix(p.coeffs, x)
+        z = repdec._trace_partner(com, y)
+        b = next(b for b in com.basis if (b @ y).trace() != 0)
+        assert z == b @ y and z.trace() != 0
+        factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(z)))
+        # singular, not nilpotent: X^j·q with q(0) ≠ 0
+        assert len(factors) >= 2 and IntPoly((0, 1)) in [f for f, _ in factors]
+        k1, k2 = repdec._split_with(rep, z, factors)
+        assert k1.cols and k2.cols
+        both = RatMatrix.from_columns([k1.column(j) for j in range(k1.cols)] + [k2.column(j) for j in range(k2.cols)])
+        assert both.is_square and both.det() != 0
+        for basis in (k1, k2):
+            for img in rep.gen_images:
+                restrict_action(basis, img)
+    assert trials or not has_trials
+
+
+def test_trace_partner_refuses_a_nilpotent_orthogonal_to_the_basis():
+    # span{N} with N² = 0 is no commutant of a representation: tr(N·N) = 0
+    nilpotent = RatMatrix.from_rows([[0, 1], [0, 0]])
+    com = repdec.CommutantBasis(rep=corpus.klein_rep(), basis=(nilpotent,))
+    with pytest.raises(repdec.DecompositionError):
+        repdec._trace_partner(com, nilpotent)
 
 
 # -- irreducibility certificates ----------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import integer_nthroot
 
-from anosov import corpus, witness
+from anosov import corpus, numfield, witness
 from anosov.fingrp import group_rep_from_json_obj, multiple
 from anosov.hyper import (
     HyperbolicityReport,
@@ -17,8 +17,8 @@ from anosov.hyper import (
 from anosov.intpoly import IntPoly
 from anosov.ratmat import RatMatrix
 from anosov.repdec import commutant, decompose
+from anosov.numfield import MAX_LATTICE_CANDIDATES
 from anosov.witness import (
-    MAX_LATTICE_CANDIDATES,
     WitnessConstructionError,
     companion_matrix,
     field_through_commutant,
@@ -105,6 +105,12 @@ class TestFieldThroughCommutant:
     def test_c4_has_no_usable_units(self, c4_rep):
         assert field_through_commutant(commutant(c4_rep), 1) is None
 
+    def test_skips_a_field_whose_unit_search_is_over_the_limit(self, c5_rep, monkeypatch):
+        # Q(ζ5) has one unit generator: under a limit of 2 candidates height 1
+        # (3 of them) is over it, so the field is skipped, not searched
+        monkeypatch.setattr(numfield, "MAX_LATTICE_CANDIDATES", 2)
+        assert field_through_commutant(commutant(c5_rep), 1) is None
+
 
 class TestLatticeSearch:
     def test_trivial_rep_finds_small_unit(self, torus):
@@ -124,7 +130,7 @@ class TestLatticeSearch:
         assert lattice_height(dim, 10**6) == (side - 1) // 2
         assert lattice_height(dim, 1) == min(1, (side - 1) // 2)
         for n in (side**dim - 1, side**dim, side**dim + 1):
-            assert witness._integer_root(n, dim) == integer_nthroot(n, dim)[0]
+            assert numfield._integer_root(n, dim) == integer_nthroot(n, dim)[0]
 
     def test_zero_bound_empty(self, torus):
         assert lattice_search(commutant(torus), 1, 0) == (None, 0)
