@@ -7,8 +7,8 @@ is given alone. Input is a JSON object read from a file argument or
 stdin; output is JSON with a stable field order, or a human-readable table
 with --pretty.
 
-Exit codes: 0 decided, 2 invalid input, 3 a number field's complex
-embeddings could not be paired at the fixed working precision.
+Exit codes: 0 decided, 2 invalid input, 3 a number field's embeddings,
+read for a unit search, could not be paired at the fixed working precision.
 """
 
 from __future__ import annotations

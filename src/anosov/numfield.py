@@ -1,5 +1,5 @@
-"""Number fields presented by a monic irreducible integer polynomial: numeric
-embeddings and signature, logarithmic embedding of units, explicit unit
+"""Number fields presented by a monic irreducible integer polynomial:
+signature, numeric embeddings, logarithmic embedding of units, explicit unit
 generators for real quadratic and cyclotomic fields, and bounded search for
 c-hyperbolic units.
 
@@ -7,11 +7,14 @@ A field element is its multiplication matrix in the power basis 1, θ, …,
 θ^{n−1}: the element p(θ) is p evaluated at the companion matrix of the
 minimal polynomial, and its coordinates are that matrix's column 0. Products,
 powers and inverses are RatMatrix products and inverses, so all algebra is
-exact. Floating point appears only in the log screen: the embeddings (mpmath
-at a fixed 128-bit working precision) give the log vectors that screen unit
-candidates, and every candidate that passes the screen is certified exactly
-on its minimal polynomial. make_field raises PrecisionError when the complex
-embeddings cannot be paired. mpmath, and sympy's integer factorization, are
+exact. A unit is read through one characteristic polynomial of its matrix:
+integrality, norm ±1, its minimal polynomial (the squarefree part) and its
+hyperbolicity. make_field is exact: monic, irreducible, and the signature by
+a Sturm count. Floating point appears only in the log screen: the
+embeddings (mpmath at a fixed 128-bit working precision) are computed the
+first time a log vector is read, and that read raises PrecisionError when
+the complex embeddings cannot be paired; every candidate that passes the
+screen is certified exactly. mpmath, and sympy's integer factorization, are
 imported by the functions that use them, so importing this module loads
 neither.
 """
@@ -20,13 +23,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .hyper import HyperbolicityReport, is_c_hyperbolic_poly, is_integer_like
-from .intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
-from .ratmat import RatMatrix, matrix_min_poly
+from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
+from .intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count, squarefree_part
+from .ratmat import RatMatrix
 from .repdec import poly_at_matrix
 
 PRECISION_BITS = 128
@@ -61,17 +65,17 @@ def companion_matrix(f: IntPoly) -> RatMatrix:
 
 @dataclass(frozen=True)
 class NumberFieldCtx:
-    """A number field Q[X]/(min_poly) with cached numeric embeddings and θ,
-    the companion matrix of min_poly.
+    """A number field Q[X]/(min_poly) with its signature and θ, the companion
+    matrix of min_poly.
 
-    embeddings holds the n roots: the s real ones first (ascending), then the
-    complex ones as adjacent conjugate pairs (positive-imaginary member
-    first). Log vectors have s + t entries, one per real embedding and one
-    per conjugate pair.
+    embeddings, computed on first read, holds the n roots: the s real ones
+    first (ascending), then the complex ones as adjacent conjugate pairs
+    (positive-imaginary member first); reading it raises PrecisionError when
+    the complex roots cannot be paired at the working precision. Log vectors
+    have s + t entries, one per real embedding and one per conjugate pair.
     """
 
     min_poly: IntPoly
-    embeddings: tuple
     signature: tuple
     theta: RatMatrix
 
@@ -87,90 +91,81 @@ class NumberFieldCtx:
     def t_pairs(self) -> int:
         return self.signature[1]
 
-    def log_slots(self) -> list:
-        """Embedding indices contributing one log coordinate each."""
-        return list(range(self.s_real)) + [self.s_real + 2 * j for j in range(self.t_pairs)]
-
-    def evaluate(self, coords: Sequence[Fraction], root) -> "mpmath.mpc":
+    @cached_property
+    def embeddings(self) -> tuple:
         import mpmath
 
-        acc = mpmath.mpc(0)
-        for c in reversed(list(coords)):
-            acc = acc * root + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-        return acc
-
-    def log_moduli(self, coords: Sequence[Fraction]) -> tuple:
-        import mpmath
-
-        if not any(coords):
-            raise ZeroDivisionError("log embedding of zero")
         with mpmath.workprec(PRECISION_BITS + 32):
-            return tuple(mpmath.log(abs(self.evaluate(coords, self.embeddings[i]))) for i in self.log_slots())
+            roots = [
+                mpmath.mpc(r)
+                for r in mpmath.polyroots(
+                    [mpmath.mpf(c) for c in reversed(self.min_poly.coeffs)], maxsteps=200, extraprec=PRECISION_BITS
+                )
+            ]
+            roots.sort(key=lambda z: abs(z.imag))
+            reals = sorted((z.real for z in roots[: self.s_real]))
+            uppers = sorted((z for z in roots[self.s_real :] if z.imag > 0), key=lambda z: (z.real, z.imag))
+            if len(uppers) != self.t_pairs:
+                raise PrecisionError("could not pair complex embeddings at the working precision")
+            embeddings = [mpmath.mpc(r) for r in reals]
+            for z in uppers:
+                embeddings.extend([z, mpmath.conj(z)])
+        return tuple(embeddings)
 
     def mult_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
         """Matrix of multiplication by the element in the power basis;
         column j is the image of θ^j, and column 0 gives back coords."""
         return poly_at_matrix(coords, self.theta)
 
-    def element_min_poly_int(self, coords: Sequence[Fraction]) -> IntPoly:
-        return IntPoly.from_rationals(matrix_min_poly(self.mult_matrix(coords)))
-
-    def is_unit(self, coords: Sequence[Fraction]) -> bool:
-        """Algebraic integer with unit norm: the multiplication matrix is
-        integer-like, as its characteristic polynomial is a power of the
-        element's minimal polynomial."""
-        return is_integer_like(self.mult_matrix(coords))
-
 
 def make_field(min_poly: IntPoly) -> NumberFieldCtx:
-    """Build a field context; raises FieldError for non-monic or reducible input."""
-    import mpmath
-
+    """Build a field context by exact steps alone: monic, irreducible, and
+    the signature by a Sturm count. Raises FieldError for non-monic or
+    reducible input."""
     if not min_poly.is_monic:
         raise FieldError("minimal polynomial must be monic")
     if min_poly.degree < 1:
         raise FieldError("minimal polynomial must have degree >= 1")
     if not is_irreducible(min_poly):
         raise FieldError(f"{min_poly} is reducible over Q")
-    n = min_poly.degree
     s = real_root_count(min_poly)
-    t, rem = divmod(n - s, 2)
-    assert rem == 0
-    with mpmath.workprec(PRECISION_BITS + 32):
-        if n == 1:
-            roots = [mpmath.mpc(-min_poly.coeffs[0])]
-        else:
-            roots = [
-                mpmath.mpc(r)
-                for r in mpmath.polyroots(
-                    [mpmath.mpf(c) for c in reversed(min_poly.coeffs)],
-                    maxsteps=200,
-                    extraprec=PRECISION_BITS,
-                )
-            ]
-        roots.sort(key=lambda z: abs(z.imag))
-        reals = sorted((z.real for z in roots[:s]))
-        uppers = sorted((z for z in roots[s:] if z.imag > 0), key=lambda z: (z.real, z.imag))
-        if len(uppers) != t:
-            raise PrecisionError("could not pair complex embeddings at the working precision")
-        embeddings = [mpmath.mpc(r) for r in reals]
-        for z in uppers:
-            embeddings.extend([z, mpmath.conj(z)])
     return NumberFieldCtx(
-        min_poly=min_poly, embeddings=tuple(embeddings), signature=(s, t), theta=companion_matrix(min_poly)
+        min_poly=min_poly, signature=(s, (min_poly.degree - s) // 2), theta=companion_matrix(min_poly)
     )
 
 
 @dataclass(frozen=True)
 class UnitElem:
-    """A unit in the ring of integers, as power-basis coordinates."""
+    """A unit in the ring of integers, as its multiplication matrix and that
+    matrix's characteristic polynomial, which is the unit's minimal
+    polynomial to the power n/deg."""
 
     field: NumberFieldCtx
-    coords: tuple
-    log_vector: tuple
+    matrix: RatMatrix
+    char_poly: IntPoly
+
+    @property
+    def coords(self) -> tuple:
+        return self.matrix.column(0)
+
+    @cached_property
+    def log_vector(self) -> tuple:
+        """log |σ(u)| for each real embedding σ and one of each conjugate pair."""
+        import mpmath
+
+        field = self.field
+        slots = list(range(field.s_real)) + [field.s_real + 2 * j for j in range(field.t_pairs)]
+        logs = []
+        with mpmath.workprec(PRECISION_BITS + 32):
+            for i in slots:
+                root, acc = field.embeddings[i], mpmath.mpc(0)
+                for c in reversed(self.coords):
+                    acc = acc * root + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                logs.append(mpmath.log(abs(acc)))
+        return tuple(logs)
 
     def min_poly(self) -> IntPoly:
-        return self.field.element_min_poly_int(self.coords)
+        return squarefree_part(self.char_poly)
 
     def to_json_obj(self) -> dict:
         return {
@@ -180,11 +175,14 @@ class UnitElem:
         }
 
 
-def make_unit(field: NumberFieldCtx, coords: Sequence[Fraction]) -> UnitElem:
-    coords = tuple(Fraction(c) for c in coords)
-    if not field.is_unit(coords):
-        raise FieldError(f"element {coords} is not an algebraic unit")
-    return UnitElem(field=field, coords=coords, log_vector=field.log_moduli(coords))
+def make_unit(field: NumberFieldCtx, matrix: RatMatrix) -> UnitElem:
+    """The element with multiplication matrix `matrix`, which must be an
+    algebraic integer of unit norm: integer-like, as its characteristic
+    polynomial is a power of its minimal polynomial."""
+    char_poly = integer_char_poly(matrix)
+    if char_poly is None:
+        raise FieldError(f"element {matrix.column(0)} is not an algebraic unit")
+    return UnitElem(field=field, matrix=matrix, char_poly=char_poly)
 
 
 def max_hyperbolicity_bound(field: NumberFieldCtx) -> int:
@@ -230,7 +228,7 @@ def fundamental_unit_real_quadratic(d: int) -> UnitElem:
     # ε = q_{ℓ−1}·ω + q_{ℓ−2} with ω = (p_init + √d)/q_init
     x = Fraction(k_cur * p_init, q_init) + k_prev
     y = Fraction(k_cur, q_init)
-    return make_unit(field, (x, y))
+    return make_unit(field, field.mult_matrix((x, y)))
 
 
 def cyclotomic_field(d: int) -> NumberFieldCtx:
@@ -244,11 +242,14 @@ def _cyclotomic_units(field: NumberFieldCtx, d: int) -> list[UnitElem]:
     d0 = d and ζ = θ."""
     d0, step = (d // 2, 2) if d % 4 == 2 else (d, 1)
     zeta = _power(field.theta, step)
-    return [
-        make_unit(field, poly_at_matrix([1] * a, zeta).column(0))
-        for a in range(2, (d0 + 1) // 2)
-        if gcd(a, d0) == 1
-    ]
+    power = total = RatMatrix.identity(field.degree)
+    units = []
+    for a in range(2, (d0 + 1) // 2):
+        power = power @ zeta
+        total = total + power
+        if gcd(a, d0) == 1:
+            units.append(make_unit(field, total))
+    return units
 
 
 def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
@@ -273,7 +274,7 @@ def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
         eps = fundamental_unit_real_quadratic(d0)
         x, y = eps.coords
         coords = (x + Fraction(y * b, t), Fraction(2 * y, t))
-        return [make_unit(field, coords)]
+        return [make_unit(field, field.mult_matrix(coords))]
     d = cyclotomic_index_of(field.min_poly)
     units = _cyclotomic_units(field, d) if d is not None else []
     if units:
@@ -368,8 +369,8 @@ def search_c_hyperbolic_unit(
     shell, candidates whose log vector has exactly one positive coordinate
     come first (these are the Pisot-shaped ones), ties broken by the
     descending-coordinate lexicographic order. Each surviving candidate is
-    screened on its log vector and then certified exactly on its minimal
-    polynomial.
+    screened on its log vector and then certified exactly on its
+    characteristic polynomial, whose roots are its conjugates.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -385,7 +386,6 @@ def search_c_hyperbolic_unit(
             f"at height 1, over the limit of {MAX_LATTICE_CANDIDATES}"
         )
     logs = [gen.log_vector for gen in generators]
-    mats = [field.mult_matrix(gen.coords) for gen in generators]
 
     def log_of(vec):
         return [sum(e * lv[i] for e, lv in zip(vec, logs)) for i in range(len(logs[0]))]
@@ -401,16 +401,14 @@ def search_c_hyperbolic_unit(
             if not _multiset_sums_clear_zero(log_of(vec), c, LOG_SCREEN_EPS):
                 continue
             element = RatMatrix.identity(field.degree)
-            for e, m in zip(vec, mats):
+            for e, gen in zip(vec, generators):
                 if e:
-                    element = element @ _power(m, e)
-            mp = IntPoly.from_rationals(matrix_min_poly(element))
-            if abs(mp.coeffs[0]) != 1:
-                raise FieldError("generator product is not a unit")
-            report = is_c_hyperbolic_poly(mp, c)
+                    element = element @ _power(gen.matrix, e)
+            unit = make_unit(field, element)
+            report = is_c_hyperbolic_poly(unit.char_poly, c)
             if report.verdict:
                 return UnitSearchOutcome(
-                    unit=make_unit(field, element.column(0)),
+                    unit=unit,
                     report=report,
                     exponents=vec,
                     candidates_screened=screened,

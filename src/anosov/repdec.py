@@ -238,9 +238,11 @@ def _trace_partner(com: CommutantBasis, y: RatMatrix) -> RatMatrix:
     return b @ y
 
 
-def _random_combination(basis: Sequence[RatMatrix], rng: random.Random) -> RatMatrix:
+def random_combination(basis: Sequence[RatMatrix], rng: random.Random, coeff_range: int) -> RatMatrix:
+    """A nonzero integer combination of basis with coefficients drawn from
+    [−coeff_range, coeff_range]; an all-zero draw is drawn again."""
     while True:
-        coeffs = [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in basis]
+        coeffs = [rng.randint(-coeff_range, coeff_range) for _ in basis]
         if any(coeffs):
             break
     acc = RatMatrix.zeros(basis[0].rows, basis[0].cols)
@@ -294,7 +296,7 @@ def _split_once(rep: RationalRep, rng: random.Random, com: Optional[CommutantBas
     if com.dimension <= 4 and _trace_form_negative_definite(com.basis):
         return IrreducibleCertificate(trials=0, commutant=com, proof="definite")
     # the random combinations are drawn only when the loop reaches them
-    randoms = (_random_combination(com.basis, rng) for _ in range(RANDOM_TRIALS))
+    randoms = (random_combination(com.basis, rng, COEFF_RANGE) for _ in range(RANDOM_TRIALS))
     attempted = 0
     for x in itertools.chain(com.basis_and_pair_sums(), randoms):
         attempted += 1

@@ -29,8 +29,9 @@ from typing import Optional
 
 from .fingrp import RationalRep
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
-from .intpoly import IntPoly, is_irreducible
+from .intpoly import IntPoly
 from .numfield import (
+    FieldError,
     UnsupportedFieldError,
     companion_matrix,
     hyperbolic_companion_poly,
@@ -42,12 +43,13 @@ from .numfield import (
     unit_generators_for_field,
 )
 from .ratmat import RatMatrix, matrix_min_poly
-from .repdec import CommutantBasis, ComponentProfile, poly_at_matrix
+from .repdec import CommutantBasis, ComponentProfile, poly_at_matrix, random_combination
 
 TENSOR_SHORTCUT = "tensor-shortcut"
 FIELD_THROUGH_COMMUTANT = "field-through-commutant"
 LATTICE_SEARCH = "lattice-search"
 RANDOM_CANDIDATES = 10
+CANDIDATE_COEFF_RANGE = 3
 
 
 class WitnessConstructionError(RuntimeError):
@@ -154,25 +156,12 @@ def field_through_commutant(
     cyclotomic) are attempted; other candidates are skipped. Candidates are
     built one at a time, in order, as the search reaches them."""
     rng = random.Random(seed)
-    dim = com.rep.dimension
     gen_imgs = com.rep.gen_images
-
-    def random_elements():
-        for _ in range(RANDOM_CANDIDATES):
-            coeffs = [rng.randint(-3, 3) for _ in com.basis]
-            if not any(coeffs):
-                continue
-            acc = RatMatrix.zeros(dim, dim)
-            for cf, b in zip(coeffs, com.basis):
-                if cf:
-                    acc = acc + b.scale(cf)
-            yield acc
-
     candidates = itertools.chain(
         # central generator images, e.g. the rotation itself for cyclic groups
         (g for g in gen_imgs if all(g @ img == img @ g for img in gen_imgs)),
         com.basis_and_pair_sums(),
-        random_elements(),
+        (random_combination(com.basis, rng, CANDIDATE_COEFF_RANGE) for _ in range(RANDOM_CANDIDATES)),
     )
     seen = set()
     for j_mat in candidates:
@@ -184,9 +173,12 @@ def field_through_commutant(
         if g in seen:
             continue
         seen.add(g)
-        if g.degree < 2 or not is_irreducible(g):
+        if g.degree < 2:
             continue
-        field = make_field(g)
+        try:
+            field = make_field(g)
+        except FieldError:
+            continue
         if c > max_hyperbolicity_bound(field):
             continue
         try:

@@ -1,8 +1,11 @@
 """Every module-level import in the library is used by its module; no module
 but numfield, whose embeddings give the log-vector screen, names a
-floating-point library; no module imports sympy or mpmath when it is
-imported, so that the decision path starts without them; and only the
-homomorphism check reads a representation's full image list."""
+floating-point library, and numfield's make_field does not; no module
+imports sympy or mpmath when it is imported, so that the decision path
+starts without them; only the homomorphism check reads a representation's
+full image list; and the Krylov minimal polynomial serves commutant
+elements only, a field element being read through its characteristic
+polynomial."""
 
 import ast
 import dataclasses
@@ -98,6 +101,43 @@ def test_full_image_list_read_only_by_the_homomorphism_check(path):
     reads = [(path.name, *scope) for scope in _images_reads(tree)]
     stray = [r for r in reads if not any(r[: len(a)] == a for a in IMAGES_READERS)]
     assert not stray, f"{path.name} reads .images in {stray}"
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier a tree names: variables, attributes, definitions and
+    imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname} - {None})
+    return names
+
+
+# The modules that take the Krylov minimal polynomial of commutant elements,
+# and ratmat, which defines it
+MIN_POLY_MODULES = ("ratmat.py", "repdec.py", "witness.py")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_field_elements_read_through_one_char_poly(path):
+    names = _names(ast.parse(path.read_text(), filename=str(path)))
+    if path.name not in MIN_POLY_MODULES:
+        assert "matrix_min_poly" not in names
+    if path.name == "numfield.py":
+        assert "is_integer_like" not in names
+
+
+def test_make_field_finds_no_roots():
+    # the field's exact steps only; the embeddings wait for a log vector
+    tree = ast.parse((SRC / "numfield.py").read_text())
+    (make_field,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "make_field"]
+    assert "mpmath" not in _names(make_field)
 
 
 # Runs argv lists from stdin through the CLI in one fresh interpreter and

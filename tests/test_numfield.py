@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import mpmath
 import pytest
@@ -7,6 +8,7 @@ from fractions import Fraction
 from anosov.intpoly import IntPoly, cyclotomic
 from anosov.numfield import (
     FieldError,
+    _cyclotomic_units,
     companion_matrix,
     cyclotomic_field,
     fundamental_unit_real_quadratic,
@@ -19,6 +21,7 @@ from anosov.numfield import (
     unit_generators_for_field,
 )
 from anosov.hyper import is_c_hyperbolic_poly
+from anosov.ratmat import matrix_min_poly
 
 SQRT2 = IntPoly((-2, 0, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -46,6 +49,75 @@ class TestMakeField:
         assert max_hyperbolicity_bound(make_field(SQRT2)) == 1
         assert max_hyperbolicity_bound(make_field(cyclotomic(5))) == 1
         assert max_hyperbolicity_bound(make_field(PLASTIC)) == 2
+
+
+class TestLazyEmbeddings:
+    def test_exact_steps_find_no_roots(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("roots found before a log vector is read")
+
+        polyroots = mpmath.polyroots
+        monkeypatch.setattr(mpmath, "polyroots", refuse)
+        plastic = make_field(PLASTIC)
+        assert plastic.signature == (1, 1)
+        assert max_hyperbolicity_bound(plastic) == 2
+        zeta8 = cyclotomic_field(8)
+        (unit,) = unit_generators_for_field(zeta8)
+        assert unit.coords == (1, 1, 1, 0)
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return polyroots(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", counting)
+        theta = make_unit(plastic, plastic.theta)
+        for u in (theta, make_unit(plastic, plastic.theta @ plastic.theta), theta):
+            assert len(u.log_vector) == 2
+        assert len(calls) == 1
+        for u in (unit, make_unit(zeta8, unit.matrix.inverse()), unit):
+            assert len(u.log_vector) == 2
+        assert len(calls) == 2
+
+
+def _units(name):
+    if name == "plastic":
+        field = make_field(PLASTIC)
+        return [make_unit(field, field.theta)]
+    if name == "silver_in_zeta8":
+        # 1 + ζ − ζ³ = 1 + √2: degree 2 in a degree-4 field, so its
+        # characteristic polynomial is the square of its minimal polynomial
+        field = cyclotomic_field(8)
+        return [make_unit(field, field.mult_matrix((1, 1, 0, -1)))]
+    if name.startswith("zeta"):
+        return unit_generators_for_field(cyclotomic_field(int(name[4:])))
+    return [fundamental_unit_real_quadratic(int(name[4:]))]
+
+
+class TestMinimalPolynomials:
+    @pytest.mark.parametrize(
+        "name",
+        [f"zeta{d}" for d in (5, 7, 8, 10, 12, 15)] + [f"sqrt{d}" for d in (2, 3, 5, 7, 13)]
+        + ["plastic", "silver_in_zeta8"],
+    )
+    def test_squarefree_char_poly_is_the_krylov_min_poly(self, name):
+        units = _units(name)
+        assert units
+        for unit in units:
+            assert unit.min_poly() == IntPoly.from_rationals(matrix_min_poly(unit.matrix))
+
+    @pytest.mark.parametrize("d", (5, 7, 8, 9, 10, 12, 15, 18))
+    def test_cyclotomic_units_are_geometric_sums(self, d):
+        # 1 + ζ + … + ζ^(a−1): mult_matrix((1,) * a), or at ζ = θ² for d ≡ 2 mod 4
+        field = cyclotomic_field(d)
+        d0, step = (d // 2, 2) if d % 4 == 2 else (d, 1)
+        expected = [
+            field.mult_matrix(tuple(int(i % step == 0) for i in range(step * (a - 1) + 1)))
+            for a in range(2, (d0 + 1) // 2)
+            if gcd(a, d0) == 1
+        ]
+        assert expected and [u.matrix for u in _cyclotomic_units(field, d)] == expected
 
 
 class TestElementsAsMatrices:
@@ -80,19 +152,19 @@ class TestMaxNormShell:
 class TestLogEmbedding:
     def test_one_maps_to_zero(self):
         field = make_field(SQRT2)
-        unit = make_unit(field, (Fraction(1), Fraction(0)))
-        assert all(abs(v) < 1e-30 for v in field.log_moduli(unit.coords))
+        unit = make_unit(field, field.mult_matrix((Fraction(1), Fraction(0))))
+        assert all(abs(v) < 1e-30 for v in unit.log_vector)
 
     def test_silver_unit_logs(self):
         field = make_field(SQRT2)
-        unit = make_unit(field, (Fraction(1), Fraction(1)))  # 1 + sqrt(2)
+        unit = make_unit(field, field.mult_matrix((Fraction(1), Fraction(1))))  # 1 + sqrt(2)
         logs = sorted(float(v) for v in unit.log_vector)
         assert logs[1] == pytest.approx(float(mpmath.log(1 + mpmath.sqrt(2))), abs=1e-12)
         assert abs(sum(logs)) < 1e-25  # norm is -1
 
     def test_weighted_sum_vanishes_mixed_signature(self):
         field = make_field(PLASTIC)
-        theta = make_unit(field, (Fraction(0), Fraction(1), Fraction(0)))
+        theta = make_unit(field, field.mult_matrix((Fraction(0), Fraction(1), Fraction(0))))
         x = [float(v) for v in theta.log_vector]
         assert x[0] == pytest.approx(float(mpmath.log(mpmath.mpf("1.32471795724474602596"))), abs=1e-12)
         assert x[0] + 2 * x[1] == pytest.approx(0.0, abs=1e-25)
@@ -173,7 +245,7 @@ class TestHyperbolicUnitSearch:
     def test_found_units_certify(self):
         field = make_field(PLASTIC)
         # theta itself generates the plastic field's units
-        theta = make_unit(field, (Fraction(0), Fraction(1), Fraction(0)))
+        theta = make_unit(field, field.mult_matrix((Fraction(0), Fraction(1), Fraction(0))))
         outcome = search_c_hyperbolic_unit(field, [theta], 2, 8)
         assert outcome.found
         assert is_c_hyperbolic_poly(outcome.unit.min_poly(), 2).verdict

@@ -408,7 +408,7 @@ def _old_search_splits(rep, rng: random.Random) -> bool:
         return False
     b = com.basis
     trials = list(b) + [b[i] + b[j] for i, j in itertools.combinations(range(len(b)), 2)]
-    trials += [repdec._random_combination(b, rng) for _ in range(20)]
+    trials += [repdec.random_combination(b, rng, repdec.COEFF_RANGE) for _ in range(20)]
     for x in trials:
         factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(x)))
         if len(factors) > 1 or factors[0][1] > 1:

@@ -1,11 +1,13 @@
 from functools import cache
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import integer_nthroot
 
 from anosov import corpus, numfield, witness
+from anosov.decider import decide_with_witness
 from anosov.fingrp import group_rep_from_json_obj, multiple
 from anosov.hyper import (
     HyperbolicityReport,
@@ -110,6 +112,28 @@ class TestFieldThroughCommutant:
         # (3 of them) is over it, so the field is skipped, not searched
         monkeypatch.setattr(numfield, "MAX_LATTICE_CANDIDATES", 2)
         assert field_through_commutant(commutant(c5_rep), 1) is None
+
+    def test_embeddings_only_for_a_field_that_reaches_a_unit_search(self, monkeypatch):
+        # 2·C5 at c = 2: of the fields its commutant candidates generate, only
+        # Q(ζ20) is searched, so its roots are the only ones found
+        cases = benchmark_cases()
+        _, rep, c = group_rep_from_json_obj(cases.cyclic("c5", cases.C5, 2, 2, 4).input_obj(0))
+        roots, searched = [], []
+        polyroots, search = mpmath.polyroots, witness.search_c_hyperbolic_unit
+
+        def counting_roots(*args, **kwargs):
+            roots.append(args)
+            return polyroots(*args, **kwargs)
+
+        def recording_search(field, generators, *args, **kwargs):
+            searched.append(field.min_poly)
+            return search(field, generators, *args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", counting_roots)
+        monkeypatch.setattr(witness, "search_c_hyperbolic_unit", recording_search)
+        assert decide_with_witness(rep, c, 0).witness_status == "attached"
+        assert searched == [IntPoly((1, 0, -1, 0, 1, 0, -1, 0, 1))]
+        assert len(roots) == 1
 
 
 class TestLatticeSearch:
