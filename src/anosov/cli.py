@@ -8,7 +8,8 @@ stdin; output is JSON with a stable field order, or a human-readable table
 with --pretty.
 
 Exit codes: 0 decided, 2 invalid input, 3 a number field's embeddings,
-read for a unit search, could not be paired at the fixed working precision.
+read for a unit search, could not be computed or paired at the fixed
+working precision.
 """
 
 from __future__ import annotations

@@ -10,13 +10,18 @@ powers and inverses are RatMatrix products and inverses, so all algebra is
 exact. A unit is read through one characteristic polynomial of its matrix:
 integrality, norm ±1, its minimal polynomial (the squarefree part) and its
 hyperbolicity. make_field is exact: monic, irreducible, and the signature by
-a Sturm count. Floating point appears only in the log screen: the
-embeddings (mpmath at a fixed 128-bit working precision) are computed the
-first time a log vector is read, and that read raises PrecisionError when
-the complex embeddings cannot be paired; every candidate that passes the
-screen is certified exactly. mpmath, and sympy's integer factorization, are
-imported by the functions that use them, so importing this module loads
-neither.
+a Sturm count. Floating point appears only in the log screen, which reads
+the embeddings at a fixed 128-bit working precision. They are computed the
+first time a log vector is read: a double-precision start (the Aberth
+iteration on Python complex numbers), then Newton's method in integer fixed
+point with 32 guard bits, complex numbers being pairs of ints scaled by
+2^160. That read raises PrecisionError when a root does not converge, two
+roots coincide, a residual is not small, or the complex roots cannot be
+paired. A log vector evaluates the unit at each embedding in the same fixed
+point, and mpmath takes only the final logarithm. Every candidate that
+passes the screen is certified exactly. mpmath, and sympy's integer
+factorization, are imported by the functions that use them, so importing
+this module loads neither.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, isqrt
+from math import cos, gcd, isfinite, isqrt, pi, sin
 from typing import Optional, Sequence
 
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
@@ -34,6 +39,11 @@ from .ratmat import RatMatrix
 from .repdec import poly_at_matrix
 
 PRECISION_BITS = 128
+# roots are polished in fixed point with this many guard bits
+GUARD_BITS = 32
+FIXED_BITS = PRECISION_BITS + GUARD_BITS
+MAX_START_STEPS = 200
+MAX_POLISH_STEPS = 40
 LOG_SCREEN_EPS = 1e-9
 MAX_LATTICE_CANDIDATES = 500_000
 
@@ -48,6 +58,95 @@ class FieldError(ValueError):
 
 class UnsupportedFieldError(FieldError):
     """No unit-generator source is implemented for this field."""
+
+
+# -- roots --------------------------------------------------------------------------
+
+
+def _start_roots(f: IntPoly) -> list[complex]:
+    """Approximate roots of the monic f in double precision: the Aberth–Ehrlich
+    iteration, updating one root at a time, from n points spread on the
+    circle whose radius is the geometric mean |f(0)|^(1/n) of the root
+    moduli. It stops when no root moves by more than 2^-50 of its modulus, or
+    after MAX_START_STEPS sweeps."""
+    n = f.degree
+    coeffs = [float(c) for c in reversed(f.coeffs)]
+    radius = abs(f.coeffs[0]) ** (1 / n)
+    roots = [radius * complex(cos(2 * pi * (k + 0.25) / n), sin(2 * pi * (k + 0.25) / n)) for k in range(n)]
+    for _ in range(MAX_START_STEPS):
+        moved = 0.0
+        for k, z in enumerate(roots):
+            value = slope = 0j
+            for c in coeffs:
+                value, slope = value * z + c, slope * z + value
+            try:
+                w = value / slope
+                step = w / (1 - w * sum(1 / (z - other) for j, other in enumerate(roots) if j != k))
+            except ZeroDivisionError:
+                continue
+            roots[k] = z - step
+            moved = max(moved, abs(step) / max(abs(z), 1.0))
+        if moved <= 2**-50:
+            break
+    return roots
+
+
+def _fixed_horner(coeffs: Sequence[int], x: int, y: int) -> tuple:
+    """Σ c_i·z^i for z = (x + iy)/2^FIXED_BITS and real c_i, all scaled by
+    2^FIXED_BITS, each product rounded down to that scale."""
+    re = im = 0
+    for c in reversed(coeffs):
+        re, im = ((re * x - im * y) >> FIXED_BITS) + c, (re * y + im * x) >> FIXED_BITS
+    return re, im
+
+
+def _to_fixed(c: Fraction) -> int:
+    """c·2^FIXED_BITS rounded to the nearest integer."""
+    return ((c.numerator << (FIXED_BITS + 1)) + c.denominator) // (2 * c.denominator)
+
+
+def fixed_point_roots(f: IntPoly) -> list[tuple]:
+    """The n roots of the monic squarefree f as (re, im) integer pairs scaled
+    by 2^FIXED_BITS, in the order of their double-precision starts
+    (_start_roots). Each start is polished by Newton's method in that fixed
+    point, f and f′ by one Horner pass, until the correction falls below
+    2^-(PRECISION_BITS+16).
+
+    Raises PrecisionError when a start is not finite, a polish does not
+    converge within MAX_POLISH_STEPS, the residual |f| at the last iterate is
+    over 2^-PRECISION_BITS·Σ|c_i|·max(1, |z|)^i, or two roots agree to
+    2^-PRECISION_BITS."""
+    coeffs = [c << FIXED_BITS for c in f.coeffs]
+    scale = 1 << FIXED_BITS
+    roots = []
+    for z in _start_roots(f):
+        if not (isfinite(z.real) and isfinite(z.imag)):
+            raise PrecisionError(f"the double-precision roots of {f} are not finite")
+        x, y = int(z.real * scale), int(z.imag * scale)
+        for _ in range(MAX_POLISH_STEPS):
+            fr = fi = dr = di = 0
+            for c in reversed(coeffs):
+                dr, di = ((dr * x - di * y) >> FIXED_BITS) + fr, ((dr * y + di * x) >> FIXED_BITS) + fi
+                fr, fi = ((fr * x - fi * y) >> FIXED_BITS) + c, (fr * y + fi * x) >> FIXED_BITS
+            norm = dr * dr + di * di
+            if not norm:
+                raise PrecisionError(f"a root polish for {f} met a critical point")
+            step_r = ((fr * dr + fi * di) << FIXED_BITS) // norm
+            step_i = ((fi * dr - fr * di) << FIXED_BITS) // norm
+            x, y = x - step_r, y - step_i
+            if max(abs(step_r), abs(step_i)) < 1 << (GUARD_BITS - 16):
+                break
+        else:
+            raise PrecisionError(f"a root of {f} did not converge in {MAX_POLISH_STEPS} Newton steps")
+        size = max(1.0, abs(complex(x, y)) / scale)
+        tolerance = sum(abs(c) * size**i for i, c in enumerate(f.coeffs)) * 2**GUARD_BITS
+        if max(abs(fr), abs(fi)) > tolerance:
+            raise PrecisionError(f"a root of {f} leaves a residual above the working precision")
+        roots.append((x, y))
+    for (x0, y0), (x1, y1) in itertools.combinations(roots, 2):
+        if max(abs(x0 - x1), abs(y0 - y1)) < 1 << GUARD_BITS:
+            raise PrecisionError(f"two roots of {f} coincide at the working precision")
+    return roots
 
 
 # -- field context ----------------------------------------------------------------
@@ -68,11 +167,13 @@ class NumberFieldCtx:
     """A number field Q[X]/(min_poly) with its signature and θ, the companion
     matrix of min_poly.
 
-    embeddings, computed on first read, holds the n roots: the s real ones
-    first (ascending), then the complex ones as adjacent conjugate pairs
-    (positive-imaginary member first); reading it raises PrecisionError when
-    the complex roots cannot be paired at the working precision. Log vectors
-    have s + t entries, one per real embedding and one per conjugate pair.
+    fixed_embeddings, computed on first read, holds the n roots as (re, im)
+    integer pairs scaled by 2^FIXED_BITS: the s real ones first (ascending),
+    then the complex ones as adjacent conjugate pairs (positive-imaginary
+    member first); reading it raises PrecisionError when the roots cannot be
+    found, or the complex ones paired, at the working precision. embeddings
+    holds the same roots as mpmath.mpc. Log vectors have s + t entries, one
+    per real embedding and one per conjugate pair.
     """
 
     min_poly: IntPoly
@@ -92,25 +193,31 @@ class NumberFieldCtx:
         return self.signature[1]
 
     @cached_property
+    def fixed_embeddings(self) -> tuple:
+        roots = sorted(fixed_point_roots(self.min_poly), key=lambda z: abs(z[1]))
+        reals = sorted(x for x, _ in roots[: self.s_real])
+        # real parts are compared at the working precision, so that roots
+        # with equal real parts are ordered by their imaginary parts
+        half = 1 << (GUARD_BITS - 1)
+        uppers = sorted(
+            (z for z in roots[self.s_real :] if z[1] > 0), key=lambda z: ((z[0] + half) >> GUARD_BITS, z[1])
+        )
+        if len(uppers) != self.t_pairs:
+            raise PrecisionError("could not pair complex embeddings at the working precision")
+        embeddings = [(x, 0) for x in reals]
+        for x, y in uppers:
+            embeddings.extend([(x, y), (x, -y)])
+        return tuple(embeddings)
+
+    @cached_property
     def embeddings(self) -> tuple:
         import mpmath
 
-        with mpmath.workprec(PRECISION_BITS + 32):
-            roots = [
-                mpmath.mpc(r)
-                for r in mpmath.polyroots(
-                    [mpmath.mpf(c) for c in reversed(self.min_poly.coeffs)], maxsteps=200, extraprec=PRECISION_BITS
-                )
-            ]
-            roots.sort(key=lambda z: abs(z.imag))
-            reals = sorted((z.real for z in roots[: self.s_real]))
-            uppers = sorted((z for z in roots[self.s_real :] if z.imag > 0), key=lambda z: (z.real, z.imag))
-            if len(uppers) != self.t_pairs:
-                raise PrecisionError("could not pair complex embeddings at the working precision")
-            embeddings = [mpmath.mpc(r) for r in reals]
-            for z in uppers:
-                embeddings.extend([z, mpmath.conj(z)])
-        return tuple(embeddings)
+        with mpmath.workprec(FIXED_BITS):
+            return tuple(
+                mpmath.mpc(mpmath.mpf((x, -FIXED_BITS)), mpmath.mpf((y, -FIXED_BITS)))
+                for x, y in self.fixed_embeddings
+            )
 
     def mult_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
         """Matrix of multiplication by the element in the power basis;
@@ -150,18 +257,19 @@ class UnitElem:
 
     @cached_property
     def log_vector(self) -> tuple:
-        """log |σ(u)| for each real embedding σ and one of each conjugate pair."""
+        """log |σ(u)| for each real embedding σ and one of each conjugate
+        pair: u's coordinates evaluated at σ in fixed point, then one
+        mpmath.log of |σ(u)|²."""
         import mpmath
 
         field = self.field
         slots = list(range(field.s_real)) + [field.s_real + 2 * j for j in range(field.t_pairs)]
+        coeffs = [_to_fixed(c) for c in self.coords]
         logs = []
-        with mpmath.workprec(PRECISION_BITS + 32):
+        with mpmath.workprec(FIXED_BITS):
             for i in slots:
-                root, acc = field.embeddings[i], mpmath.mpc(0)
-                for c in reversed(self.coords):
-                    acc = acc * root + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                logs.append(mpmath.log(abs(acc)))
+                re, im = _fixed_horner(coeffs, *field.fixed_embeddings[i])
+                logs.append(mpmath.log(mpmath.mpf((re * re + im * im, -2 * FIXED_BITS))) / 2)
         return tuple(logs)
 
     def min_poly(self) -> IntPoly:
@@ -284,15 +392,38 @@ def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
     )
 
 
+def has_unit_generator_source(f: IntPoly) -> bool:
+    """Whether unit_generators_for_field has a source for Q[X]/(f) when f is
+    irreducible: f = Φ_d, or a quadratic with positive discriminant. Exact and
+    cheap, so that a caller can test it before make_field's irreducibility
+    proof."""
+    if f.degree == 2:
+        c, b, a = f.coeffs
+        return b * b - 4 * a * c > 0
+    return cyclotomic_index_of(f) is not None
+
+
+def _totient(d: int) -> int:
+    """Euler's φ(d) by trial division."""
+    result, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
+
+
 def cyclotomic_index_of(f: IntPoly) -> Optional[int]:
     """d with f = Φ_d, or None. Uses φ(d) ≥ √(d/2) to bound the search."""
     if not f.is_monic or f.degree < 1:
         return None
-    import sympy
-
     k = f.degree
     for d in range(1, 2 * k * k + 2):
-        if sympy.totient(d) == k and cyclotomic(d) == f:
+        if _totient(d) == k and cyclotomic(d) == f:
             return d
     return None
 

@@ -32,8 +32,8 @@ from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
 from .intpoly import IntPoly
 from .numfield import (
     FieldError,
-    UnsupportedFieldError,
     companion_matrix,
+    has_unit_generator_source,
     hyperbolic_companion_poly,
     lattice_height,
     make_field,
@@ -153,8 +153,9 @@ def field_through_commutant(
     Q[X]/(g), return p(J).
 
     Only fields with a supported unit-generator source (real quadratic,
-    cyclotomic) are attempted; other candidates are skipped. Candidates are
-    built one at a time, in order, as the search reaches them."""
+    cyclotomic) are attempted; other candidates are skipped by their shape,
+    before make_field proves g irreducible. Candidates are built one at a
+    time, in order, as the search reaches them."""
     rng = random.Random(seed)
     gen_imgs = com.rep.gen_images
     candidates = itertools.chain(
@@ -173,7 +174,7 @@ def field_through_commutant(
         if g in seen:
             continue
         seen.add(g)
-        if g.degree < 2:
+        if g.degree < 2 or not has_unit_generator_source(g):
             continue
         try:
             field = make_field(g)
@@ -181,10 +182,7 @@ def field_through_commutant(
             continue
         if c > max_hyperbolicity_bound(field):
             continue
-        try:
-            generators = unit_generators_for_field(field)
-        except UnsupportedFieldError:
-            continue
+        generators = unit_generators_for_field(field)
         if lattice_height(len(generators), 1) == 0:
             continue
         outcome = search_c_hyperbolic_unit(field, generators, c, exponent_bound)

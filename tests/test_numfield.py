@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from fractions import Fraction
 
+from anosov import numfield
 from anosov.intpoly import IntPoly, cyclotomic
 from anosov.numfield import (
     FieldError,
@@ -56,8 +57,8 @@ class TestLazyEmbeddings:
         def refuse(*args, **kwargs):
             raise AssertionError("roots found before a log vector is read")
 
-        polyroots = mpmath.polyroots
-        monkeypatch.setattr(mpmath, "polyroots", refuse)
+        roots = numfield.fixed_point_roots
+        monkeypatch.setattr(numfield, "fixed_point_roots", refuse)
         plastic = make_field(PLASTIC)
         assert plastic.signature == (1, 1)
         assert max_hyperbolicity_bound(plastic) == 2
@@ -69,9 +70,9 @@ class TestLazyEmbeddings:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return polyroots(*args, **kwargs)
+            return roots(*args, **kwargs)
 
-        monkeypatch.setattr(mpmath, "polyroots", counting)
+        monkeypatch.setattr(numfield, "fixed_point_roots", counting)
         theta = make_unit(plastic, plastic.theta)
         for u in (theta, make_unit(plastic, plastic.theta @ plastic.theta), theta):
             assert len(u.log_vector) == 2

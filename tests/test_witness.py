@@ -1,6 +1,5 @@
 from functools import cache
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,17 +118,17 @@ class TestFieldThroughCommutant:
         cases = benchmark_cases()
         _, rep, c = group_rep_from_json_obj(cases.cyclic("c5", cases.C5, 2, 2, 4).input_obj(0))
         roots, searched = [], []
-        polyroots, search = mpmath.polyroots, witness.search_c_hyperbolic_unit
+        root_finder, search = numfield.fixed_point_roots, witness.search_c_hyperbolic_unit
 
         def counting_roots(*args, **kwargs):
             roots.append(args)
-            return polyroots(*args, **kwargs)
+            return root_finder(*args, **kwargs)
 
         def recording_search(field, generators, *args, **kwargs):
             searched.append(field.min_poly)
             return search(field, generators, *args, **kwargs)
 
-        monkeypatch.setattr(mpmath, "polyroots", counting_roots)
+        monkeypatch.setattr(numfield, "fixed_point_roots", counting_roots)
         monkeypatch.setattr(witness, "search_c_hyperbolic_unit", recording_search)
         assert decide_with_witness(rep, c, 0).witness_status == "attached"
         assert searched == [IntPoly((1, 0, -1, 0, 1, 0, -1, 0, 1))]
