@@ -28,7 +28,6 @@ from .hyper import (
 from .intpoly import IntPoly
 from .numfield import (
     NumberFieldCtx,
-    PrecisionError,
     UnitElem,
     make_field,
     search_c_hyperbolic_unit,
@@ -46,7 +45,6 @@ __all__ = [
     "IntPoly",
     "NumberFieldCtx",
     "Permutation",
-    "PrecisionError",
     "RatMatrix",
     "RationalRep",
     "UnitElem",

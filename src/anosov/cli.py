@@ -7,9 +7,7 @@ is given alone. Input is a JSON object read from a file argument or
 stdin; output is JSON with a stable field order, or a human-readable table
 with --pretty.
 
-Exit codes: 0 decided, 2 invalid input, 3 a number field's embeddings,
-read for a unit search, could not be computed or paired at the fixed
-working precision.
+Exit codes: 0 decided, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .fingrp import DEFAULT_MAX_ORDER, group_rep_from_json_obj
 from .freenilp import graded_action, hall_basis, tree_str
 from .intpoly import IntPoly, poly_from_json_obj
 from .numfield import (
-    PrecisionError,
     cyclotomic_field,
     lattice_height,
     make_field,
@@ -345,9 +342,6 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         args.func(args)
-    except PrecisionError as exc:
-        print(f"undecided at working precision: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Optional
 
-from .fingrp import RationalRep, class_character
+from .fingrp import RationalRep, class_character, multiple
 from .numfield import (
     MAX_LATTICE_CANDIDATES,
     cyclotomic_field,
@@ -25,7 +25,7 @@ from .numfield import (
     unit_generators_for_field,
 )
 from .ratmat import RatMatrix
-from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, intertwiner, restrict_rep
+from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, intertwiner
 from .witness import (
     LATTICE_SEARCH,
     TENSOR_SHORTCUT,
@@ -149,13 +149,22 @@ def _aligned_block_basis(profile: ComponentProfile) -> RatMatrix:
     return RatMatrix.from_columns([list(b.column(j)) for b in blocks for j in range(b.cols)])
 
 
-def _block_commutant(rep: RationalRep, profile: ComponentProfile, basis: RatMatrix) -> CommutantBasis:
-    """The commutant of rep on a block's aligned basis. A multiplicity-one
-    block's is its leaf's basis, and restricting rep to it gives the leaf's
-    representation, so its commutant is the one decompose solved."""
-    if profile.multiplicity == 1:
-        return profile.commutant
-    return commutant(restrict_rep(rep, basis))
+def _block_commutant(profile: ComponentProfile) -> CommutantBasis:
+    """The commutant of the representation on a block's aligned basis, where
+    it is I_m ⊗ ρ0: M_m(Q) ⊗ E0 for the leaf commutant E0 that decompose
+    solved, with basis the products E_ij ⊗ b over E0's basis.
+
+    These are the basis commutant would solve, in the same order. A
+    canonical kernel vector's last nonzero entry is its free column. A
+    nonzero element of the division algebra E0 is invertible, so its last
+    row is nonzero: each b's free column lies in its last row, and the free
+    column of E_ij ⊗ b increases with (i, j, b) in lexicographic order."""
+    m, leaf = profile.multiplicity, profile.commutant
+    matrix_units = [
+        RatMatrix.from_integers(m, m, [int(k == ij) for k in range(m * m)]) for ij in range(m * m)
+    ]
+    basis = tuple(e.kron(b) for e in matrix_units for b in leaf.basis)
+    return CommutantBasis(rep=multiple(profile.sub_rep, m), basis=basis)
 
 
 def _block_witness(
@@ -187,8 +196,8 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
     timings = {"decompose_s": base.timings["decompose_s"]}
     t1 = time.perf_counter()
     block_bases = [_aligned_block_basis(p) for p in base.profiles]
-    # each solved the first time a round reads it, then kept
-    block_coms = [cache(partial(_block_commutant, rep, p, b)) for p, b in zip(base.profiles, block_bases)]
+    # each built the first time a round reads it, then kept
+    block_coms = [cache(partial(_block_commutant, p)) for p in base.profiles]
     s_all = RatMatrix.from_columns(
         [list(b.column(j)) for b in block_bases for j in range(b.cols)]
     )

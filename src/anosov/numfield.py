@@ -11,17 +11,16 @@ exact. A unit is read through one characteristic polynomial of its matrix:
 integrality, norm ±1, its minimal polynomial (the squarefree part) and its
 hyperbolicity. make_field is exact: monic, irreducible, and the signature by
 a Sturm count. Floating point appears only in the log screen, which reads
-the embeddings at a fixed 128-bit working precision. They are computed the
-first time a log vector is read: a double-precision start (the Aberth
-iteration on Python complex numbers), then Newton's method in integer fixed
-point with 32 guard bits, complex numbers being pairs of ints scaled by
-2^160. That read raises PrecisionError when a root does not converge, two
-roots coincide, a residual is not small, or the complex roots cannot be
-paired. A log vector evaluates the unit at each embedding in the same fixed
-point, and mpmath takes only the final logarithm. Every candidate that
-passes the screen is certified exactly. mpmath, and sympy's integer
-factorization, are imported by the functions that use them, so importing
-this module loads neither.
+the embeddings at a fixed 128-bit working precision, as pairs of ints over
+2^160. They are computed in closed form the first time a log vector is
+read: (−b ± √disc)/2 for a quadratic, by an integer square root, and ζ_d^k
+for k prime to d in Q[X]/(Φ_d) (Washington, Introduction to Cyclotomic
+Fields, §2), by mpmath. These are the only fields whose units are searched;
+any other field's read raises UnsupportedFieldError. A log vector evaluates
+the unit at each embedding in the same fixed point, and mpmath takes only
+the final logarithm. Every candidate that passes the screen is certified
+exactly. mpmath, and sympy's integer factorization, are imported by the
+functions that use them, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import cos, gcd, isfinite, isqrt, pi, sin
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
@@ -38,18 +37,11 @@ from .intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count, squar
 from .ratmat import RatMatrix
 from .repdec import poly_at_matrix
 
-PRECISION_BITS = 128
-# roots are polished in fixed point with this many guard bits
-GUARD_BITS = 32
-FIXED_BITS = PRECISION_BITS + GUARD_BITS
-MAX_START_STEPS = 200
-MAX_POLISH_STEPS = 40
+# embeddings and log vectors are integers over 2^FIXED_BITS: a 128-bit
+# working precision with 32 guard bits
+FIXED_BITS = 160
 LOG_SCREEN_EPS = 1e-9
 MAX_LATTICE_CANDIDATES = 500_000
-
-
-class PrecisionError(ArithmeticError):
-    """The numeric embeddings could not be computed at the working precision."""
 
 
 class FieldError(ValueError):
@@ -57,38 +49,46 @@ class FieldError(ValueError):
 
 
 class UnsupportedFieldError(FieldError):
-    """No unit-generator source is implemented for this field."""
+    """No unit-generator source, or no closed-form embeddings, is implemented
+    for this field."""
 
 
-# -- roots --------------------------------------------------------------------------
+# -- embeddings --------------------------------------------------------------------
 
 
-def _start_roots(f: IntPoly) -> list[complex]:
-    """Approximate roots of the monic f in double precision: the Aberth–Ehrlich
-    iteration, updating one root at a time, from n points spread on the
-    circle whose radius is the geometric mean |f(0)|^(1/n) of the root
-    moduli. It stops when no root moves by more than 2^-50 of its modulus, or
-    after MAX_START_STEPS sweeps."""
-    n = f.degree
-    coeffs = [float(c) for c in reversed(f.coeffs)]
-    radius = abs(f.coeffs[0]) ** (1 / n)
-    roots = [radius * complex(cos(2 * pi * (k + 0.25) / n), sin(2 * pi * (k + 0.25) / n)) for k in range(n)]
-    for _ in range(MAX_START_STEPS):
-        moved = 0.0
-        for k, z in enumerate(roots):
-            value = slope = 0j
-            for c in coeffs:
-                value, slope = value * z + c, slope * z + value
-            try:
-                w = value / slope
-                step = w / (1 - w * sum(1 / (z - other) for j, other in enumerate(roots) if j != k))
-            except ZeroDivisionError:
-                continue
-            roots[k] = z - step
-            moved = max(moved, abs(step) / max(abs(z), 1.0))
-        if moved <= 2**-50:
-            break
-    return roots
+def closed_form_embeddings(f: IntPoly) -> tuple:
+    """The roots of f as (re, im) integer pairs scaled by 2^FIXED_BITS, in
+    embedding order, for the two field shapes whose units are searched:
+
+    - X² + bX + c: (−b ± √disc)/2 with √|disc| from isqrt, an exact floor;
+      two reals ascending when disc > 0, else the upper root then its
+      conjugate;
+    - Φ_d with d ≥ 3: ζ_d^k then ζ_d^−k for k prime to d, k running down
+      from below d/2 to 1, so real parts ascend; each computed by mpmath
+      at FIXED_BITS + 16 bits and rounded to the nearest unit of 2^-FIXED_BITS.
+
+    Raises UnsupportedFieldError for any other f."""
+    if f.degree == 2:
+        c, b, _ = f.coeffs
+        disc = b * b - 4 * c
+        root = isqrt(abs(disc) << 2 * FIXED_BITS)
+        centre = -b << FIXED_BITS
+        if disc > 0:
+            return ((centre - root) >> 1, 0), ((centre + root) >> 1, 0)
+        return (centre >> 1, root >> 1), (centre >> 1, -(root >> 1))
+    d = cyclotomic_index_of(f)
+    if d is None or d < 3:
+        raise UnsupportedFieldError(f"no closed-form embeddings for degree-{f.degree} field {f}")
+    import mpmath
+
+    embeddings = []
+    with mpmath.workprec(FIXED_BITS + 16):
+        for k in range((d - 1) // 2, 0, -1):
+            if gcd(k, d) == 1:
+                z = mpmath.expjpi(mpmath.mpf(2 * k) / d)
+                x, y = (int(mpmath.nint(mpmath.ldexp(part, FIXED_BITS))) for part in (z.real, z.imag))
+                embeddings.extend([(x, y), (x, -y)])
+    return tuple(embeddings)
 
 
 def _fixed_horner(coeffs: Sequence[int], x: int, y: int) -> tuple:
@@ -103,50 +103,6 @@ def _fixed_horner(coeffs: Sequence[int], x: int, y: int) -> tuple:
 def _to_fixed(c: Fraction) -> int:
     """c·2^FIXED_BITS rounded to the nearest integer."""
     return ((c.numerator << (FIXED_BITS + 1)) + c.denominator) // (2 * c.denominator)
-
-
-def fixed_point_roots(f: IntPoly) -> list[tuple]:
-    """The n roots of the monic squarefree f as (re, im) integer pairs scaled
-    by 2^FIXED_BITS, in the order of their double-precision starts
-    (_start_roots). Each start is polished by Newton's method in that fixed
-    point, f and f′ by one Horner pass, until the correction falls below
-    2^-(PRECISION_BITS+16).
-
-    Raises PrecisionError when a start is not finite, a polish does not
-    converge within MAX_POLISH_STEPS, the residual |f| at the last iterate is
-    over 2^-PRECISION_BITS·Σ|c_i|·max(1, |z|)^i, or two roots agree to
-    2^-PRECISION_BITS."""
-    coeffs = [c << FIXED_BITS for c in f.coeffs]
-    scale = 1 << FIXED_BITS
-    roots = []
-    for z in _start_roots(f):
-        if not (isfinite(z.real) and isfinite(z.imag)):
-            raise PrecisionError(f"the double-precision roots of {f} are not finite")
-        x, y = int(z.real * scale), int(z.imag * scale)
-        for _ in range(MAX_POLISH_STEPS):
-            fr = fi = dr = di = 0
-            for c in reversed(coeffs):
-                dr, di = ((dr * x - di * y) >> FIXED_BITS) + fr, ((dr * y + di * x) >> FIXED_BITS) + fi
-                fr, fi = ((fr * x - fi * y) >> FIXED_BITS) + c, (fr * y + fi * x) >> FIXED_BITS
-            norm = dr * dr + di * di
-            if not norm:
-                raise PrecisionError(f"a root polish for {f} met a critical point")
-            step_r = ((fr * dr + fi * di) << FIXED_BITS) // norm
-            step_i = ((fi * dr - fr * di) << FIXED_BITS) // norm
-            x, y = x - step_r, y - step_i
-            if max(abs(step_r), abs(step_i)) < 1 << (GUARD_BITS - 16):
-                break
-        else:
-            raise PrecisionError(f"a root of {f} did not converge in {MAX_POLISH_STEPS} Newton steps")
-        size = max(1.0, abs(complex(x, y)) / scale)
-        tolerance = sum(abs(c) * size**i for i, c in enumerate(f.coeffs)) * 2**GUARD_BITS
-        if max(abs(fr), abs(fi)) > tolerance:
-            raise PrecisionError(f"a root of {f} leaves a residual above the working precision")
-        roots.append((x, y))
-    for (x0, y0), (x1, y1) in itertools.combinations(roots, 2):
-        if max(abs(x0 - x1), abs(y0 - y1)) < 1 << GUARD_BITS:
-            raise PrecisionError(f"two roots of {f} coincide at the working precision")
-    return roots
 
 
 # -- field context ----------------------------------------------------------------
@@ -167,13 +123,13 @@ class NumberFieldCtx:
     """A number field Q[X]/(min_poly) with its signature and θ, the companion
     matrix of min_poly.
 
-    fixed_embeddings, computed on first read, holds the n roots as (re, im)
-    integer pairs scaled by 2^FIXED_BITS: the s real ones first (ascending),
-    then the complex ones as adjacent conjugate pairs (positive-imaginary
-    member first); reading it raises PrecisionError when the roots cannot be
-    found, or the complex ones paired, at the working precision. embeddings
-    holds the same roots as mpmath.mpc. Log vectors have s + t entries, one
-    per real embedding and one per conjugate pair.
+    fixed_embeddings, computed on first read by closed_form_embeddings, holds
+    the n roots as (re, im) integer pairs scaled by 2^FIXED_BITS: the s real
+    ones first (ascending), then the complex ones as adjacent conjugate pairs
+    (positive-imaginary member first); reading it raises
+    UnsupportedFieldError outside the quadratic and cyclotomic shapes. Log
+    vectors have s + t entries, one per real embedding and one per conjugate
+    pair.
     """
 
     min_poly: IntPoly
@@ -194,30 +150,7 @@ class NumberFieldCtx:
 
     @cached_property
     def fixed_embeddings(self) -> tuple:
-        roots = sorted(fixed_point_roots(self.min_poly), key=lambda z: abs(z[1]))
-        reals = sorted(x for x, _ in roots[: self.s_real])
-        # real parts are compared at the working precision, so that roots
-        # with equal real parts are ordered by their imaginary parts
-        half = 1 << (GUARD_BITS - 1)
-        uppers = sorted(
-            (z for z in roots[self.s_real :] if z[1] > 0), key=lambda z: ((z[0] + half) >> GUARD_BITS, z[1])
-        )
-        if len(uppers) != self.t_pairs:
-            raise PrecisionError("could not pair complex embeddings at the working precision")
-        embeddings = [(x, 0) for x in reals]
-        for x, y in uppers:
-            embeddings.extend([(x, y), (x, -y)])
-        return tuple(embeddings)
-
-    @cached_property
-    def embeddings(self) -> tuple:
-        import mpmath
-
-        with mpmath.workprec(FIXED_BITS):
-            return tuple(
-                mpmath.mpc(mpmath.mpf((x, -FIXED_BITS)), mpmath.mpf((y, -FIXED_BITS)))
-                for x, y in self.fixed_embeddings
-            )
+        return closed_form_embeddings(self.min_poly)
 
     def mult_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
         """Matrix of multiplication by the element in the power basis;

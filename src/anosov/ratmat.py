@@ -264,13 +264,6 @@ class RatMatrix:
             for i in range(self.rows)
         ]
 
-    def _rref(self):
-        """Reduced row echelon form: (the nonzero rows as {column: Fraction}
-        with pivot entry 1, their pivot columns ascending)."""
-        stored = _eliminate(self._sparse_rows())
-        pivots = sorted(stored)
-        return [{j: Fraction(v, stored[p][p]) for j, v in stored[p].items()} for p in pivots], pivots
-
     def rank(self) -> int:
         return len(_eliminate(self._sparse_rows()))
 

@@ -14,12 +14,20 @@ from anosov.decider import (
     no_certificate_search,
     porteous_flat,
 )
-from anosov.fingrp import RationalRep, conjugate_rep, direct_sum, generate_group, multiple, natural_rep
+from anosov.fingrp import (
+    RationalRep,
+    conjugate_rep,
+    direct_sum,
+    generate_group,
+    group_rep_from_json_obj,
+    multiple,
+    natural_rep,
+)
 from anosov.intpoly import IntPoly, cyclotomic
 from anosov.ratmat import RatMatrix
 from anosov.witness import companion_matrix, verify_witness
 
-from conftest import random_unimodular, regular_rep
+from conftest import benchmark_cases, random_unimodular, regular_rep
 
 
 class TestDecide:
@@ -150,6 +158,20 @@ class TestWitnessPipeline:
         assert IntPoly.from_rationals(verdict.witness.witness.char_poly()) == IntPoly(
             (-1, -1, 0, 1)
         )
+
+    @pytest.mark.parametrize("workload", ["witness", "isotypic"])
+    def test_block_commutant_is_the_solved_one(self, workload):
+        # M_m(Q) ⊗ E0 from the leaf commutant, against solving the commutant of
+        # the representation restricted to the aligned block basis
+        cases = benchmark_cases()
+        for case in cases.FULL[workload]():
+            for seed in range(3):
+                _, rep, c = group_rep_from_json_obj(case.input_obj(seed))
+                for p in decide(rep, c, seed).profiles:
+                    solved = repdec.commutant(repdec.restrict_rep(rep, decider._aligned_block_basis(p)))
+                    built = decider._block_commutant(p)
+                    assert built.basis == solved.basis, (case.case_id, seed)
+                    assert built.rep.gen_images == solved.rep.gen_images
 
     def test_quaternionic_isotypic_pair(self, q8_rep):
         # doubled quaternionic component: YES at c = 1, witness reachable

@@ -1,6 +1,6 @@
-"""The number-field embeddings (a double-precision start polished by Newton's
-method in integer fixed point) against mpmath.polyroots, and the root
-routine's failures, which must surface as PrecisionError and exit code 3."""
+"""The number-field embeddings, in closed form for the two field shapes whose
+units are searched (monic quadratics, and Φ_d for d ≥ 3), against
+mpmath.polyroots; every other field is refused with UnsupportedFieldError."""
 
 import math
 
@@ -9,20 +9,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anosov import numfield
-from anosov.cli import main
 from anosov.intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
 from anosov.numfield import (
     FIXED_BITS,
-    GUARD_BITS,
     NumberFieldCtx,
-    PrecisionError,
+    UnsupportedFieldError,
     _PISOT_FAMILY,
     _curated_degree_polys,
     _totient,
     companion_matrix,
-    cyclotomic_field,
-    fixed_point_roots,
+    cyclotomic_index_of,
+    make_field,
+    make_unit,
 )
 
 from conftest import roots_of
@@ -54,19 +52,32 @@ def _oracle_embeddings(f: IntPoly, s: int) -> list:
         return out
 
 
+def _has_closed_form(f: IntPoly) -> bool:
+    return f.degree == 2 or (cyclotomic_index_of(f) or 0) >= 3
+
+
 def _check_against_oracle(f: IntPoly):
-    real_roots = sum(1 for _, y in fixed_point_roots(f) if abs(y) < 1 << GUARD_BITS)
-    assert real_roots == real_root_count(f)
+    """The closed-form embeddings agree with the oracle, in order, when f is
+    a quadratic or Φ_d with d ≥ 3; any other f is refused."""
     field = _field(f)
+    if not _has_closed_form(f):
+        with pytest.raises(UnsupportedFieldError):
+            field.fixed_embeddings
+        return
     oracle = _oracle_embeddings(f, field.s_real)
-    assert len(field.embeddings) == len(oracle) == f.degree
+    assert len(field.fixed_embeddings) == len(oracle) == f.degree
     with mpmath.workprec(FIXED_BITS):
-        for z, w in zip(field.embeddings, oracle):
+        for (x, y), w in zip(field.fixed_embeddings, oracle):
+            z = mpmath.mpc(mpmath.mpf((x, -FIXED_BITS)), mpmath.mpf((y, -FIXED_BITS)))
             assert abs(z - w) < AGREEMENT, (f, z, w)
 
 
 def _squarefree(d: int) -> bool:
     return all(d % (p * p) for p in range(2, math.isqrt(d) + 1))
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 CURATED = sorted(
@@ -77,11 +88,14 @@ CURATED = sorted(
 
 
 class TestAgainstPolyroots:
-    # φ(d) ≥ √(d/2), so every d with φ(d) ≤ 16 is below 2·16² + 2
+    # φ(d) ≥ √(d/2), so every d with φ(d) ≤ 16 is below 2·16² + 2; Φ_1 and
+    # Φ_2 are linear, and refused
     @pytest.mark.parametrize("d", [d for d in range(1, 2 * 16 * 16 + 2) if _totient(d) <= 16])
     def test_cyclotomic(self, d):
         _check_against_oracle(cyclotomic(d))
 
+    # the tensor shortcut's companion fields: the quadratic ones agree, the
+    # others are refused
     @pytest.mark.parametrize("f", CURATED, ids=str)
     def test_curated_companion_polys(self, f):
         _check_against_oracle(f)
@@ -90,14 +104,14 @@ class TestAgainstPolyroots:
     def test_real_quadratic(self, d):
         _check_against_oracle(IntPoly((-d, 0, 1)))
 
-    @pytest.mark.parametrize(
-        "coeffs",
-        [(5, -10, 9, -4, 1), (109, -126, 57, -12, 1), (8, -14, 11, -4, 1), (128, -138, 59, -12, 1)],
-    )
-    def test_pairs_with_equal_real_parts(self, coeffs):
-        # g(X − a) for g = X⁴ + 3X² + 1 or X⁴ + 5X² + 2 and a = 1, 3: two
-        # conjugate pairs share the real part a, so imaginary parts order them
-        _check_against_oracle(IntPoly(coeffs))
+    def test_monic_quadratics(self):
+        # X² + bX + c of either signature, irreducible: a non-square discriminant
+        quadratics = [
+            IntPoly((c, b, 1)) for b in range(-20, 21) for c in range(-20, 21) if not _is_square(b * b - 4 * c)
+        ]
+        assert {real_root_count(f) for f in quadratics} == {0, 2}
+        for f in quadratics:
+            _check_against_oracle(f)
 
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -107,28 +121,7 @@ class TestAgainstPolyroots:
         _check_against_oracle(f)
 
 
-class TestPolishFailures:
-    def test_coincident_starts_raise(self, monkeypatch):
-        monkeypatch.setattr(numfield, "_start_roots", lambda f: [complex(0.5, 0.5)] * f.degree)
-        with pytest.raises(PrecisionError, match="coincide"):
-            cyclotomic_field(5).embeddings
-
-    def test_non_finite_start_raises(self, monkeypatch):
-        monkeypatch.setattr(numfield, "_start_roots", lambda f: [complex("nan")] * f.degree)
-        with pytest.raises(PrecisionError, match="not finite"):
-            cyclotomic_field(5).embeddings
-
-    def test_polish_without_convergence_raises(self, monkeypatch):
-        # one Newton step from a double-precision start leaves a correction
-        # near 2^-50, far above the stopping threshold
-        monkeypatch.setattr(numfield, "MAX_POLISH_STEPS", 1)
-        with pytest.raises(PrecisionError, match="did not converge"):
-            fixed_point_roots(cyclotomic(5))
-
-    def test_units_exits_3_without_a_traceback(self, monkeypatch, capsys):
-        monkeypatch.setattr(numfield, "_start_roots", lambda f: [complex(0.5, 0.5)] * f.degree)
-        assert main(["units", "--zeta", "5"]) == 3
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith("undecided at working precision:")
-        assert "Traceback" not in out.err
+def test_plastic_log_vector_is_refused():
+    field = make_field(IntPoly((-1, -1, 0, 1)))
+    with pytest.raises(UnsupportedFieldError):
+        make_unit(field, field.theta).log_vector

@@ -3,8 +3,9 @@
 `golden_cli.json` holds the JSON printed by each invocation in INVOCATIONS,
 with every `timings` field removed: the six demos, and `decide`,
 `decide --witness`, `no-cert`, `decompose` and `porteous` on small corpus
-inputs (multiples of ρ3, Q8, the C5 rotation), and `units`, `graded-action`
-and `hall-basis` on the README's examples. A change that is meant to
+inputs (multiples of ρ3, Q8, the C5 rotation), `units`, `graded-action`
+and `hall-basis` on the README's examples, and two cyclotomic `units`
+searches whose found unit prints its log vector. A change that is meant to
 leave every result alone, such as a speed-up or a refactor, must keep each
 output byte-identical. After a change that is meant to alter output, record
 the fixture again with `PYTHONPATH=src python tests/test_golden.py` and
@@ -66,6 +67,8 @@ INVOCATIONS = {
         f"witness {key}": (["decide", "-", "--witness"], INPUTS[key])
         for key in ("2rho3_c1", "3rho3_c2", "q8_c1", "c5_c1")
     },
+    # a multiplicity-2 block whose unit comes from the field of Q(ζ5)
+    "witness 2c5_c2": (["decide", "-", "--witness"], _input(C5, 2, 2)),
     **{
         f"no-cert {key} h{h}": (["no-cert", "-", "--height-bound", str(h)], INPUTS[key])
         for key, h in (("rho3_c1", 2), ("2rho3_c2", 1), ("2rho3_c2", 3), ("q8_c1", 1))
@@ -77,6 +80,8 @@ INVOCATIONS = {
     },
     "units sqrt 2": (["units", "--sqrt", "2", "--class", "1", "--bound", "12"], None),
     "units zeta 5": (["units", "--zeta", "5", "--class", "2", "--bound", "12"], None),
+    "units zeta 7": (["units", "--zeta", "7", "--class", "2", "--bound", "6"], None),
+    "units zeta 16": (["units", "--zeta", "16", "--class", "3", "--bound", "6"], None),
     "units min-poly": (["units", "--min-poly", "[-1,-1,1]", "--class", "1", "--bound", "6"], None),
     "graded-action readme": (["graded-action", "-"], GRADED_INPUT),
     "hall-basis r3 c3": (["hall-basis", "--r", "3", "--class", "3"], None),

@@ -25,6 +25,7 @@ from anosov.hyper import is_c_hyperbolic_poly
 from anosov.ratmat import matrix_min_poly
 
 SQRT2 = IntPoly((-2, 0, 1))
+GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
 
 
@@ -40,11 +41,9 @@ class TestMakeField:
 
     def test_embeddings_come_in_conjugate_pairs(self):
         field = make_field(cyclotomic(5))
-        with mpmath.workprec(160):
-            for j in range(field.t_pairs):
-                z = field.embeddings[field.s_real + 2 * j]
-                w = field.embeddings[field.s_real + 2 * j + 1]
-                assert abs(z - mpmath.conj(w)) < mpmath.mpf(2) ** -100
+        for j in range(field.t_pairs):
+            x, y = field.fixed_embeddings[field.s_real + 2 * j]
+            assert y > 0 and field.fixed_embeddings[field.s_real + 2 * j + 1] == (x, -y)
 
     def test_hyperbolicity_ceilings(self):
         assert max_hyperbolicity_bound(make_field(SQRT2)) == 1
@@ -57,11 +56,13 @@ class TestLazyEmbeddings:
         def refuse(*args, **kwargs):
             raise AssertionError("roots found before a log vector is read")
 
-        roots = numfield.fixed_point_roots
-        monkeypatch.setattr(numfield, "fixed_point_roots", refuse)
+        roots = numfield.closed_form_embeddings
+        monkeypatch.setattr(numfield, "closed_form_embeddings", refuse)
         plastic = make_field(PLASTIC)
         assert plastic.signature == (1, 1)
         assert max_hyperbolicity_bound(plastic) == 2
+        golden = make_field(GOLDEN)
+        (phi,) = unit_generators_for_field(golden)
         zeta8 = cyclotomic_field(8)
         (unit,) = unit_generators_for_field(zeta8)
         assert unit.coords == (1, 1, 1, 0)
@@ -72,9 +73,8 @@ class TestLazyEmbeddings:
             calls.append(args)
             return roots(*args, **kwargs)
 
-        monkeypatch.setattr(numfield, "fixed_point_roots", counting)
-        theta = make_unit(plastic, plastic.theta)
-        for u in (theta, make_unit(plastic, plastic.theta @ plastic.theta), theta):
+        monkeypatch.setattr(numfield, "closed_form_embeddings", counting)
+        for u in (phi, make_unit(golden, phi.matrix @ phi.matrix), phi):
             assert len(u.log_vector) == 2
         assert len(calls) == 1
         for u in (unit, make_unit(zeta8, unit.matrix.inverse()), unit):
@@ -164,11 +164,18 @@ class TestLogEmbedding:
         assert abs(sum(logs)) < 1e-25  # norm is -1
 
     def test_weighted_sum_vanishes_mixed_signature(self):
-        field = make_field(PLASTIC)
-        theta = make_unit(field, field.mult_matrix((Fraction(0), Fraction(1), Fraction(0))))
-        x = [float(v) for v in theta.log_vector]
-        assert x[0] == pytest.approx(float(mpmath.log(mpmath.mpf("1.32471795724474602596"))), abs=1e-12)
-        assert x[0] + 2 * x[1] == pytest.approx(0.0, abs=1e-25)
+        # a unit has |norm| 1, so its log vector sums to 0 with weight 1 per
+        # real slot and 2 per conjugate pair; no supported field mixes the
+        # two, so each weight is checked on a field of its own
+        (eps,) = unit_generators_for_field(make_field(IntPoly((-13, 0, 1))))
+        x = [float(v) for v in eps.log_vector]
+        assert x[1] == pytest.approx(float(mpmath.log((3 + mpmath.sqrt(13)) / 2)), abs=1e-12)
+        assert x[0] + x[1] == pytest.approx(0.0, abs=1e-25)
+        # 1 + ζ at ζ7^k, k = 3, 2, 1, has modulus 2·cos(πk/7)
+        one_plus_zeta = unit_generators_for_field(cyclotomic_field(7))[0]
+        x = [float(v) for v in one_plus_zeta.log_vector]
+        assert x[2] == pytest.approx(float(mpmath.log(2 * mpmath.cospi(mpmath.mpf(1) / 7))), abs=1e-12)
+        assert 2 * (x[0] + x[1] + x[2]) == pytest.approx(0.0, abs=1e-25)
 
 
 class TestFundamentalUnits:
@@ -244,10 +251,8 @@ class TestHyperbolicUnitSearch:
         assert not search_c_hyperbolic_unit(field, [], 1, 12).found
 
     def test_found_units_certify(self):
-        field = make_field(PLASTIC)
-        # theta itself generates the plastic field's units
-        theta = make_unit(field, field.mult_matrix((Fraction(0), Fraction(1), Fraction(0))))
-        outcome = search_c_hyperbolic_unit(field, [theta], 2, 8)
+        field = cyclotomic_field(7)
+        outcome = search_c_hyperbolic_unit(field, unit_generators_for_field(field), 2, 8)
         assert outcome.found
         assert is_c_hyperbolic_poly(outcome.unit.min_poly(), 2).verdict
 

@@ -118,7 +118,7 @@ class TestFieldThroughCommutant:
         cases = benchmark_cases()
         _, rep, c = group_rep_from_json_obj(cases.cyclic("c5", cases.C5, 2, 2, 4).input_obj(0))
         roots, searched = [], []
-        root_finder, search = numfield.fixed_point_roots, witness.search_c_hyperbolic_unit
+        root_finder, search = numfield.closed_form_embeddings, witness.search_c_hyperbolic_unit
 
         def counting_roots(*args, **kwargs):
             roots.append(args)
@@ -128,7 +128,7 @@ class TestFieldThroughCommutant:
             searched.append(field.min_poly)
             return search(field, generators, *args, **kwargs)
 
-        monkeypatch.setattr(numfield, "fixed_point_roots", counting_roots)
+        monkeypatch.setattr(numfield, "closed_form_embeddings", counting_roots)
         monkeypatch.setattr(witness, "search_c_hyperbolic_unit", recording_search)
         assert decide_with_witness(rep, c, 0).witness_status == "attached"
         assert searched == [IntPoly((1, 0, -1, 0, 1, 0, -1, 0, 1))]
