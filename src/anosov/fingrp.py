@@ -5,11 +5,13 @@ graph, conjugacy classes, and class sums: characters, the inner product
 Groups are always represented faithfully by exact rational matrices; closure
 is breadth-first from the identity with the generator order as given, so the
 element ordering (and everything seeded downstream) is deterministic. No step
-forms the |G|² multiplication table: closure and the homomorphism check each
-take at most |G|·#gens matrix products, walking the Cayley graph g ↦ g·s of
-the generators s (Holt–Eick–O'Brien, *Handbook of Computational Group
-Theory* §4.1); squares, inverses and conjugacy classes are read off that
-graph with no products at all.
+forms the |G|² multiplication table: closure takes |G|·#gens matrix products,
+walking the Cayley graph g ↦ g·s of the generators s (Holt–Eick–O'Brien,
+*Handbook of Computational Group Theory* §4.1), and so do a representation's
+images and its homomorphism check together, the images along the
+breadth-first tree edges and the check on the other edges only; squares,
+inverses and conjugacy classes are read off that graph with no products at
+all.
 
 After ingestion every step costs #generators or #classes, not |G|. A
 representation is held by its generator images; its full image list is built
@@ -228,12 +230,18 @@ class RationalRep:
     def check_homomorphism(self) -> None:
         """Check ρ(e) = I and ρ(g·s) = ρ(g)·ρ(s) for every element g and
         generator s. This is complete: for h = s₁⋯s_k, induction on k gives
-        ρ(g·h) = ρ(g)·ρ(s₁)⋯ρ(s_k), and with g = e that product is ρ(h)."""
-        if self.images[0] != RatMatrix.identity(self.dimension):
+        ρ(g·h) = ρ(g)·ρ(s₁)⋯ρ(s_k), and with g = e that product is ρ(h).
+
+        images is built along the breadth-first tree, ρ(j) = ρ(g)·ρ(s) for
+        parent[j] = (g, s), so the equation of each of those |G| − 1 edges
+        holds by construction; only the other edges are multiplied out, and
+        building and checking the images take |G|·#gens products together."""
+        images, parent = self.images, self.group.parent
+        if images[0] != RatMatrix.identity(self.dimension):
             raise HomomorphismError("the identity element's image is not the identity matrix")
         for g, row in enumerate(self.group.right):
             for s, j in enumerate(row):
-                if self.images[j] != self.images[g] @ self.gen_images[s]:
+                if parent[j] != (g, s) and images[j] != images[g] @ self.gen_images[s]:
                     raise HomomorphismError(
                         f"images violate the Cayley graph at element {g} times generator {s}"
                     )

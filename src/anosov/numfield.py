@@ -10,17 +10,18 @@ powers and inverses are RatMatrix products and inverses, so all algebra is
 exact. A unit is read through one characteristic polynomial of its matrix:
 integrality, norm ±1, its minimal polynomial (the squarefree part) and its
 hyperbolicity. make_field is exact: monic, irreducible, and the signature by
-a Sturm count. Floating point appears only in the log screen, which reads
-the embeddings at a fixed 128-bit working precision, as pairs of ints over
-2^160. They are computed in closed form the first time a log vector is
-read: (−b ± √disc)/2 for a quadratic, by an integer square root, and ζ_d^k
-for k prime to d in Q[X]/(Φ_d) (Washington, Introduction to Cyclotomic
-Fields, §2), by mpmath. These are the only fields whose units are searched;
-any other field's read raises UnsupportedFieldError. A log vector evaluates
-the unit at each embedding in the same fixed point, and mpmath takes only
-the final logarithm. Every candidate that passes the screen is certified
-exactly. mpmath, and sympy's integer factorization, are imported by the
-functions that use them, so importing this module loads neither.
+a Sturm count, or for Φ_d both in closed form. Floating point appears only in
+the log screen, which reads the embeddings at a fixed 128-bit working
+precision, as pairs of ints over 2^160. They are computed in closed form the
+first time a log vector is read: (−b ± √disc)/2 for a quadratic, by an
+integer square root, and ζ_d^k for k prime to d in Q[X]/(Φ_d) (Washington,
+Introduction to Cyclotomic Fields, §2), by mpmath. These are the only fields
+whose units are searched; any other field's read raises
+UnsupportedFieldError. A log vector evaluates the unit at each embedding in
+the same fixed point, and mpmath takes only the final logarithm. Every
+candidate that passes the screen is certified exactly. mpmath, and sympy's
+integer factorization, are imported by the functions that use them, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -160,15 +161,20 @@ class NumberFieldCtx:
 
 def make_field(min_poly: IntPoly) -> NumberFieldCtx:
     """Build a field context by exact steps alone: monic, irreducible, and
-    the signature by a Sturm count. Raises FieldError for non-monic or
-    reducible input."""
+    the signature by a Sturm count. Φ_d needs neither step: it is
+    irreducible, and its roots are the primitive d-th roots of unity, real
+    only for d ≤ 2. Raises FieldError for non-monic or reducible input."""
     if not min_poly.is_monic:
         raise FieldError("minimal polynomial must be monic")
     if min_poly.degree < 1:
         raise FieldError("minimal polynomial must have degree >= 1")
-    if not is_irreducible(min_poly):
+    d = cyclotomic_index_of(min_poly)
+    if d is not None:
+        s = 1 if d <= 2 else 0
+    elif is_irreducible(min_poly):
+        s = real_root_count(min_poly)
+    else:
         raise FieldError(f"{min_poly} is reducible over Q")
-    s = real_root_count(min_poly)
     return NumberFieldCtx(
         min_poly=min_poly, signature=(s, (min_poly.degree - s) // 2), theta=companion_matrix(min_poly)
     )
@@ -523,13 +529,14 @@ def hyperbolic_companion_poly(m: int, c: int, poly_skip: int = 0) -> Optional[In
 
     Tries a curated list of Pisot-type polynomials. Requires c ≤ m − 1.
     poly_skip skips that many certified hits, for callers that need an
-    alternative.
+    alternative. The result need not be irreducible: verify_witness proves
+    what a witness needs of it.
     """
     if m < 2 or c >= m:
         return None
     hits = 0
     for f in _curated_degree_polys(m):
-        if abs(f.coeffs[0]) != 1 or not is_irreducible(f):
+        if abs(f.coeffs[0]) != 1:
             continue
         if is_c_hyperbolic_poly(f, c).verdict:
             if hits >= poly_skip:

@@ -8,6 +8,9 @@ layout of FLINT's fmpq_mat). Equal matrices thus have equal storage, so
 equality and hashing compare integer tuples. Products, sums, scalings,
 transposes and traces work on the integers and normalise once at the end;
 `__getitem__`, `row`, `column` and `entries` hand out `fractions.Fraction`s.
+A JSON literal is read straight into numerators over their common
+denominator: integers and decimal-integer strings as ints, and only "p/q"
+strings through `Fraction`.
 
 Kernels, ranks, solves and inverses go through one elimination routine,
 `_eliminate`: fraction-free Gauss–Jordan on sparse integer rows, each
@@ -49,15 +52,18 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-# "p" or "p/q" with q ≠ 0
+# "p" or "p/q" with q ≠ 0; group 1 is the "/q"
 _JSON_ENTRY = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def _json_entry(x) -> Fraction:
+def _json_entry(x) -> int | Fraction:
+    """A JSON matrix entry: an int for a JSON integer or a decimal-integer
+    string, a Fraction for a "p/q" string only."""
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str) and _JSON_ENTRY.fullmatch(x):
-        return Fraction(x)
+        return x
+    match = _JSON_ENTRY.fullmatch(x) if isinstance(x, str) else None
+    if match:
+        return Fraction(x) if match.group(1) else int(x)
     raise ValueError(f'matrix entry {x!r} is not an integer or a "p" or "p/q" string with q != 0')
 
 
@@ -377,7 +383,13 @@ class RatMatrix:
     def from_json_obj(cls, obj) -> "RatMatrix":
         if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
             raise ValueError("matrix literal must be a non-empty array of arrays")
-        return cls.from_rows([[_json_entry(x) for x in row] for row in obj])
+        # every entry is validated before the shape: a bad entry in a ragged
+        # literal reports the entry
+        entries = [_json_entry(x) for row in obj for x in row]
+        cols = len(obj[0])
+        if any(len(row) != cols for row in obj):
+            raise DimensionError("ragged rows")
+        return cls(len(obj), cols, entries)
 
     @classmethod
     def from_json(cls, text: str) -> "RatMatrix":

@@ -27,6 +27,14 @@ Any other leaf, such as one whose commutant is an indefinite quaternion
 algebra or a noncommutative division algebra of dimension over 4, is still
 declared irreducible only after every trial fails to split it ("search").
 
+The first three proofs also fix n = dim Z(E), the degree of the character
+field (Serre, §12.2), so component_profile reads n off the class's first
+proof: 1 for "dimension-one"; for "definite", E⊗R has no idempotent but 0
+and 1, so it is a real division algebra, C or H (Frobenius), and n is 2 for
+dim E = 2 and 1 for dim E = 4; dim E for "field", as E = Q[x] is
+commutative. Only a "search" leaf has its center solved for, as the kernel
+of the brackets with the commutant basis.
+
 Leaves are grouped into classes by character: irreducibles V, W are
 isomorphic iff dim_Q Hom_G(V, W) = ⟨χ_V, χ_W⟩ > 0 (Serre, §2.3–2.6), so the
 dim_E = m²·n constraint is checked once per class, in component_profile, and
@@ -277,8 +285,26 @@ def _trace_form_negative_definite(basis: Sequence[RatMatrix]) -> bool:
         for i, m in enumerate(nums)
         if i != p
     ]
-    gram = [[-t for t in _trace_pairings(xs, y, n)] for y in xs]
-    return all(RatMatrix.from_rows([row[:k] for row in gram[:k]]).det() > 0 for k in range(1, len(xs) + 1))
+    return _leading_minors_positive([[-t for t in _trace_pairings(xs, y, n)] for y in xs])
+
+
+def _leading_minors_positive(a: list[list[int]]) -> bool:
+    """Whether every leading principal minor of the square integer matrix a
+    is positive; a is overwritten. One pass of Bareiss's elimination without
+    row exchanges: its k-th pivot is the k-th leading principal minor, and
+    each update divides exactly by the pivot before (Bareiss, Math. Comp.
+    1968), so the pass stops at the first pivot ≤ 0."""
+    prev = 1
+    for k, row in enumerate(a):
+        p = row[k]
+        if p <= 0:
+            return False
+        for other in a[k + 1 :]:
+            f = other[k]
+            for j in range(k + 1, len(a)):
+                other[j] = (other[j] * p - f * row[j]) // prev
+        prev = p
+    return True
 
 
 def split_once(rep: RationalRep, seed: int = 0):
@@ -325,14 +351,25 @@ def _center_dimension(basis: Sequence[RatMatrix]) -> int:
     return len(sparse_kernel_basis(rows, len(basis)))
 
 
-def component_profile(com: CommutantBasis, members: Sequence[ComponentMember] = ()) -> ComponentProfile:
+def component_profile(
+    com: CommutantBasis, members: Sequence[ComponentMember] = (), proof: Optional[str] = None
+) -> ComponentProfile:
     """Profile of a certified-irreducible component, from its commutant com.
     members are its occurrences in the ambient representation, the first
     being the one com was solved on; by default the component alone, in its
-    own coordinates."""
+    own coordinates. proof is the IrreducibleCertificate's proof for that
+    first member, from which n is read when it fixes n (module docstring);
+    without one, or for "search", n is the dimension of E's center."""
     sub_rep = com.rep
     dim_e = com.dimension
-    n = _center_dimension(com.basis)
+    if proof in ("dimension-one", "field"):
+        # E is Q or the field Q[x]: commutative, so its own center
+        n = dim_e
+    elif proof == "definite":
+        # E⊗R is C or H; a 3-dimensional E never passes the test
+        n = 2 if dim_e == 2 else 1
+    else:
+        n = _center_dimension(com.basis)
     if n == 0 or dim_e % n:
         raise DecompositionError(f"dim_E={dim_e} not divisible by center dimension {n}")
     m = isqrt(dim_e // n)
@@ -378,18 +415,22 @@ def decompose(
     rng = random.Random(seed)
     n = rep.dimension
     pending = [(RatMatrix.identity(n), rep, ambient)]
-    classes: dict[tuple, list[ComponentMember]] = {}
+    # character -> (the first leaf's proof, the class's members)
+    classes: dict[tuple, tuple[str, list[ComponentMember]]] = {}
     while pending:
         basis, sub, com = pending.pop(0)
         result = _split_once(sub, rng, com=com)
         if isinstance(result, IrreducibleCertificate):
-            classes.setdefault(sub.character, []).append(ComponentMember(basis, result.commutant))
+            _, members = classes.setdefault(sub.character, (result.proof, []))
+            members.append(ComponentMember(basis, result.commutant))
             continue
         k1, k2 = result
         pending.append((basis @ k1, restrict_rep(sub, k1), None))
         pending.append((basis @ k2, restrict_rep(sub, k2), None))
 
-    profiles = [component_profile(members[0].commutant, members) for members in classes.values()]
+    profiles = [
+        component_profile(members[0].commutant, members, proof) for proof, members in classes.values()
+    ]
     total = sum(p.multiplicity * p.dimension for p in profiles)
     if total != n:
         raise DecompositionError(f"component dimensions sum to {total}, ambient is {n}")

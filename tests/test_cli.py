@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from anosov import cli, numfield
+from anosov import cli, numfield, ratmat
 from anosov.cli import SUBCOMMANDS, build_parser, main
 from anosov.ratmat import RatMatrix
 from anosov.numfield import MAX_LATTICE_CANDIDATES
@@ -239,6 +239,55 @@ def test_malformed_json_exit_code(tmp_path, capsys, argv, obj):
     path = write_input(tmp_path, obj)
     code, _, err = run([argv[0], path, *argv[1:]], capsys)
     assert code == 2 and "invalid input:" in err
+
+
+_ENTRY_MESSAGE = 'matrix entry {} is not an integer or a "p" or "p/q" string with q != 0'
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([[["1/0"]]], _ENTRY_MESSAGE.format("'1/0'")),
+        ([[[1.5]]], _ENTRY_MESSAGE.format("1.5")),
+        ([[[True]]], _ENTRY_MESSAGE.format("True")),
+        ([[["1", "0"], ["0"]]], "ragged rows"),
+        # every entry is checked before the shape
+        ([[["1", "0"], ["x"]]], _ENTRY_MESSAGE.format("'x'")),
+    ],
+)
+def test_malformed_matrix_literal_messages(tmp_path, capsys, generators, message):
+    path = write_input(tmp_path, {"generators": generators, "class": 1})
+    code, out, err = run(["decide", path], capsys)
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
+def test_integer_literals_read_without_fraction(tmp_path, capsys, monkeypatch):
+    """JSON integers and decimal-integer strings become int numerators
+    directly: with ratmat's Fraction refused while each literal is read, an
+    all-integer input still ingests and decides as before."""
+    obj = {
+        "generators": D3_INPUT["generators"],
+        "rep_images": [[[0, -1], ["1", -1]], [["+0", "-1"], [-1, "0"]]],
+        "class": 1,
+    }
+    path = write_input(tmp_path, obj)
+    code, expected, _ = run(["decide", path], capsys)
+    assert code == 0
+    read = RatMatrix.from_json_obj.__func__
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built for an integer entry")
+
+    def reading(cls, literal):
+        with monkeypatch.context() as patched:
+            patched.setattr(ratmat, "Fraction", refuse)
+            return read(cls, literal)
+
+    monkeypatch.setattr(RatMatrix, "from_json_obj", classmethod(reading))
+    code, out, _ = run(["decide", path], capsys)
+    assert code == 0
+    without_timings = [{k: v for k, v in json.loads(o).items() if k != "timings"} for o in (out, expected)]
+    assert without_timings[0] == without_timings[1]
 
 
 @pytest.mark.parametrize(

@@ -232,6 +232,22 @@ class TestRepFromGeneratorImages:
         with pytest.raises(ValueError):
             rep_from_generator_images(d3, [RatMatrix.identity(1)])
 
+    def test_images_and_check_take_one_product_per_edge(self, groups, monkeypatch):
+        """The images are built along the |G| − 1 tree edges and the check
+        multiplies out the other edges only: |G|·#gens = 48·3 products."""
+        group = groups["b3"]
+        products = 0
+        matmul = RatMatrix.__matmul__
+
+        def counting(self, other):
+            nonlocal products
+            products += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(RatMatrix, "__matmul__", counting)
+        rep_from_generator_images(group, group.generators())
+        assert products == group.order * len(group.gen_indices) == 144
+
 
 def test_group_rep_json_schema(d3):
     obj = {

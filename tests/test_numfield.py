@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 
 from anosov import numfield
-from anosov.intpoly import IntPoly, cyclotomic
+from anosov.intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
 from anosov.numfield import (
     FieldError,
     _cyclotomic_units,
@@ -21,7 +21,7 @@ from anosov.numfield import (
     search_c_hyperbolic_unit,
     unit_generators_for_field,
 )
-from anosov.hyper import is_c_hyperbolic_poly
+from anosov.hyper import FOUND, is_c_hyperbolic_poly, unit_circle_root_test
 from anosov.ratmat import matrix_min_poly
 
 SQRT2 = IntPoly((-2, 0, 1))
@@ -38,6 +38,26 @@ class TestMakeField:
     def test_reducible_rejected(self):
         with pytest.raises(FieldError):
             make_field(IntPoly((-1, 0, 1)))  # X^2 - 1
+
+    def test_cyclotomic_signature_in_closed_form(self, monkeypatch):
+        """For every Φ_d of degree φ(d) ≤ 16, the closed form (irreducible,
+        signature (1, 0) for d ≤ 2 and (0, φ(d)/2) otherwise) agrees with
+        factoring and Sturm-counting, which make_field then skips."""
+        # φ(d) ≥ √(d/2) bounds d by 2·16²
+        indices = [d for d in range(1, 2 * 16 * 16 + 2) if numfield._totient(d) <= 16]
+        expected = {}
+        for d in indices:
+            f = cyclotomic(d)
+            assert is_irreducible(f)
+            s = real_root_count(f)
+            expected[d] = (s, (f.degree - s) // 2)
+
+        def refuse(f, *bounds):
+            raise AssertionError("Φ_d factored or Sturm-counted")
+
+        monkeypatch.setattr(numfield, "is_irreducible", refuse)
+        monkeypatch.setattr(numfield, "real_root_count", refuse)
+        assert {d: make_field(cyclotomic(d)).signature for d in indices} == expected
 
     def test_embeddings_come_in_conjugate_pairs(self):
         field = make_field(cyclotomic(5))
@@ -293,6 +313,20 @@ class TestCompanionPolys:
             for f in polys:
                 assert f.degree == m and f.is_monic and abs(f.coeffs[0]) == 1
                 assert is_c_hyperbolic_poly(f, c).verdict
+
+    def test_reducible_curated_polys_touch_the_unit_circle(self):
+        """hyperbolic_companion_poly proves no irreducibility: each reducible
+        curated candidate with constant ±1 has a root on the unit circle, so
+        no c-hyperbolicity test passes it and the selection is unchanged."""
+        reducible = [
+            f
+            for m in range(2, 13)
+            for f in numfield._curated_degree_polys(m)
+            if abs(f.coeffs[0]) == 1 and not is_irreducible(f)
+        ]
+        assert {f.degree for f in reducible} == {5, 11}  # X^m − X^{m−1} − 1 for m ≡ 5 mod 6
+        for f in reducible:
+            assert unit_circle_root_test(f).status == FOUND, f
 
     def test_rouche_family_follows_the_first_hits(self):
         assert hyperbolic_companion_poly(5, 1) == IntPoly((-1, -1, 0, 0, 0, 1))  # X^5 - X - 1

@@ -474,3 +474,103 @@ class TestIrreducibleCertificate:
     def test_proof_not_in_default_json(self, q8_rep):
         assert all("proof" not in row for row in repdec.decomposition_report(decompose(q8_rep, seed=0)))
         assert "proof" not in str(decide(q8_rep, 1).to_json_obj())
+
+
+def _leaf_certificates(rep, monkeypatch):
+    """The certificate of every leaf decompose(rep) reaches."""
+    certificates = []
+    split = repdec._split_once
+
+    def recording(*args, **kwargs):
+        result = split(*args, **kwargs)
+        if isinstance(result, IrreducibleCertificate):
+            certificates.append(result)
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(repdec, "_split_once", recording)
+        decompose(rep, seed=0)
+    return certificates
+
+
+class TestFieldDegreeFromProof:
+    """n = dim Z(E) read off a leaf's irreducibility proof agrees with the
+    center solved for as the kernel of the brackets."""
+
+    @staticmethod
+    def _assert_agrees(rep, monkeypatch, label) -> set:
+        proofs = set()
+        for cert in _leaf_certificates(rep, monkeypatch):
+            from_proof = component_profile(cert.commutant, proof=cert.proof).n_field
+            assert from_proof == repdec._center_dimension(cert.commutant.basis), (label, cert.proof)
+            proofs.add(cert.proof)
+        return proofs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_corpus_leaves(self, seed, monkeypatch):
+        cases = benchmark_cases()
+        proofs = set()
+        for case in cases.FULL["isotypic"]() + cases.FULL["witness"]() + cases.FULL["lattice"]():
+            _, rep, _ = group_rep_from_json_obj(case.input_obj(seed))
+            proofs |= self._assert_agrees(rep, monkeypatch, case.case_id)
+        assert {"dimension-one", "definite", "field"} <= proofs
+
+    def test_rotations_and_regular_q8(self, monkeypatch):
+        reps = {
+            "c4": corpus.c4_rep(),
+            "c5": corpus.c5_rep(),
+            "c8": c8_rep(),
+            "reg_q8": regular_rep(corpus.q8_rep().group),
+        }
+        proofs = set()
+        for name, rep in reps.items():
+            proofs |= self._assert_agrees(rep, monkeypatch, name)
+        assert {"dimension-one", "definite", "field"} <= proofs
+
+    def test_proved_leaves_solve_no_center(self, monkeypatch):
+        def refuse(basis):
+            raise AssertionError("center solved for a proved leaf")
+
+        monkeypatch.setattr(repdec, "_center_dimension", refuse)
+        profiles = decompose(regular_rep(corpus.q8_rep().group), seed=0)
+        assert sorted((p.dim_E, p.n_field) for p in profiles) == [(1, 1)] * 4 + [(4, 1)]
+
+
+@st.composite
+def _symmetric_integer_matrices(draw):
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # B·Bᵀ: positive semidefinite, so every leading minor is ≥ 0, and a
+        # singular leading block of B gives a zero one
+        b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+        return [[sum(x * y for x, y in zip(bi, bj)) for bj in b] for bi in b]
+    upper = [[draw(st.integers(-4, 4)) for _ in range(n - i)] for i in range(n)]
+    return [[upper[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
+
+
+class TestLeadingMinors:
+    """The one-pass Bareiss test against a determinant per leading minor."""
+
+    @staticmethod
+    def _per_minor(a) -> bool:
+        return all(RatMatrix.from_rows([row[:k] for row in a[:k]]).det() > 0 for k in range(1, len(a) + 1))
+
+    @given(_symmetric_integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_per_minor_determinants(self, a):
+        expected = self._per_minor(a)
+        assert repdec._leading_minors_positive([list(row) for row in a]) == expected
+
+    @pytest.mark.parametrize(
+        "a, expected",
+        [
+            ([[2, 1], [1, 1]], True),
+            ([[1, 1], [1, 1]], False),  # second minor 0
+            ([[0, 1], [1, 5]], False),  # first minor 0
+            ([[1, 2, 0], [2, 4, 1], [0, 1, 9]], False),  # second minor 0, third −1
+            ([[1, 2, 3], [2, 5, 4], [3, 4, 30]], True),
+        ],
+    )
+    def test_zero_and_positive_leading_minors(self, a, expected):
+        assert self._per_minor(a) == expected
+        assert repdec._leading_minors_positive(a) == expected
