@@ -116,7 +116,10 @@ def unit_circle_root_test(f: IntPoly) -> UnitCircleResult:
     return UnitCircleResult(NONE_CERTIFIED)
 
 
-def _hyperbolicity_from_poly(f: IntPoly, c: int) -> HyperbolicityReport:
+def is_c_hyperbolic_poly(f: IntPoly, c: int) -> HyperbolicityReport:
+    """c-hyperbolicity of the root set of f (typically a minimal polynomial)."""
+    if f.is_zero or f.coeffs[0] == 0:
+        raise ValueError("c-hyperbolicity requires f != 0 with f(0) != 0")
     if c < 1:
         raise ValueError("c must be >= 1")
     base = squarefree_part(f)
@@ -126,18 +129,10 @@ def _hyperbolicity_from_poly(f: IntPoly, c: int) -> HyperbolicityReport:
     return HyperbolicityReport(c_tested=c, verdict=True)
 
 
-def is_c_hyperbolic_poly(f: IntPoly, c: int) -> HyperbolicityReport:
-    """c-hyperbolicity of the root set of f (typically a minimal polynomial)."""
-    if f.is_zero or f.coeffs[0] == 0:
-        raise ValueError("c-hyperbolicity requires f != 0 with f(0) != 0")
-    return _hyperbolicity_from_poly(f, c)
-
-
 def is_c_hyperbolic_matrix(m: RatMatrix, c: int) -> HyperbolicityReport:
     """c-hyperbolicity of a square invertible rational matrix."""
     if not m.is_square:
         raise ValueError("c-hyperbolicity requires a square matrix")
     if m.det() == 0:
         raise SingularMatrixError("c-hyperbolicity requires an invertible matrix")
-    f = IntPoly.clear_denominators(m.char_poly())
-    return _hyperbolicity_from_poly(f, c)
+    return is_c_hyperbolic_poly(IntPoly.clear_denominators(m.char_poly()), c)

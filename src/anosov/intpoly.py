@@ -9,17 +9,18 @@ factorization, heuristic and subresultant gcds), which take coefficient lists
 directly; an `IntPoly` crosses that boundary as a list of ZZ elements,
 leading coefficient first, and comes back through `int`. Each kernel is
 imported inside the function that calls it, so that a run whose polynomials
-all factor in closed form never loads sympy. The eigenvalue-product
-polynomials are computed here, in integer arithmetic, from power sums of the
-roots.
+all factor in closed form never loads sympy. Cyclotomic polynomials, from
+their Möbius product, and the eigenvalue-product polynomials, from power sums
+of the roots, are computed here in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd as _int_gcd, isqrt, lcm as _int_lcm
+from math import comb, gcd as _int_gcd, isqrt, lcm as _int_lcm, prod
 
 from .ratmat import json_int
 
@@ -278,22 +279,26 @@ def _factor_quadratic(g: IntPoly) -> list[tuple[IntPoly, int]]:
     return [(linear[0], 2)] if s == 0 else [(p, 1) for p in linear]
 
 
-def is_irreducible(f: IntPoly) -> bool:
-    if f.is_zero or f.degree < 1:
-        return False
-    factors = factor_over_Q(f)
-    return len(factors) == 1 and factors[0][1] == 1
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPoly:
-    """d-th cyclotomic polynomial, monic of degree φ(d)."""
+    """d-th cyclotomic polynomial, monic of degree φ(d) ≤ d. For d > 1 it is
+    the product of (1 − X^{d/e})^{μ(e)} over the squarefree divisors e of d,
+    taken here as power series modulo X^{d+1}, where 1 − X^k is a unit."""
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_zz_cyclotomic_poly
-
-    return _from_dense(dup_zz_cyclotomic_poly(d, ZZ))
+    if d == 1:
+        return IntPoly((-1, 1))
+    primes = [p for p in _divisors(d)[1:] if all(p % q for q in range(2, isqrt(p) + 1))]
+    series = [1] + [0] * d
+    for subset in itertools.product((False, True), repeat=len(primes)):
+        k = d // prod(p for p, taken in zip(primes, subset) if taken)
+        if sum(subset) % 2:  # μ(e) = −1: divide by 1 − X^k
+            for i in range(k, d + 1):
+                series[i] += series[i - k]
+        else:  # μ(e) = 1: multiply by 1 − X^k
+            for i in range(d, k - 1, -1):
+                series[i] -= series[i - k]
+    return IntPoly(tuple(series))
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:

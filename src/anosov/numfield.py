@@ -1,7 +1,6 @@
-"""Number fields presented by a monic irreducible integer polynomial:
-signature, numeric embeddings, logarithmic embedding of units, explicit unit
-generators for real quadratic and cyclotomic fields, and bounded search for
-c-hyperbolic units.
+"""Number fields of the two shapes whose units are searched, quadratic and
+cyclotomic: signature, numeric embeddings, logarithmic embedding of units,
+explicit unit generators, and bounded search for c-hyperbolic units.
 
 A field element is its multiplication matrix in the power basis 1, θ, …,
 θ^{n−1}: the element p(θ) is p evaluated at the companion matrix of the
@@ -9,19 +8,19 @@ minimal polynomial, and its coordinates are that matrix's column 0. Products,
 powers and inverses are RatMatrix products and inverses, so all algebra is
 exact. A unit is read through one characteristic polynomial of its matrix:
 integrality, norm ±1, its minimal polynomial (the squarefree part) and its
-hyperbolicity. make_field is exact: monic, irreducible, and the signature by
-a Sturm count, or for Φ_d both in closed form. Floating point appears only in
+hyperbolicity. make_field is the one gate for the field's shape: it accepts
+a linear polynomial, a monic quadratic or Φ_d, reads irreducibility and the
+signature of each in closed form, and refuses any other polynomial with
+UnsupportedFieldError before any factoring. Floating point appears only in
 the log screen, which reads the embeddings at a fixed 128-bit working
 precision, as pairs of ints over 2^160. They are computed in closed form the
 first time a log vector is read: (−b ± √disc)/2 for a quadratic, by an
 integer square root, and ζ_d^k for k prime to d in Q[X]/(Φ_d) (Washington,
-Introduction to Cyclotomic Fields, §2), by mpmath. These are the only fields
-whose units are searched; any other field's read raises
-UnsupportedFieldError. A log vector evaluates the unit at each embedding in
-the same fixed point, and mpmath takes only the final logarithm. Every
-candidate that passes the screen is certified exactly. mpmath, and sympy's
-integer factorization, are imported by the functions that use them, so
-importing this module loads neither.
+Introduction to Cyclotomic Fields, §2), by mpmath. A log vector evaluates
+the unit at each embedding in the same fixed point, and mpmath takes only
+the final logarithm. Every candidate that passes the screen is certified
+exactly. mpmath, and sympy's integer factorization, are imported by the
+functions that use them, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
-from .intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count, squarefree_part
+from .intpoly import IntPoly, cyclotomic, squarefree_part
 from .ratmat import RatMatrix
 from .repdec import poly_at_matrix
 
@@ -160,24 +159,29 @@ class NumberFieldCtx:
 
 
 def make_field(min_poly: IntPoly) -> NumberFieldCtx:
-    """Build a field context by exact steps alone: monic, irreducible, and
-    the signature by a Sturm count. Φ_d needs neither step: it is
-    irreducible, and its roots are the primitive d-th roots of unity, real
-    only for d ≤ 2. Raises FieldError for non-monic or reducible input."""
+    """Build a field context for the field shapes whose units are searched,
+    with irreducibility and the signature in closed form: a linear
+    polynomial has signature (1, 0); X² + bX + c is irreducible exactly when
+    its discriminant is not a square, with signature (2, 0) when it is
+    positive and (0, 1) when negative; Φ_d of degree ≥ 3 is irreducible with
+    signature (0, φ(d)/2), as its roots are the non-real primitive d-th roots
+    of unity. Raises FieldError for non-monic or reducible input and
+    UnsupportedFieldError for any other polynomial."""
     if not min_poly.is_monic:
         raise FieldError("minimal polynomial must be monic")
-    if min_poly.degree < 1:
+    n = min_poly.degree
+    if n < 1:
         raise FieldError("minimal polynomial must have degree >= 1")
-    d = cyclotomic_index_of(min_poly)
-    if d is not None:
-        s = 1 if d <= 2 else 0
-    elif is_irreducible(min_poly):
-        s = real_root_count(min_poly)
-    else:
-        raise FieldError(f"{min_poly} is reducible over Q")
-    return NumberFieldCtx(
-        min_poly=min_poly, signature=(s, (min_poly.degree - s) // 2), theta=companion_matrix(min_poly)
-    )
+    s = 1 if n == 1 else 0
+    if n == 2:
+        c, b, _ = min_poly.coeffs
+        disc = b * b - 4 * c
+        if disc >= 0 and isqrt(disc) ** 2 == disc:
+            raise FieldError(f"{min_poly} is reducible over Q")
+        s = 2 if disc > 0 else 0
+    elif n > 2 and cyclotomic_index_of(min_poly) is None:
+        raise UnsupportedFieldError(f"no unit-generator source for degree-{n} field {min_poly}")
+    return NumberFieldCtx(min_poly=min_poly, signature=(s, (n - s) // 2), theta=companion_matrix(min_poly))
 
 
 @dataclass(frozen=True)
@@ -242,18 +246,10 @@ def max_hyperbolicity_bound(field: NumberFieldCtx) -> int:
 # -- unit generators ---------------------------------------------------------------
 
 
-def _is_squarefree(d: int) -> bool:
-    import sympy
-
-    return d > 1 and all(e == 1 for e in sympy.factorint(d).values())
-
-
-def fundamental_unit_real_quadratic(d: int) -> UnitElem:
-    """Fundamental unit of Q(√d) (smallest unit > 1) by the continued-fraction
-    expansion of the reduced generator of the maximal order."""
-    if not _is_squarefree(d):
-        raise FieldError(f"{d} is not squarefree > 1")
-    field = make_field(IntPoly((-d, 0, 1)))
+def _fundamental_unit_coords(d: int) -> tuple:
+    """(x, y) with x + y·√d the fundamental unit of Q(√d) (smallest unit > 1),
+    for squarefree d > 1, by the continued-fraction expansion of the reduced
+    generator of the maximal order."""
     a0 = isqrt(d)
     if d % 4 == 1:
         # maximal order Z[(1+√d)/2]; reduced surd (b+√d)/2 with b odd
@@ -273,9 +269,7 @@ def fundamental_unit_real_quadratic(d: int) -> UnitElem:
         if (p_cur, q_cur) == (p_init, q_init):
             break
     # ε = q_{ℓ−1}·ω + q_{ℓ−2} with ω = (p_init + √d)/q_init
-    x = Fraction(k_cur * p_init, q_init) + k_prev
-    y = Fraction(k_cur, q_init)
-    return make_unit(field, field.mult_matrix((x, y)))
+    return Fraction(k_cur * p_init, q_init) + k_prev, Fraction(k_cur, q_init)
 
 
 def cyclotomic_field(d: int) -> NumberFieldCtx:
@@ -300,9 +294,10 @@ def _cyclotomic_units(field: NumberFieldCtx, d: int) -> list[UnitElem]:
 
 
 def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
-    """Generators of a finite-index subgroup of the units, for the supported
-    field shapes: rank-zero fields (none needed), real quadratic fields, and
-    cyclotomic fields (any presentation Φ_d, including d ≡ 2 mod 4)."""
+    """Generators of a finite-index subgroup of the units of a field from
+    make_field: none for rank zero, else the fundamental unit of a real
+    quadratic field or the cyclotomic units of Q[X]/(Φ_d), any d including
+    d ≡ 2 mod 4."""
     rank = field.s_real + field.t_pairs - 1
     if rank == 0:
         return []
@@ -318,28 +313,10 @@ def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
             if e % 2:
                 d0 *= int(p)
         t = isqrt(disc // d0)
-        eps = fundamental_unit_real_quadratic(d0)
-        x, y = eps.coords
+        x, y = _fundamental_unit_coords(d0)
         coords = (x + Fraction(y * b, t), Fraction(2 * y, t))
         return [make_unit(field, field.mult_matrix(coords))]
-    d = cyclotomic_index_of(field.min_poly)
-    units = _cyclotomic_units(field, d) if d is not None else []
-    if units:
-        return units
-    raise UnsupportedFieldError(
-        f"no unit-generator source for degree-{field.degree} field {field.min_poly}"
-    )
-
-
-def has_unit_generator_source(f: IntPoly) -> bool:
-    """Whether unit_generators_for_field has a source for Q[X]/(f) when f is
-    irreducible: f = Φ_d, or a quadratic with positive discriminant. Exact and
-    cheap, so that a caller can test it before make_field's irreducibility
-    proof."""
-    if f.degree == 2:
-        c, b, a = f.coeffs
-        return b * b - 4 * a * c > 0
-    return cyclotomic_index_of(f) is not None
+    return _cyclotomic_units(field, cyclotomic_index_of(field.min_poly))
 
 
 def _totient(d: int) -> int:
@@ -536,8 +513,6 @@ def hyperbolic_companion_poly(m: int, c: int, poly_skip: int = 0) -> Optional[In
         return None
     hits = 0
     for f in _curated_degree_polys(m):
-        if abs(f.coeffs[0]) != 1:
-            continue
         if is_c_hyperbolic_poly(f, c).verdict:
             if hits >= poly_skip:
                 return f

@@ -33,7 +33,6 @@ from .intpoly import IntPoly
 from .numfield import (
     FieldError,
     companion_matrix,
-    has_unit_generator_source,
     hyperbolic_companion_poly,
     lattice_height,
     make_field,
@@ -152,10 +151,11 @@ def field_through_commutant(
     integer minimal polynomial g, search a c-hyperbolic unit μ = p(θ) in
     Q[X]/(g), return p(J).
 
-    Only fields with a supported unit-generator source (real quadratic,
-    cyclotomic) are attempted; other candidates are skipped by their shape,
-    before make_field proves g irreducible. Candidates are built one at a
-    time, in order, as the search reaches them."""
+    make_field is the only shape filter: it refuses a reducible g, and any g
+    that is neither of degree at most two nor cyclotomic, before any
+    factoring.
+    Candidates are built one at a time, in order, as the search reaches
+    them."""
     rng = random.Random(seed)
     gen_imgs = com.rep.gen_images
     candidates = itertools.chain(
@@ -174,8 +174,6 @@ def field_through_commutant(
         if g in seen:
             continue
         seen.add(g)
-        if g.degree < 2 or not has_unit_generator_source(g):
-            continue
         try:
             field = make_field(g)
         except FieldError:

@@ -11,9 +11,10 @@ import pytest
 from anosov import corpus
 from anosov.fingrp import rep_from_generator_images
 from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
+from anosov.intpoly import real_root_count
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
-from anosov.numfield import MAX_LATTICE_CANDIDATES
+from anosov.numfield import MAX_LATTICE_CANDIDATES, NumberFieldCtx, companion_matrix
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +82,13 @@ def roots_of(f, prec=80) -> list:
     """Numeric roots of the IntPoly f, for tests that check exact results."""
     with mpmath.workprec(prec):
         return mpmath.polyroots([mpmath.mpf(c) for c in reversed(f.coeffs)], maxsteps=200, extraprec=prec)
+
+
+def hand_built_field(f) -> NumberFieldCtx:
+    """The context of Q[X]/(f) with its signature from the Sturm count, for a
+    monic squarefree f that make_field refuses, such as X³ − X − 1."""
+    s = real_root_count(f)
+    return NumberFieldCtx(min_poly=f, signature=(s, (f.degree - s) // 2), theta=companion_matrix(f))
 
 
 def k_fold_products(roots, k: int) -> list:

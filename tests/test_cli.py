@@ -103,6 +103,21 @@ def test_units_reports_the_height_screened_in_full(capsys, monkeypatch):
     assert code == 2 and out == "" and "3^1 candidates" in err
 
 
+@pytest.mark.parametrize("min_poly", ["[-1,-1,0,1]", "[4,0,0,0,1]"])
+def test_units_refuses_other_field_shapes_before_factoring(min_poly, capsys, monkeypatch):
+    # X³ − X − 1 (irreducible) and X⁴ + 4 (reducible) are neither of degree
+    # at most two nor cyclotomic: refused without a factorization
+    import sympy.polys.factortools
+
+    def refuse(*args):
+        raise AssertionError("factored")
+
+    monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", refuse)
+    code, out, err = run(["units", "--min-poly", min_poly], capsys)
+    assert code == 2 and out == ""
+    assert "no unit-generator source" in err and "Traceback" not in err
+
+
 def test_graded_action_subcommand(tmp_path, capsys):
     path = write_input(tmp_path, {"r": 2, "class": 2, "matrix": [["2", "1"], ["1", "1"]]})
     code, out, _ = run(["graded-action", path], capsys)

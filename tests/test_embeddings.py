@@ -9,31 +9,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anosov.intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
+from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q, real_root_count
 from anosov.numfield import (
     FIXED_BITS,
-    NumberFieldCtx,
     UnsupportedFieldError,
     _PISOT_FAMILY,
     _curated_degree_polys,
     _totient,
-    companion_matrix,
     cyclotomic_index_of,
     make_field,
     make_unit,
 )
 
-from conftest import roots_of
+from conftest import hand_built_field, roots_of
 
 AGREEMENT = mpmath.mpf(2) ** -120
-
-
-def _field(f: IntPoly) -> NumberFieldCtx:
-    """The context of Q[X]/(f) with its signature from the Sturm count; f
-    need only be monic and squarefree, so reducible curated polynomials are
-    checked too."""
-    s = real_root_count(f)
-    return NumberFieldCtx(min_poly=f, signature=(s, (f.degree - s) // 2), theta=companion_matrix(f))
 
 
 def _oracle_embeddings(f: IntPoly, s: int) -> list:
@@ -59,7 +49,8 @@ def _has_closed_form(f: IntPoly) -> bool:
 def _check_against_oracle(f: IntPoly):
     """The closed-form embeddings agree with the oracle, in order, when f is
     a quadratic or Φ_d with d ≥ 3; any other f is refused."""
-    field = _field(f)
+    # hand-built, so that reducible curated polynomials are checked too
+    field = hand_built_field(f)
     if not _has_closed_form(f):
         with pytest.raises(UnsupportedFieldError):
             field.fixed_embeddings
@@ -117,11 +108,16 @@ class TestAgainstPolyroots:
     @settings(max_examples=60, deadline=None)
     def test_random_irreducible(self, low):
         f = IntPoly((*low, 1))
-        assume(is_irreducible(f))
+        assume(factor_over_Q(f) == [(f, 1)])
         _check_against_oracle(f)
 
 
 def test_plastic_log_vector_is_refused():
-    field = make_field(IntPoly((-1, -1, 0, 1)))
+    # make_field refuses X³ − X − 1 itself; a context built by hand is
+    # refused when its embeddings are read
+    plastic = IntPoly((-1, -1, 0, 1))
+    with pytest.raises(UnsupportedFieldError):
+        make_field(plastic)
+    field = hand_built_field(plastic)
     with pytest.raises(UnsupportedFieldError):
         make_unit(field, field.theta).log_vector

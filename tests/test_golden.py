@@ -4,8 +4,9 @@
 with every `timings` field removed: the six demos, and `decide`,
 `decide --witness`, `no-cert`, `decompose` and `porteous` on small corpus
 inputs (multiples of ρ3, Q8, the C5 rotation), `units`, `graded-action`
-and `hall-basis` on the README's examples, and two cyclotomic `units`
-searches whose found unit prints its log vector. A change that is meant to
+and `hall-basis` on the README's examples, two cyclotomic `units`
+searches whose found unit prints its log vector, and `units` on a linear
+polynomial, an imaginary quadratic and a radicand that is not squarefree. A change that is meant to
 leave every result alone, such as a speed-up or a refactor, must keep each
 output byte-identical. After a change that is meant to alter output, record
 the fixture again with `PYTHONPATH=src python tests/test_golden.py` and
@@ -83,6 +84,10 @@ INVOCATIONS = {
     "units zeta 7": (["units", "--zeta", "7", "--class", "2", "--bound", "6"], None),
     "units zeta 16": (["units", "--zeta", "16", "--class", "3", "--bound", "6"], None),
     "units min-poly": (["units", "--min-poly", "[-1,-1,1]", "--class", "1", "--bound", "6"], None),
+    "units min-poly X^2+2": (["units", "--min-poly", "[2,0,1]"], None),
+    "units min-poly degree 1": (["units", "--min-poly", "[-3,1]"], None),
+    # radicand 12 = 2^2 * 3: the unit comes from Q(sqrt 3)
+    "units sqrt 12": (["units", "--sqrt", "12", "--class", "1", "--bound", "6"], None),
     "graded-action readme": (["graded-action", "-"], GRADED_INPUT),
     "hall-basis r3 c3": (["hall-basis", "--r", "3", "--class", "3"], None),
 }

@@ -1,11 +1,12 @@
 """Every module-level import in the library is used by its module; no module
 but numfield, whose embeddings give the log-vector screen, names a
-floating-point library, and numfield's make_field does not; no module
-imports sympy or mpmath when it is imported, so that the decision path
-starts without them; only the homomorphism check reads a representation's
-full image list; and the Krylov minimal polynomial serves commutant
-elements only, a field element being read through its characteristic
-polynomial."""
+floating-point library, and numfield's make_field does not; numfield
+neither factors nor counts real roots, and make_field loads no sympy; no
+module imports sympy or mpmath when it is imported, so that the decision
+path starts without them; only the homomorphism check reads a
+representation's full image list; and the Krylov minimal polynomial serves
+commutant elements only, a field element being read through its
+characteristic polynomial."""
 
 import ast
 import dataclasses
@@ -138,6 +139,41 @@ def test_make_field_finds_no_roots():
     tree = ast.parse((SRC / "numfield.py").read_text())
     (make_field,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "make_field"]
     assert "mpmath" not in _names(make_field)
+
+
+def test_numfield_neither_factors_nor_sturm_counts():
+    # make_field reads irreducibility and the signature in closed form, and
+    # refuses every other field shape before any factoring
+    names = _names(ast.parse((SRC / "numfield.py").read_text()))
+    assert not names & {"factor_over_Q", "is_irreducible", "real_root_count"}
+
+
+# Builds the field of every Φ_d for d ≤ 60 and of every monic quadratic with
+# coefficients in [−5, 5] in one fresh interpreter, then prints the heavy
+# modules that were loaded.
+FIELDS_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from anosov.intpoly import IntPoly, cyclotomic
+from anosov.numfield import FieldError, make_field
+for d in range(1, 61):
+    make_field(cyclotomic(d))
+for b in range(-5, 6):
+    for c in range(-5, 6):
+        try:
+            make_field(IntPoly((c, b, 1)))
+        except FieldError:
+            pass
+print([m for m in sys.argv[2:] if m in sys.modules])
+"""
+
+
+def test_make_field_loads_no_sympy():
+    proc = subprocess.run(
+        [sys.executable, "-c", FIELDS_CHILD, str(SRC.parent), *HEAVY], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # Runs argv lists from stdin through the CLI in one fresh interpreter and

@@ -19,7 +19,6 @@ from anosov.intpoly import (
     divides,
     eig_product_poly,
     factor_over_Q,
-    is_irreducible,
     poly_gcd,
     real_root_count,
     reversal,
@@ -224,7 +223,7 @@ class TestFactor:
         }
 
     def test_golden_irreducible(self):
-        assert is_irreducible(GOLDEN)
+        assert factor_over_Q(GOLDEN) == [(GOLDEN, 1)]
 
     def test_perfect_square(self):
         sq = IntPoly((1, 0, 1)) * IntPoly((1, 0, 1))

@@ -3,16 +3,18 @@ from math import gcd
 
 import mpmath
 import pytest
+import sympy.polys.factortools
+import sympy.polys.rootisolation
 from fractions import Fraction
 
 from anosov import numfield
-from anosov.intpoly import IntPoly, cyclotomic, is_irreducible, real_root_count
+from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q, real_root_count
 from anosov.numfield import (
     FieldError,
+    UnsupportedFieldError,
     _cyclotomic_units,
     companion_matrix,
     cyclotomic_field,
-    fundamental_unit_real_quadratic,
     hyperbolic_companion_poly,
     make_field,
     make_unit,
@@ -24,40 +26,78 @@ from anosov.numfield import (
 from anosov.hyper import FOUND, is_c_hyperbolic_poly, unit_circle_root_test
 from anosov.ratmat import matrix_min_poly
 
+from conftest import hand_built_field
+
 SQRT2 = IntPoly((-2, 0, 1))
 GOLDEN = IntPoly((-1, -1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
 
 
+def _oracle_signature(f: IntPoly):
+    """(s, t) by factoring and Sturm-counting, or None when f is reducible."""
+    if factor_over_Q(f) != [(f, 1)]:
+        return None
+    s = real_root_count(f)
+    return s, (f.degree - s) // 2
+
+
+def _refuse_factoring(monkeypatch):
+    """Makes sympy's Zassenhaus factorization and Sturm count raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored or Sturm-counted")
+
+    monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", refuse)
+    monkeypatch.setattr(sympy.polys.rootisolation, "dup_count_real_roots", refuse)
+
+
+def _signature_or_none(f: IntPoly):
+    try:
+        return make_field(f).signature
+    except FieldError:
+        return None
+
+
 class TestMakeField:
     def test_signatures(self):
         assert make_field(SQRT2).signature == (2, 0)
+        assert make_field(IntPoly((2, 0, 1))).signature == (0, 1)
+        assert make_field(IntPoly((-3, 1))).signature == (1, 0)
         assert make_field(cyclotomic(5)).signature == (0, 2)
-        assert make_field(PLASTIC).signature == (1, 1)
+        with pytest.raises(UnsupportedFieldError, match="degree-3 field"):
+            make_field(PLASTIC)
 
     def test_reducible_rejected(self):
         with pytest.raises(FieldError):
             make_field(IntPoly((-1, 0, 1)))  # X^2 - 1
 
+    def test_quadratics_in_closed_form(self, monkeypatch):
+        """Every monic X + c and X² + bX + c with |b|, |c| ≤ 20: make_field's
+        discriminant test and signature agree with factoring and
+        Sturm-counting, and make_field runs with both made to raise."""
+        polys = [IntPoly((c, 1)) for c in range(-20, 21)]
+        polys += [IntPoly((c, b, 1)) for b in range(-20, 21) for c in range(-20, 21)]
+        expected = {f: _oracle_signature(f) for f in polys}
+        assert set(expected.values()) == {None, (1, 0), (2, 0), (0, 1)}
+        _refuse_factoring(monkeypatch)
+        assert {f: _signature_or_none(f) for f in polys} == expected
+
     def test_cyclotomic_signature_in_closed_form(self, monkeypatch):
         """For every Φ_d of degree φ(d) ≤ 16, the closed form (irreducible,
         signature (1, 0) for d ≤ 2 and (0, φ(d)/2) otherwise) agrees with
-        factoring and Sturm-counting, which make_field then skips."""
+        factoring and Sturm-counting, which make_field does not call."""
         # φ(d) ≥ √(d/2) bounds d by 2·16²
         indices = [d for d in range(1, 2 * 16 * 16 + 2) if numfield._totient(d) <= 16]
-        expected = {}
-        for d in indices:
-            f = cyclotomic(d)
-            assert is_irreducible(f)
-            s = real_root_count(f)
-            expected[d] = (s, (f.degree - s) // 2)
-
-        def refuse(f, *bounds):
-            raise AssertionError("Φ_d factored or Sturm-counted")
-
-        monkeypatch.setattr(numfield, "is_irreducible", refuse)
-        monkeypatch.setattr(numfield, "real_root_count", refuse)
+        expected = {d: _oracle_signature(cyclotomic(d)) for d in indices}
+        _refuse_factoring(monkeypatch)
         assert {d: make_field(cyclotomic(d)).signature for d in indices} == expected
+
+    @pytest.mark.parametrize("f", [PLASTIC, IntPoly((-1, 0, 0, 1)), IntPoly((4, 0, 0, 0, 1))], ids=str)
+    def test_other_shapes_refused_before_factoring(self, f, monkeypatch):
+        # irreducible X³ − X − 1, and X³ − 1 and X⁴ + 4, which are reducible
+        _refuse_factoring(monkeypatch)
+        with pytest.raises(UnsupportedFieldError, match=f"no unit-generator source for degree-{f.degree}"):
+            make_field(f)
 
     def test_embeddings_come_in_conjugate_pairs(self):
         field = make_field(cyclotomic(5))
@@ -68,7 +108,7 @@ class TestMakeField:
     def test_hyperbolicity_ceilings(self):
         assert max_hyperbolicity_bound(make_field(SQRT2)) == 1
         assert max_hyperbolicity_bound(make_field(cyclotomic(5))) == 1
-        assert max_hyperbolicity_bound(make_field(PLASTIC)) == 2
+        assert max_hyperbolicity_bound(hand_built_field(PLASTIC)) == 2
 
 
 class TestLazyEmbeddings:
@@ -78,9 +118,9 @@ class TestLazyEmbeddings:
 
         roots = numfield.closed_form_embeddings
         monkeypatch.setattr(numfield, "closed_form_embeddings", refuse)
-        plastic = make_field(PLASTIC)
-        assert plastic.signature == (1, 1)
-        assert max_hyperbolicity_bound(plastic) == 2
+        imaginary = make_field(IntPoly((2, 0, 1)))
+        assert imaginary.signature == (0, 1)
+        assert max_hyperbolicity_bound(imaginary) == 0
         golden = make_field(GOLDEN)
         (phi,) = unit_generators_for_field(golden)
         zeta8 = cyclotomic_field(8)
@@ -104,7 +144,7 @@ class TestLazyEmbeddings:
 
 def _units(name):
     if name == "plastic":
-        field = make_field(PLASTIC)
+        field = hand_built_field(PLASTIC)
         return [make_unit(field, field.theta)]
     if name == "silver_in_zeta8":
         # 1 + ζ − ζ³ = 1 + √2: degree 2 in a degree-4 field, so its
@@ -113,7 +153,7 @@ def _units(name):
         return [make_unit(field, field.mult_matrix((1, 1, 0, -1)))]
     if name.startswith("zeta"):
         return unit_generators_for_field(cyclotomic_field(int(name[4:])))
-    return [fundamental_unit_real_quadratic(int(name[4:]))]
+    return unit_generators_for_field(make_field(IntPoly((-int(name[4:]), 0, 1))))
 
 
 class TestMinimalPolynomials:
@@ -143,12 +183,12 @@ class TestMinimalPolynomials:
 
 class TestElementsAsMatrices:
     def test_theta_is_the_companion_matrix(self):
-        field = make_field(PLASTIC)
+        field = hand_built_field(PLASTIC)
         assert field.theta == companion_matrix(PLASTIC)
         assert field.mult_matrix((0, 1, 0)) == field.theta
 
     def test_coordinates_are_column_zero(self):
-        field = make_field(PLASTIC)
+        field = hand_built_field(PLASTIC)
         coords = (Fraction(1, 2), Fraction(-3), Fraction(2, 7))
         m = field.mult_matrix(coords)
         assert m.column(0) == coords
@@ -198,25 +238,32 @@ class TestLogEmbedding:
         assert 2 * (x[0] + x[1] + x[2]) == pytest.approx(0.0, abs=1e-25)
 
 
+def _fundamental_unit(d: int):
+    (unit,) = unit_generators_for_field(make_field(IntPoly((-d, 0, 1))))
+    return unit
+
+
 class TestFundamentalUnits:
     def test_sqrt2(self):
-        assert fundamental_unit_real_quadratic(2).coords == (1, 1)
+        assert _fundamental_unit(2).coords == (1, 1)
 
     def test_sqrt3(self):
-        assert fundamental_unit_real_quadratic(3).coords == (2, 1)
+        assert _fundamental_unit(3).coords == (2, 1)
 
     def test_sqrt5_half_integer(self):
-        assert fundamental_unit_real_quadratic(5).coords == (Fraction(1, 2), Fraction(1, 2))
+        assert _fundamental_unit(5).coords == (Fraction(1, 2), Fraction(1, 2))
 
     def test_norms_are_units(self):
         for d in (2, 3, 5, 7, 13):
-            unit = fundamental_unit_real_quadratic(d)
+            unit = _fundamental_unit(d)
             mp = unit.min_poly()
             assert mp.is_monic and abs(mp.coeffs[0]) == 1
 
-    def test_non_squarefree_rejected(self):
-        with pytest.raises(FieldError):
-            fundamental_unit_real_quadratic(8)
+    def test_radicand_reaches_its_squarefree_kernel(self):
+        # 1 + √2 = 1 + θ/2 in Q[X]/(X² − 8), and 2 + √3 = 2 + θ/2 in
+        # Q[X]/(X² − 12)
+        assert _fundamental_unit(8).coords == (1, Fraction(1, 2))
+        assert _fundamental_unit(12).coords == (2, Fraction(1, 2))
 
 
 class TestCyclotomicUnits:
@@ -319,14 +366,17 @@ class TestCompanionPolys:
         curated candidate with constant ±1 has a root on the unit circle, so
         no c-hyperbolicity test passes it and the selection is unchanged."""
         reducible = [
-            f
-            for m in range(2, 13)
-            for f in numfield._curated_degree_polys(m)
-            if abs(f.coeffs[0]) == 1 and not is_irreducible(f)
+            f for m in range(2, 13) for f in numfield._curated_degree_polys(m) if factor_over_Q(f) != [(f, 1)]
         ]
         assert {f.degree for f in reducible} == {5, 11}  # X^m − X^{m−1} − 1 for m ≡ 5 mod 6
         for f in reducible:
             assert unit_circle_root_test(f).status == FOUND, f
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_curated_polys_are_monic_units(self, m):
+        # so that every companion matrix has determinant ±1
+        for f in numfield._curated_degree_polys(m):
+            assert f.degree == m and f.is_monic and abs(f.coeffs[0]) == 1, f
 
     def test_rouche_family_follows_the_first_hits(self):
         assert hyperbolic_companion_poly(5, 1) == IntPoly((-1, -1, 0, 0, 0, 1))  # X^5 - X - 1
