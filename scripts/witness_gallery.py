@@ -5,8 +5,9 @@ construction path, characteristic polynomial, and verification flags."""
 import argparse
 import time
 
-from anosov.corpus import c5_rep, m_rho3, torus_rep
+from anosov.corpus import c5_rep, m_rho3, q8_rep, torus_rep
 from anosov.decider import decide_with_witness
+from anosov.fingrp import multiple
 from anosov.intpoly import IntPoly
 from anosov.witness import verify_witness
 
@@ -22,6 +23,8 @@ def main() -> None:
         ("3 copies, c=2", m_rho3(3), 2),
         ("4 copies, c=3", m_rho3(4), 3),
         ("order-5 rotation, c=1", c5_rep(), 1),
+        ("2 copies of the order-5 rotation, c=2", multiple(c5_rep(), 2), 2),
+        ("2 copies of the quaternion group, c=1", multiple(q8_rep(), 2), 1),
     ]
     for label, rep, c in cases:
         t0 = time.perf_counter()

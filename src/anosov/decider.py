@@ -168,15 +168,19 @@ def _block_commutant(profile: ComponentProfile) -> CommutantBasis:
 
 
 def _block_witness(
-    profile: ComponentProfile, com: Callable[[], CommutantBasis], c: int, seed: int, round_index: int
+    profile: ComponentProfile, com: Callable[[], CommutantBasis], c: int, round_index: int
 ) -> Optional[tuple[RatMatrix, str]]:
     """A witness for one isotypic block, whose representation has commutant
-    com(); the searches widen with round_index."""
+    com(); the searches widen with round_index. Only the lattice search
+    reads com(): the field path builds its J from the leaf commutant and
+    the multiplicity."""
     if profile.absolutely_irreducible and profile.multiplicity > c:
         res = tensor_shortcut(profile, c, poly_skip=round_index)
         if res is not None:
             return res[0], TENSOR_SHORTCUT
-    res = field_through_commutant(com(), c, seed, exponent_bound=EXPONENT_BOUND * (2**round_index))
+    res = field_through_commutant(
+        profile.commutant, profile.multiplicity, c, exponent_bound=EXPONENT_BOUND * (2**round_index)
+    )
     if res is not None:
         return res
     hit, _ = lattice_search(com(), c, LATTICE_HEIGHT * (2**round_index))
@@ -208,7 +212,7 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
         paths = []
         ok = True
         for profile, com in zip(base.profiles, block_coms):
-            res = _block_witness(profile, com, c, seed, round_index)
+            res = _block_witness(profile, com, c, round_index)
             if res is None:
                 ok = False
                 break

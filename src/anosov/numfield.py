@@ -56,14 +56,15 @@ class UnsupportedFieldError(FieldError):
 # -- embeddings --------------------------------------------------------------------
 
 
-def closed_form_embeddings(f: IntPoly) -> tuple:
+def closed_form_embeddings(f: IntPoly, d: Optional[int]) -> tuple:
     """The roots of f as (re, im) integer pairs scaled by 2^FIXED_BITS, in
-    embedding order, for the two field shapes whose units are searched:
+    embedding order, for the two field shapes whose units are searched; d is
+    the index with f = Φ_d that make_field recorded, or None:
 
     - X² + bX + c: (−b ± √disc)/2 with √|disc| from isqrt, an exact floor;
       two reals ascending when disc > 0, else the upper root then its
       conjugate;
-    - Φ_d with d ≥ 3: ζ_d^k then ζ_d^−k for k prime to d, k running down
+    - Φ_d of degree ≥ 3: ζ_d^k then ζ_d^−k for k prime to d, k running down
       from below d/2 to 1, so real parts ascend; each computed by mpmath
       at FIXED_BITS + 16 bits and rounded to the nearest unit of 2^-FIXED_BITS.
 
@@ -76,8 +77,7 @@ def closed_form_embeddings(f: IntPoly) -> tuple:
         if disc > 0:
             return ((centre - root) >> 1, 0), ((centre + root) >> 1, 0)
         return (centre >> 1, root >> 1), (centre >> 1, -(root >> 1))
-    d = cyclotomic_index_of(f)
-    if d is None or d < 3:
+    if d is None:
         raise UnsupportedFieldError(f"no closed-form embeddings for degree-{f.degree} field {f}")
     import mpmath
 
@@ -130,11 +130,15 @@ class NumberFieldCtx:
     UnsupportedFieldError outside the quadratic and cyclotomic shapes. Log
     vectors have s + t entries, one per real embedding and one per conjugate
     pair.
+
+    cyclotomic_index, found once by make_field, is the d with min_poly = Φ_d
+    of degree ≥ 3, else None; the embeddings and unit generators read it.
     """
 
     min_poly: IntPoly
     signature: tuple
     theta: RatMatrix
+    cyclotomic_index: Optional[int]
 
     @property
     def degree(self) -> int:
@@ -150,7 +154,7 @@ class NumberFieldCtx:
 
     @cached_property
     def fixed_embeddings(self) -> tuple:
-        return closed_form_embeddings(self.min_poly)
+        return closed_form_embeddings(self.min_poly, self.cyclotomic_index)
 
     def mult_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
         """Matrix of multiplication by the element in the power basis;
@@ -172,16 +176,18 @@ def make_field(min_poly: IntPoly) -> NumberFieldCtx:
     n = min_poly.degree
     if n < 1:
         raise FieldError("minimal polynomial must have degree >= 1")
-    s = 1 if n == 1 else 0
+    s, d = int(n == 1), None
     if n == 2:
         c, b, _ = min_poly.coeffs
         disc = b * b - 4 * c
         if disc >= 0 and isqrt(disc) ** 2 == disc:
             raise FieldError(f"{min_poly} is reducible over Q")
         s = 2 if disc > 0 else 0
-    elif n > 2 and cyclotomic_index_of(min_poly) is None:
-        raise UnsupportedFieldError(f"no unit-generator source for degree-{n} field {min_poly}")
-    return NumberFieldCtx(min_poly=min_poly, signature=(s, (n - s) // 2), theta=companion_matrix(min_poly))
+    elif n > 2:
+        d = cyclotomic_index_of(min_poly)
+        if d is None:
+            raise UnsupportedFieldError(f"no unit-generator source for degree-{n} field {min_poly}")
+    return NumberFieldCtx(min_poly, (s, (n - s) // 2), companion_matrix(min_poly), d)
 
 
 @dataclass(frozen=True)
@@ -316,10 +322,10 @@ def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
         x, y = _fundamental_unit_coords(d0)
         coords = (x + Fraction(y * b, t), Fraction(2 * y, t))
         return [make_unit(field, field.mult_matrix(coords))]
-    return _cyclotomic_units(field, cyclotomic_index_of(field.min_poly))
+    return _cyclotomic_units(field, field.cyclotomic_index)
 
 
-def _totient(d: int) -> int:
+def totient(d: int) -> int:
     """Euler's φ(d) by trial division."""
     result, rest, p = d, d, 2
     while p * p <= rest:
@@ -339,7 +345,7 @@ def cyclotomic_index_of(f: IntPoly) -> Optional[int]:
         return None
     k = f.degree
     for d in range(1, 2 * k * k + 2):
-        if _totient(d) == k and cyclotomic(d) == f:
+        if totient(d) == k and cyclotomic(d) == f:
             return d
     return None
 

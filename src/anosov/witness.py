@@ -6,9 +6,12 @@ Three construction paths, tried cheapest-certified first:
 * tensor-shortcut — for an isotypic block of an absolutely irreducible
   component: a companion matrix of a degree-m hyperbolic polynomial,
   Kronecker-extended and moved through the base change aligning the copies.
-* field-through-commutant — find a commutant element J with irreducible
-  minimal polynomial, search a c-hyperbolic unit μ = p(θ) in the field it
-  generates, and return p(J).
+* field-through-commutant — build J from the block structure I_m ⊗ ρ0:
+  I_m ⊗ u for u a central generator image or a basis element of the leaf
+  commutant E0, and, when u is a primitive d-th root of unity, C(Φ_e) ⊗ u
+  with minimal polynomial Φ_ed for e prime to d with φ(e) = m; search a
+  c-hyperbolic unit μ = p(θ) in the field Q(J), and return p(J). J depends
+  on the block structure only, not on a seed.
 * lattice-search — bounded enumeration of integer combinations of the
   commutant basis.
 
@@ -21,34 +24,33 @@ polynomial.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
 from .fingrp import RationalRep
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
-from .intpoly import IntPoly
+from .intpoly import IntPoly, cyclotomic
 from .numfield import (
     FieldError,
     companion_matrix,
+    cyclotomic_index_of,
     hyperbolic_companion_poly,
     lattice_height,
     make_field,
     max_hyperbolicity_bound,
     max_norm_shell,
     search_c_hyperbolic_unit,
+    totient,
     unit_generators_for_field,
 )
 from .ratmat import RatMatrix, matrix_min_poly
-from .repdec import CommutantBasis, ComponentProfile, poly_at_matrix, random_combination
+from .repdec import CommutantBasis, ComponentProfile, poly_at_matrix
 
 TENSOR_SHORTCUT = "tensor-shortcut"
 FIELD_THROUGH_COMMUTANT = "field-through-commutant"
 LATTICE_SEARCH = "lattice-search"
-RANDOM_CANDIDATES = 10
-CANDIDATE_COEFF_RANGE = 3
 
 
 class WitnessConstructionError(RuntimeError):
@@ -144,33 +146,49 @@ def tensor_shortcut(
     return w.kron_identity(k), f
 
 
-def field_through_commutant(
-    com: CommutantBasis, c: int, seed: int = 0, exponent_bound: int = 10
-) -> Optional[tuple[RatMatrix, str]]:
-    """Find J in the commutant com of a block representation with irreducible
-    integer minimal polynomial g, search a c-hyperbolic unit μ = p(θ) in
-    Q[X]/(g), return p(J).
+def _coprime_cyclotomic_order(d: int, m: int) -> Optional[int]:
+    """The smallest e ≥ 2 with gcd(e, d) = 1 and φ(e) = m, or None; as
+    φ(e) ≥ √(e/2), every such e is at most 2m². None for odd m ≥ 3, since
+    φ(e) is even for e ≥ 3."""
+    return next((e for e in range(2, 2 * m * m + 1) if gcd(e, d) == 1 and totient(e) == m), None)
 
-    make_field is the only shape filter: it refuses a reducible g, and any g
-    that is neither of degree at most two nor cyclotomic, before any
-    factoring.
-    Candidates are built one at a time, in order, as the search reaches
-    them."""
-    rng = random.Random(seed)
-    gen_imgs = com.rep.gen_images
-    candidates = itertools.chain(
-        # central generator images, e.g. the rotation itself for cyclic groups
-        (g for g in gen_imgs if all(g @ img == img @ g for img in gen_imgs)),
-        com.basis_and_pair_sums(),
-        (random_combination(com.basis, rng, CANDIDATE_COEFF_RANGE) for _ in range(RANDOM_CANDIDATES)),
-    )
-    seen = set()
-    for j_mat in candidates:
-        coeffs = matrix_min_poly(j_mat)
+
+def _field_candidates(leaf: CommutantBasis, m: int):
+    """(J, minpoly(J)) for each u in turn, the central generator images of
+    the leaf and then the basis of its commutant E0: I_m ⊗ u, then
+    C(Φ_e) ⊗ u when m > 1 and minpoly(u) = Φ_d (see field_through_commutant).
+    Each pair is built only when the search reaches it."""
+    gen_imgs = leaf.rep.gen_images
+    central = (u for u in gen_imgs if all(u @ img == img @ u for img in gen_imgs))
+    for u in itertools.chain(central, leaf.basis):
         try:
-            g = IntPoly.from_rationals(coeffs)
+            g = IntPoly.from_rationals(matrix_min_poly(u))
         except ValueError:
             continue
+        yield RatMatrix.identity(m).kron(u), g
+        d = cyclotomic_index_of(g) if m > 1 else None
+        e = d and _coprime_cyclotomic_order(d, m)
+        if e:
+            yield companion_matrix(cyclotomic(e)).kron(u), cyclotomic(e * d)
+
+
+def field_through_commutant(
+    leaf: CommutantBasis, m: int, c: int, exponent_bound: int = 10
+) -> Optional[tuple[RatMatrix, str]]:
+    """A witness for the block I_m ⊗ ρ0 with leaf commutant leaf = E0: an
+    element J of M_m(E0) with irreducible integer minimal polynomial g, a
+    c-hyperbolic unit μ = p(θ) in Q[X]/(g), and p(J).
+
+    J comes from the block structure, not from a search. For u in E0,
+    J = I_m ⊗ u generates Q(u). When minpoly(u) = Φ_d, take the smallest
+    e ≥ 2 prime to d with φ(e) = m: J = C(Φ_e) ⊗ u commutes with I_m ⊗ ρ0
+    as u commutes with ρ0, and its eigenvalues ζ_e^a·ζ_d^b are the
+    primitive ed-th roots of unity (Washington, Introduction to Cyclotomic
+    Fields, §2). J is diagonalizable, so g = Φ_ed, of degree m·φ(d), and
+    Q(J) is a maximal subfield of M_m(Q(u)). make_field is the only shape
+    filter, and each field is tried once."""
+    seen = set()
+    for j_mat, g in _field_candidates(leaf, m):
         if g in seen:
             continue
         seen.add(g)

@@ -14,7 +14,7 @@ from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
 from anosov.intpoly import real_root_count
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
-from anosov.numfield import MAX_LATTICE_CANDIDATES, NumberFieldCtx, companion_matrix
+from anosov.numfield import MAX_LATTICE_CANDIDATES, NumberFieldCtx, companion_matrix, cyclotomic_index_of
 
 
 @pytest.fixture(scope="session")
@@ -86,9 +86,14 @@ def roots_of(f, prec=80) -> list:
 
 def hand_built_field(f) -> NumberFieldCtx:
     """The context of Q[X]/(f) with its signature from the Sturm count, for a
-    monic squarefree f that make_field refuses, such as X³ − X − 1."""
+    monic squarefree f that make_field refuses, such as X³ − X − 1, or any
+    other; a cyclotomic f of degree ≥ 3 records its index, as make_field
+    would."""
     s = real_root_count(f)
-    return NumberFieldCtx(min_poly=f, signature=(s, (f.degree - s) // 2), theta=companion_matrix(f))
+    d = cyclotomic_index_of(f) if f.degree > 2 else None
+    return NumberFieldCtx(
+        min_poly=f, signature=(s, (f.degree - s) // 2), theta=companion_matrix(f), cyclotomic_index=d
+    )
 
 
 def k_fold_products(roots, k: int) -> list:

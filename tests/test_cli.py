@@ -4,6 +4,7 @@ import pytest
 
 from anosov import cli, numfield, ratmat
 from anosov.cli import SUBCOMMANDS, build_parser, main
+from anosov.intpoly import cyclotomic
 from anosov.ratmat import RatMatrix
 from anosov.numfield import MAX_LATTICE_CANDIDATES
 
@@ -80,6 +81,23 @@ def test_units_json_input(tmp_path, capsys):
     code, out, _ = run(["units", path], capsys)
     result = json.loads(out)
     assert code == 0 and result["found"] is True
+
+
+@pytest.mark.parametrize("d, c", [(7, 2), (16, 3)])
+def test_units_finds_the_cyclotomic_index_once(d, c, capsys, monkeypatch):
+    # make_field records d on the field; the unit generators and the
+    # embeddings read by the log screen take it from there
+    calls = []
+    index_of = numfield.cyclotomic_index_of
+
+    def counting(f):
+        calls.append(f)
+        return index_of(f)
+
+    monkeypatch.setattr(numfield, "cyclotomic_index_of", counting)
+    code, out, _ = run(["units", "--zeta", str(d), "--class", str(c), "--bound", "6"], capsys)
+    assert code == 0 and json.loads(out)["candidates_screened"] > 0
+    assert calls == [cyclotomic(d)]
 
 
 def test_units_refuses_a_search_over_the_candidate_limit(capsys):

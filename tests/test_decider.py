@@ -175,7 +175,8 @@ class TestWitnessPipeline:
 
     def test_quaternionic_isotypic_pair(self, q8_rep):
         # doubled quaternionic component: YES at c = 1, witness reachable
-        # through a real quadratic subfield of the matrix-quaternion commutant
+        # through J = C(Φ3) ⊗ u for a quaternion u with u² = −1: Q(J) = Q(ζ12)
+        # is a maximal subfield of the commutant M_2(H)
         rep = multiple(q8_rep, 2)
         verdict = decide_with_witness(rep, 1)
         assert verdict.admits_anosov and verdict.witness_status == "attached"

@@ -15,7 +15,7 @@ from anosov.numfield import (
     UnsupportedFieldError,
     _PISOT_FAMILY,
     _curated_degree_polys,
-    _totient,
+    totient,
     cyclotomic_index_of,
     make_field,
     make_unit,
@@ -81,7 +81,7 @@ CURATED = sorted(
 class TestAgainstPolyroots:
     # φ(d) ≥ √(d/2), so every d with φ(d) ≤ 16 is below 2·16² + 2; Φ_1 and
     # Φ_2 are linear, and refused
-    @pytest.mark.parametrize("d", [d for d in range(1, 2 * 16 * 16 + 2) if _totient(d) <= 16])
+    @pytest.mark.parametrize("d", [d for d in range(1, 2 * 16 * 16 + 2) if totient(d) <= 16])
     def test_cyclotomic(self, d):
         _check_against_oracle(cyclotomic(d))
 

@@ -68,7 +68,8 @@ INVOCATIONS = {
         f"witness {key}": (["decide", "-", "--witness"], INPUTS[key])
         for key in ("2rho3_c1", "3rho3_c2", "q8_c1", "c5_c1")
     },
-    # a multiplicity-2 block whose unit comes from the field of Q(ζ5)
+    # a multiplicity-2 block whose unit comes from Q(ζ15), generated by
+    # J = C(Φ3) ⊗ the rotation
     "witness 2c5_c2": (["decide", "-", "--witness"], _input(C5, 2, 2)),
     **{
         f"no-cert {key} h{h}": (["no-cert", "-", "--height-bound", str(h)], INPUTS[key])

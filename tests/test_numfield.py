@@ -87,7 +87,7 @@ class TestMakeField:
         signature (1, 0) for d ≤ 2 and (0, φ(d)/2) otherwise) agrees with
         factoring and Sturm-counting, which make_field does not call."""
         # φ(d) ≥ √(d/2) bounds d by 2·16²
-        indices = [d for d in range(1, 2 * 16 * 16 + 2) if numfield._totient(d) <= 16]
+        indices = [d for d in range(1, 2 * 16 * 16 + 2) if numfield.totient(d) <= 16]
         expected = {d: _oracle_signature(cyclotomic(d)) for d in indices}
         _refuse_factoring(monkeypatch)
         assert {d: make_field(cyclotomic(d)).signature for d in indices} == expected

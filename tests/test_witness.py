@@ -1,9 +1,10 @@
 from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import integer_nthroot
+from sympy import integer_nthroot, totient
 
 from anosov import corpus, numfield, witness
 from anosov.decider import decide_with_witness
@@ -15,8 +16,8 @@ from anosov.hyper import (
     is_c_hyperbolic_poly,
     is_integer_like,
 )
-from anosov.intpoly import IntPoly
-from anosov.ratmat import RatMatrix
+from anosov.intpoly import IntPoly, cyclotomic
+from anosov.ratmat import RatMatrix, matrix_min_poly
 from anosov.repdec import commutant, decompose
 from anosov.numfield import MAX_LATTICE_CANDIDATES
 from anosov.witness import (
@@ -94,7 +95,7 @@ class TestTensorShortcut:
 
 class TestFieldThroughCommutant:
     def test_c5_gives_one_plus_rotation(self, c5_rep):
-        result = field_through_commutant(commutant(c5_rep), 1)
+        result = field_through_commutant(commutant(c5_rep), 1, 1)
         assert result is not None
         witness, path = result
         rotation = c5_rep.gen_images[0]
@@ -104,17 +105,18 @@ class TestFieldThroughCommutant:
         assert cert.is_valid
 
     def test_c4_has_no_usable_units(self, c4_rep):
-        assert field_through_commutant(commutant(c4_rep), 1) is None
+        assert field_through_commutant(commutant(c4_rep), 1, 1) is None
 
     def test_skips_a_field_whose_unit_search_is_over_the_limit(self, c5_rep, monkeypatch):
         # Q(ζ5) has one unit generator: under a limit of 2 candidates height 1
         # (3 of them) is over it, so the field is skipped, not searched
         monkeypatch.setattr(numfield, "MAX_LATTICE_CANDIDATES", 2)
-        assert field_through_commutant(commutant(c5_rep), 1) is None
+        assert field_through_commutant(commutant(c5_rep), 1, 1) is None
 
     def test_embeddings_only_for_a_field_that_reaches_a_unit_search(self, monkeypatch):
-        # 2·C5 at c = 2: of the fields its commutant candidates generate, only
-        # Q(ζ20) is searched, so its roots are the only ones found
+        # 2·C5 at c = 2: Q(ζ5), from J = I_2 ⊗ u for the rotation u on the
+        # leaf, has no 2-hyperbolic unit by its bound, so only Q(ζ15), from
+        # J = C(Φ3) ⊗ u, is searched, and its roots are the only ones found
         cases = benchmark_cases()
         _, rep, c = group_rep_from_json_obj(cases.cyclic("c5", cases.C5, 2, 2, 4).input_obj(0))
         roots, searched = [], []
@@ -131,8 +133,72 @@ class TestFieldThroughCommutant:
         monkeypatch.setattr(numfield, "closed_form_embeddings", counting_roots)
         monkeypatch.setattr(witness, "search_c_hyperbolic_unit", recording_search)
         assert decide_with_witness(rep, c, 0).witness_status == "attached"
-        assert searched == [IntPoly((1, 0, -1, 0, 1, 0, -1, 0, 1))]
+        assert searched == [cyclotomic(15)]
         assert len(roots) == 1
+
+
+def _witness_corpus_reps():
+    """(case id, seed, representation, c) for every case of the benchmark's
+    witness corpus at conjugation seeds 0-3."""
+    cases = benchmark_cases()
+    for case in cases.FULL["witness"]():
+        for seed in range(4):
+            _, rep, c = group_rep_from_json_obj(case.input_obj(seed))
+            yield case.case_id, seed, rep, c
+
+
+class TestWitnessFromBlockStructure:
+    def test_coprime_cyclotomic_order_is_the_smallest(self):
+        # against sympy's totient over a range far past the bound 2m²
+        for d in range(1, 31):
+            for m in range(1, 9):
+                expected = next((e for e in range(2, 1000) if gcd(e, d) == 1 and totient(e) == m), None)
+                assert witness._coprime_cyclotomic_order(d, m) == expected, (d, m)
+                if m % 2 and m > 1:
+                    assert expected is None
+
+    def test_every_candidate_has_the_stated_minimal_polynomial(self):
+        # J = C(Φ_e) ⊗ u has minimal polynomial Φ_ed in closed form; a Krylov
+        # solve on J itself cross-checks it, and J = I_m ⊗ u against minpoly(u).
+        # Each J commutes with the block I_m ⊗ ρ0.
+        reached = set()
+        reps = [(rep, c) for _, seed, rep, c in _witness_corpus_reps() if seed < 2]
+        reps += [(multiple(corpus.q8_rep(), 2), 1), (multiple(corpus.c4_rep(), 4), 2)]
+        reps += [(multiple(corpus.q8_rep(), 4), 3)]
+        for rep, c in reps:
+            for p in decompose(rep, seed=0):
+                block = multiple(p.sub_rep, p.multiplicity)
+                for j_mat, g in witness._field_candidates(p.commutant, p.multiplicity):
+                    assert IntPoly.from_rationals(matrix_min_poly(j_mat)) == g
+                    assert all(j_mat @ img == img @ j_mat for img in block.gen_images)
+                    reached.add(g)
+        # (d, m) = (1, 2), (1, 4), (1, 6) for the multiples of ρ3 and the
+        # torus, (5, 2) for 2·C5, (4, 2) for 2·Q8, (4, 4) for 4·C4 and 4·Q8
+        assert {cyclotomic(n) for n in (3, 5, 7, 15, 12, 20)} <= reached
+
+    def test_every_corpus_case_attaches_a_verified_witness(self):
+        for case_id, seed, rep, c in _witness_corpus_reps():
+            verdict = decide_with_witness(rep, c)
+            assert verdict.witness_status == "attached", (case_id, seed)
+            assert verify_witness(rep, verdict.witness.witness, c).is_valid, (case_id, seed)
+
+    def test_witness_does_not_depend_on_the_seed(self, c5_rep):
+        # 2·C5 at c = 2: the witness is built from the block structure, so
+        # the decomposition seed leaves it unchanged
+        rep = multiple(c5_rep, 2)
+        witnesses = [decide_with_witness(rep, 2, seed).witness for seed in range(4)]
+        assert all(w.witness == witnesses[0].witness for w in witnesses)
+        assert witnesses[0].construction_path == witness.FIELD_THROUGH_COMMUTANT
+        assert IntPoly.from_rationals(witnesses[0].witness.char_poly()).degree == 8
+
+    @pytest.mark.parametrize("name, m, c", [("c4", 4, 2), ("q8", 4, 3)])
+    def test_blocks_through_phi20_attach(self, name, m, c):
+        # Q(i) has no units of infinite order; J = C(Φ5) ⊗ i generates Q(ζ20)
+        rep = multiple({"c4": corpus.c4_rep, "q8": corpus.q8_rep}[name](), m)
+        verdict = decide_with_witness(rep, c)
+        assert verdict.witness_status == "attached"
+        assert verdict.witness.construction_path == witness.FIELD_THROUGH_COMMUTANT
+        assert verify_witness(rep, verdict.witness.witness, c).is_valid
 
 
 class TestLatticeSearch:
