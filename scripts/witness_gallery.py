@@ -7,9 +7,20 @@ import time
 
 from anosov.corpus import c5_rep, m_rho3, q8_rep, torus_rep
 from anosov.decider import decide_with_witness
-from anosov.fingrp import multiple
-from anosov.intpoly import IntPoly
-from anosov.witness import verify_witness
+from anosov.fingrp import generate_group, multiple, natural_rep
+from anosov.intpoly import IntPoly, cyclotomic
+from anosov.ratmat import RatMatrix
+from anosov.witness import companion_matrix, verify_witness
+
+
+def d7_rep():
+    """D7 on Z[ζ7] with basis 1, ζ, …, ζ^5: multiplication by ζ and the
+    matrix of ζ ↦ ζ^-1. Its commutant is the cubic field Q(ζ7 + ζ7^-1),
+    which has no unit search, so the lattice search finds the witness."""
+    inversion = RatMatrix.from_rows(
+        [[int(i == 0 == j) - int(j == 1) + int(j >= 2 and i == 7 - j) for j in range(6)] for i in range(6)]
+    )
+    return natural_rep(generate_group([companion_matrix(cyclotomic(7)), inversion]))
 
 
 def main() -> None:
@@ -25,6 +36,7 @@ def main() -> None:
         ("order-5 rotation, c=1", c5_rep(), 1),
         ("2 copies of the order-5 rotation, c=2", multiple(c5_rep(), 2), 2),
         ("2 copies of the quaternion group, c=1", multiple(q8_rep(), 2), 1),
+        ("dihedral group of order 14 on Z[ζ7], c=2", d7_rep(), 2),
     ]
     for label, rep, c in cases:
         t0 = time.perf_counter()

@@ -7,11 +7,11 @@ k ≤ c eigenvalues (repetitions allowed) has absolute value 1.
 Every verdict is exact. For each k ≤ c the k-fold eigenvalue products are the
 roots of an integer polynomial, built from the squarefree part of the input,
 which is computed once for all k. The unit-circle test on it is a gcd with
-the reversal followed by a Sturm count: a root on the circle is shared with
-the reversal, and the palindromic part of the gcd is X^d·T(X + 1/X) with a
-real root of T in (−2, 2) for each conjugate pair on the circle. Neither step
-needs a squarefree input: a root z occurs in the gcd as often as 1/z does,
-and a Sturm sequence counts distinct roots.
+the reversal followed by a real root count: a root on the circle is shared
+with the reversal, and the palindromic part of the gcd is X^d·T(X + 1/X)
+with a real root of T in (−2, 2) for each conjugate pair on the circle.
+Neither step needs a squarefree input: a root z occurs in the gcd as often
+as 1/z does, and root isolation counts distinct roots.
 """
 
 from __future__ import annotations

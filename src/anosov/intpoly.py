@@ -3,15 +3,16 @@ polynomials, coefficient reversal, and eigenvalue-product polynomials.
 
 Factorization takes a closed form where the answer has one: the power of X,
 small integer roots and every quadratic are split off here. The rest of a
-factorization, and gcds, squarefree parts, division and Sturm root counts,
+factorization, and gcds, squarefree parts, division and real root counts,
 run on sympy's dense integer kernels (`dup_*` over ZZ: Zassenhaus
-factorization, heuristic and subresultant gcds), which take coefficient lists
-directly; an `IntPoly` crosses that boundary as a list of ZZ elements,
-leading coefficient first, and comes back through `int`. Each kernel is
-imported inside the function that calls it, so that a run whose polynomials
-all factor in closed form never loads sympy. Cyclotomic polynomials, from
-their Möbius product, and the eigenvalue-product polynomials, from power sums
-of the roots, are computed here in integer arithmetic.
+factorization, heuristic and subresultant gcds, real root isolation), which
+take coefficient lists directly; an `IntPoly` crosses that boundary as a list
+of ZZ elements, leading coefficient first, and comes back through `int`. Each
+kernel is imported inside the function that calls it, so that a run whose
+polynomials all factor in closed form never loads sympy. Cyclotomic
+polynomials, from their Möbius product, and the eigenvalue-product
+polynomials, from power sums of the roots, are computed here in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -320,13 +321,14 @@ def squarefree_part(f: IntPoly) -> IntPoly:
 
 
 def real_root_count(f: IntPoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of f in [lo, hi] (Sturm sequence); an
-    omitted bound is infinite."""
+    """Number of distinct real roots of f in [lo, hi], an omitted bound
+    being infinite: one isolating interval per root, found over ZZ by
+    continued fractions on the squarefree factors of f."""
     from sympy.polys.domains import QQ, ZZ
-    from sympy.polys.rootisolation import dup_count_real_roots
+    from sympy.polys.rootisolation import dup_isolate_real_roots
 
-    bounds = [None if b is None else QQ(b) for b in (lo, hi)]
-    return dup_count_real_roots(_dense(f), ZZ, *bounds)
+    inf, sup = (None if b is None else QQ(b) for b in (lo, hi))
+    return len(dup_isolate_real_roots(_dense(f), ZZ, inf=inf, sup=sup))
 
 
 def reversal(f: IntPoly) -> IntPoly:

@@ -506,21 +506,13 @@ def _curated_degree_polys(m: int) -> list[IntPoly]:
     return out
 
 
-def hyperbolic_companion_poly(m: int, c: int, poly_skip: int = 0) -> Optional[IntPoly]:
+def hyperbolic_companion_poly(m: int, c: int) -> Optional[IntPoly]:
     """A monic integer polynomial of degree m with constant term ±1 whose
-    companion matrix is c-hyperbolic, or None.
-
-    Tries a curated list of Pisot-type polynomials. Requires c ≤ m − 1.
-    poly_skip skips that many certified hits, for callers that need an
-    alternative. The result need not be irreducible: verify_witness proves
-    what a witness needs of it.
+    companion matrix is c-hyperbolic, or None: the first certified one of a
+    curated list of Pisot-type polynomials. Requires c ≤ m − 1. The result
+    need not be irreducible: verify_witness proves what a witness needs of
+    it.
     """
     if m < 2 or c >= m:
         return None
-    hits = 0
-    for f in _curated_degree_polys(m):
-        if is_c_hyperbolic_poly(f, c).verdict:
-            if hits >= poly_skip:
-                return f
-            hits += 1
-    return None
+    return next((f for f in _curated_degree_polys(m) if is_c_hyperbolic_poly(f, c).verdict), None)

@@ -53,10 +53,6 @@ FIELD_THROUGH_COMMUTANT = "field-through-commutant"
 LATTICE_SEARCH = "lattice-search"
 
 
-class WitnessConstructionError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class WitnessCertificate:
     """char_poly is the witness's characteristic polynomial, ascending."""
@@ -125,25 +121,16 @@ def verify_witness(
 # -- construction paths --------------------------------------------------------------
 
 
-def tensor_shortcut(
-    profile: ComponentProfile, c: int, poly_skip: int = 0
-) -> Optional[tuple[RatMatrix, IntPoly]]:
+def tensor_shortcut(profile: ComponentProfile, c: int) -> Optional[tuple[RatMatrix, IntPoly]]:
     """Witness for an isotypic block of an absolutely irreducible component:
     companion(f) ⊗ I_k in the aligned basis, f a degree-m hyperbolic unit
-    polynomial. Refuses when m ≤ c (no such witness can exist)."""
+    polynomial. None when m ≤ c, where no such witness can exist."""
     if not profile.absolutely_irreducible:
         return None
-    m = profile.multiplicity
-    if m <= c:
-        raise WitnessConstructionError(
-            f"multiplicity {m} <= c = {c}: no c-hyperbolic commuting matrix exists"
-        )
-    f = hyperbolic_companion_poly(m, c, poly_skip=poly_skip)
+    f = hyperbolic_companion_poly(profile.multiplicity, c)
     if f is None:
         return None
-    w = companion_matrix(f)
-    k = profile.dimension
-    return w.kron_identity(k), f
+    return companion_matrix(f).kron_identity(profile.dimension), f
 
 
 def _coprime_cyclotomic_order(d: int, m: int) -> Optional[int]:

@@ -9,9 +9,9 @@ import mpmath
 import pytest
 
 from anosov import corpus
-from anosov.fingrp import rep_from_generator_images
+from anosov.fingrp import generate_group, natural_rep, rep_from_generator_images
 from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
-from anosov.intpoly import real_root_count
+from anosov.intpoly import cyclotomic, real_root_count
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
 from anosov.numfield import MAX_LATTICE_CANDIDATES, NumberFieldCtx, companion_matrix, cyclotomic_index_of
@@ -62,6 +62,22 @@ def c5_rep():
     return corpus.c5_rep()
 
 
+def rotation_rep(d: int):
+    """C_d acting on Z[ζ_d] by multiplication by ζ_d: the companion matrix of Φ_d."""
+    return natural_rep(generate_group([companion_matrix(cyclotomic(d))]))
+
+
+def d7_rep():
+    """D7 acting on Z[ζ7] with basis 1, ζ, …, ζ^5, generated by
+    multiplication by ζ and by the matrix of ζ ↦ ζ^-1. The representation
+    is Q-irreducible; its commutant is the cubic field Q(ζ7 + ζ7^-1), which
+    is neither quadratic nor cyclotomic, and r = 3."""
+    inversion = RatMatrix.from_rows(
+        [[int(i == 0 == j) - int(j == 1) + int(j >= 2 and i == 7 - j) for j in range(6)] for i in range(6)]
+    )
+    return natural_rep(generate_group([companion_matrix(cyclotomic(7)), inversion]))
+
+
 def random_unimodular(rng: random.Random, n: int, shears: int = 6) -> RatMatrix:
     """Product of elementary shears and swaps: integer matrix with det ±1."""
     m = RatMatrix.identity(n)
@@ -85,9 +101,9 @@ def roots_of(f, prec=80) -> list:
 
 
 def hand_built_field(f) -> NumberFieldCtx:
-    """The context of Q[X]/(f) with its signature from the Sturm count, for a
-    monic squarefree f that make_field refuses, such as X³ − X − 1, or any
-    other; a cyclotomic f of degree ≥ 3 records its index, as make_field
+    """The context of Q[X]/(f) with its signature from the real root count,
+    for a monic squarefree f that make_field refuses, such as X³ − X − 1, or
+    any other; a cyclotomic f of degree ≥ 3 records its index, as make_field
     would."""
     s = real_root_count(f)
     d = cyclotomic_index_of(f) if f.degree > 2 else None

@@ -27,7 +27,7 @@ from anosov.intpoly import IntPoly, cyclotomic
 from anosov.ratmat import RatMatrix
 from anosov.witness import companion_matrix, verify_witness
 
-from conftest import benchmark_cases, random_unimodular, regular_rep
+from conftest import benchmark_cases, d7_rep, random_unimodular, regular_rep, rotation_rep
 
 
 class TestDecide:
@@ -172,6 +172,47 @@ class TestWitnessPipeline:
                     built = decider._block_commutant(p)
                     assert built.basis == solved.basis, (case.case_id, seed)
                     assert built.rep.gen_images == solved.rep.gen_images
+
+    @pytest.mark.parametrize(
+        "make_rep, c",
+        [(lambda: multiple(rotation_rep(3), 3), 1), (lambda: multiple(d7_rep(), 2), 3)],
+        ids=["3c3", "2d7"],
+    )
+    def test_one_search_per_block(self, make_rep, c, monkeypatch):
+        """YES cases whose one block has no witness within the bounds: the
+        field path and the lattice search run once each, and no base change
+        is built for a block matrix that is never assembled."""
+        calls = []
+
+        def counting(name):
+            original = getattr(decider, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        def refuse(profile):
+            raise AssertionError("aligned a block basis")
+
+        for name in ("field_through_commutant", "lattice_search"):
+            monkeypatch.setattr(decider, name, counting(name))
+        monkeypatch.setattr(decider, "_aligned_block_basis", refuse)
+        verdict = decide_with_witness(make_rep(), c)
+        assert verdict.admits_anosov and verdict.witness_status == "not-found-within-bounds"
+        assert len(verdict.profiles) == 1
+        assert calls == ["field_through_commutant", "lattice_search"]
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_cubic_commutant_takes_the_lattice_path(self, c):
+        # r = 3 real components and m = 1: YES for c ≤ 2; the field
+        # Q(ζ7 + ζ7^-1) has no unit search, so the lattice search serves
+        rep = d7_rep()
+        verdict = decide_with_witness(rep, c)
+        assert verdict.witness_status == "attached"
+        assert verdict.witness.construction_path == "lattice-search"
+        assert verify_witness(rep, verdict.witness.witness, c).is_valid
 
     def test_quaternionic_isotypic_pair(self, q8_rep):
         # doubled quaternionic component: YES at c = 1, witness reachable

@@ -30,6 +30,11 @@ Q8 = [
     [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
 ]
 C5 = [[[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]]
+# D7 on Z[ζ7] with basis 1, ζ, …, ζ^5: multiplication by ζ, and ζ ↦ ζ^-1
+D7 = [
+    [[int(i == j + 1) - int(j == 5) for j in range(6)] for i in range(6)],
+    [[int(i == 0 == j) - int(j == 1) + int(j >= 2 and i == 7 - j) for j in range(6)] for i in range(6)],
+]
 
 
 def _copies(m, k):
@@ -71,6 +76,9 @@ INVOCATIONS = {
     # a multiplicity-2 block whose unit comes from Q(ζ15), generated by
     # J = C(Φ3) ⊗ the rotation
     "witness 2c5_c2": (["decide", "-", "--witness"], _input(C5, 2, 2)),
+    # the cubic field Q(ζ7 + ζ7^-1) is neither quadratic nor cyclotomic, so
+    # only the lattice search reaches a witness
+    "witness d7_c1": (["decide", "-", "--witness"], _input(D7, 1, 1)),
     **{
         f"no-cert {key} h{h}": (["no-cert", "-", "--height-bound", str(h)], INPUTS[key])
         for key, h in (("rho3_c1", 2), ("2rho3_c2", 1), ("2rho3_c2", 3), ("q8_c1", 1))
@@ -84,6 +92,8 @@ INVOCATIONS = {
     "units zeta 5": (["units", "--zeta", "5", "--class", "2", "--bound", "12"], None),
     "units zeta 7": (["units", "--zeta", "7", "--class", "2", "--bound", "6"], None),
     "units zeta 16": (["units", "--zeta", "16", "--class", "3", "--bound", "6"], None),
+    # the found unit's certificate counts real roots of a degree-38 trace form
+    "units zeta 13 c3": (["units", "--zeta", "13", "--class", "3"], None),
     "units min-poly": (["units", "--min-poly", "[-1,-1,1]", "--class", "1", "--bound", "6"], None),
     "units min-poly X^2+2": (["units", "--min-poly", "[2,0,1]"], None),
     "units min-poly degree 1": (["units", "--min-poly", "[-3,1]"], None),

@@ -201,12 +201,17 @@ class TestDenseKernelsMatchPolyOracle:
         # take, and on those they hand to Zassenhaus
         assert factor_over_Q(f) == factor_oracle(f)
 
-    @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
+    @given(nonzero_polys, nonzero_polys, st.integers(1, 3), st.integers(-3, 3), st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
-    def test_sturm_count(self, a, b, power):
+    def test_sturm_count(self, a, b, power, lo, width):
         f = a**power * b
         assert real_root_count(f, -2, 2) == sturm_count_oracle(f, -2, 2)
         assert real_root_count(f) == sturm_count_oracle(f)
+        # bounds on integer roots of g: the interval is closed at both ends
+        hi = lo + width
+        g = f * IntPoly((-lo, 1)) * IntPoly((-hi, 1))
+        assert real_root_count(g, lo, hi) == sturm_count_oracle(g, lo, hi)
+        assert real_root_count(g, lo, lo) == sturm_count_oracle(g, lo, lo) == 1
 
     def test_cyclotomic_to_60(self):
         for d in range(1, 61):

@@ -34,7 +34,7 @@ PLASTIC = IntPoly((-1, -1, 0, 1))
 
 
 def _oracle_signature(f: IntPoly):
-    """(s, t) by factoring and Sturm-counting, or None when f is reducible."""
+    """(s, t) by factoring and counting real roots, or None when f is reducible."""
     if factor_over_Q(f) != [(f, 1)]:
         return None
     s = real_root_count(f)
@@ -42,13 +42,15 @@ def _oracle_signature(f: IntPoly):
 
 
 def _refuse_factoring(monkeypatch):
-    """Makes sympy's Zassenhaus factorization and Sturm count raise."""
+    """Makes sympy's Zassenhaus factorization, Sturm count and real root
+    isolation, which real_root_count calls, raise."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("factored or Sturm-counted")
+        raise AssertionError("factored or root-counted")
 
     monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", refuse)
     monkeypatch.setattr(sympy.polys.rootisolation, "dup_count_real_roots", refuse)
+    monkeypatch.setattr(sympy.polys.rootisolation, "dup_isolate_real_roots", refuse)
 
 
 def _signature_or_none(f: IntPoly):
@@ -74,7 +76,7 @@ class TestMakeField:
     def test_quadratics_in_closed_form(self, monkeypatch):
         """Every monic X + c and X² + bX + c with |b|, |c| ≤ 20: make_field's
         discriminant test and signature agree with factoring and
-        Sturm-counting, and make_field runs with both made to raise."""
+        counting real roots, and make_field runs with both made to raise."""
         polys = [IntPoly((c, 1)) for c in range(-20, 21)]
         polys += [IntPoly((c, b, 1)) for b in range(-20, 21) for c in range(-20, 21)]
         expected = {f: _oracle_signature(f) for f in polys}
@@ -85,7 +87,7 @@ class TestMakeField:
     def test_cyclotomic_signature_in_closed_form(self, monkeypatch):
         """For every Φ_d of degree φ(d) ≤ 16, the closed form (irreducible,
         signature (1, 0) for d ≤ 2 and (0, φ(d)/2) otherwise) agrees with
-        factoring and Sturm-counting, which make_field does not call."""
+        factoring and counting real roots, which make_field does not call."""
         # φ(d) ≥ √(d/2) bounds d by 2·16²
         indices = [d for d in range(1, 2 * 16 * 16 + 2) if numfield.totient(d) <= 16]
         expected = {d: _oracle_signature(cyclotomic(d)) for d in indices}
@@ -354,12 +356,14 @@ class TestCompanionPolys:
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_three_distinct_alternatives(self, m):
+        """Every c < m is reached: the curated list holds three certified
+        polynomials, and the first is the one returned."""
         for c in range(1, m):
-            polys = [hyperbolic_companion_poly(m, c, poly_skip=k) for k in range(3)]
-            assert len(set(polys)) == 3
-            for f in polys:
-                assert f.degree == m and f.is_monic and abs(f.coeffs[0]) == 1
-                assert is_c_hyperbolic_poly(f, c).verdict
+            polys = [f for f in numfield._curated_degree_polys(m) if is_c_hyperbolic_poly(f, c).verdict]
+            assert len(set(polys)) >= 3
+            assert hyperbolic_companion_poly(m, c) == polys[0]
+            f = polys[0]
+            assert f.degree == m and f.is_monic and abs(f.coeffs[0]) == 1
 
     def test_reducible_curated_polys_touch_the_unit_circle(self):
         """hyperbolic_companion_poly proves no irreducibility: each reducible
@@ -380,4 +384,3 @@ class TestCompanionPolys:
 
     def test_rouche_family_follows_the_first_hits(self):
         assert hyperbolic_companion_poly(5, 1) == IntPoly((-1, -1, 0, 0, 0, 1))  # X^5 - X - 1
-        assert hyperbolic_companion_poly(5, 1, poly_skip=1) == IntPoly((-1, 0, 0, 0, -2, 1))
