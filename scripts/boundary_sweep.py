@@ -13,7 +13,6 @@ from anosov.decider import decide
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max", type=int, default=4, help="largest m and c to sweep")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     header = "m\\c " + " ".join(f"{c:>3}" for c in range(1, args.max + 1))
@@ -24,7 +23,7 @@ def main() -> None:
         rep = m_rho3(m)
         cells = []
         for c in range(1, args.max + 1):
-            verdict = decide(rep, c, args.seed)
+            verdict = decide(rep, c)
             predicted = m >= c + 1
             cells.append(f"{'YES' if verdict.admits_anosov else ' no'}")
             if verdict.admits_anosov != predicted:

@@ -11,11 +11,10 @@ from anosov.decider import demo
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("names", nargs="*", default=list(DEMO_NAMES))
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     for name in args.names:
         print(f"=== {name} ===")
-        print(json.dumps(demo(name, args.seed), indent=2))
+        print(json.dumps(demo(name), indent=2))
         print()
 
 

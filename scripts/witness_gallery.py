@@ -24,9 +24,7 @@ def d7_rep():
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     cases = [
         ("torus (2-dim trivial), c=1", torus_rep(), 1),
@@ -40,7 +38,7 @@ def main() -> None:
     ]
     for label, rep, c in cases:
         t0 = time.perf_counter()
-        verdict = decide_with_witness(rep, c, args.seed)
+        verdict = decide_with_witness(rep, c)
         elapsed = time.perf_counter() - t0
         if verdict.witness is None:
             print(f"{label}: {verdict.witness_status} ({elapsed:.2f}s)")

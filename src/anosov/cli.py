@@ -122,28 +122,28 @@ def cmd_decide(args) -> None:
     rep, c = _load_rep(args)
     c = _require_class(args, c)
     if args.solvable is not None:
-        verdict = decide_solvable(rep, c, args.solvable, args.seed)
+        verdict = decide_solvable(rep, c, args.solvable)
     elif args.witness:
-        verdict = decide_with_witness(rep, c, args.seed)
+        verdict = decide_with_witness(rep, c)
     else:
-        verdict = decide(rep, c, args.seed)
+        verdict = decide(rep, c)
     _emit(verdict.to_json_obj(), args.pretty)
 
 
 def cmd_porteous(args) -> None:
     rep, _ = _load_rep(args)
-    _emit(porteous_flat(rep, args.seed).to_json_obj(), args.pretty)
+    _emit(porteous_flat(rep).to_json_obj(), args.pretty)
 
 
 def cmd_decompose(args) -> None:
     rep, _ = _load_rep(args)
-    _emit(decomposition_report(decompose(rep, args.seed)), args.pretty)
+    _emit(decomposition_report(decompose(rep)), args.pretty)
 
 
 def cmd_no_cert(args) -> None:
     rep, c = _load_rep(args)
     c = _require_class(args, c)
-    _emit(no_certificate_search(rep, c, args.height_bound, args.seed), args.pretty)
+    _emit(no_certificate_search(rep, c, args.height_bound), args.pretty)
 
 
 def cmd_units(args) -> None:
@@ -227,7 +227,7 @@ def cmd_hall_basis(args) -> None:
 
 
 def cmd_demo(args) -> None:
-    _emit(demo(args.name, args.seed), args.pretty)
+    _emit(demo(args.name), args.pretty)
 
 
 def _add_input(p) -> None:
@@ -243,7 +243,6 @@ def _rep_parser(sub, name, help, func):
     p = sub.add_parser(name, help=help)
     p.set_defaults(func=func)
     _add_input(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--pretty", action="store_true")
     return p
@@ -300,7 +299,6 @@ def _add_hall_basis(sub) -> None:
 def _add_demo(sub) -> None:
     p = sub.add_parser("demo", help="run a named corpus entry")
     p.add_argument("name")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_demo)
 

@@ -48,7 +48,6 @@ class Verdict:
     admits_anosov: bool
     class_c: int
     components: tuple
-    seed: int
     timings: dict
     witness: Optional[WitnessCertificate] = None
     witness_status: str = "not-requested"
@@ -61,7 +60,6 @@ class Verdict:
             "admits_anosov": self.admits_anosov,
             "class_c": self.class_c,
             "components": list(self.components),
-            "seed": self.seed,
             "timings": self.timings,
         }
         if self.witness is not None:
@@ -85,26 +83,30 @@ def _component_rows(profiles: list[ComponentProfile], c: int) -> list[dict]:
             raise CriterionError(
                 "exact rational comparison and integer cross-multiplication disagree"
             )
-        rows.append(
-            {
-                "dimension": p.dimension,
-                "multiplicity": p.multiplicity,
-                "r_components": p.r_components,
-                "threshold": f"{threshold.numerator}/{threshold.denominator}",
-                "passes": passes,
-            }
-        )
+        row = {
+            "dimension": p.dimension,
+            "multiplicity": p.multiplicity,
+            "r_components": p.r_components,
+            "threshold": f"{threshold.numerator}/{threshold.denominator}",
+            "passes": passes,
+        }
+        if p.unproven:
+            row["unproven"] = True
+        rows.append(row)
     return rows
 
 
-def decide(rep: RationalRep, c: int, seed: int = 0, ambient: Optional[CommutantBasis] = None) -> Verdict:
+def decide(rep: RationalRep, c: int, ambient: Optional[CommutantBasis] = None) -> Verdict:
     """Decision only; no witness construction. `ambient` is the commutant
-    of rep when the caller has solved it already. The verdict keeps the
-    component profiles, unserialized, for decide_with_witness."""
+    of rep when the caller has solved it already. The verdict depends on rep
+    and c alone. It is exact when no row is flagged unproven; a flagged row
+    rests on a leaf that no trial split and that meets no other class. The
+    verdict keeps the component profiles, unserialized, for
+    decide_with_witness."""
     if c < 1:
         raise ValueError("nilpotency class c must be >= 1")
     t0 = time.perf_counter()
-    profiles = decompose(rep, seed, ambient)
+    profiles = decompose(rep, ambient)
     t1 = time.perf_counter()
     rows = _component_rows(profiles, c)
     verdict = all(r["passes"] for r in rows)
@@ -112,17 +114,16 @@ def decide(rep: RationalRep, c: int, seed: int = 0, ambient: Optional[CommutantB
         admits_anosov=verdict,
         class_c=c,
         components=tuple(rows),
-        seed=seed,
         timings={"decompose_s": round(t1 - t0, 6), "total_s": round(time.perf_counter() - t0, 6)},
         profiles=tuple(profiles),
     )
 
 
-def porteous_flat(rep: RationalRep, seed: int = 0) -> Verdict:
+def porteous_flat(rep: RationalRep) -> Verdict:
     """The flat (c = 1) decision, with a cross-check that the classical
     phrasing agrees: multiplicity-1 components need r ≥ 2, components of
     multiplicity ≥ 2 always pass."""
-    base = decide(rep, 1, seed)
+    base = decide(rep, 1)
     agrees = all(
         (row["multiplicity"] >= 2 or row["r_components"] >= 2) == row["passes"]
         for row in base.components
@@ -130,12 +131,12 @@ def porteous_flat(rep: RationalRep, seed: int = 0) -> Verdict:
     return replace(base, porteous_agrees=agrees)
 
 
-def decide_solvable(rep: RationalRep, c: int, d: int, seed: int = 0) -> Verdict:
+def decide_solvable(rep: RationalRep, c: int, d: int) -> Verdict:
     """Same criterion; the solvability class d is metadata only."""
     if d < 1:
         raise ValueError("solvability class d must be >= 1")
     model = {"family": "free-nilpotent-and-solvable", "c": c, "d": d}
-    return replace(decide(rep, c, seed), model=model)
+    return replace(decide(rep, c), model=model)
 
 
 def _aligned_block_basis(profile: ComponentProfile) -> RatMatrix:
@@ -167,13 +168,13 @@ def _block_commutant(profile: ComponentProfile) -> CommutantBasis:
 
 def _block_witness(profile: ComponentProfile, c: int) -> Optional[tuple[RatMatrix, str]]:
     """A witness for one isotypic block and its construction path: the
-    tensor shortcut, then the field path, which builds its J from the leaf
-    commutant and the multiplicity, then the lattice search over the block
-    commutant, built only when the search is reached."""
-    if profile.absolutely_irreducible:
-        res = tensor_shortcut(profile, c)
-        if res is not None:
-            return res[0], TENSOR_SHORTCUT
+    tensor shortcut, which serves every block with m > c, then the field
+    path, which builds its J from the leaf commutant and the multiplicity,
+    then the lattice search over the block commutant, built only when the
+    search is reached."""
+    res = tensor_shortcut(profile, c)
+    if res is not None:
+        return res[0], TENSOR_SHORTCUT
     res = field_through_commutant(profile.commutant, profile.multiplicity, c, EXPONENT_BOUND)
     if res is not None:
         return res
@@ -183,14 +184,14 @@ def _block_witness(profile: ComponentProfile, c: int) -> Optional[tuple[RatMatri
     return None
 
 
-def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
+def decide_with_witness(rep: RationalRep, c: int) -> Verdict:
     """Decision plus, on YES, a witness: each isotypic block is searched
     once, and the block matrix, moved through the decomposition base
     change, is verified once. A YES verdict is kept when a block's bounded
     searches fail or the assembled matrix fails verification; the witness
     is then marked not-found-within-bounds."""
     t0 = time.perf_counter()
-    base = decide(rep, c, seed)
+    base = decide(rep, c)
     if not base.admits_anosov:
         return replace(base, witness_status="not-applicable")
     timings = {"decompose_s": base.timings["decompose_s"]}
@@ -218,7 +219,7 @@ def decide_with_witness(rep: RationalRep, c: int, seed: int = 0) -> Verdict:
     )
 
 
-def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int = 0) -> dict:
+def no_certificate_search(rep: RationalRep, c: int, height_bound: int) -> dict:
     """Empirical corroboration of a NO verdict: exhaustive lattice search up
     to the height bound and MAX_LATTICE_CANDIDATES, reporting the
     (expected-zero) hit count and, as height_bound, the largest height whose
@@ -233,7 +234,7 @@ def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int
             f"has 3^{com.dimension} candidates at height 1, over the limit of "
             f"{MAX_LATTICE_CANDIDATES}"
         )
-    if decide(rep, c, seed, com).admits_anosov:
+    if decide(rep, c, com).admits_anosov:
         raise CriterionError("no-certificate search requires a NO verdict")
     height = lattice_height(com.dimension, height_bound)
     hit, screened = lattice_search(com, c, height)
@@ -249,7 +250,7 @@ def no_certificate_search(rep: RationalRep, c: int, height_bound: int, seed: int
 # -- demo corpus -------------------------------------------------------------------
 
 
-def demo(name: str, seed: int = 0) -> dict:
+def demo(name: str) -> dict:
     """Run the full pipeline on a named corpus entry and return the report
     artifacts (exact matrices as string entries)."""
     from . import corpus
@@ -274,43 +275,43 @@ def demo(name: str, seed: int = 0) -> dict:
             "degree2_action_a": mat_a.to_json_obj(),
             "degree2_action_b": mat_b.to_json_obj(),
             "boundary": {
-                "3*rho3 at c=2": decide(corpus.m_rho3(3), 2, seed).admits_anosov,
-                "2*rho3 at c=2": decide(corpus.m_rho3(2), 2, seed).admits_anosov,
+                "3*rho3 at c=2": decide(corpus.m_rho3(3), 2).admits_anosov,
+                "2*rho3 at c=2": decide(corpus.m_rho3(2), 2).admits_anosov,
             },
         }
     if name == "q8":
         rep = corpus.q8_rep()
-        profiles = decompose(rep, seed)
+        profiles = decompose(rep)
         return {
             "name": "q8",
             "group_order": rep.group.order,
             "decomposition": decomposition_report(profiles),
-            "verdict_c1": decide(rep, 1, seed).to_json_obj(),
+            "verdict_c1": decide(rep, 1).to_json_obj(),
             "splitting_fields": _q8_splitting_field_family(),
         }
     if name == "klein":
         rep = corpus.klein_rep()
         return {
             "name": "klein",
-            "verdict": porteous_flat(rep, seed).to_json_obj(),
-            "no_certificate": no_certificate_search(rep, 1, 5, seed),
+            "verdict": porteous_flat(rep).to_json_obj(),
+            "no_certificate": no_certificate_search(rep, 1, 5),
         }
     if name == "torus":
         rep = corpus.torus_rep()
         return {
             "name": "torus",
-            "verdict": decide_with_witness(rep, 1, seed).to_json_obj(),
-            "porteous": porteous_flat(rep, seed).to_json_obj(),
+            "verdict": decide_with_witness(rep, 1).to_json_obj(),
+            "porteous": porteous_flat(rep).to_json_obj(),
         }
     if name == "c5":
         rep = corpus.c5_rep()
-        return {"name": "c5", "verdict": decide_with_witness(rep, 1, seed).to_json_obj()}
+        return {"name": "c5", "verdict": decide_with_witness(rep, 1).to_json_obj()}
     rep = corpus.c4_rep()
     field_ctx = cyclotomic_field(4)
     outcome = search_c_hyperbolic_unit(field_ctx, unit_generators_for_field(field_ctx), 1, 12)
     return {
         "name": "c4",
-        "verdict": decide(rep, 1, seed).to_json_obj(),
+        "verdict": decide(rep, 1).to_json_obj(),
         "unit_search_Q(i)": {"found": outcome.found, "reason": outcome.reason},
     }
 

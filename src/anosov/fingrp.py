@@ -4,7 +4,7 @@ graph, conjugacy classes, and class sums: characters, the inner product
 
 Groups are always represented faithfully by exact rational matrices; closure
 is breadth-first from the identity with the generator order as given, so the
-element ordering (and everything seeded downstream) is deterministic. No step
+element ordering (and everything downstream) is deterministic. No step
 forms the |G|² multiplication table: closure takes |G|·#gens matrix products,
 walking the Cayley graph g ↦ g·s of the generators s (Holt–Eick–O'Brien,
 *Handbook of Computational Group Theory* §4.1), and so do a representation's

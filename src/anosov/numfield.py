@@ -264,7 +264,7 @@ def _fundamental_unit_coords(d: int) -> tuple:
     else:
         p_init, q_init = a0, 1
     # continued fraction of ω = (P+√d)/Q, purely periodic by reducedness;
-    # convergent denominators seeded q_{-2} = 1, q_{-1} = 0
+    # convergent denominators start from q_{-2} = 1, q_{-1} = 0
     p_cur, q_cur = p_init, q_init
     k_prev, k_cur = 1, 0
     while True:

@@ -12,7 +12,8 @@ form tr_V(u·v) of the semisimple E is nondegenerate (its radical is an ideal
 whose elements have powers of trace 0, so it is nil, so zero), so tr(b·y) ≠ 0
 for a basis element b, and z = b·y, singular but not nilpotent, has minimal
 polynomial X^j·q with q(0) ≠ 0. The trials are the commutant basis, its
-pairwise sums and a run of seeded random combinations.
+pairwise sums and a run of random combinations, drawn in decompose from one
+fixed random.Random(0), so the trial sequence is the same on every run.
 
 A leaf V with commutant E is proved irreducible, exactly, by one of:
 - "dimension-one": dim V = 1 or E = Q;
@@ -38,7 +39,18 @@ of the brackets with the commutant basis.
 Leaves are grouped into classes by character: irreducibles V, W are
 isomorphic iff dim_Q Hom_G(V, W) = ⟨χ_V, χ_W⟩ > 0 (Serre, §2.3–2.6), so the
 dim_E = m²·n constraint is checked once per class, in component_profile, and
-an intertwiner is solved only to align a witness block (intertwiner).
+an intertwiner is solved only to align a witness block (intertwiner) and to
+split a "search" leaf, as below.
+
+The same identity catches a "search" leaf that is reducible, such as
+ρ ⊕ ρ with commutant M_2(Q) in a basis where every trial has an irreducible
+quadratic minimal polynomial. Two proven irreducibles meet only when they
+are isomorphic, and then their characters are equal, so only a "search"
+class Q can have ⟨χ_P, χ_Q⟩ ≠ 0 for another class P. Each member of Q is
+then split through the smaller P (_split_through) and both halves go back
+to the queue; a verdict never comes from two classes whose characters are
+not orthogonal. A class whose first leaf is proven costs no extra work, and
+a "search" class that meets no other is kept, and its rows flagged unproven.
 """
 
 from __future__ import annotations
@@ -91,7 +103,8 @@ class ComponentMember:
 @dataclass(frozen=True)
 class ComponentProfile:
     """A component class. members[0] is its representative; the commutant,
-    representation and dim_E are the representative's."""
+    representation and dim_E are the representative's, and proof is the
+    irreducibility proof of that first leaf, if there was one."""
 
     members: tuple = field(repr=False)
     n_field: int
@@ -99,6 +112,7 @@ class ComponentProfile:
     e_complex: int
     fs_sign: str
     r_components: int
+    proof: Optional[str]
 
     @property
     def commutant(self) -> CommutantBasis:
@@ -121,11 +135,13 @@ class ComponentProfile:
         return self.sub_rep.dimension
 
     @property
-    def absolutely_irreducible(self) -> bool:
-        return self.dim_E == 1
+    def unproven(self) -> bool:
+        """Whether the first leaf was declared irreducible only because every
+        trial failed to split it."""
+        return self.proof == "search"
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "dimension": self.dimension,
             "multiplicity": self.multiplicity,
             "dim_E": self.dim_E,
@@ -135,6 +151,9 @@ class ComponentProfile:
             "fs_sign": self.fs_sign,
             "r_components": self.r_components,
         }
+        if self.unproven:
+            obj["unproven"] = True
+        return obj
 
 
 # -- linear-algebra helpers -----------------------------------------------------
@@ -307,13 +326,9 @@ def _leading_minors_positive(a: list[list[int]]) -> bool:
     return True
 
 
-def split_once(rep: RationalRep, seed: int = 0):
-    """Either an IrreducibleCertificate or a pair of complementary invariant
-    subspace bases (as column matrices)."""
-    return _split_once(rep, random.Random(seed))
-
-
 def _split_once(rep: RationalRep, rng: random.Random, com: Optional[CommutantBasis] = None):
+    """Either an IrreducibleCertificate or a pair of complementary invariant
+    subspace bases (as column matrices); the random trials come from rng."""
     if com is None:
         com = commutant(rep)
     if rep.dimension == 1 or com.dimension == 1:
@@ -402,17 +417,59 @@ def component_profile(
         e_complex=e,
         fs_sign=fs_sign,
         r_components=r,
+        proof=proof,
     )
 
 
-def decompose(
-    rep: RationalRep, seed: int = 0, ambient: Optional[CommutantBasis] = None
-) -> list[ComponentProfile]:
+def _overlap(classes: dict) -> Optional[tuple[RationalRep, tuple]]:
+    """(P's representative, Q's key) for the first "search" class Q and the
+    first class P of smaller dimension with ⟨χ_P, χ_Q⟩ ≠ 0, or None when
+    the characters of the classes are pairwise orthogonal. Classes that meet
+    with no such pair, as two "search" classes of one dimension do, are an
+    error. classes maps a character to (the first leaf's proof, the class's
+    members)."""
+    meet = False
+    for q_key, (proof, q_members) in classes.items():
+        if proof != "search":
+            continue
+        q = q_members[0].commutant.rep
+        for p_key, (_, p_members) in classes.items():
+            p = p_members[0].commutant.rep
+            if p_key == q_key or not character_inner_product(p, q):
+                continue
+            if p.dimension < q.dimension:
+                return p, q_key
+            meet = True
+    if meet:
+        raise DecompositionError("two component classes have characters that are not orthogonal")
+    return None
+
+
+def _split_through(p: RationalRep, leaf: RationalRep) -> tuple[RatMatrix, RatMatrix]:
+    """Complementary invariant subspaces im φ and ker ψ of leaf, for the
+    first φ ∈ Hom_G(p, leaf) and ψ ∈ Hom_G(leaf, p) with ψ∘φ invertible:
+    v = φ(ψφ)⁻¹ψv + (v − φ(ψφ)⁻¹ψv), and ker ψ ≠ 0 as dim p < dim leaf.
+
+    When p is irreducible and meets leaf, it is a summand of leaf, with an
+    inclusion ι and a projection π such that π∘ι = 1. The pairing
+    (ψ, φ) ↦ ψ∘φ is bilinear, so it is nonzero on some pair of basis
+    elements, and a nonzero endomorphism of an irreducible is invertible."""
+    into = intertwiner_space(p.gen_images, leaf.gen_images)
+    back = intertwiner_space(leaf.gen_images, p.gen_images)
+    for phi, psi in itertools.product(into, back):
+        if (psi @ phi).det():
+            return phi, RatMatrix.from_columns([list(v) for v in psi.kernel_basis()])
+    raise DecompositionError("no pair of intertwiners with a smaller class splits a leaf")
+
+
+def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> list[ComponentProfile]:
     """Recursive splitting into Q-irreducibles, grouped into classes by
-    character in the order of their first leaves; deterministic given
-    (rep, seed). `ambient` is the commutant of rep when the caller has
-    solved it already."""
-    rng = random.Random(seed)
+    character in the order of their first leaves. The random trials come
+    from one random.Random(0), so the result depends on rep alone. When the
+    queue empties, a "search" class that meets a smaller class is split
+    through it and its halves queued again (module docstring). `ambient` is
+    the commutant of rep when the caller has solved it already."""
+    rng = random.Random(0)
     n = rep.dimension
     pending = [(RatMatrix.identity(n), rep, ambient)]
     # character -> (the first leaf's proof, the class's members)
@@ -423,10 +480,14 @@ def decompose(
         if isinstance(result, IrreducibleCertificate):
             _, members = classes.setdefault(sub.character, (result.proof, []))
             members.append(ComponentMember(basis, result.commutant))
-            continue
-        k1, k2 = result
-        pending.append((basis @ k1, restrict_rep(sub, k1), None))
-        pending.append((basis @ k2, restrict_rep(sub, k2), None))
+        else:
+            pending += [(basis @ k, restrict_rep(sub, k), None) for k in result]
+        overlap = None if pending else _overlap(classes)
+        if overlap is not None:
+            p, q_key = overlap
+            for leaf in classes.pop(q_key)[1]:
+                leaf_rep = leaf.commutant.rep
+                pending += [(leaf.basis @ k, restrict_rep(leaf_rep, k), None) for k in _split_through(p, leaf_rep)]
 
     profiles = [
         component_profile(members[0].commutant, members, proof) for proof, members in classes.values()

@@ -3,15 +3,15 @@ commuting with a given representation.
 
 Three construction paths, tried cheapest-certified first:
 
-* tensor-shortcut — for an isotypic block of an absolutely irreducible
-  component: a companion matrix of a degree-m hyperbolic polynomial,
-  Kronecker-extended and moved through the base change aligning the copies.
+* tensor-shortcut — for an isotypic block with multiplicity m > c: a
+  companion matrix of a degree-m hyperbolic polynomial, Kronecker-extended
+  and moved through the base change aligning the copies.
 * field-through-commutant — build J from the block structure I_m ⊗ ρ0:
   I_m ⊗ u for u a central generator image or a basis element of the leaf
   commutant E0, and, when u is a primitive d-th root of unity, C(Φ_e) ⊗ u
   with minimal polynomial Φ_ed for e prime to d with φ(e) = m; search a
   c-hyperbolic unit μ = p(θ) in the field Q(J), and return p(J). J depends
-  on the block structure only, not on a seed.
+  on the block structure only.
 * lattice-search — bounded enumeration of integer combinations of the
   commutant basis.
 
@@ -122,11 +122,10 @@ def verify_witness(
 
 
 def tensor_shortcut(profile: ComponentProfile, c: int) -> Optional[tuple[RatMatrix, IntPoly]]:
-    """Witness for an isotypic block of an absolutely irreducible component:
-    companion(f) ⊗ I_k in the aligned basis, f a degree-m hyperbolic unit
-    polynomial. None when m ≤ c, where no such witness can exist."""
-    if not profile.absolutely_irreducible:
-        return None
+    """Witness for an isotypic block I_m ⊗ ρ0: companion(f) ⊗ I_k in the
+    aligned basis, f a degree-m hyperbolic unit polynomial. It commutes with
+    I_m ⊗ ρ0 for every ρ0, and its eigenvalues are those of f, so no
+    condition on ρ0 is needed. None when m ≤ c, where no such f exists."""
     f = hyperbolic_companion_poly(profile.multiplicity, c)
     if f is None:
         return None

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from anosov import corpus
-from anosov.fingrp import generate_group, natural_rep, rep_from_generator_images
+from anosov.fingrp import conjugate_rep, generate_group, natural_rep, rep_from_generator_images
 from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
 from anosov.intpoly import cyclotomic, real_root_count
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
@@ -92,6 +92,52 @@ def random_unimodular(rng: random.Random, n: int, shears: int = 6) -> RatMatrix:
             rows[i], rows[j] = rows[j], rows[i]
             m = RatMatrix.from_rows(rows)
     return m
+
+
+def dense_basis(rep, k: int):
+    """rep after the k-th dense integer change of basis: 3n shears of
+    random_unimodular, seeded by k."""
+    n = rep.dimension
+    return conjugate_rep(rep, random_unimodular(random.Random(k), n, 3 * n))
+
+
+# Three copies of D3's 2-dim irreducible ρ3 in a dense integer basis, at class
+# 2: YES, with the one class (dimension, multiplicity, r) = (2, 3, 1). Its
+# splitting meets the 4-dim leaf ρ3 ⊕ ρ3, whose commutant M_2(Q) has no basis
+# element, pair sum or random trial with a reducible minimal polynomial.
+DENSE_3RHO3 = {
+    "generators": [[[0, -1], [1, -1]], [[0, -1], [-1, 0]]],
+    "rep_images": [
+        [
+            [8, 3, -16, -6, -6, -4],
+            [111, 115, 282, -72, 32, -62],
+            [-45, -47, -118, 29, -14, 25],
+            [149, 137, 285, -97, 25, -80],
+            [106, 113, 292, -68, 36, -59],
+            [-101, -94, -218, 64, -25, 53],
+        ],
+        [
+            [-40, -57, -100, 36, 6, 38],
+            [119, 76, 184, -72, 30, -62],
+            [-53, -36, -84, 33, -12, 29],
+            [40, -43, -23, 2, 45, 18],
+            [146, 114, 250, -96, 26, -87],
+            [-64, -18, -68, 30, -27, 20],
+        ],
+    ],
+    "class": 2,
+}
+
+
+def q32_rep():
+    """The generalized quaternion group of order 32 on Q(ζ16)² ≅ Q^16:
+    a ↦ (ζ16, ζ16⁻¹) and b ↦ ((0, −1), (1, 0)). It is Q-irreducible, and its
+    commutant, a quaternion algebra over Q(ζ16 + ζ16⁻¹) of dimension 16,
+    passes none of the exact irreducibility proofs."""
+    zeta = companion_matrix(cyclotomic(16))
+    a = RatMatrix.block_diag([zeta, zeta.inverse()])
+    b = RatMatrix.from_rows([[0, -1], [1, 0]]).kron(RatMatrix.identity(8))
+    return natural_rep(generate_group([a, b]))
 
 
 def roots_of(f, prec=80) -> list:

@@ -88,14 +88,14 @@ def test_criterion_2_boundary():
         for m in range(1, 5):
             rep = m_rho3(m)
             for c in range(1, 5):
-                assert decide(rep, c, seed=0).admits_anosov == (m >= c + 1), (m, c)
+                assert decide(rep, c).admits_anosov == (m >= c + 1), (m, c)
 
 
 def test_criterion_3_witness_production():
     with budget("3 (witness production)", 60.0):
         for m, c in ((2, 1), (3, 2), (4, 3)):
             rep = m_rho3(m)
-            verdict = decide_with_witness(rep, c, seed=0)
+            verdict = decide_with_witness(rep, c)
             assert verdict.witness_status == "attached", (m, c)
             w = verdict.witness.witness
             # independent re-verification, all six element images
@@ -117,14 +117,14 @@ def test_criterion_4_flat_classics():
 
 def test_criterion_5_cyclic_field_path():
     with budget("5 (cyclic field path)", 30.0):
-        verdict = decide_with_witness(c5_rep(), 1, seed=0)
+        verdict = decide_with_witness(c5_rep(), 1)
         assert verdict.witness_status == "attached"
         w = verdict.witness.witness
         assert w.det() == 1
         assert is_c_hyperbolic_matrix(w, 1).verdict
         rotation = c5_rep().gen_images[0]
         assert w == RatMatrix.identity(4) + rotation
-        assert not decide(c4_rep(), 1, seed=0).admits_anosov
+        assert not decide(c4_rep(), 1).admits_anosov
         gaussian = cyclotomic_field(4)
         outcome = search_c_hyperbolic_unit(gaussian, unit_generators_for_field(gaussian), 1, 12)
         assert not outcome.found

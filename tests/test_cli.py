@@ -332,6 +332,11 @@ def test_integer_literals_read_without_fraction(tmp_path, capsys, monkeypatch):
         ["decompose", "--class", "2"],
         ["graded-action", "--class", "2"],
         ["units", "--seed", "1"],
+        ["decide", "--seed", "1", "-"],
+        ["porteous", "--seed", "1"],
+        ["decompose", "--seed", "1"],
+        ["no-cert", "--seed", "1"],
+        ["demo", "d3", "--seed", "1"],
     ],
 )
 def test_removed_flags_rejected(argv, capsys):

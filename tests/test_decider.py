@@ -27,7 +27,7 @@ from anosov.intpoly import IntPoly, cyclotomic
 from anosov.ratmat import RatMatrix
 from anosov.witness import companion_matrix, verify_witness
 
-from conftest import benchmark_cases, d7_rep, random_unimodular, regular_rep, rotation_rep
+from conftest import benchmark_cases, d7_rep, dense_basis, random_unimodular, regular_rep, rotation_rep
 
 
 class TestDecide:
@@ -167,7 +167,7 @@ class TestWitnessPipeline:
         for case in cases.FULL[workload]():
             for seed in range(3):
                 _, rep, c = group_rep_from_json_obj(case.input_obj(seed))
-                for p in decide(rep, c, seed).profiles:
+                for p in decide(rep, c).profiles:
                     solved = repdec.commutant(repdec.restrict_rep(rep, decider._aligned_block_basis(p)))
                     built = decider._block_commutant(p)
                     assert built.basis == solved.basis, (case.case_id, seed)
@@ -175,13 +175,14 @@ class TestWitnessPipeline:
 
     @pytest.mark.parametrize(
         "make_rep, c",
-        [(lambda: multiple(rotation_rep(3), 3), 1), (lambda: multiple(d7_rep(), 2), 3)],
-        ids=["3c3", "2d7"],
+        [(lambda: multiple(rotation_rep(12), 2), 2), (lambda: multiple(d7_rep(), 2), 3)],
+        ids=["2c12", "2d7"],
     )
     def test_one_search_per_block(self, make_rep, c, monkeypatch):
-        """YES cases whose one block has no witness within the bounds: the
-        field path and the lattice search run once each, and no base change
-        is built for a block matrix that is never assembled."""
+        """YES cases whose one block has no witness within the bounds and
+        m ≤ c, so no tensor shortcut: the field path and the lattice search
+        run once each, and no base change is built for a block matrix that
+        is never assembled."""
         calls = []
 
         def counting(name):
@@ -203,6 +204,37 @@ class TestWitnessPipeline:
         assert verdict.admits_anosov and verdict.witness_status == "not-found-within-bounds"
         assert len(verdict.profiles) == 1
         assert calls == ["field_through_commutant", "lattice_search"]
+
+    @pytest.mark.parametrize(
+        "make_rep, c",
+        [
+            (lambda: multiple(rotation_rep(3), 3), 1),
+            (lambda: multiple(rotation_rep(3), 3), 2),
+            (lambda: multiple(corpus.c4_rep(), 3), 1),
+            (lambda: multiple(corpus.q8_rep(), 3), 1),
+            (lambda: multiple(corpus.q8_rep(), 3), 2),
+            (lambda: multiple(d7_rep(), 2), 1),
+            (lambda: multiple(corpus.c5_rep(), 2), 1),
+        ],
+        ids=["3c3-c1", "3c3-c2", "3c4-c1", "3q8-c1", "3q8-c2", "2d7-c1", "2c5-c1"],
+    )
+    def test_tensor_shortcut_serves_every_block_with_m_over_c(self, make_rep, c):
+        # none of these leaves is absolutely irreducible; companion(f) ⊗ I
+        # commutes with I_m ⊗ ρ0 all the same
+        rep = make_rep()
+        verdict = decide_with_witness(rep, c)
+        assert verdict.profiles[0].dim_E > 1
+        assert verdict.witness_status == "attached"
+        assert verdict.witness.construction_path == "tensor-shortcut"
+        assert verify_witness(rep, verdict.witness.witness, c).is_valid
+
+    def test_tensor_shortcut_on_dense_bases(self):
+        # 2·Q8 at c = 1 after 15 dense integer changes of basis
+        rep = multiple(corpus.q8_rep(), 2)
+        for k in range(15):
+            verdict = decide_with_witness(dense_basis(rep, k), 1)
+            assert verdict.witness_status == "attached", k
+            assert verdict.witness.construction_path == "tensor-shortcut", k
 
     @pytest.mark.parametrize("c", [1, 2])
     def test_cubic_commutant_takes_the_lattice_path(self, c):

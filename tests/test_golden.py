@@ -3,11 +3,12 @@
 `golden_cli.json` holds the JSON printed by each invocation in INVOCATIONS,
 with every `timings` field removed: the six demos, and `decide`,
 `decide --witness`, `no-cert`, `decompose` and `porteous` on small corpus
-inputs (multiples of ρ3, Q8, the C5 rotation), `units`, `graded-action`
-and `hall-basis` on the README's examples, two cyclotomic `units`
-searches whose found unit prints its log vector, and `units` on a linear
-polynomial, an imaginary quadratic and a radicand that is not squarefree. A change that is meant to
-leave every result alone, such as a speed-up or a refactor, must keep each
+inputs (multiples of ρ3, Q8, the C5 rotation, and three copies of ρ3 in a
+dense basis), `units`, `graded-action` and `hall-basis` on the README's
+examples, two cyclotomic `units` searches whose found unit prints its log
+vector, and `units` on a linear polynomial, an imaginary quadratic and a
+radicand that is not squarefree. A change that is meant to leave every
+result alone, such as a speed-up or a refactor, must keep each
 output byte-identical. After a change that is meant to alter output, record
 the fixture again with `PYTHONPATH=src python tests/test_golden.py` and
 review the diff.
@@ -21,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from anosov.cli import main
+
+from conftest import DENSE_3RHO3
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
 
@@ -79,6 +82,12 @@ INVOCATIONS = {
     # the cubic field Q(ζ7 + ζ7^-1) is neither quadratic nor cyclotomic, so
     # only the lattice search reaches a witness
     "witness d7_c1": (["decide", "-", "--witness"], _input(D7, 1, 1)),
+    # Q8's leaf is not absolutely irreducible; with m = 3 > c the tensor
+    # shortcut serves the block all the same
+    "witness 3q8_c2": (["decide", "-", "--witness"], _input(Q8, 3, 2)),
+    # a leaf ρ3 ⊕ ρ3 that no trial splits is split through the class of ρ3,
+    # whose character it meets: one class (2, 3, 1)
+    "decide 3rho3_dense_c2": (["decide", "-"], DENSE_3RHO3),
     **{
         f"no-cert {key} h{h}": (["no-cert", "-", "--height-bound", str(h)], INPUTS[key])
         for key, h in (("rho3_c1", 2), ("2rho3_c2", 1), ("2rho3_c2", 3), ("q8_c1", 1))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anosov import corpus, repdec
 from anosov.corpus import d3_degree2_rep, m_rho3
-from anosov.decider import _aligned_block_basis, decide
+from anosov.decider import _aligned_block_basis, decide, decide_with_witness
 from anosov.fingrp import (
     RationalRep,
     character_inner_product,
@@ -21,7 +21,7 @@ from anosov.fingrp import (
 )
 from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q
 from anosov.ratmat import Permutation, RatMatrix, matrix_min_poly, perm_matrix
-from anosov.witness import companion_matrix
+from anosov.witness import companion_matrix, verify_witness
 from anosov.repdec import (
     ComponentMember,
     IrreducibleCertificate,
@@ -30,10 +30,22 @@ from anosov.repdec import (
     decompose,
     restrict_action,
     restrict_rep,
-    split_once,
 )
 
-from conftest import benchmark_cases, classes_by_hom, random_unimodular, regular_rep
+from conftest import (
+    DENSE_3RHO3,
+    benchmark_cases,
+    classes_by_hom,
+    dense_basis,
+    q32_rep,
+    random_unimodular,
+    regular_rep,
+)
+
+
+def split_once(rep):
+    """One split step, with the random trials decompose draws first."""
+    return repdec._split_once(rep, random.Random(0))
 
 
 class TestCommutant:
@@ -60,50 +72,50 @@ class TestCommutant:
 
 class TestSplitOnce:
     def test_diagonal_c2_splits(self, klein):
-        result = split_once(klein, seed=0)
+        result = split_once(klein)
         assert not isinstance(result, IrreducibleCertificate)
         b1, b2 = result
         assert b1.cols == b2.cols == 1
 
     def test_rho3_certified_irreducible(self, rho3):
-        result = split_once(rho3, seed=0)
+        result = split_once(rho3)
         assert isinstance(result, IrreducibleCertificate)
         assert result.commutant.dimension == 1
 
     def test_degree2_rep_splits_into_1_1_2(self, d3):
-        profiles = decompose(d3_degree2_rep(d3), seed=0)
+        profiles = decompose(d3_degree2_rep(d3))
         assert sorted(p.dimension for p in profiles) == [1, 1, 2]
         assert all(p.multiplicity == 1 for p in profiles)
 
 
 class TestDecompose:
     def test_isotypic_multiplicity(self, rho3):
-        profiles = decompose(multiple(rho3, 3), seed=0)
+        profiles = decompose(multiple(rho3, 3))
         assert len(profiles) == 1
         assert profiles[0].multiplicity == 3 and profiles[0].dimension == 2
 
     def test_klein_two_classes(self, klein):
-        profiles = decompose(klein, seed=0)
+        profiles = decompose(klein)
         assert len(profiles) == 2
         assert all(p.multiplicity == 1 and p.dimension == 1 for p in profiles)
 
     def test_trivial_dim2(self, torus):
-        profiles = decompose(torus, seed=0)
+        profiles = decompose(torus)
         assert len(profiles) == 1 and profiles[0].multiplicity == 2
 
     def test_dimension_bookkeeping(self, q8_rep, c5_rep):
         for rep in (q8_rep, c5_rep, m_rho3(4)):
-            profiles = decompose(rep, seed=0)
+            profiles = decompose(rep)
             assert sum(p.multiplicity * p.dimension for p in profiles) == rep.dimension
             for p in profiles:
                 assert p.dim_E == p.m_schur**2 * p.n_field
                 assert p.dimension % p.e_complex == 0
                 assert fs_indicator_value(p.sub_rep) in (p.e_complex, 0, -p.e_complex)
 
-    def test_deterministic_given_seed(self, rho3):
+    def test_deterministic(self, rho3):
         rep = multiple(rho3, 2)
-        first = decompose(rep, seed=42)
-        second = decompose(rep, seed=42)
+        first = decompose(rep)
+        second = decompose(rep)
         assert [p.to_json_obj() for p in first] == [p.to_json_obj() for p in second]
         assert [[m.basis for m in p.members] for p in first] == [[m.basis for m in p.members] for p in second]
 
@@ -120,7 +132,7 @@ class TestDecompose:
         """In the aligned basis of an isotypic block the representation is
         m copies of the class representative ρ0, block by block."""
         rep = make_rep()
-        for p in decompose(rep, seed=0):
+        for p in decompose(rep):
             block = restrict_rep(rep, _aligned_block_basis(p))
             assert block.gen_images == tuple(
                 RatMatrix.block_diag([g] * p.multiplicity) for g in p.sub_rep.gen_images
@@ -131,8 +143,8 @@ class TestDecompose:
         rep = multiple(rho3, 2)
         u = random_unimodular(rng, rep.dimension)
         moved = conjugate_rep(rep, u)
-        a = [p.to_json_obj() for p in decompose(rep, seed=0)]
-        b = [p.to_json_obj() for p in decompose(moved, seed=0)]
+        a = [p.to_json_obj() for p in decompose(rep)]
+        b = [p.to_json_obj() for p in decompose(moved)]
         assert a == b
 
 
@@ -206,7 +218,7 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
 
     monkeypatch.setattr(repdec, "intertwiner_space", counting_intertwiners)
     monkeypatch.setattr(repdec, "_split_once", counting_split)
-    profiles = decompose(rep, seed=0)
+    profiles = decompose(rep)
     assert sum(p.multiplicity for p in profiles) * 2 - 1 == splits
     assert solves == calls == splits
 
@@ -233,7 +245,7 @@ def test_classes_by_character_match_classes_by_hom(seed, monkeypatch):
         seen.add(key)
         _, rep, _ = group_rep_from_json_obj(case.input_obj(seed))
         leaves.clear()
-        profiles = decompose(rep, seed=0)
+        profiles = decompose(rep)
         assert [list(p.members) for p in profiles] == classes_by_hom(leaves), case.case_id
 
 
@@ -283,7 +295,7 @@ def test_decompose_builds_no_full_image_list(monkeypatch):
         raise AssertionError("a full image list was built")
 
     monkeypatch.setattr(RationalRep, "images", property(forbidden))
-    profiles = decompose(s5, seed=0)
+    profiles = decompose(s5)
     assert sorted((p.dimension, p.multiplicity, p.dim_E) for p in profiles) == [(1, 1, 1), (4, 1, 1)]
     steps = 0
     partner = repdec._trace_partner
@@ -296,7 +308,7 @@ def test_decompose_builds_no_full_image_list(monkeypatch):
     monkeypatch.setattr(repdec, "_trace_partner", counting)
     for case, rep in prime_power:
         steps = 0
-        profiles = decompose(rep, seed=0)
+        profiles = decompose(rep)
         rows = sorted((p.dimension, p.multiplicity, p.r_components) for p in profiles)
         assert rows == sorted(case.components), case.case_id
         assert steps > 0, case.case_id
@@ -419,12 +431,12 @@ def _old_search_splits(rep, rng: random.Random) -> bool:
 class TestIrreducibleCertificate:
     @pytest.mark.parametrize("name", sorted(REDUCIBLE))
     def test_reducible_never_certified(self, name):
-        assert _outcome(split_once(REDUCIBLE[name], seed=0)) == "split"
+        assert _outcome(split_once(REDUCIBLE[name])) == "split"
 
     @pytest.mark.parametrize("name", sorted(IRREDUCIBLE))
     def test_irreducible_certified_with_proof(self, name):
         rep, proof = IRREDUCIBLE[name]
-        result = split_once(rep, seed=0)
+        result = split_once(rep)
         assert isinstance(result, IrreducibleCertificate)
         assert result.proof == proof
         assert result.trials <= (2 if proof == "field" else 0)
@@ -434,7 +446,7 @@ class TestIrreducibleCertificate:
     def test_outcome_invariant_under_base_change(self, name, seed):
         rep, expected = IRREDUCIBLE[name] if name in IRREDUCIBLE else (REDUCIBLE[name], "split")
         moved = conjugate_rep(rep, random_unimodular(random.Random(seed), rep.dimension))
-        assert _outcome(split_once(moved, seed=0)) == expected
+        assert _outcome(split_once(moved)) == expected
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_corpus_leaves_proved_and_old_search_agrees(self, seed):
@@ -449,10 +461,10 @@ class TestIrreducibleCertificate:
                 continue
             seen.add(key)
             _, rep, _ = group_rep_from_json_obj(case.input_obj(seed))
-            for profile in decompose(rep, seed=0):
+            for profile in decompose(rep):
                 for member in profile.members:
                     leaf = restrict_rep(rep, member.basis)
-                    assert _outcome(split_once(leaf, seed=0)) != "search", case.case_id
+                    assert _outcome(split_once(leaf)) != "search", case.case_id
                     assert not _old_search_splits(leaf, random.Random(0)), case.case_id
 
     def test_q8_leaf_needs_no_minimal_polynomial(self, q8_rep, monkeypatch):
@@ -467,13 +479,99 @@ class TestIrreducibleCertificate:
             return min_poly(x)
 
         monkeypatch.setattr(repdec, "matrix_min_poly", counting)
-        profiles = decompose(q8_rep, seed=0)
+        profiles = decompose(q8_rep)
         assert [p.dim_E for p in profiles] == [4]
         assert calls == 0
 
     def test_proof_not_in_default_json(self, q8_rep):
-        assert all("proof" not in row for row in repdec.decomposition_report(decompose(q8_rep, seed=0)))
+        assert all("proof" not in row for row in repdec.decomposition_report(decompose(q8_rep)))
         assert "proof" not in str(decide(q8_rep, 1).to_json_obj())
+
+
+class TestSearchLeafMeetingAnotherClass:
+    """A "search" leaf whose character meets another class's is split
+    through it, so no verdict comes from two classes whose characters are
+    not orthogonal."""
+
+    @staticmethod
+    def _assert_closed_form(rep, m, c, label):
+        profiles = decompose(rep)
+        for p, q in itertools.combinations(profiles, 2):
+            assert character_inner_product(p.sub_rep, q.sub_rep) == 0, label
+        verdict = decide(rep, c)
+        rows = [(r["dimension"], r["multiplicity"], r["r_components"]) for r in verdict.components]
+        assert rows == [(2, m, 1)], label
+        assert verdict.admits_anosov == (m > c), label
+
+    def test_dense_three_copies_of_rho3(self):
+        _, rep, c = group_rep_from_json_obj(DENSE_3RHO3)
+        self._assert_closed_form(rep, 3, c, "repro")
+        verdict = decide_with_witness(rep, c)
+        assert verdict.witness_status == "attached"
+        assert verify_witness(rep, verdict.witness.witness, c).is_valid
+
+    @pytest.mark.parametrize("m, c", [(3, 2), (4, 3)])
+    def test_dense_bases_match_the_closed_form(self, m, c):
+        # at the bases k = 3, 7, 13, 14 (m = 3) and 6, 9, 10 (m = 4) a leaf
+        # ρ3 ⊕ ρ3 ends in "search"
+        for k in range(15):
+            self._assert_closed_form(dense_basis(m_rho3(m), k), m, c, k)
+
+    def test_meeting_leaf_split_through_the_smaller_class(self, monkeypatch):
+        calls = []
+        split = repdec._split_through
+
+        def recording(p, leaf):
+            calls.append((p.dimension, leaf.dimension))
+            return split(p, leaf)
+
+        monkeypatch.setattr(repdec, "_split_through", recording)
+        _, rep, _ = group_rep_from_json_obj(DENSE_3RHO3)
+        decompose(rep)
+        assert calls == [(2, 4)]
+
+    def test_proven_classes_do_no_extra_work(self, monkeypatch):
+        # the one inner product per class is ⟨χ, χ⟩, checked against dim E
+        inner = repdec.character_inner_product
+
+        def own_only(a, b):
+            assert a is b, "a proven class was checked against another"
+            return inner(a, b)
+
+        monkeypatch.setattr(repdec, "character_inner_product", own_only)
+        profiles = repdec.decompose(regular_rep(corpus.q8_rep().group))
+        assert not any(p.unproven for p in profiles)
+
+    def test_no_pair_of_intertwiners_is_an_error(self, d3):
+        # ρ1 ⊕ ρ2 meets ρ1 ⊕ ρ3 ⊕ ρ3, but is no summand of it
+        rho1, rho2, rho3 = corpus.rho1(d3), corpus.rho2(d3), corpus.rho3(d3)
+        with pytest.raises(repdec.DecompositionError):
+            repdec._split_through(direct_sum([rho1, rho2]), direct_sum([rho1, rho3, rho3]))
+
+    def test_search_classes_of_one_dimension_that_meet_are_an_error(self, d3):
+        rho1, rho2 = corpus.rho1(d3), corpus.rho2(d3)
+
+        def search_class(rep):
+            return rep.character, ("search", [ComponentMember(RatMatrix.identity(2), commutant(rep))])
+
+        classes = dict(search_class(r) for r in (direct_sum([rho1, rho1]), direct_sum([rho1, rho2])))
+        with pytest.raises(repdec.DecompositionError):
+            repdec._overlap(classes)
+
+
+class TestUnprovenRows:
+    def test_q32_row_is_flagged(self):
+        # Q32's one leaf ends in "search" and meets no other class
+        rep = q32_rep()
+        (profile,) = decompose(rep)
+        assert profile.proof == "search" and profile.unproven
+        assert repdec.decomposition_report([profile])[0]["unproven"] is True
+        (row,) = decide(rep, 1).to_json_obj()["components"]
+        assert row["unproven"] is True and row["passes"] is True
+
+    def test_proven_rows_carry_no_flag(self, q8_rep):
+        assert all("unproven" not in row for row in repdec.decomposition_report(decompose(q8_rep)))
+        assert all("unproven" not in row for row in decide(q8_rep, 1).to_json_obj()["components"])
 
 
 def _leaf_certificates(rep, monkeypatch):
@@ -489,7 +587,7 @@ def _leaf_certificates(rep, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(repdec, "_split_once", recording)
-        decompose(rep, seed=0)
+        decompose(rep)
     return certificates
 
 
@@ -532,7 +630,7 @@ class TestFieldDegreeFromProof:
             raise AssertionError("center solved for a proved leaf")
 
         monkeypatch.setattr(repdec, "_center_dimension", refuse)
-        profiles = decompose(regular_rep(corpus.q8_rep().group), seed=0)
+        profiles = decompose(regular_rep(corpus.q8_rep().group))
         assert sorted((p.dim_E, p.n_field) for p in profiles) == [(1, 1)] * 4 + [(4, 1)]
 
 

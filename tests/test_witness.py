@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import integer_nthroot, totient
 
-from anosov import corpus, numfield, witness
+from anosov import corpus, decider, numfield, witness
 from anosov.decider import decide_with_witness
 from anosov.fingrp import group_rep_from_json_obj, multiple
 from anosov.hyper import (
@@ -72,23 +72,28 @@ def _small_commutant(name):
 class TestTensorShortcut:
     def test_triple_rho3(self, rho3):
         rep = multiple(rho3, 3)
-        profile = decompose(rep, seed=0)[0]
+        profile = decompose(rep)[0]
         w, f = tensor_shortcut(profile, 2)
         assert f == PLASTIC and w.rows == 6
         assert IntPoly.from_rationals(w.char_poly()) == PLASTIC * PLASTIC
 
     def test_double_rho3_at_c1(self, rho3):
-        profile = decompose(multiple(rho3, 2), seed=0)[0]
+        profile = decompose(multiple(rho3, 2))[0]
         w, f = tensor_shortcut(profile, 1)
         assert f == IntPoly((1, -3, 1))
 
     def test_refuses_at_the_boundary(self, rho3):
-        profile = decompose(multiple(rho3, 2), seed=0)[0]
+        profile = decompose(multiple(rho3, 2))[0]
         assert tensor_shortcut(profile, 2) is None
 
-    def test_skips_non_absolutely_irreducible(self, c5_rep):
-        profile = decompose(c5_rep, seed=0)[0]
-        assert tensor_shortcut(profile, 1) is None
+    def test_serves_a_block_that_is_not_absolutely_irreducible(self, c5_rep):
+        # companion(f) ⊗ I_4 commutes with I_2 ⊗ ρ0 whatever ρ0 is, here the
+        # C5 rotation with commutant Q(ζ5); one copy has m = 1 ≤ c
+        assert tensor_shortcut(decompose(c5_rep)[0], 1) is None
+        profile = decompose(multiple(c5_rep, 2))[0]
+        w, f = tensor_shortcut(profile, 1)
+        assert profile.dim_E == 4 and f.degree == 2
+        assert verify_witness(multiple(profile.sub_rep, 2), w, 1).is_valid
 
 
 class TestFieldThroughCommutant:
@@ -130,7 +135,7 @@ class TestFieldThroughCommutant:
 
         monkeypatch.setattr(numfield, "closed_form_embeddings", counting_roots)
         monkeypatch.setattr(witness, "search_c_hyperbolic_unit", recording_search)
-        assert decide_with_witness(rep, c, 0).witness_status == "attached"
+        assert decide_with_witness(rep, c).witness_status == "attached"
         assert searched == [cyclotomic(15)]
         assert len(roots) == 1
 
@@ -164,7 +169,7 @@ class TestWitnessFromBlockStructure:
         reps += [(multiple(corpus.q8_rep(), 2), 1), (multiple(corpus.c4_rep(), 4), 2)]
         reps += [(multiple(corpus.q8_rep(), 4), 3)]
         for rep, c in reps:
-            for p in decompose(rep, seed=0):
+            for p in decompose(rep):
                 block = multiple(p.sub_rep, p.multiplicity)
                 for j_mat, g in witness._field_candidates(p.commutant, p.multiplicity):
                     assert IntPoly.from_rationals(matrix_min_poly(j_mat)) == g
@@ -180,23 +185,16 @@ class TestWitnessFromBlockStructure:
             assert verdict.witness_status == "attached", (case_id, seed)
             assert verify_witness(rep, verdict.witness.witness, c).is_valid, (case_id, seed)
 
-    def test_witness_does_not_depend_on_the_seed(self, c5_rep):
-        # 2·C5 at c = 2: the witness is built from the block structure, so
-        # the decomposition seed leaves it unchanged
-        rep = multiple(c5_rep, 2)
-        witnesses = [decide_with_witness(rep, 2, seed).witness for seed in range(4)]
-        assert all(w.witness == witnesses[0].witness for w in witnesses)
-        assert witnesses[0].construction_path == witness.FIELD_THROUGH_COMMUTANT
-        assert IntPoly.from_rationals(witnesses[0].witness.char_poly()).degree == 8
-
     @pytest.mark.parametrize("name, m, c", [("c4", 4, 2), ("q8", 4, 3)])
     def test_blocks_through_phi20_attach(self, name, m, c):
-        # Q(i) has no units of infinite order; J = C(Φ5) ⊗ i generates Q(ζ20)
+        # Q(i) has no units of infinite order; J = C(Φ5) ⊗ i generates Q(ζ20).
+        # As m > c, decide_with_witness takes the tensor shortcut before it
         rep = multiple({"c4": corpus.c4_rep, "q8": corpus.q8_rep}[name](), m)
-        verdict = decide_with_witness(rep, c)
-        assert verdict.witness_status == "attached"
-        assert verdict.witness.construction_path == witness.FIELD_THROUGH_COMMUTANT
-        assert verify_witness(rep, verdict.witness.witness, c).is_valid
+        (profile,) = decompose(rep)
+        w, path = field_through_commutant(profile.commutant, m, c, decider.EXPONENT_BOUND)
+        assert path == witness.FIELD_THROUGH_COMMUTANT
+        assert verify_witness(multiple(profile.sub_rep, m), w, c).is_valid
+        assert decide_with_witness(rep, c).witness_status == "attached"
 
 
 class TestLatticeSearch:
@@ -298,7 +296,7 @@ class TestVerifyWitness:
 
     def test_emitted_certificates_reverify(self, rho3):
         rep = multiple(rho3, 3)
-        profile = decompose(rep, seed=0)[0]
+        profile = decompose(rep)[0]
         w, _ = tensor_shortcut(profile, 2)
         cert = verify_witness(rep, w, 2)
         again = verify_witness(rep, cert.witness, 2)
