@@ -18,11 +18,11 @@ import sys
 
 from .decider import (
     decide,
-    decide_solvable,
     decide_with_witness,
     demo,
     no_certificate_search,
     porteous_flat,
+    with_solvable_model,
 )
 from .fingrp import DEFAULT_MAX_ORDER, group_rep_from_json_obj
 from .freenilp import graded_action, hall_basis, tree_str
@@ -121,12 +121,9 @@ def _require_class(args, input_class) -> int:
 def cmd_decide(args) -> None:
     rep, c = _load_rep(args)
     c = _require_class(args, c)
+    verdict = decide_with_witness(rep, c) if args.witness else decide(rep, c)
     if args.solvable is not None:
-        verdict = decide_solvable(rep, c, args.solvable)
-    elif args.witness:
-        verdict = decide_with_witness(rep, c)
-    else:
-        verdict = decide(rep, c)
+        verdict = with_solvable_model(verdict, args.solvable)
     _emit(verdict.to_json_obj(), args.pretty)
 
 

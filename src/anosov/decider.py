@@ -133,10 +133,15 @@ def porteous_flat(rep: RationalRep) -> Verdict:
 
 def decide_solvable(rep: RationalRep, c: int, d: int) -> Verdict:
     """Same criterion; the solvability class d is metadata only."""
+    return with_solvable_model(decide(rep, c), d)
+
+
+def with_solvable_model(verdict: Verdict, d: int) -> Verdict:
+    """The verdict, with or without its witness, under the solvable model of
+    class d: the criterion is the same, so the model is metadata only."""
     if d < 1:
         raise ValueError("solvability class d must be >= 1")
-    model = {"family": "free-nilpotent-and-solvable", "c": c, "d": d}
-    return replace(decide(rep, c), model=model)
+    return replace(verdict, model={"family": "free-nilpotent-and-solvable", "c": verdict.class_c, "d": d})
 
 
 def _aligned_block_basis(profile: ComponentProfile) -> RatMatrix:

@@ -7,6 +7,12 @@ order is degree first, then creation order, which for degree 2 is the
 lexicographic order on [x_i, x_j], i < j. Column convention throughout:
 column j of a graded action holds the image of the j-th basis element.
 
+The free Lie algebra embeds in the tensor algebra by [a, b] ↦ ab − ba
+(Reutenauer, Free Lie Algebras, ch. 0), where m acts on degree d as m^{⊗d}.
+With H the degree-d Hall elements written over the words of length d, the
+degree-d action is the unique A with H·A = m^{⊗d}·H: one exact solve for
+every degree, which raises if an image is not a Lie element.
+
 full_action_hyperbolic is a second, independent route to c-hyperbolicity:
 it runs the exact unit-circle test on the characteristic polynomial of each
 graded action instead of on the eigenvalue-product polynomials of the
@@ -16,7 +22,8 @@ degree-1 matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import chain
 
 from .hyper import FOUND, unit_circle_root_test
 from .intpoly import IntPoly, divides, eig_product_poly, factor_over_Q
@@ -25,28 +32,13 @@ from .ratmat import RatMatrix, SingularMatrixError
 MAX_TOTAL_DIMENSION = 10**5
 
 
+@lru_cache(maxsize=None)
 def witt_dimension(r: int, d: int) -> int:
-    """(1/d)·Σ_{e|d} μ(e)·r^{d/e}, the rank of the degree-d component."""
-    total = sum(_mobius(e) * r ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
-    return total // d
-
-
-def _mobius(n: int) -> int:
-    """The Möbius function μ(n) of n ≥ 1, by trial division."""
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
-
-
-def tree_degree(t) -> int:
-    return 1 if isinstance(t, int) else tree_degree(t[0]) + tree_degree(t[1])
+    """W(d), the rank of the degree-d component, from r^d = Σ_{e|d} e·W(e):
+    a word of length d is the power of one primitive word of a length e | d,
+    and those fall into W(e) rotation classes of e words, one Lyndon word
+    in each."""
+    return (r**d - sum(e * witt_dimension(r, e) for e in range(1, d) if d % e == 0)) // d
 
 
 def tree_str(t, names: str = "x") -> str:
@@ -60,7 +52,6 @@ class HallBasis:
     r: int
     c: int
     by_degree: tuple  # by_degree[i] = tuple of Hall trees of degree i+1
-    order: dict  # tree -> global position, degree-major
 
     def degree_dims(self) -> list[int]:
         return [len(layer) for layer in self.by_degree]
@@ -82,64 +73,14 @@ def hall_basis(r: int, c: int) -> HallBasis:
         for a in range(1, d):
             for u in layers[a - 1]:
                 for v in layers[d - a - 1]:
-                    if order[u] >= order[v]:
-                        continue
-                    if not isinstance(v, int) and order[v[0]] > order[u]:
-                        continue
-                    layer.append((u, v))
+                    # the Hall condition: u < v, and v = [v1, v2] has v1 ≤ u
+                    if order[u] < order[v] and (isinstance(v, int) or order[v[0]] <= order[u]):
+                        layer.append((u, v))
         for t in layer:
             order[t] = len(order)
         layers.append(tuple(layer))
         assert len(layer) == witt_dimension(r, d)
-    return HallBasis(r=r, c=c, by_degree=tuple(layers), order=order)
-
-
-def _combo_add(acc: dict, tree, coeff: Fraction) -> None:
-    if not coeff:
-        return
-    acc[tree] = acc.get(tree, Fraction(0)) + coeff
-    if not acc[tree]:
-        del acc[tree]
-
-
-def normalize_bracket(basis: HallBasis, tree) -> dict:
-    """Rewrite an arbitrary bracket tree as a combination of Hall elements,
-    using antisymmetry and the Jacobi identity; degree > c truncates to 0."""
-    if tree_degree(tree) > basis.c:
-        return {}
-    if isinstance(tree, int):
-        return {tree: Fraction(1)}
-    left = normalize_bracket(basis, tree[0])
-    right = normalize_bracket(basis, tree[1])
-    acc: dict = {}
-    for u, cu in left.items():
-        for v, cv in right.items():
-            for w, cw in _normalize_pair(basis, u, v).items():
-                _combo_add(acc, w, cu * cv * cw)
-    return acc
-
-
-def _normalize_pair(basis: HallBasis, u, v) -> dict:
-    """[u, v] for Hall elements u, v, as a Hall combination."""
-    if u == v:
-        return {}
-    order = basis.order
-    if order[u] > order[v]:
-        return {w: -c for w, c in _normalize_pair(basis, v, u).items()}
-    if tree_degree(u) + tree_degree(v) > basis.c:
-        return {}
-    if isinstance(v, int) or order[v[0]] <= order[u]:
-        return {(u, v): Fraction(1)}
-    # u < v = [v1, v2] with v1 > u: [u,[v1,v2]] = [[u,v1],v2] + [v1,[u,v2]]
-    v1, v2 = v
-    acc: dict = {}
-    for w, c in _normalize_pair(basis, u, v1).items():
-        for w2, c2 in _normalize_pair(basis, w, v2).items():
-            _combo_add(acc, w2, c * c2)
-    for w, c in _normalize_pair(basis, u, v2).items():
-        for w2, c2 in _normalize_pair(basis, v1, w).items():
-            _combo_add(acc, w2, c * c2)
-    return acc
+    return HallBasis(r=r, c=c, by_degree=tuple(layers))
 
 
 @dataclass(frozen=True)
@@ -157,64 +98,61 @@ def graded_action(m: RatMatrix, basis: HallBasis, degree: int) -> GradedAction:
         raise SingularMatrixError("graded action needs an invertible matrix")
     if not 1 <= degree <= basis.c:
         raise ValueError("degree out of range")
-    if degree == 1:
-        return GradedAction(1, m, basis.by_degree[0])
-    layer = basis.by_degree[degree - 1]
-    index = {t: i for i, t in enumerate(layer)}
-    if degree == 2:
-        return GradedAction(2, _antisymmetric_square(m, layer, index), layer)
-    columns = []
-    for t in layer:
-        combo: dict = {}
-        for leaf_tree, coeff in _expand_tree(m, t).items():
-            for w, cw in normalize_bracket(basis, leaf_tree).items():
-                _combo_add(combo, w, coeff * cw)
-        col = [Fraction(0)] * len(layer)
-        for w, cw in combo.items():
-            col[index[w]] = cw
-        columns.append(col)
-    return GradedAction(degree, RatMatrix.from_columns(columns), layer)
+    layer = basis.elements(degree)
+    hall = _hall_tensors(layer, basis.r, degree)
+    return GradedAction(degree, hall.solve(_tensor_power_times(m, hall, degree)), layer)
 
 
-def _antisymmetric_square(m: RatMatrix, layer, index) -> RatMatrix:
-    # [m·x_i, m·x_j] = Σ_{k<l} (m_ki·m_lj − m_li·m_kj) [x_k, x_l]
-    columns = []
-    for (i, j) in layer:
-        col = [Fraction(0)] * len(layer)
-        for (k, l) in layer:
-            col[index[(k, l)]] = m[k, i] * m[l, j] - m[l, i] * m[k, j]
-        columns.append(col)
-    return RatMatrix.from_columns(columns)
+def _hall_tensors(layer, r: int, degree: int) -> RatMatrix:
+    """H: column j is the j-th Hall element of the layer in the tensor
+    algebra, under [u, v] ↦ uv − vu, with the word i_1…i_d in the row whose
+    base-r digits are i_1…i_d."""
+    tensors = {i: {(i,): 1} for i in range(r)}
+
+    def tensor(t) -> dict:
+        if t not in tensors:
+            tu, tv = tensor(t[0]), tensor(t[1])
+            out: dict = {}
+            for u, cu in tu.items():
+                for v, cv in tv.items():
+                    out[u + v] = out.get(u + v, 0) + cu * cv
+                    out[v + u] = out.get(v + u, 0) - cu * cv
+            tensors[t] = out
+        return tensors[t]
+
+    n = len(layer)
+    entries = [0] * (r**degree * n)
+    for j, t in enumerate(layer):
+        for word, coeff in tensor(t).items():
+            entries[reduce(lambda row, letter: row * r + letter, word, 0) * n + j] = coeff
+    return RatMatrix.from_integers(r**degree, n, entries)
 
 
-def _expand_tree(m: RatMatrix, tree) -> dict:
-    """Substitute each leaf x_j by Σ_k m[k,j]·x_k and expand multilinearly."""
-    if isinstance(tree, int):
-        return {k: m[k, tree] for k in range(m.rows) if m[k, tree]}
-    left = _expand_tree(m, tree[0])
-    right = _expand_tree(m, tree[1])
-    out: dict = {}
-    for u, cu in left.items():
-        for v, cv in right.items():
-            _combo_add(out, (u, v), cu * cv)
-    return out
+def _tensor_power_times(m: RatMatrix, x: RatMatrix, degree: int) -> RatMatrix:
+    """m^{⊗d}·x for x with r^d rows indexed as in _hall_tensors, one slot at
+    a time: m acts on the first letter of every word, then every word
+    rotates left by one letter. After d rounds each letter has been acted
+    on once and every word is back in its row."""
+    r, n = m.rows, x.cols
+    rest = x.rows // r  # the words of one first letter
+    for _ in range(degree):
+        y, den = (m @ RatMatrix.from_integers(r, rest * n, *x.integer_form())).integer_form()
+        # the row of i_1 i_2…i_d moves to that of i_2…i_d i_1
+        rotated = (y[(i * rest + k) * n : (i * rest + k + 1) * n] for k in range(rest) for i in range(r))
+        x = RatMatrix.from_integers(x.rows, n, chain.from_iterable(rotated), den)
+    return x
 
 
 def restricted_degree2_action(m: RatMatrix, pairs: list[tuple[int, int]]) -> RatMatrix:
     """Degree-2 action restricted to the span of the listed [x_i, x_j]
     elements (1-based index pairs, i < j); raises if that span is not
     invariant."""
-    basis = hall_basis(m.rows, 2)
-    action = graded_action(m, basis, 2)
-    layer = list(action.basis_elements)
-    positions = [layer.index((i - 1, j - 1)) for i, j in pairs]
-    outside = [p for p in range(len(layer)) if p not in positions]
-    for j in positions:
-        for i in outside:
-            if action.matrix[i, j]:
-                raise ValueError("selected degree-2 subspace is not invariant")
-    rows = [[action.matrix[i, j] for j in positions] for i in positions]
-    return RatMatrix.from_rows(rows)
+    action = graded_action(m, hall_basis(m.rows, 2), 2)
+    a = action.matrix
+    positions = [action.basis_elements.index((i - 1, j - 1)) for i, j in pairs]
+    if any(a[i, j] for j in positions for i in range(a.rows) if i not in positions):
+        raise ValueError("selected degree-2 subspace is not invariant")
+    return RatMatrix.from_rows([[a[i, j] for j in positions] for i in positions])
 
 
 def full_action_hyperbolic(m: RatMatrix, c: int) -> tuple[bool, list[dict]]:

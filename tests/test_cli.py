@@ -12,6 +12,14 @@ D3_INPUT = {
     "generators": [[["0", "-1"], ["1", "-1"]], [["0", "-1"], ["-1", "0"]]],
     "class": 1,
 }
+# 2·ρ3 at c = 1: YES, with a witness
+TWO_RHO3_INPUT = {
+    **D3_INPUT,
+    "rep_images": [
+        [["0", "-1", "0", "0"], ["1", "-1", "0", "0"], ["0", "0", "0", "-1"], ["0", "0", "1", "-1"]],
+        [["0", "-1", "0", "0"], ["-1", "0", "0", "0"], ["0", "0", "0", "-1"], ["0", "0", "-1", "0"]],
+    ],
+}
 
 
 def run(argv, capsys):
@@ -36,15 +44,7 @@ def test_decide_verdict_json(tmp_path, capsys):
 
 
 def test_decide_with_witness_flag(tmp_path, capsys):
-    obj = {
-        "generators": [[["0", "-1"], ["1", "-1"]], [["0", "-1"], ["-1", "0"]]],
-        "rep_images": [
-            [["0", "-1", "0", "0"], ["1", "-1", "0", "0"], ["0", "0", "0", "-1"], ["0", "0", "1", "-1"]],
-            [["0", "-1", "0", "0"], ["-1", "0", "0", "0"], ["0", "0", "0", "-1"], ["0", "0", "-1", "0"]],
-        ],
-        "class": 1,
-    }
-    path = write_input(tmp_path, obj)
+    path = write_input(tmp_path, TWO_RHO3_INPUT)
     code, out, _ = run(["decide", path, "--witness"], capsys)
     verdict = json.loads(out)
     assert code == 0 and verdict["admits_anosov"] is True
@@ -56,6 +56,12 @@ def test_decide_solvable_metadata(tmp_path, capsys):
     code, out, _ = run(["decide", path, "--solvable", "3", "--class", "1"], capsys)
     assert code == 0
     assert json.loads(out)["model"]["d"] == 3
+    # with --witness, the model is added to the verdict and witness asked for
+    path = write_input(tmp_path, TWO_RHO3_INPUT)
+    code, out, _ = run(["decide", path, "--witness", "--solvable", "3"], capsys)
+    verdict = json.loads(out)
+    assert code == 0 and verdict["model"]["d"] == 3
+    assert verdict["witness_status"] == "attached" and verdict["witness"]["integer_like"] is True
 
 
 def test_porteous_and_decompose(tmp_path, capsys):

@@ -43,8 +43,8 @@ class TestHallBasis:
 
     @pytest.mark.parametrize("d", range(1, 41))
     def test_witt_dimension_matches_sympy_mobius(self, d):
-        # the integer Möbius function against sympy's, through squares and
-        # several primes
+        # the word-count recursion against the Möbius formula with sympy's μ,
+        # through squares and several primes
         for r in (1, 2, 3, 5):
             total = sum(int(mobius(e)) * r ** (d // e) for e in divisors(d))
             assert witt_dimension(r, d) == total // d
@@ -90,6 +90,16 @@ class TestGradedAction:
                 lhs = graded_action(m1 @ m2, basis, d).matrix
                 rhs = graded_action(m1, basis, d).matrix @ graded_action(m2, basis, d).matrix
                 assert lhs == rhs
+
+    def test_empty_layers_get_the_empty_action(self):
+        # one generator: every bracket vanishes, so degrees 2 and 3 are zero-dimensional
+        basis = hall_basis(1, 3)
+        for d in (2, 3):
+            action = graded_action(RatMatrix.from_rows([[2]]), basis, d)
+            assert action.basis_elements == ()
+            assert action.matrix == RatMatrix.zeros(0, 0)
+        ok, reports = full_action_hyperbolic(RatMatrix.from_rows([[2]]), 2)
+        assert ok and [r["dimension"] for r in reports] == [1, 0]
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):

@@ -7,7 +7,10 @@ inputs (multiples of ρ3, Q8, the C5 rotation, and three copies of ρ3 in a
 dense basis), `units`, `graded-action` and `hall-basis` on the README's
 examples, two cyclotomic `units` searches whose found unit prints its log
 vector, and `units` on a linear polynomial, an imaginary quadratic and a
-radicand that is not squarefree. A change that is meant to leave every
+radicand that is not squarefree. `graded-action` also runs on a dense
+integer matrix at r = 3 through degree 4, on a matrix with a denominator at
+r = 2 through degree 6, and at r = 1 through degree 3, whose degrees 2 and
+3 are zero-dimensional. A change that is meant to leave every
 result alone, such as a speed-up or a refactor, must keep each
 output byte-identical. After a change that is meant to alter output, record
 the fixture again with `PYTHONPATH=src python tests/test_golden.py` and
@@ -67,6 +70,10 @@ INPUTS = {
 }
 
 GRADED_INPUT = {"r": 2, "class": 2, "matrix": [["2", "1"], ["1", "1"]]}
+# a dense integer matrix through degree 4, and a matrix with a denominator
+# through degree 6
+GRADED_R3_C4 = {"r": 3, "class": 4, "matrix": [["2", "-3", "1"], ["1", "2", "-1"], ["-3", "1", "3"]]}
+GRADED_R2_C6 = {"r": 2, "class": 6, "matrix": [["1/2", "1"], ["-1", "3"]]}
 
 # name: (argv, the object fed on stdin or None)
 INVOCATIONS = {
@@ -109,6 +116,10 @@ INVOCATIONS = {
     # radicand 12 = 2^2 * 3: the unit comes from Q(sqrt 3)
     "units sqrt 12": (["units", "--sqrt", "12", "--class", "1", "--bound", "6"], None),
     "graded-action readme": (["graded-action", "-"], GRADED_INPUT),
+    "graded-action r3 c4": (["graded-action", "-"], GRADED_R3_C4),
+    "graded-action r2 c6": (["graded-action", "-"], GRADED_R2_C6),
+    # one generator: degrees 2 and 3 are zero-dimensional and get the empty action
+    "graded-action r1 c3": (["graded-action", "-"], {"r": 1, "class": 3, "matrix": [["2"]]}),
     "hall-basis r3 c3": (["hall-basis", "--r", "3", "--class", "3"], None),
 }
 
