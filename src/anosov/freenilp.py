@@ -30,6 +30,7 @@ from .intpoly import IntPoly, divides, eig_product_poly, factor_over_Q
 from .ratmat import RatMatrix, SingularMatrixError
 
 MAX_TOTAL_DIMENSION = 10**5
+MAX_TENSOR_ENTRIES = 2 * 10**6  # r^c·W(c), the top degree's tensor matrix
 
 
 @lru_cache(maxsize=None)
@@ -91,9 +92,17 @@ class GradedAction:
 
 
 def graded_action(m: RatMatrix, basis: HallBasis, degree: int) -> GradedAction:
-    """Action induced on the degree-d component by x_j ↦ Σ_k m[k,j]·x_k."""
+    """Action induced on the degree-d component by x_j ↦ Σ_k m[k,j]·x_k.
+    Every degree is refused when the top degree's tensor matrix would
+    exceed MAX_TENSOR_ENTRIES, so a caller stops before building any."""
     if not m.is_square or m.rows != basis.r:
         raise ValueError("matrix size must equal the generator count")
+    entries = basis.r**basis.c * witt_dimension(basis.r, basis.c)
+    if entries > MAX_TENSOR_ENTRIES:
+        raise ValueError(
+            f"class {basis.c} on {basis.r} generators needs a tensor matrix of {entries} entries, "
+            f"over the guard {MAX_TENSOR_ENTRIES}"
+        )
     if m.det() == 0:
         raise SingularMatrixError("graded action needs an invertible matrix")
     if not 1 <= degree <= basis.c:

@@ -8,6 +8,10 @@ layout of FLINT's fmpq_mat). Equal matrices thus have equal storage, so
 equality and hashing compare integer tuples. Products, sums, scalings,
 transposes and traces work on the integers and normalise once at the end;
 `__getitem__`, `row`, `column` and `entries` hand out `fractions.Fraction`s.
+A product row skips zero entries, starts from the row of the right factor
+that its first nonzero entry selects, as it is when that entry is 1, and
+adds or subtracts later rows unscaled for entries ±1: a permutation on the
+left costs one slice per row and no arithmetic.
 A JSON literal is read straight into numerators over their common
 denominator: integers and decimal-integer strings as ints, and only "p/q"
 strings through `Fraction`.
@@ -17,10 +21,11 @@ Kernels, ranks, solves and inverses go through one elimination routine,
 reduced by integer cross-multiplication and divided by the gcd of its
 entries. A matrix's rows enter it as its numerators, since scaling a row by
 the denominator changes no kernel, rank or solution. `det` runs Bareiss's
-fraction-free elimination on the numerators (Bareiss, Math. Comp. 1968) and
-`char_poly` Berkowitz's division-free algorithm (Berkowitz, IPL 18, 1984);
-both divide by a power of the denominator once, at the end. The methods are
-those of Cohen, A Course in Computational Algebraic Number Theory, §2.2.
+fraction-free elimination on dense numerator rows (Bareiss, Math. Comp.
+1968) and `char_poly` Berkowitz's division-free algorithm (Berkowitz, IPL
+18, 1984); both divide by a power of the denominator once, at the end. The
+methods are those of Cohen, A Course in Computational Algebraic Number
+Theory, §2.2.
 `sparse_kernel_basis` takes a system given as sparse integer rows, for
 callers whose equations have few nonzero coefficients.
 """
@@ -274,35 +279,30 @@ class RatMatrix:
         return len(_eliminate(self._sparse_rows()))
 
     def det(self) -> Fraction:
-        """Bareiss elimination on the numerators, then one division by d^n."""
+        """Bareiss elimination on dense numerator rows, then one division by
+        d^n. A row that is zero in the pivot column is left as it is when
+        the pivot equals the previous one."""
         if not self.is_square:
             raise DimensionError("determinant of non-square matrix")
-        n = self.rows
-        rows = self._sparse_rows()
+        n, a = self.rows, self._n
+        rows = [list(a[i * n : (i + 1) * n]) for i in range(n)]
         sign, prev = 1, 1
         for k in range(n):
-            pivot_row = next((i for i in range(k, n) if k in rows[i]), None)
+            pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
             if pivot_row is None:
                 return Fraction(0)
             if pivot_row != k:
                 rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
                 sign = -sign
-            prow = rows[k]
-            p = prow[k]
+            p = rows[k][k]
+            ptail = rows[k][k + 1 :]
             # every new entry is a minor of the integer matrix: // is exact
-            for i in range(k + 1, n):
-                row = rows[i]
-                f = row.pop(k, 0)
+            for row in rows[k + 1 :]:
+                f = row[k]
                 if f:
-                    new = {}
-                    for j in row.keys() | prow.keys():
-                        if j > k:
-                            x = (row.get(j, 0) * p - f * prow.get(j, 0)) // prev
-                            if x:
-                                new[j] = x
-                    rows[i] = new
+                    row[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], ptail)]
                 elif p != prev:
-                    rows[i] = {j: v * p // prev for j, v in row.items()}
+                    row[k + 1 :] = [x * p // prev for x in row[k + 1 :]]
             prev = p
         return Fraction(sign * prev, self._d**n)
 
@@ -396,11 +396,15 @@ class RatMatrix:
         return cls.from_json_obj(json.loads(text))
 
 
+# the slots' member descriptors store past RatMatrix.__setattr__, which raises
+_SET_ROWS, _SET_COLS, _SET_N, _SET_D = (RatMatrix.__dict__[name].__set__ for name in RatMatrix.__slots__)
+
+
 def _init(m: RatMatrix, rows: int, cols: int, n: tuple, d: int) -> None:
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "_n", n)
-    object.__setattr__(m, "_d", d)
+    _SET_ROWS(m, rows)
+    _SET_COLS(m, cols)
+    _SET_N(m, n)
+    _SET_D(m, d)
 
 
 def _make(rows: int, cols: int, n: tuple, d: int) -> RatMatrix:
@@ -417,13 +421,27 @@ def _make(rows: int, cols: int, n: tuple, d: int) -> RatMatrix:
 
 def _int_matmul(a: tuple, b: tuple, n: int, k: int, m: int) -> tuple:
     """The n×m integer product of the row-major n×k a and k×m b: each row of
-    a combines the rows of b that its nonzero entries select."""
+    a combines the rows of b that its nonzero entries select. The first
+    selected row starts the sum, as it is when its entry is 1 and scaled
+    once otherwise; a later one is added or subtracted unscaled when its
+    entry is ±1. A zero row of a gives one shared zero row."""
     brows = [b[t * m : (t + 1) * m] for t in range(k)]
+    zero = (0,) * m
     out = []
     for i in range(n):
-        acc = [0] * m
-        for x, brow in zip(a[i * k : (i + 1) * k], brows):
+        acc = zero
+        terms = zip(a[i * k : (i + 1) * k], brows)
+        for x, brow in terms:
             if x:
+                acc = brow if x == 1 else list(map(mul, brow, repeat(x)))
+                break
+        # the terms after the first nonzero one
+        for x, brow in terms:
+            if x == 1:
+                acc = list(map(add, acc, brow))
+            elif x == -1:
+                acc = list(map(sub, acc, brow))
+            elif x:
                 acc = list(map(add, acc, map(mul, brow, repeat(x))))
         out.extend(acc)
     return tuple(out)

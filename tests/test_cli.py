@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from anosov import cli, numfield, ratmat
+from anosov import cli, freenilp, numfield, ratmat
 from anosov.cli import SUBCOMMANDS, build_parser, main
 from anosov.intpoly import cyclotomic
 from anosov.ratmat import RatMatrix
@@ -149,6 +149,22 @@ def test_graded_action_subcommand(tmp_path, capsys):
     assert code == 0
     assert report["degree_dims"] == [2, 1]
     assert report["actions"][1]["matrix"] == [["1"]]
+
+
+def test_graded_action_refuses_a_class_over_the_tensor_guard(tmp_path, monkeypatch, capsys):
+    # r = 2, class 14: the degree-14 tensor matrix has 2^14·W(14) = 16384·1161
+    # entries; the refusal comes before any degree builds one
+    def refuse(*args):
+        raise AssertionError("built a tensor matrix")
+
+    monkeypatch.setattr(freenilp, "_hall_tensors", refuse)
+    path = write_input(tmp_path, {"r": 2, "class": 14, "matrix": [["2", "1"], ["1", "1"]]})
+    code, out, err = run(["graded-action", path], capsys)
+    assert code == 2 and out == ""
+    assert f"{2**14 * 1161} entries" in err and str(freenilp.MAX_TENSOR_ENTRIES) in err
+    # hall-basis builds no tensor matrix and stays unguarded
+    code, out, _ = run(["hall-basis", "--r", "2", "--class", "14"], capsys)
+    assert code == 0 and json.loads(out)["degree_dims"][-1] == 1161
 
 
 def test_hall_basis_subcommand(capsys):

@@ -43,6 +43,14 @@ A5_GENS = [perm([1, 2, 3, 4, 0]), perm([1, 2, 0, 3, 4])]
 S5_GENS = [perm([1, 2, 3, 4, 0]), perm([1, 0, 2, 3, 4])]
 
 
+def dense_conjugates(gens, seed: int) -> list:
+    """U g U⁻¹ for a seeded random unimodular U: entries beyond ±1 and
+    several nonzeros per row, where the natural generators are monomial."""
+    u = random_unimodular(random.Random(seed), gens[0].rows)
+    u_inv = u.inverse()
+    return [u @ g @ u_inv for g in gens]
+
+
 @pytest.fixture(scope="module")
 def groups(d3, q8_rep):
     return {
@@ -51,6 +59,8 @@ def groups(d3, q8_rep):
         "b3": generate_group(B3_GENS),
         "a5": generate_group(A5_GENS),
         "s5": generate_group(S5_GENS),
+        "b3_dense": generate_group(dense_conjugates(B3_GENS, 3)),
+        "a5_dense": generate_group(dense_conjugates(A5_GENS, 5)),
     }
 
 
@@ -87,7 +97,7 @@ class TestGenerateGroup:
         with pytest.raises(ValueError, match="max_order"):
             generate_group([RatMatrix.identity(2)], max_order=0)
 
-    @pytest.mark.parametrize("name", ["d3", "q8", "b3"])
+    @pytest.mark.parametrize("name", ["d3", "q8", "b3", "b3_dense", "a5_dense"])
     def test_cayley_graph_squares_inverses(self, name, groups):
         group = groups[name]
         gens = group.generators()
@@ -110,6 +120,8 @@ class TestGenerateGroup:
             ("q8", [1, 1, 2, 2, 2]),
             ("b3", [1, 1, 3, 3, 6, 6, 6, 6, 8, 8]),
             ("a5", [1, 12, 12, 15, 20]),
+            ("b3_dense", [1, 1, 3, 3, 6, 6, 6, 6, 8, 8]),
+            ("a5_dense", [1, 12, 12, 15, 20]),
         ],
     )
     def test_classes_match_brute_force_conjugation(self, name, sizes, groups):

@@ -6,6 +6,7 @@ import pytest
 from sympy import divisors, mobius
 
 from anosov.freenilp import (
+    MAX_TENSOR_ENTRIES,
     full_action_hyperbolic,
     graded_action,
     hall_basis,
@@ -100,6 +101,16 @@ class TestGradedAction:
             assert action.matrix == RatMatrix.zeros(0, 0)
         ok, reports = full_action_hyperbolic(RatMatrix.from_rows([[2]]), 2)
         assert ok and [r["dimension"] for r in reports] == [1, 0]
+
+    def test_tensor_guard_sits_between_class_12_and_13(self):
+        # r^c·W(c) for r = 2: 4096·335 at class 12, 8192·630 at class 13
+        m = RatMatrix.from_rows([[2, 1], [1, 1]])
+        assert 2**12 * witt_dimension(2, 12) <= MAX_TENSOR_ENTRIES < 2**13 * witt_dimension(2, 13)
+        basis = hall_basis(2, 13)
+        for d in (1, 13):
+            with pytest.raises(ValueError, match="over the guard"):
+                graded_action(m, basis, d)
+        assert graded_action(m, hall_basis(2, 12), 1).matrix == m
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):

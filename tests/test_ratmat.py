@@ -520,3 +520,79 @@ class TestIntegerStorage:
                 RatMatrix.from_integers(1, 1, [1], d)
         with pytest.raises(DimensionError):
             RatMatrix.from_integers(2, 1, [1])
+
+
+# -- the kernels' shortcuts for zero and unit entries: monomial matrices --
+
+
+@st.composite
+def monomial(draw, sizes=st.integers(0, 12)):
+    """A signed permutation matrix, optionally times a scalar with a
+    denominator, with some rows optionally zeroed. Returns the matrix and
+    its permutation (row i has its entry in column images[i])."""
+    n = draw(sizes)
+    images = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    s = draw(st.one_of(st.just(Fraction(1)), st.fractions(max_denominator=12).filter(bool), NEAR_2_80))
+    zero_rows = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    entries = [
+        signs[i] * Fraction(s) if j == images[i] and i not in zero_rows else Fraction(0)
+        for i in range(n)
+        for j in range(n)
+    ]
+    return RatMatrix(n, n, entries), Permutation(images), zero_rows
+
+
+def permutation_sign(pi: Permutation) -> int:
+    n = len(pi)
+    inversions = sum(pi(i) > pi(j) for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
+
+class TestMonomialKernels:
+    @given(monomial(), st.data())
+    @DIFFERENTIAL
+    def test_matmul_with_monomial_left_factor(self, drawn, data):
+        # each row of the product is one row of b, as is or scaled, or the
+        # zero row
+        a, _, _ = drawn
+        b = data.draw(st.one_of(matrices(st.just(a.cols), SIZES), monomial(st.just(a.cols)).map(lambda t: t[0])))
+        product = a @ b
+        assert_canonical(product)
+        assert as_rows(product) == fraction_matmul(as_rows(a), as_rows(b), a.cols, b.cols)
+
+    @given(matrices(), st.data())
+    @DIFFERENTIAL
+    def test_matmul_with_monomial_right_factor(self, a, data):
+        b, _, _ = data.draw(monomial(st.just(a.cols)))
+        product = a @ b
+        assert_canonical(product)
+        assert as_rows(product) == fraction_matmul(as_rows(a), as_rows(b), a.cols, b.cols)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (0, 2), (3, 4)])
+    def test_matmul_through_inner_dimension_zero(self, n, m):
+        product = RatMatrix.zeros(n, 0) @ RatMatrix.zeros(0, m)
+        assert_canonical(product)
+        assert product == RatMatrix.zeros(n, m)
+        assert as_rows(product) == fraction_matmul([[]] * n, [], 0, m)
+
+    @given(monomial())
+    @DIFFERENTIAL
+    def test_det_of_monomial(self, drawn):
+        a, pi, zero_rows = drawn
+        det = a.det()
+        assert det == reference_det(a)
+        if zero_rows:
+            assert det == 0
+        else:
+            # the permutation's sign times the product of the entries
+            assert det == permutation_sign(pi) * math.prod(a[i, pi(i)] for i in range(a.rows))
+
+    @given(st.permutations(list(range(9))))
+    @DIFFERENTIAL
+    def test_det_of_permutation_matrix_is_its_sign(self, images):
+        pi = Permutation(images)
+        k = perm_matrix(pi)
+        assert k.det() == reference_det(k) == permutation_sign(pi)
+        # 9 is odd: negating every entry negates the determinant
+        assert (-k).det() == reference_det(-k) == -permutation_sign(pi)
