@@ -13,6 +13,7 @@ Exit codes: 0 decided, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -300,6 +301,9 @@ def _add_demo(sub) -> None:
     p.set_defaults(func=cmd_demo)
 
 
+# the help width a non-terminal gets; fixed, so no parser queries the terminal
+HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
 SUBCOMMANDS = {
     "decide": _add_decide,
     "porteous": _add_porteous,
@@ -320,9 +324,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="anosov",
         description="Decide whether an infra-nilmanifold holonomy datum admits an "
         "Anosov diffeomorphism, and construct verified witness matrices.",
+        formatter_class=HELP_FORMATTER,
     )
     metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    subparser = functools.partial(argparse.ArgumentParser, formatter_class=HELP_FORMATTER)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, parser_class=subparser)
     for name, add in SUBCOMMANDS.items():
         if command in (None, name):
             add(sub)

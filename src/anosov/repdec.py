@@ -5,15 +5,15 @@ endomorphism-algebra dimension dim_E, character-field degree n (dimension of
 the commutant's center), the square root m of dim_E/n, the complex-component
 count e = m·n, the sign of the indicator sum, and the real-component count r.
 
-Splitting is commutant-driven: a trial x in the commutant E whose minimal
-polynomial has two coprime factors splits V into their primary kernels. If
-it is a proper prime power p^m, y = p(x) is nilpotent and nonzero. The trace
-form tr_V(u·v) of the semisimple E is nondegenerate (its radical is an ideal
-whose elements have powers of trace 0, so it is nil, so zero), so tr(b·y) ≠ 0
-for a basis element b, and z = b·y, singular but not nilpotent, has minimal
-polynomial X^j·q with q(0) ≠ 0. The trials are the commutant basis, its
-pairwise sums and a run of random combinations, drawn in decompose from one
-fixed random.Random(0), so the trial sequence is the same on every run.
+Splitting is commutant-driven: a trial x in the commutant E splits V at once
+into the primary kernels of all the coprime factors of its minimal polynomial.
+If that is a proper prime power p^m, y = p(x) is nilpotent and nonzero. The
+trace form tr_V(u·v) of the semisimple E is nondegenerate (its radical is an
+ideal whose elements have powers of trace 0, so it is nil, so zero), so
+tr(b·y) ≠ 0 for a basis element b, and z = b·y, singular but not nilpotent,
+has minimal polynomial X^j·q with q(0) ≠ 0. The trials are the commutant
+basis, its pairwise sums and a run of random combinations, drawn in decompose
+from one fixed random.Random(0), so every run draws the same trials.
 
 A leaf V with commutant E is proved irreducible, exactly, by one of:
 - "dimension-one": dim V = 1 or E = Q;
@@ -236,23 +236,15 @@ class IrreducibleCertificate:
     proof: str
 
 
-def _split_with(rep: RationalRep, x: RatMatrix, factors: list):
+def _split_with(rep: RationalRep, x: RatMatrix, factors: list) -> list[RatMatrix]:
     """Complementary invariant subspaces from a commutant element x whose
     minimal polynomial has two or more coprime factors, such as _trace_partner
-    makes from a prime-power trial: the kernels of the first factor's power
-    and of the product of the rest."""
-    f1 = factors[0][0] ** factors[0][1]
-    rest = IntPoly((1,))
-    for p, mult in factors[1:]:
-        rest = rest * p**mult
-    k1 = poly_at_matrix(f1.coeffs, x).kernel_basis()
-    k2 = poly_at_matrix(rest.coeffs, x).kernel_basis()
-    if not k1 or not k2 or len(k1) + len(k2) != rep.dimension:
+    makes from a prime-power trial: the kernel of p_i^{e_i}(x) for every
+    factor p_i^{e_i}, in the order of factors (Hoffman–Kunze, §6.8)."""
+    kernels = [poly_at_matrix((p**mult).coeffs, x).kernel_basis() for p, mult in factors]
+    if not all(kernels) or sum(map(len, kernels)) != rep.dimension:
         raise DecompositionError("primary kernels do not decompose the space")
-    return (
-        RatMatrix.from_columns([list(v) for v in k1]),
-        RatMatrix.from_columns([list(v) for v in k2]),
-    )
+    return [RatMatrix.from_columns([list(v) for v in k]) for k in kernels]
 
 
 def _trace_partner(com: CommutantBasis, y: RatMatrix) -> RatMatrix:
@@ -327,8 +319,8 @@ def _leading_minors_positive(a: list[list[int]]) -> bool:
 
 
 def _split_once(rep: RationalRep, rng: random.Random, com: Optional[CommutantBasis] = None):
-    """Either an IrreducibleCertificate or a pair of complementary invariant
-    subspace bases (as column matrices); the random trials come from rng."""
+    """Either an IrreducibleCertificate or _split_with's subspace bases, one
+    per primary kernel of a trial; the random trials come from rng."""
     if com is None:
         com = commutant(rep)
     if rep.dimension == 1 or com.dimension == 1:

@@ -200,9 +200,11 @@ def test_pairwise_sums_built_lazily(monkeypatch):
 def test_commutant_solved_once_per_split(make_rep, monkeypatch):
     """Each node of the splitting solves its commutant once, and
     component_profile reuses the class representative's. decompose makes no
-    other intertwiner_space call: it groups the leaves by character."""
+    other intertwiner_space call: it groups the leaves by character. Every
+    node is the root or a part that a splitting node returned, whatever the
+    number of parts per split."""
     rep = make_rep()
-    solves = calls = splits = 0
+    solves = calls = splits = parts = leaves = 0
     intertwiners, split = repdec.intertwiner_space, repdec._split_once
 
     def counting_intertwiners(left, right):
@@ -212,14 +214,20 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
         return intertwiners(left, right)
 
     def counting_split(*args, **kwargs):
-        nonlocal splits
+        nonlocal splits, parts, leaves
         splits += 1
-        return split(*args, **kwargs)
+        result = split(*args, **kwargs)
+        if isinstance(result, IrreducibleCertificate):
+            leaves += 1
+        else:
+            parts += len(result)
+        return result
 
     monkeypatch.setattr(repdec, "intertwiner_space", counting_intertwiners)
     monkeypatch.setattr(repdec, "_split_once", counting_split)
     profiles = decompose(rep)
-    assert sum(p.multiplicity for p in profiles) * 2 - 1 == splits
+    assert splits == 1 + parts
+    assert leaves == sum(p.multiplicity for p in profiles)
     assert solves == calls == splits
 
 
@@ -338,10 +346,11 @@ def test_trace_partner_splits_every_prime_power_trial(make_rep, has_trials, seed
     """For each trial x with minimal polynomial p^m, m ≥ 2, z = b·p(x) is
     formed with the first basis element b of nonzero trace pairing (checked
     against tr(b·p(x)) from the matrix product), tr z ≠ 0, and the primary
-    kernels of z are two nonzero complementary invariant subspaces. Seed 0
-    is the representation itself, other seeds a unimodular conjugate. The
-    isotypic commutants are matrix algebras, whose bases hold nilpotents; the
-    regular representation's basis and pair sums may have no such trial."""
+    kernels of z, one per factor, are nonzero complementary invariant
+    subspaces. Seed 0 is the representation itself, other seeds a unimodular
+    conjugate. The isotypic commutants are matrix algebras, whose bases hold
+    nilpotents; the regular representation's basis and pair sums may have no
+    such trial."""
     rep = make_rep()
     if seed:
         rep = conjugate_rep(rep, random_unimodular(random.Random(seed), rep.dimension))
@@ -356,14 +365,24 @@ def test_trace_partner_splits_every_prime_power_trial(make_rep, has_trials, seed
         factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(z)))
         # singular, not nilpotent: X^j·q with q(0) ≠ 0
         assert len(factors) >= 2 and IntPoly((0, 1)) in [f for f, _ in factors]
-        k1, k2 = repdec._split_with(rep, z, factors)
-        assert k1.cols and k2.cols
-        both = RatMatrix.from_columns([k1.column(j) for j in range(k1.cols)] + [k2.column(j) for j in range(k2.cols)])
-        assert both.is_square and both.det() != 0
-        for basis in (k1, k2):
-            for img in rep.gen_images:
-                restrict_action(basis, img)
+        _assert_primary_kernels(rep, z, factors, repdec._split_with(rep, z, factors))
     assert trials or not has_trials
+
+
+def _assert_primary_kernels(rep, x, factors, kernels):
+    """kernels are one nonzero invariant subspace per factor p^e of x's
+    minimal polynomial, on which x has minimal polynomial p^e, and together
+    they form a basis."""
+    assert len(kernels) == len(factors)
+    for basis, (p, e) in zip(kernels, factors):
+        assert basis.cols
+        for img in rep.gen_images:
+            restrict_action(basis, img)
+        minpoly = IntPoly.clear_denominators(matrix_min_poly(restrict_action(basis, x)))
+        assert minpoly == p**e
+    columns = [k.column(j) for k in kernels for j in range(k.cols)]
+    both = RatMatrix.from_columns(columns)
+    assert both.is_square and both.det() != 0
 
 
 def test_trace_partner_refuses_a_nilpotent_orthogonal_to_the_basis():
@@ -372,6 +391,59 @@ def test_trace_partner_refuses_a_nilpotent_orthogonal_to_the_basis():
     com = repdec.CommutantBasis(rep=corpus.klein_rep(), basis=(nilpotent,))
     with pytest.raises(repdec.DecompositionError):
         repdec._trace_partner(com, nilpotent)
+
+
+def _left_multiplication(group, h: RatMatrix) -> RatMatrix:
+    """e_g ↦ e_{h·g} on the basis of the regular representation, built as
+    regular_rep builds e_g ↦ e_{g·s}; left and right multiplication commute."""
+    index = {g: i for i, g in enumerate(group.elements)}
+    return perm_matrix(Permutation(index[h @ g] for g in group.elements))
+
+
+@pytest.mark.parametrize(
+    "terms, n_factors, top_exponent",
+    [
+        # (X − 1)(X + 1)(X² + 1)
+        (((1, [[0, -1], [1, 0]]),), 3, 1),
+        # X²·(X − 2)(X + 2)(X − 4)(X + 4)
+        (((2, [[0, -1], [1, 0]]), (1, [[1, 0], [0, -1]]), (1, [[0, 1], [-1, 0]])), 5, 2),
+    ],
+    ids=["rotation", "with_a_square"],
+)
+def test_split_with_returns_every_primary_kernel(terms, n_factors, top_exponent):
+    """A commutant element x of the regular representation of D4, an integer
+    combination of left multiplications, whose minimal polynomial has at
+    least three coprime factors splits the space into one kernel per
+    factor p^e, on which x has minimal polynomial p^e."""
+    rep = regular_d4()
+    x = RatMatrix.zeros(rep.dimension, rep.dimension)
+    for c, h in terms:
+        x = x + _left_multiplication(rep.group, RatMatrix.from_rows(h)).scale(c)
+    assert all(x @ img == img @ x for img in rep.gen_images)
+    factors = factor_over_Q(IntPoly.clear_denominators(matrix_min_poly(x)))
+    assert len(factors) == n_factors and max(e for _, e in factors) == top_exponent
+    _assert_primary_kernels(rep, x, factors, repdec._split_with(rep, x, factors))
+
+
+def test_regular_a5_splits_into_every_primary_kernel_at_once(monkeypatch):
+    """The regular representation of A5 (dimension 60) has one class per
+    rational irreducible, of multiplicity its dimension over its commutant's
+    centre: 1, 4, 5 and the 6-dim sum of the two Galois-conjugate 3-dim
+    complex irreducibles (n = r = 2). Queuing every primary kernel of a
+    trial keeps the splitting to at most 20 nodes."""
+    rep = regular_rep(_perm_group([1, 2, 3, 4, 0], [1, 2, 0, 3, 4]))
+    nodes = 0
+    split = repdec._split_once
+
+    def counting(*args, **kwargs):
+        nonlocal nodes
+        nodes += 1
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(repdec, "_split_once", counting)
+    rows = sorted((p.dimension, p.multiplicity, p.n_field, p.r_components) for p in decompose(rep))
+    assert rows == [(1, 1, 1, 1), (4, 4, 1, 1), (5, 5, 1, 1), (6, 3, 2, 2)]
+    assert nodes <= 20
 
 
 # -- irreducibility certificates ----------------------------------------------
@@ -568,6 +640,19 @@ class TestUnprovenRows:
         assert repdec.decomposition_report([profile])[0]["unproven"] is True
         (row,) = decide(rep, 1).to_json_obj()["components"]
         assert row["unproven"] is True and row["passes"] is True
+
+    def test_dense_regular_d4_rows_are_right_or_flagged(self):
+        """In a dense basis a leaf ρ ⊕ ρ of D4's 2-dim irreducible can end in
+        "search" and meet no other class (the bases k = 1 and 7 here). The
+        verdict still follows the closed form, four classes (1, 1, 1) and one
+        (2, 2, 1), NO at c = 1, and a row off it is flagged unproven."""
+        closed_form = [(1, 1, 1)] * 4 + [(2, 2, 1)]
+        for k in range(15):
+            verdict = decide(dense_basis(regular_d4(), k), 1).to_json_obj()
+            assert verdict["admits_anosov"] is False, k
+            rows = verdict["components"]
+            keys = [(r["dimension"], r["multiplicity"], r["r_components"]) for r in rows]
+            assert all(key in closed_form or row.get("unproven") for key, row in zip(keys, rows)), k
 
     def test_proven_rows_carry_no_flag(self, q8_rep):
         assert all("unproven" not in row for row in repdec.decomposition_report(decompose(q8_rep)))
