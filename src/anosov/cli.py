@@ -16,6 +16,8 @@ import argparse
 import functools
 import json
 import sys
+import time
+from dataclasses import replace
 
 from .decider import (
     decide,
@@ -120,12 +122,17 @@ def _require_class(args, input_class) -> int:
 
 
 def cmd_decide(args) -> None:
+    """The verdict, with ingestion (input parse, closure and homomorphism
+    check) timed as timings.ingest_s and counted in timings.total_s."""
+    t0 = time.perf_counter()
     rep, c = _load_rep(args)
+    ingest_s = time.perf_counter() - t0
     c = _require_class(args, c)
     verdict = decide_with_witness(rep, c) if args.witness else decide(rep, c)
     if args.solvable is not None:
         verdict = with_solvable_model(verdict, args.solvable)
-    _emit(verdict.to_json_obj(), args.pretty)
+    timings = {"ingest_s": round(ingest_s, 6), **verdict.timings, "total_s": round(time.perf_counter() - t0, 6)}
+    _emit(replace(verdict, timings=timings).to_json_obj(), args.pretty)
 
 
 def cmd_porteous(args) -> None:

@@ -146,10 +146,11 @@ def with_solvable_model(verdict: Verdict, d: int) -> Verdict:
 
 def _aligned_block_basis(profile: ComponentProfile) -> RatMatrix:
     """Columns spanning the isotypic subspace, ordered copy-major so the
-    restricted representation is I_m ⊗ ρ0: each member's basis moved by an
-    intertwiner from the representative ρ0."""
-    first, *others = profile.members
-    blocks = [first.basis] + [m.basis @ intertwiner(profile.sub_rep, m.commutant.rep) for m in others]
+    restricted representation is I_m ⊗ ρ0: each member's basis, moved by an
+    intertwiner from the representative ρ0 unless the member carries ρ0
+    itself."""
+    rep0 = profile.sub_rep
+    blocks = [m.basis if m.rep is rep0 else m.basis @ intertwiner(rep0, m.rep) for m in profile.members]
     return RatMatrix.from_columns([list(b.column(j)) for b in blocks for j in range(b.cols)])
 
 

@@ -38,9 +38,18 @@ of the brackets with the commutant basis.
 
 Leaves are grouped into classes by character: irreducibles V, W are
 isomorphic iff dim_Q Hom_G(V, W) = ⟨χ_V, χ_W⟩ > 0 (Serre, §2.3–2.6), so the
-dim_E = m²·n constraint is checked once per class, in component_profile, and
-an intertwiner is solved only to align a witness block (intertwiner) and to
-split a "search" leaf, as below.
+dim_E = m²·n constraint is checked once per class, in component_profile.
+
+The parts of each split are queued smallest first, so the first copy of a
+class is proven before a larger node that holds more copies of it. A node W
+with χ_W = k·χ_L for a proven class L is L^k, as a rational representation
+is fixed by its character, and takes no commutant. The test reads dim W,
+then the generator traces, which W holds already, and only then χ_W. For
+k = 1, W joins L's class as it stands; for k ≥ 2, one Hom_G(L, W) solve,
+with dim L·dim W unknowns in place of dim W², gives k members that carry
+L's own images (_copies). An intertwiner is solved otherwise only to align
+a witness block member that joined as it stands (intertwiner) and to split
+a "search" leaf, as below.
 
 The same identity catches a "search" leaf that is reducible, such as
 ρ ⊕ ρ with commutant M_2(Q) in a basis where every trial has an irreducible
@@ -93,11 +102,13 @@ class CommutantBasis:
 @dataclass(frozen=True)
 class ComponentMember:
     """One occurrence of a component class inside the ambient representation:
-    basis columns span the invariant subspace in ambient coordinates, and
-    commutant is that of the leaf's representation on the span."""
+    basis columns span the invariant subspace in ambient coordinates, and rep
+    is the representation on the span in the coordinates of those columns.
+    A member split off through Hom_G from the class's first member carries
+    that member's rep itself."""
 
     basis: RatMatrix
-    commutant: CommutantBasis
+    rep: RationalRep
 
 
 @dataclass(frozen=True)
@@ -107,16 +118,13 @@ class ComponentProfile:
     irreducibility proof of that first leaf, if there was one."""
 
     members: tuple = field(repr=False)
+    commutant: CommutantBasis = field(repr=False)
     n_field: int
     m_schur: int
     e_complex: int
     fs_sign: str
     r_components: int
     proof: Optional[str]
-
-    @property
-    def commutant(self) -> CommutantBasis:
-        return self.members[0].commutant
 
     @property
     def sub_rep(self) -> RationalRep:
@@ -403,7 +411,8 @@ def component_profile(
     if dim % e:
         raise DecompositionError(f"component dimension {dim} not divisible by e={e}")
     return ComponentProfile(
-        members=tuple(members) or (ComponentMember(RatMatrix.identity(dim), com),),
+        members=tuple(members) or (ComponentMember(RatMatrix.identity(dim), sub_rep),),
+        commutant=com,
         n_field=n,
         m_schur=m,
         e_complex=e,
@@ -418,15 +427,15 @@ def _overlap(classes: dict) -> Optional[tuple[RationalRep, tuple]]:
     first class P of smaller dimension with ⟨χ_P, χ_Q⟩ ≠ 0, or None when
     the characters of the classes are pairwise orthogonal. Classes that meet
     with no such pair, as two "search" classes of one dimension do, are an
-    error. classes maps a character to (the first leaf's proof, the class's
-    members)."""
+    error. classes maps a character to (the first leaf's certificate, the
+    class's members)."""
     meet = False
-    for q_key, (proof, q_members) in classes.items():
-        if proof != "search":
+    for q_key, (cert, q_members) in classes.items():
+        if cert.proof != "search":
             continue
-        q = q_members[0].commutant.rep
+        q = q_members[0].rep
         for p_key, (_, p_members) in classes.items():
-            p = p_members[0].commutant.rep
+            p = p_members[0].rep
             if p_key == q_key or not character_inner_product(p, q):
                 continue
             if p.dimension < q.dimension:
@@ -454,36 +463,85 @@ def _split_through(p: RationalRep, leaf: RationalRep) -> tuple[RatMatrix, RatMat
     raise DecompositionError("no pair of intertwiners with a smaller class splits a leaf")
 
 
+def _trace_multiple(sub: RationalRep, rep0: RationalRep) -> Optional[int]:
+    """k when dim sub = k·dim rep0 and each generator's trace on sub is k
+    times its trace on rep0, else None: a test read off the generator
+    images, with no product."""
+    k, rest = divmod(sub.dimension, rep0.dimension)
+    if rest or any(a.trace() != k * b.trace() for a, b in zip(sub.gen_images, rep0.gen_images)):
+        return None
+    return k
+
+
+def _filling_class(sub: RationalRep, classes: dict) -> Optional[tuple[RationalRep, int]]:
+    """(L, k) for the first proven class L with χ_sub = k·χ_L, so that
+    sub ≅ L^k, or None. The character of sub is read only once
+    _trace_multiple has passed."""
+    for key, (cert, _) in classes.items():
+        if cert.proof == "search":
+            continue
+        rep0 = cert.commutant.rep
+        k = _trace_multiple(sub, rep0)
+        if k is not None and sub.character == tuple(k * x for x in key):
+            return rep0, k
+    return None
+
+
+def _copies(rep0: RationalRep, sub: RationalRep, k: int) -> list[RatMatrix]:
+    """k maps φ_i ∈ Hom_G(rep0, sub) with sub = ⊕ im φ_i, for sub ≅ rep0^k and
+    rep0 irreducible: each basis map whose image raises the rank of the
+    images kept so far by dim rep0. An irreducible image meets their sum
+    trivially or lies inside it, and the whole basis spans sub."""
+    kept, columns = [], []
+    for phi in intertwiner_space(rep0.gen_images, sub.gen_images):
+        more = columns + [list(phi.column(j)) for j in range(phi.cols)]
+        if RatMatrix.from_columns(more).rank() == len(more):
+            kept.append(phi)
+            columns = more
+            if len(kept) == k:
+                return kept
+    raise DecompositionError("the images of Hom_G from a class do not fill a node of its character")
+
+
 def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> list[ComponentProfile]:
     """Recursive splitting into Q-irreducibles, grouped into classes by
-    character in the order of their first leaves. The random trials come
-    from one random.Random(0), so the result depends on rep alone. When the
-    queue empties, a "search" class that meets a smaller class is split
-    through it and its halves queued again (module docstring). `ambient` is
-    the commutant of rep when the caller has solved it already."""
+    character in the order of their first leaves. The parts of each split
+    are queued smallest first, and a node that a proven class fills takes
+    no commutant (module docstring). The random trials come from one
+    random.Random(0), so the result depends on rep alone. When the queue
+    empties, a "search" class that meets a smaller class is split through
+    it and its halves queued again. `ambient` is the commutant of rep when
+    the caller has solved it already."""
     rng = random.Random(0)
     n = rep.dimension
     pending = [(RatMatrix.identity(n), rep, ambient)]
-    # character -> (the first leaf's proof, the class's members)
-    classes: dict[tuple, tuple[str, list[ComponentMember]]] = {}
+    # character -> (the first leaf's certificate, the class's members)
+    classes: dict[tuple, tuple[IrreducibleCertificate, list[ComponentMember]]] = {}
     while pending:
         basis, sub, com = pending.pop(0)
-        result = _split_once(sub, rng, com=com)
-        if isinstance(result, IrreducibleCertificate):
-            _, members = classes.setdefault(sub.character, (result.proof, []))
-            members.append(ComponentMember(basis, result.commutant))
+        filled = _filling_class(sub, classes)
+        if filled is not None:
+            rep0, k = filled
+            _, members = classes[rep0.character]
+            if k == 1:
+                members.append(ComponentMember(basis, sub))
+            else:
+                members += [ComponentMember(basis @ phi, rep0) for phi in _copies(rep0, sub, k)]
         else:
-            pending += [(basis @ k, restrict_rep(sub, k), None) for k in result]
+            result = _split_once(sub, rng, com=com)
+            if isinstance(result, IrreducibleCertificate):
+                _, members = classes.setdefault(sub.character, (result, []))
+                members.append(ComponentMember(basis, result.commutant.rep))
+            else:
+                parts = sorted(result, key=lambda part: part.cols)
+                pending += [(basis @ k, restrict_rep(sub, k), None) for k in parts]
         overlap = None if pending else _overlap(classes)
         if overlap is not None:
             p, q_key = overlap
             for leaf in classes.pop(q_key)[1]:
-                leaf_rep = leaf.commutant.rep
-                pending += [(leaf.basis @ k, restrict_rep(leaf_rep, k), None) for k in _split_through(p, leaf_rep)]
+                pending += [(leaf.basis @ k, restrict_rep(leaf.rep, k), None) for k in _split_through(p, leaf.rep)]
 
-    profiles = [
-        component_profile(members[0].commutant, members, proof) for proof, members in classes.values()
-    ]
+    profiles = [component_profile(cert.commutant, members, cert.proof) for cert, members in classes.values()]
     total = sum(p.multiplicity * p.dimension for p in profiles)
     if total != n:
         raise DecompositionError(f"component dimensions sum to {total}, ambient is {n}")

@@ -216,9 +216,9 @@ def classes_by_hom(leaves) -> list:
     nonzero intertwiner to it, which must be invertible, or starts a class."""
     classes = []
     for leaf in leaves:
-        sub = leaf.commutant.rep
+        sub = leaf.rep
         for cls in classes:
-            rep0 = cls[0].commutant.rep
+            rep0 = cls[0].rep
             if sub.dimension != rep0.dimension:
                 continue
             hom = intertwiner_space(rep0.gen_images, sub.gen_images)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,31 @@ def test_decide_with_witness_flag(tmp_path, capsys):
     verdict = json.loads(out)
     assert code == 0 and verdict["admits_anosov"] is True
     assert verdict["witness"]["integer_like"] is True
+
+
+@pytest.mark.parametrize(
+    "flags, stages",
+    [([], ["decompose_s"]), (["--witness"], ["decompose_s", "witness_s"])],
+    ids=["decide", "witness"],
+)
+def test_decide_timings_count_ingestion(tmp_path, capsys, monkeypatch, flags, stages):
+    """decide times ingestion (input parse, closure and homomorphism check)
+    as ingest_s, and total_s runs from before ingestion to the verdict."""
+    load = cli._load_rep
+
+    def slow_load(args):
+        loaded = load(args)
+        # ingestion that takes at least 50 ms
+        time.sleep(0.05)
+        return loaded
+
+    monkeypatch.setattr(cli, "_load_rep", slow_load)
+    path = write_input(tmp_path, TWO_RHO3_INPUT)
+    code, out, _ = run(["decide", path, *flags], capsys)
+    timings = json.loads(out)["timings"]
+    assert code == 0 and list(timings) == ["ingest_s", *stages, "total_s"]
+    assert timings["ingest_s"] >= 0.05
+    assert timings["total_s"] >= sum(timings[k] for k in ["ingest_s", *stages]) - 1e-5
 
 
 def test_decide_solvable_metadata(tmp_path, capsys):

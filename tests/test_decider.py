@@ -363,26 +363,42 @@ def _grouping_reps():
     }
 
 
-def _count_intertwiner_calls(monkeypatch) -> list:
-    """Record (left is right) for every intertwiner_space call."""
+def _record_intertwiner_calls(monkeypatch) -> list:
+    """Record (left, right) for every intertwiner_space call."""
     calls = []
     original = repdec.intertwiner_space
 
-    def counting(left, right):
-        calls.append(left is right)
+    def recording(left, right):
+        calls.append((left, right))
         return original(left, right)
 
-    monkeypatch.setattr(repdec, "intertwiner_space", counting)
+    monkeypatch.setattr(repdec, "intertwiner_space", recording)
     return calls
+
+
+def _commutant_solves(calls) -> int:
+    return sum(left is right for left, right in calls)
 
 
 @pytest.mark.parametrize("name", sorted(_grouping_reps()))
 def test_decide_solves_no_hom_space(name, monkeypatch):
-    """decide groups components by character: every intertwiner_space call
-    it makes is a commutant solve."""
-    calls = _count_intertwiner_calls(monkeypatch)
-    decide(_grouping_reps()[name], 1)
-    assert calls and all(calls)
+    """decide groups components by character, with no Hom-space solve per
+    leaf and class. Every intertwiner_space call it makes is a commutant
+    solve, or a Hom_G(L, W) solve from a proven class representative L into
+    a node W with χ_W = k·χ_L; such a node solves no commutant."""
+    calls = _record_intertwiner_calls(monkeypatch)
+    verdict = decide(_grouping_reps()[name], 1)
+    proven = [p.sub_rep for p in verdict.profiles if not p.unproven]
+    solved = [left for left, right in calls if left is right]
+    assert solved
+    for left, right in calls:
+        if left is right:
+            continue
+        rep0 = next(r for r in proven if r.gen_images is left)
+        node = RationalRep(group=rep0.group, gen_images=right)
+        k = node.dimension // rep0.dimension
+        assert node.character == tuple(k * x for x in rep0.character)
+        assert all(images is not right for images in solved)
 
 
 @pytest.mark.parametrize(
@@ -393,19 +409,20 @@ def test_decide_solves_no_hom_space(name, monkeypatch):
 def test_witness_solves_no_commutant_beyond_decompose(make_rep, c, monkeypatch):
     """A multiplicity-one block reuses its leaf's commutant, and a block the
     tensor shortcut serves never solves one."""
-    calls = _count_intertwiner_calls(monkeypatch)
+    calls = _record_intertwiner_calls(monkeypatch)
     decide(make_rep(), c)
-    decide_solves = calls.count(True)
+    decide_solves = _commutant_solves(calls)
     calls.clear()
     verdict = decide_with_witness(make_rep(), c)
     assert verdict.witness_status == "attached"
-    assert calls.count(True) == decide_solves
+    assert _commutant_solves(calls) == decide_solves
 
 
 @pytest.mark.parametrize("name", sorted(_grouping_reps()))
 def test_one_character_per_representation(name, monkeypatch):
-    """Each representation evaluates its class character at most once; the
-    pipeline evaluates one per leaf of the splitting."""
+    """Each representation evaluates its class character at most once. The
+    pipeline reads one only on a leaf of the splitting, or on a node whose
+    generator traces are k times a proven class's."""
     evaluated = []
     original = RationalRep.__dict__["character"].func
 
@@ -416,6 +433,23 @@ def test_one_character_per_representation(name, monkeypatch):
     prop = cached_property(counting)
     prop.__set_name__(RationalRep, "character")
     monkeypatch.setattr(RationalRep, "character", prop)
-    verdict = decide_with_witness(_grouping_reps()[name], 1)
-    assert len({id(rep) for rep in evaluated}) == len(evaluated)
-    assert len(evaluated) == sum(p.multiplicity for p in verdict.profiles)
+    readable = []
+    split, trace_multiple = repdec._split_once, repdec._trace_multiple
+
+    def recording_split(rep, *args, **kwargs):
+        result = split(rep, *args, **kwargs)
+        if isinstance(result, repdec.IrreducibleCertificate):
+            readable.append(rep)
+        return result
+
+    def recording_traces(sub, rep0):
+        k = trace_multiple(sub, rep0)
+        if k is not None:
+            readable.append(sub)
+        return k
+
+    monkeypatch.setattr(repdec, "_split_once", recording_split)
+    monkeypatch.setattr(repdec, "_trace_multiple", recording_traces)
+    decide_with_witness(_grouping_reps()[name], 1)
+    assert evaluated and len({id(rep) for rep in evaluated}) == len(evaluated)
+    assert {id(rep) for rep in evaluated} <= {id(rep) for rep in readable}

@@ -198,18 +198,21 @@ def test_pairwise_sums_built_lazily(monkeypatch):
 
 @pytest.mark.parametrize("make_rep", [regular_d4, lambda: multiple(corpus.q8_rep(), 2)], ids=["reg_d4", "2q8"])
 def test_commutant_solved_once_per_split(make_rep, monkeypatch):
-    """Each node of the splitting solves its commutant once, and
-    component_profile reuses the class representative's. decompose makes no
-    other intertwiner_space call: it groups the leaves by character. Every
-    node is the root or a part that a splitting node returned, whatever the
-    number of parts per split."""
+    """Each node that no proven class fills solves its commutant once, and
+    component_profile reuses the class representative's. A node that a
+    proven class L fills solves no commutant, and at most one Hom_G(L, W),
+    from L's own images. decompose makes no other intertwiner_space call.
+    Every node is the root or a part that a splitting node returned,
+    whatever the number of parts per split."""
     rep = make_rep()
-    solves = calls = splits = parts = leaves = 0
-    intertwiners, split = repdec.intertwiner_space, repdec._split_once
+    solves = homs = calls = splits = parts = leaves = filled = 0
+    certified = []
+    intertwiners, split, filling = repdec.intertwiner_space, repdec._split_once, repdec._filling_class
 
     def counting_intertwiners(left, right):
-        nonlocal solves, calls
+        nonlocal solves, homs, calls
         solves += left is right
+        homs += any(left is r.gen_images for r in certified)
         calls += 1
         return intertwiners(left, right)
 
@@ -219,16 +222,25 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
         result = split(*args, **kwargs)
         if isinstance(result, IrreducibleCertificate):
             leaves += 1
+            certified.append(result.commutant.rep)
         else:
             parts += len(result)
         return result
 
+    def counting_filling(sub, classes):
+        nonlocal filled
+        result = filling(sub, classes)
+        filled += result is not None
+        return result
+
     monkeypatch.setattr(repdec, "intertwiner_space", counting_intertwiners)
     monkeypatch.setattr(repdec, "_split_once", counting_split)
+    monkeypatch.setattr(repdec, "_filling_class", counting_filling)
     profiles = decompose(rep)
-    assert splits == 1 + parts
-    assert leaves == sum(p.multiplicity for p in profiles)
-    assert solves == calls == splits
+    assert filled and splits + filled == 1 + parts
+    assert leaves + filled <= sum(p.multiplicity for p in profiles)
+    assert solves == splits and homs <= filled
+    assert calls == solves + homs
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -238,8 +250,8 @@ def test_classes_by_character_match_classes_by_hom(seed, monkeypatch):
     by Hom spaces gives: dim Hom_G(V, W) = ⟨χ_V, χ_W⟩."""
     leaves = []
 
-    def recording(basis, com):
-        leaf = ComponentMember(basis, com)
+    def recording(basis, rep):
+        leaf = ComponentMember(basis, rep)
         leaves.append(leaf)
         return leaf
 
@@ -590,6 +602,8 @@ class TestSearchLeafMeetingAnotherClass:
             self._assert_closed_form(dense_basis(m_rho3(m), k), m, c, k)
 
     def test_meeting_leaf_split_through_the_smaller_class(self, monkeypatch):
+        # in the 12th dense basis of 5·ρ3 a leaf ρ3 ⊕ ρ3 ends in "search"
+        # before any ρ3 is proven, so no proven class fills it
         calls = []
         split = repdec._split_through
 
@@ -598,9 +612,9 @@ class TestSearchLeafMeetingAnotherClass:
             return split(p, leaf)
 
         monkeypatch.setattr(repdec, "_split_through", recording)
-        _, rep, _ = group_rep_from_json_obj(DENSE_3RHO3)
-        decompose(rep)
+        profiles = decompose(dense_basis(m_rho3(5), 12))
         assert calls == [(2, 4)]
+        assert [(p.dimension, p.multiplicity) for p in profiles] == [(2, 5)]
 
     def test_proven_classes_do_no_extra_work(self, monkeypatch):
         # the one inner product per class is ⟨χ, χ⟩, checked against dim E
@@ -624,7 +638,8 @@ class TestSearchLeafMeetingAnotherClass:
         rho1, rho2 = corpus.rho1(d3), corpus.rho2(d3)
 
         def search_class(rep):
-            return rep.character, ("search", [ComponentMember(RatMatrix.identity(2), commutant(rep))])
+            cert = IrreducibleCertificate(trials=0, commutant=commutant(rep), proof="search")
+            return rep.character, (cert, [ComponentMember(RatMatrix.identity(2), rep)])
 
         classes = dict(search_class(r) for r in (direct_sum([rho1, rho1]), direct_sum([rho1, rho2])))
         with pytest.raises(repdec.DecompositionError):
@@ -657,6 +672,62 @@ class TestUnprovenRows:
     def test_proven_rows_carry_no_flag(self, q8_rep):
         assert all("unproven" not in row for row in repdec.decomposition_report(decompose(q8_rep)))
         assert all("unproven" not in row for row in decide(q8_rep, 1).to_json_obj()["components"])
+
+
+# (dimension, multiplicity, r) of every class, from the character tables:
+# ρ3 and the 2-dim irreducible of D4 are absolutely irreducible, Q8's 4-dim
+# rational irreducible is the quaternions (r = 1, once in the regular
+# representation), and S4 has five absolutely irreducible characters of
+# degrees 1, 1, 2, 3, 3
+CLOSED_FORMS = {
+    **{f"{m}rho3": (lambda m=m: m_rho3(m), [(2, m, 1)]) for m in range(1, 7)},
+    **{f"{k}q8": (lambda k=k: multiple(corpus.q8_rep(), k), [(4, k, 1)]) for k in range(1, 4)},
+    "reg_d4": (regular_d4, [(1, 1, 1)] * 4 + [(2, 2, 1)]),
+    "reg_q8": (lambda: regular_rep(corpus.q8_rep().group), [(1, 1, 1)] * 4 + [(4, 1, 1)]),
+    "reg_s4": (lambda: regular_rep(_perm_group([1, 2, 3, 0], [1, 0, 2, 3])), [(1, 1, 1)] * 2 + [(2, 2, 1)] + [(3, 3, 1)] * 2),
+}
+
+
+class TestDecompositionCrossCheck:
+    """The decomposition against what it claims. The member bases together
+    form an invertible B; B⁻¹ρ(g)B is block diagonal, each member's block
+    being the images of the representation it carries, which for a member
+    split off through Hom_G are its class representative's own; and the
+    rows match the closed form. A row may differ from it only when flagged
+    unproven (TestUnprovenRows), and then Σ dim·m and Σ r·m still agree."""
+
+    @staticmethod
+    def _check(rep, closed_form, label) -> int:
+        """The checks above; returns the number of members that carry their
+        class representative's images without being it."""
+        profiles = decompose(rep)
+        members = [m for p in profiles for m in p.members]
+        b = RatMatrix.from_columns([list(m.basis.column(j)) for m in members for j in range(m.basis.cols)])
+        assert b.rows == b.cols and b.det() != 0, label
+        for s, g in enumerate(rep.gen_images):
+            assert g @ b == b @ RatMatrix.block_diag([m.rep.gen_images[s] for m in members]), label
+        rows = [(p.dimension, p.multiplicity, p.r_components) for p in profiles]
+        proven = sorted(row for row, p in zip(rows, profiles) if not p.unproven)
+        assert all(proven.count(row) <= closed_form.count(row) for row in proven), label
+        assert sum(d * m for d, m, _ in rows) == sum(d * m for d, m, _ in closed_form), label
+        assert sum(r * m for _, m, r in rows) == sum(r * m for _, m, r in closed_form), label
+        if not any(p.unproven for p in profiles):
+            assert sorted(rows) == sorted(closed_form), label
+        return sum(m.rep is p.sub_rep for p in profiles for m in p.members[1:])
+
+    @pytest.mark.parametrize("name", [name for name in CLOSED_FORMS if name != "reg_s4"])
+    def test_dense_bases(self, name):
+        make_rep, closed_form = CLOSED_FORMS[name]
+        through_hom = sum(self._check(dense_basis(make_rep(), k), closed_form, k) for k in range(15))
+        # from three copies on, some node is filled with two or more
+        assert through_hom or max(m for _, m, _ in closed_form) < 3
+
+    def test_regular_s4(self):
+        # one dense basis of the 24-dim regular representation takes about
+        # 100 s in its commutant solve, so S4 is checked in its permutation
+        # basis alone
+        make_rep, closed_form = CLOSED_FORMS["reg_s4"]
+        self._check(make_rep(), closed_form, "reg_s4")
 
 
 def _leaf_certificates(rep, monkeypatch):
