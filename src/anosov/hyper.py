@@ -4,10 +4,12 @@ A matrix is integer-like when its characteristic polynomial has integer
 coefficients and its determinant is ±1. It is c-hyperbolic when no product of
 k ≤ c eigenvalues (repetitions allowed) has absolute value 1.
 
-Every verdict is exact. For each k ≤ c the k-fold eigenvalue products are the
-roots of an integer polynomial, built from the squarefree part of the input,
-which is computed once for all k. The unit-circle test on it is a gcd with
-the reversal followed by a real root count: a root on the circle is shared
+Every verdict is exact, on the squarefree part of the input, computed once.
+Its n distinct roots multiply to ±a_0/a_n (Vieta), so when |a_0| = |a_n|
+and n ≤ c their n-fold product is on the circle. Otherwise, for each k ≤ c
+the k-fold eigenvalue products are the roots of an integer polynomial built
+from the squarefree part. The unit-circle test on it is a gcd with the
+reversal followed by a real root count: a root on the circle is shared
 with the reversal, and the palindromic part of the gcd is X^d·T(X + 1/X)
 with a real root of T in (−2, 2) for each conjugate pair on the circle.
 Neither step needs a squarefree input: a root z occurs in the gcd as often
@@ -17,7 +19,7 @@ as 1/z does, and root isolation counts distinct roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .intpoly import (
     IntPoly,
@@ -27,7 +29,7 @@ from .intpoly import (
     reversal,
     squarefree_part,
 )
-from .ratmat import RatMatrix, SingularMatrixError
+from .ratmat import RatMatrix, SingularMatrixError, int_char_poly, int_det
 
 # unit_circle_root_test outcomes
 NONE_CERTIFIED = "none-certified"
@@ -41,6 +43,10 @@ class UnitCircleResult:
 
 @dataclass(frozen=True)
 class HyperbolicityReport:
+    """offending_product, on a False verdict: {"k": k} for a k ≤ c with a
+    k-fold product on the circle, the degree of f's squarefree part when the
+    closed form fires, else the smallest such k."""
+
     c_tested: int
     verdict: bool
     offending_product: Optional[dict] = field(default=None)
@@ -61,24 +67,27 @@ class HyperbolicityReport:
         return obj
 
 
-def integer_char_poly(m: RatMatrix) -> Optional[IntPoly]:
-    """The characteristic polynomial of m when m is integer-like, else None.
-
-    The determinant is tested first: it is the cheaper test and the one
-    that fails more often."""
-    if not m.is_square:
-        raise ValueError("integer-like test requires a square matrix")
-    if abs(m.det()) != 1:
+def integer_char_poly(a: Sequence[int], n: int, d: int) -> Optional[IntPoly]:
+    """The characteristic polynomial of M = a/d (row-major n×n numerators a)
+    when M is integer-like, else None: |int_det(a)| = d^n, then d^(n−i)
+    divides the coefficient of X^i. The cheaper, more often failing
+    determinant test comes first."""
+    if abs(int_det(a, n)) != d**n:
         return None
-    coeffs = m.char_poly()
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return IntPoly(tuple(int(c) for c in coeffs))
+    coeffs = int_char_poly(a, n)
+    if d > 1:
+        if any(x % d ** (n - i) for i, x in enumerate(coeffs)):
+            return None
+        coeffs = [x // d ** (n - i) for i, x in enumerate(coeffs)]
+    return IntPoly(tuple(coeffs))
 
 
 def is_integer_like(m: RatMatrix) -> bool:
     """Characteristic polynomial in Z[X] and determinant ±1."""
-    return integer_char_poly(m) is not None
+    if not m.is_square:
+        raise ValueError("integer-like test requires a square matrix")
+    a, d = m.integer_form()
+    return integer_char_poly(a, m.rows, d) is not None
 
 
 def _trace_form(g: IntPoly) -> IntPoly:
@@ -117,12 +126,16 @@ def unit_circle_root_test(f: IntPoly) -> UnitCircleResult:
 
 
 def is_c_hyperbolic_poly(f: IntPoly, c: int) -> HyperbolicityReport:
-    """c-hyperbolicity of the root set of f (typically a minimal polynomial)."""
+    """c-hyperbolicity of the root set of f (typically a minimal polynomial).
+    The closed form (module docstring) reports k = deg base, and never fires
+    for a c-hyperbolic f; otherwise the smallest k found is reported."""
     if f.is_zero or f.coeffs[0] == 0:
         raise ValueError("c-hyperbolicity requires f != 0 with f(0) != 0")
     if c < 1:
         raise ValueError("c must be >= 1")
     base = squarefree_part(f)
+    if 1 <= base.degree <= c and abs(base.coeffs[0]) == abs(base.leading):
+        return HyperbolicityReport(c_tested=c, verdict=False, offending_product={"k": base.degree})
     for k in range(1, c + 1):
         if unit_circle_root_test(_eig_products(base, k)).status == FOUND:
             return HyperbolicityReport(c_tested=c, verdict=False, offending_product={"k": k})

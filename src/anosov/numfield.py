@@ -236,7 +236,8 @@ def make_unit(field: NumberFieldCtx, matrix: RatMatrix) -> UnitElem:
     """The element with multiplication matrix `matrix`, which must be an
     algebraic integer of unit norm: integer-like, as its characteristic
     polynomial is a power of its minimal polynomial."""
-    char_poly = integer_char_poly(matrix)
+    a, d = matrix.integer_form()
+    char_poly = integer_char_poly(a, matrix.rows, d)
     if char_poly is None:
         raise FieldError(f"element {matrix.column(0)} is not an algebraic unit")
     return UnitElem(field=field, matrix=matrix, char_poly=char_poly)

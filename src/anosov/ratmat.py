@@ -20,12 +20,12 @@ Kernels, ranks, solves and inverses go through one elimination routine,
 `_eliminate`: fraction-free Gauss–Jordan on sparse integer rows, each
 reduced by integer cross-multiplication and divided by the gcd of its
 entries. A matrix's rows enter it as its numerators, since scaling a row by
-the denominator changes no kernel, rank or solution. `det` runs Bareiss's
-fraction-free elimination on dense numerator rows (Bareiss, Math. Comp.
-1968) and `char_poly` Berkowitz's division-free algorithm (Berkowitz, IPL
-18, 1984); both divide by a power of the denominator once, at the end. The
-methods are those of Cohen, A Course in Computational Algebraic Number
-Theory, §2.2.
+the denominator changes no kernel, rank or solution. `int_det` runs
+Bareiss's fraction-free elimination (Bareiss, Math. Comp. 1968) and
+`int_char_poly` Berkowitz's division-free algorithm (Berkowitz, IPL 18,
+1984) on row-major integer numerators; `det` and `char_poly` call them and
+divide by a power of the denominator once. The methods are those of Cohen,
+A Course in Computational Algebraic Number Theory, §2.2.
 `sparse_kernel_basis` takes a system given as sparse integer rows, for
 callers whose equations have few nonzero coefficients.
 """
@@ -279,32 +279,10 @@ class RatMatrix:
         return len(_eliminate(self._sparse_rows()))
 
     def det(self) -> Fraction:
-        """Bareiss elimination on dense numerator rows, then one division by
-        d^n. A row that is zero in the pivot column is left as it is when
-        the pivot equals the previous one."""
+        """int_det of the numerators, divided by d^n once."""
         if not self.is_square:
             raise DimensionError("determinant of non-square matrix")
-        n, a = self.rows, self._n
-        rows = [list(a[i * n : (i + 1) * n]) for i in range(n)]
-        sign, prev = 1, 1
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-                sign = -sign
-            p = rows[k][k]
-            ptail = rows[k][k + 1 :]
-            # every new entry is a minor of the integer matrix: // is exact
-            for row in rows[k + 1 :]:
-                f = row[k]
-                if f:
-                    row[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], ptail)]
-                elif p != prev:
-                    row[k + 1 :] = [x * p // prev for x in row[k + 1 :]]
-            prev = p
-        return Fraction(sign * prev, self._d**n)
+        return Fraction(int_det(self._n, self.rows), self._d**self.rows)
 
     def inverse(self) -> "RatMatrix":
         """Gauss–Jordan on [N | d·I], which has the row space of [M | I]."""
@@ -347,29 +325,13 @@ class RatMatrix:
     def char_poly(self) -> tuple:
         """Monic characteristic polynomial det(X·I − M), ascending coefficients.
 
-        Berkowitz's division-free algorithm on the numerator matrix N: the
-        characteristic polynomial of each leading (k+1)×(k+1) block is a
-        Toeplitz matrix times that of the leading k×k block. With M = N/d
-        the coefficient of X^(n−k) is that of N divided by d^k.
+        int_char_poly of the numerator matrix N: with M = N/d the coefficient
+        of X^i is that of N divided by d^(n−i).
         """
         if not self.is_square:
             raise DimensionError("characteristic polynomial of non-square matrix")
-        n, a, d = self.rows, self._n, self._d
-        rows = [a[i * n : (i + 1) * n] for i in range(n)]
-        p = [1]  # descending coefficients for the leading k×k block
-        for k in range(n):
-            # t = (1, −a_kk, −R·S, −R·A·S, …, −R·A^(k−1)·S): R the row k and S
-            # the column k inside the leading block A
-            r = rows[k][:k]
-            lead = [row[:k] for row in rows[:k]]
-            s = [row[k] for row in rows[:k]]
-            t = [1, -rows[k][k]]
-            for step in range(k):
-                t.append(-sum(map(mul, r, s)))
-                if step < k - 1:
-                    s = [sum(map(mul, row, s)) for row in lead]
-            p = [sum(t[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) for i in range(k + 2)]
-        return tuple(Fraction(p[k], d**k) for k in range(n, -1, -1))
+        n, d = self.rows, self._d
+        return tuple(Fraction(x, d ** (n - i)) for i, x in enumerate(int_char_poly(self._n, n)))
 
     # -- JSON literal format -------------------------------------------------
 
@@ -417,6 +379,54 @@ def _make(rows: int, cols: int, n: tuple, d: int) -> RatMatrix:
     m = object.__new__(RatMatrix)
     _init(m, rows, cols, n, d)
     return m
+
+
+def int_det(a: Sequence[int], n: int) -> int:
+    """The determinant of the row-major n×n integer matrix a, by Bareiss's
+    fraction-free elimination. A row that is zero in the pivot column is
+    left as it is when the pivot equals the previous one."""
+    rows = [list(a[i * n : (i + 1) * n]) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        p = rows[k][k]
+        ptail = rows[k][k + 1 :]
+        # every new entry is a minor of the integer matrix: // is exact
+        for row in rows[k + 1 :]:
+            f = row[k]
+            if f:
+                row[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], ptail)]
+            elif p != prev:
+                row[k + 1 :] = [x * p // prev for x in row[k + 1 :]]
+        prev = p
+    return sign * prev
+
+
+def int_char_poly(a: Sequence[int], n: int) -> list[int]:
+    """det(X·I − A) for the row-major n×n integer matrix a, ascending, by
+    Berkowitz's division-free algorithm: the characteristic polynomial of
+    each leading (k+1)×(k+1) block is a Toeplitz matrix times that of the
+    leading k×k block."""
+    rows = [a[i * n : (i + 1) * n] for i in range(n)]
+    p = [1]  # descending coefficients for the leading k×k block
+    for k in range(n):
+        # t = (1, −a_kk, −R·S, −R·A·S, …, −R·A^(k−1)·S): R the row k and S
+        # the column k inside the leading block A
+        r = rows[k][:k]
+        lead = [row[:k] for row in rows[:k]]
+        s = [row[k] for row in rows[:k]]
+        t = [1, -rows[k][k]]
+        for step in range(k):
+            t.append(-sum(map(mul, r, s)))
+            if step < k - 1:
+                s = [sum(map(mul, row, s)) for row in lead]
+        p = [sum(t[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) for i in range(k + 2)]
+    return p[::-1]
 
 
 def _int_matmul(a: tuple, b: tuple, n: int, k: int, m: int) -> tuple:

@@ -205,7 +205,10 @@ def lattice_search(
     Enumeration stops at lattice_height; high-dimensional commutants
     are the field and tensor paths' job, this is the small-case fallback.
     Many candidates share a characteristic polynomial, and the verdict
-    depends only on that polynomial and c, so each is tested once.
+    depends only on that polynomial and c, so each is tested once, by
+    is_c_hyperbolic_poly's closed form when its squarefree part has degree
+    ≤ c. Candidates are integer numerators over one denominator; only a hit
+    becomes a RatMatrix.
 
     Each candidate is screened once, but only one of each pair ±X is tested.
     −X has the eigenvalues of X negated: its determinant is ±det X, its
@@ -232,12 +235,12 @@ def lattice_search(
             screened += 1
             if next(filter(None, vec)) < 0:
                 continue
-            acc = RatMatrix.from_integers(dim, dim, [sum(map(mul, vec, e)) for e in entries], d)
-            f = integer_char_poly(acc)
+            acc = [sum(map(mul, vec, e)) for e in entries]
+            f = integer_char_poly(acc, dim, d)
             if f is None:
                 continue
             if f not in verdicts:
                 verdicts[f] = is_c_hyperbolic_poly(f, c).verdict
             if verdicts[f]:
-                return acc, screened
+                return RatMatrix.from_integers(dim, dim, acc, d), screened
     return None, screened

@@ -10,8 +10,8 @@ import pytest
 
 from anosov import corpus
 from anosov.fingrp import conjugate_rep, generate_group, natural_rep, rep_from_generator_images
-from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
-from anosov.intpoly import cyclotomic, real_root_count
+from anosov.hyper import FOUND, unit_circle_root_test
+from anosov.intpoly import IntPoly, _eig_products, cyclotomic, real_root_count, squarefree_part
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
 from anosov.numfield import MAX_LATTICE_CANDIDATES, NumberFieldCtx, companion_matrix, cyclotomic_index_of
@@ -234,9 +234,17 @@ def classes_by_hom(leaves) -> list:
 # -- every-candidate oracle for anosov.witness.lattice_search -----------------
 
 
+def loop_only_verdict(f, c: int) -> bool:
+    """c-hyperbolicity of f from the unit-circle test at every k = 1, …, c,
+    with no closed form."""
+    base = squarefree_part(f)
+    return all(unit_circle_root_test(_eig_products(base, k)).status != FOUND for k in range(1, c + 1))
+
+
 def lattice_search_every_candidate(com, c: int, height_bound: int):
     """(hit, candidates_screened) of the lattice search that builds every
-    candidate as Σ c_i·b_i and tests each one, ±X alike, in the same order."""
+    candidate as Σ c_i·b_i and tests each one, ±X alike, in the same order,
+    through RatMatrix.det and char_poly and loop_only_verdict."""
     dim = com.rep.dimension
     screened = 0
     verdicts = {}
@@ -255,11 +263,14 @@ def lattice_search_every_candidate(com, c: int, height_bound: int):
             for cf, b in zip(vec, basis):
                 if cf:
                     acc = acc + b.scale(cf)
-            f = integer_char_poly(acc)
-            if f is None:
+            if abs(acc.det()) != 1:
                 continue
+            coeffs = acc.char_poly()
+            if any(x.denominator != 1 for x in coeffs):
+                continue
+            f = IntPoly.from_rationals(coeffs)
             if f not in verdicts:
-                verdicts[f] = is_c_hyperbolic_poly(f, c).verdict
+                verdicts[f] = loop_only_verdict(f, c)
             if verdicts[f]:
                 return acc, screened
     return None, screened

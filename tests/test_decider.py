@@ -3,7 +3,7 @@ from functools import cached_property
 
 import pytest
 
-from anosov import corpus, decider, repdec
+from anosov import corpus, decider, hyper, repdec, witness
 from anosov.corpus import circle_rep, m_rho3
 from anosov.decider import (
     CriterionError,
@@ -287,23 +287,31 @@ class TestNoCertificateSearch:
         assert calls == [q8_rep]
 
     def test_one_char_poly_per_unimodular_candidate(self, q8_rep, monkeypatch):
-        """The determinant screens the candidates; the characteristic
-        polynomial is computed once for each one it lets through."""
-        unimodular, char_polys = set(), []
-        det, char_poly = RatMatrix.det, RatMatrix.char_poly
+        """The determinant screens the candidates on their integer
+        numerators over d; the characteristic polynomial is computed once
+        for each one with |det| = d^n."""
+        unimodular, char_polys, denominators = set(), [], set()
+        det, char_poly = hyper.int_det, hyper.int_char_poly
+        integer_char_poly = witness.integer_char_poly
 
-        def counting_det(m):
-            value = det(m)
-            if abs(value) == 1:
-                unimodular.add(m)
+        def counting_integer_char_poly(a, n, d):
+            denominators.add(d)
+            return integer_char_poly(a, n, d)
+
+        def counting_det(a, n):
+            value = det(a, n)
+            (d,) = denominators
+            if abs(value) == d**n:
+                unimodular.add(tuple(a))
             return value
 
-        def counting_char_poly(m):
-            char_polys.append(m)
-            return char_poly(m)
+        def counting_char_poly(a, n):
+            char_polys.append(tuple(a))
+            return char_poly(a, n)
 
-        monkeypatch.setattr(RatMatrix, "det", counting_det)
-        monkeypatch.setattr(RatMatrix, "char_poly", counting_char_poly)
+        monkeypatch.setattr(witness, "integer_char_poly", counting_integer_char_poly)
+        monkeypatch.setattr(hyper, "int_det", counting_det)
+        monkeypatch.setattr(hyper, "int_char_poly", counting_char_poly)
         report = no_certificate_search(q8_rep, 1, 1)
         assert report["candidates_screened"] == 80
         assert unimodular and len(char_polys) <= len(unimodular)

@@ -6,23 +6,25 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anosov import hyper
 from anosov.corpus import m_rho3
 from anosov.fingrp import multiple
 from anosov.freenilp import full_action_hyperbolic
 from anosov.hyper import (
     FOUND,
     NONE_CERTIFIED,
+    integer_char_poly,
     is_c_hyperbolic_matrix,
     is_c_hyperbolic_poly,
     is_integer_like,
     unit_circle_root_test,
 )
-from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q, squarefree_part
+from anosov.intpoly import IntPoly, _eig_products, cyclotomic, factor_over_Q, squarefree_part
 from anosov.ratmat import RatMatrix
 from anosov.repdec import commutant
 from anosov.witness import companion_matrix, lattice_search
 
-from conftest import k_fold_products, random_unimodular, roots_of
+from conftest import k_fold_products, loop_only_verdict, random_unimodular, roots_of
 
 FIB = RatMatrix.from_rows([[2, 1], [1, 1]])
 PLASTIC = IntPoly((-1, -1, 0, 1))  # X^3 - X - 1
@@ -149,6 +151,90 @@ class TestNonSquarefreeInput:
     def test_poly_verdict_matches_brute_force(self, factors, c):
         f = _product(factors)
         assert is_c_hyperbolic_poly(f, c).verdict == brute_force_c_hyperbolic(factors, c)
+
+
+class TestVietaClosedForm:
+    """The squarefree part's distinct roots multiply to ±a_0/a_n: with
+    |a_0| = |a_n| and degree n ≤ c, an n-fold product is on the circle."""
+
+    @given(factored_polys, st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_fires_only_on_a_product_on_the_circle(self, factors, c):
+        f = _product(factors)
+        base = squarefree_part(f)
+        report = is_c_hyperbolic_poly(f, c)
+        if 1 <= base.degree <= c and abs(base.coeffs[0]) == abs(base.leading):
+            assert report.offending_product == {"k": base.degree}
+            assert unit_circle_root_test(_eig_products(base, base.degree)).status == FOUND
+        assert report.verdict == loop_only_verdict(f, c)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_constant_stays_hyperbolic(self, c):
+        assert is_c_hyperbolic_poly(IntPoly((1,)), c).verdict
+
+    def test_unequal_end_coefficients_run_the_loop(self, monkeypatch):
+        calls = []
+        original = hyper.unit_circle_root_test
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(hyper, "unit_circle_root_test", counting)
+        assert is_c_hyperbolic_poly(IntPoly((-2, 1)), 1).verdict
+        assert len(calls) == 1
+
+    def test_reports_the_degree_not_the_smallest_k(self):
+        # ±i are on the circle already at k = 1; the closed form names their
+        # 2-fold product
+        f = IntPoly((1, 0, 1))
+        assert not loop_only_verdict(f, 1)
+        assert is_c_hyperbolic_poly(f, 2).offending_product == {"k": 2}
+        assert is_c_hyperbolic_poly(f, 1).offending_product == {"k": 1}
+
+
+class TestIntegerCharPolyOverDenominator:
+    """integer_char_poly on numerators a over d > 1 against the Fraction
+    route: RatMatrix.det and char_poly and their denominators."""
+
+    @staticmethod
+    def fraction_route(m: RatMatrix):
+        coeffs = m.char_poly()
+        if abs(m.det()) != 1 or any(x.denominator != 1 for x in coeffs):
+            return None
+        return IntPoly.from_rationals(coeffs)
+
+    @given(st.integers(2, 4), st.integers(0, 10**6), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_conjugated_unimodular_matches_fraction_route(self, n, seed, q, t):
+        # P·U·D·P⁻¹ with U unimodular, D = diag(q, 1/q, 1, …) and P a small
+        # integer matrix: det ±1, and a characteristic polynomial that is
+        # integral for q = 1 and may not be otherwise; t scales the
+        # numerators and the denominator alike, away from lowest terms
+        rng = random.Random(seed)
+        diag = [Fraction(q), Fraction(1, q)] + [Fraction(1)] * (n - 2)
+        d_mat = RatMatrix(n, n, [diag[i] if i == j else Fraction(0) for i in range(n) for j in range(n)])
+        p = RatMatrix.zeros(n, n)
+        while not p.det():
+            p = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        m = p @ random_unimodular(rng, n) @ d_mat @ p.inverse()
+        a, d = m.integer_form()
+        got = integer_char_poly([x * t for x in a], n, d * t)
+        assert got == self.fraction_route(m)
+        if q == 1:
+            assert got is not None
+
+    @given(st.integers(1, 3), st.sampled_from([2, 3, 4, 6]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_numerators_match_fraction_route(self, n, d, data):
+        a = data.draw(st.lists(st.integers(-2 * d, 2 * d), min_size=n * n, max_size=n * n))
+        m = RatMatrix.from_integers(n, n, a, d)
+        assert integer_char_poly(a, n, d) == self.fraction_route(m)
+
+    def test_unit_determinant_with_a_fractional_coefficient(self):
+        # diag(1/2, 2): |det N| = 4 = d², but the trace 5/2 is not integral
+        assert integer_char_poly([1, 0, 0, 4], 2, 2) is None
+        assert integer_char_poly([2, 0, 0, 2], 2, 2) == IntPoly((1, -2, 1))
 
 
 def test_exact_path_builds_no_poly_objects(rho3, monkeypatch):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,8 @@ from anosov.ratmat import (
     RatMatrix,
     SingularMatrixError,
     _eliminate,
+    int_char_poly,
+    int_det,
     matrix_min_poly,
     perm_matrix,
 )
@@ -596,3 +599,24 @@ class TestMonomialKernels:
         assert k.det() == reference_det(k) == permutation_sign(pi)
         # 9 is odd: negating every entry negates the determinant
         assert (-k).det() == reference_det(-k) == -permutation_sign(pi)
+
+
+INT_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40), NEAR_2_80)
+
+
+@st.composite
+def integer_square(draw) -> tuple[int, list]:
+    """(n, row-major entries) of an n×n integer matrix, n ≤ 5."""
+    n = draw(st.integers(0, 5))
+    return n, draw(st.lists(INT_ENTRIES, min_size=n * n, max_size=n * n))
+
+
+class TestIntegerKernels:
+    @given(integer_square())
+    @DIFFERENTIAL
+    def test_det_and_char_poly_match_sympy(self, drawn):
+        n, a = drawn
+        m = sympy.Matrix(n, n, a)
+        assert int_det(a, n) == m.det()
+        x = sympy.Symbol("x")
+        assert int_char_poly(a, n) == [int(c) for c in reversed(m.charpoly(x).all_coeffs())]

@@ -1,12 +1,12 @@
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import integer_nthroot, totient
 
-from anosov import corpus, decider, numfield, witness
+from anosov import corpus, decider, hyper, numfield, witness
 from anosov.decider import decide_with_witness
 from anosov.fingrp import group_rep_from_json_obj, multiple
 from anosov.hyper import (
@@ -226,25 +226,36 @@ class TestLatticeSearch:
 
     def test_one_verdict_per_char_poly(self, rho3, monkeypatch):
         # of the 80 candidates at height 1, 40 are negatives of the other 40
-        # and are counted without a test; the 20 integer-like ones tested
-        # have 7 distinct characteristic polynomials, each tested once
-        char_poly_calls = []
-        calls = []
-        original_char_poly = witness.integer_char_poly
+        # and are counted without a test; the 40 tested have one determinant
+        # each, a characteristic polynomial only when |det| = d^n, and the
+        # integer-like ones among them 7 distinct characteristic
+        # polynomials, each tested once
+        com = commutant(multiple(rho3, 2))
+        forms = [b.integer_form() for b in com.basis]
+        d = lcm(*(den for _, den in forms))
+        n = com.rep.dimension
+        dets, char_polys, calls = {}, [], []
+        original_det, original_char_poly = hyper.int_det, hyper.int_char_poly
         original = witness.is_c_hyperbolic_poly
 
-        def counting_char_poly(m):
-            char_poly_calls.append(m)
-            return original_char_poly(m)
+        def counting_det(a, size):
+            dets[tuple(a)] = original_det(a, size)
+            return dets[tuple(a)]
+
+        def counting_char_poly(a, size):
+            char_polys.append(tuple(a))
+            return original_char_poly(a, size)
 
         def counting(f, c):
             calls.append(f)
             return original(f, c)
 
-        monkeypatch.setattr(witness, "integer_char_poly", counting_char_poly)
+        monkeypatch.setattr(hyper, "int_det", counting_det)
+        monkeypatch.setattr(hyper, "int_char_poly", counting_char_poly)
         monkeypatch.setattr(witness, "is_c_hyperbolic_poly", counting)
-        assert lattice_search(commutant(multiple(rho3, 2)), 2, 1) == (None, 80)
-        assert len(char_poly_calls) == 40
+        assert lattice_search(com, 2, 1) == (None, 80)
+        assert len(dets) == 40
+        assert char_polys and all(abs(dets[a]) == d**n for a in char_polys)
         assert len(calls) == 7 and len(set(calls)) == 7
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -269,7 +280,8 @@ class TestLatticeSearch:
         x = RatMatrix.zeros(com.rep.dimension, com.rep.dimension)
         for cf, b in zip(coords, com.basis):
             x = x + b.scale(cf)
-        f, g = integer_char_poly(x), integer_char_poly(-x)
+        (a, d), (b, _) = x.integer_form(), (-x).integer_form()
+        f, g = integer_char_poly(a, x.rows, d), integer_char_poly(b, x.rows, d)
         assert (f is None) == (g is None)
         if f is not None:
             for c in (1, 2, 3):
