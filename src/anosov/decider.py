@@ -24,7 +24,7 @@ from .numfield import (
     unit_generators_for_field,
 )
 from .ratmat import RatMatrix
-from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, intertwiner
+from .repdec import CommutantBasis, ComponentProfile, commutant, decompose, peel
 from .witness import (
     LATTICE_SEARCH,
     TENSOR_SHORTCUT,
@@ -146,11 +146,11 @@ def with_solvable_model(verdict: Verdict, d: int) -> Verdict:
 
 def _aligned_block_basis(profile: ComponentProfile) -> RatMatrix:
     """Columns spanning the isotypic subspace, ordered copy-major so the
-    restricted representation is I_m ⊗ ρ0: each member's basis, moved by an
-    intertwiner from the representative ρ0 unless the member carries ρ0
-    itself."""
+    restricted representation is I_m ⊗ ρ0: each member's basis, moved by the
+    one map that peeling it through the representative ρ0 gives, unless the
+    member carries ρ0 itself."""
     rep0 = profile.sub_rep
-    blocks = [m.basis if m.rep is rep0 else m.basis @ intertwiner(rep0, m.rep) for m in profile.members]
+    blocks = [m.basis if m.rep is rep0 else m.basis @ peel(rep0, m.rep, 1)[0][0] for m in profile.members]
     return RatMatrix.from_columns([list(b.column(j)) for b in blocks for j in range(b.cols)])
 
 

@@ -222,10 +222,15 @@ class RationalRep:
     @cached_property
     def character(self) -> tuple:
         """χ = tr ρ on each conjugacy class, in the order of group.class_data,
-        read at the class representatives; evaluated once per representation."""
+        read at the class representatives; evaluated once per representation.
+        The values are Python ints: the trace of a matrix of finite order is a
+        sum of roots of unity, and a rational one is an integer."""
         reps = self.group.class_data.reps
         images = _tree_images(self, reps)
-        return tuple(images[g].trace() for g in reps)
+        traces = [images[g].trace() for g in reps]
+        if any(t.denominator != 1 for t in traces):
+            raise HomomorphismError("a trace at an element of finite order is not an integer")
+        return tuple(t.numerator for t in traces)
 
     def check_homomorphism(self) -> None:
         """Check ρ(e) = I and ρ(g·s) = ρ(g)·ρ(s) for every element g and
@@ -309,7 +314,7 @@ def conjugate_rep(rep: RationalRep, u: RatMatrix) -> RationalRep:
     return RationalRep(group=rep.group, gen_images=tuple(u @ img @ u_inv for img in rep.gen_images))
 
 
-def class_character(rep: RationalRep) -> list[Fraction]:
+def class_character(rep: RationalRep) -> list[int]:
     """χ = tr ρ on each conjugacy class, in the order of group.class_data."""
     return list(rep.character)
 
@@ -324,18 +329,16 @@ def fs_indicator_value(rep: RationalRep) -> Fraction:
     """
     data = rep.group.class_data
     chi = rep.character
-    total = sum((size * chi[sq] for size, sq in zip(data.sizes, data.sq_class)), Fraction(0))
-    return total / rep.group.order
+    return Fraction(sum(size * chi[sq] for size, sq in zip(data.sizes, data.sq_class)), rep.group.order)
 
 
 def character_inner_product(rep_a: RationalRep, rep_b: RationalRep) -> Fraction:
-    """⟨χ_a, χ_b⟩ = (1/|G|)·Σ_C |C|·χ_a(C)·χ_b(C⁻¹), exact."""
+    """⟨χ_a, χ_b⟩ = (1/|G|)·Σ_C |C|·χ_a(C)·χ_b(C⁻¹), exact: one integer sum,
+    divided once."""
     data = rep_a.group.class_data
-    chi_a, chi_b = rep_a.character, rep_b.character
-    total = sum(
-        (size * x * chi_b[inv] for size, x, inv in zip(data.sizes, chi_a, data.inv_class)), Fraction(0)
-    )
-    return total / rep_a.group.order
+    chi_b = rep_b.character
+    total = sum(size * x * chi_b[inv] for size, x, inv in zip(data.sizes, rep_a.character, data.inv_class))
+    return Fraction(total, rep_a.group.order)
 
 
 def group_rep_from_json_obj(obj, max_order: int = DEFAULT_MAX_ORDER):

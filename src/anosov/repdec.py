@@ -40,26 +40,27 @@ Leaves are grouped into classes by character: irreducibles V, W are
 isomorphic iff dim_Q Hom_G(V, W) = ⟨χ_V, χ_W⟩ > 0 (Serre, §2.3–2.6), so the
 dim_E = m²·n constraint is checked once per class, in component_profile.
 
-The parts of each split are queued smallest first, so the first copy of a
-class is proven before a larger node that holds more copies of it. A node W
-with χ_W = k·χ_L for a proven class L is L^k, as a rational representation
-is fixed by its character, and takes no commutant. The test reads dim W,
-then the generator traces, which W holds already, and only then χ_W. For
-k = 1, W joins L's class as it stands; for k ≥ 2, one Hom_G(L, W) solve,
-with dim L·dim W unknowns in place of dim W², gives k members that carry
-L's own images (_copies). An intertwiner is solved otherwise only to align
-a witness block member that joined as it stands (intertwiner) and to split
-a "search" leaf, as below.
+One rule serves every node that meets a proven class, one whose first leaf
+has a proof other than "search": the node is peeled through that class. W
+holds k = ⟨χ_L, χ_W⟩ / dim E_L copies of a Q-irreducible L, as
+Hom_G(L, L) = E_L, and characters are ints, so _meeting_class tests each
+node taken from the queue against the proven classes at one integer sum
+each. A node W that meets L takes no commutant: if χ_W = χ_L it joins L's
+class as it stands; otherwise peel solves Hom_G(L, W), dim L·dim W unknowns
+in place of dim W², for k members that carry L's own images, and queues
+the rest of W, the common kernel of Hom_G(W, L). The parts of each split
+are queued smallest first, so the first copy of a class is often proven
+before a larger node that holds more of it.
 
-The same identity catches a "search" leaf that is reducible, such as
-ρ ⊕ ρ with commutant M_2(Q) in a basis where every trial has an irreducible
-quadratic minimal polynomial. Two proven irreducibles meet only when they
-are isomorphic, and then their characters are equal, so only a "search"
-class Q can have ⟨χ_P, χ_Q⟩ ≠ 0 for another class P. Each member of Q is
-then split through the smaller P (_split_through) and both halves go back
-to the queue; a verdict never comes from two classes whose characters are
-not orthogonal. A class whose first leaf is proven costs no extra work, and
-a "search" class that meets no other is kept, and its rows flagged unproven.
+Two proven irreducibles meet only when their characters are equal, so a
+proven class that meets a "search" class of another character is a summand
+of it, as ρ is of a leaf ρ ⊕ ρ with commutant M_2(Q) in a basis where every
+trial has an irreducible quadratic minimal polynomial. When the queue
+empties, the members of such a class are queued again, and peeled. A last
+check that the characters of the classes are pairwise orthogonal keeps a
+verdict off two classes that meet: a "search" class that only "search"
+classes meet is an error, and one that meets no other is kept, its rows
+flagged unproven.
 """
 
 from __future__ import annotations
@@ -199,16 +200,6 @@ def commutant(rep: RationalRep) -> CommutantBasis:
     gens = rep.gen_images
     basis = intertwiner_space(gens, gens)
     return CommutantBasis(rep=rep, basis=tuple(basis))
-
-
-def intertwiner(source: RationalRep, target: RationalRep) -> RatMatrix:
-    """An invertible T with target(g)·T = T·source(g), for isomorphic
-    irreducibles: the first basis vector of Hom_G(source, target), invertible
-    by Schur's lemma; a singular one means a leaf was not irreducible."""
-    hom = intertwiner_space(source.gen_images, target.gen_images)
-    if hom[0].det() == 0:
-        raise DecompositionError("nonzero intertwiner between irreducibles is singular")
-    return hom[0]
 
 
 def poly_at_matrix(coeffs: Sequence, m: RatMatrix) -> RatMatrix:
@@ -422,76 +413,13 @@ def component_profile(
     )
 
 
-def _overlap(classes: dict) -> Optional[tuple[RationalRep, tuple]]:
-    """(P's representative, Q's key) for the first "search" class Q and the
-    first class P of smaller dimension with ⟨χ_P, χ_Q⟩ ≠ 0, or None when
-    the characters of the classes are pairwise orthogonal. Classes that meet
-    with no such pair, as two "search" classes of one dimension do, are an
-    error. classes maps a character to (the first leaf's certificate, the
-    class's members)."""
-    meet = False
-    for q_key, (cert, q_members) in classes.items():
-        if cert.proof != "search":
-            continue
-        q = q_members[0].rep
-        for p_key, (_, p_members) in classes.items():
-            p = p_members[0].rep
-            if p_key == q_key or not character_inner_product(p, q):
-                continue
-            if p.dimension < q.dimension:
-                return p, q_key
-            meet = True
-    if meet:
-        raise DecompositionError("two component classes have characters that are not orthogonal")
-    return None
-
-
-def _split_through(p: RationalRep, leaf: RationalRep) -> tuple[RatMatrix, RatMatrix]:
-    """Complementary invariant subspaces im φ and ker ψ of leaf, for the
-    first φ ∈ Hom_G(p, leaf) and ψ ∈ Hom_G(leaf, p) with ψ∘φ invertible:
-    v = φ(ψφ)⁻¹ψv + (v − φ(ψφ)⁻¹ψv), and ker ψ ≠ 0 as dim p < dim leaf.
-
-    When p is irreducible and meets leaf, it is a summand of leaf, with an
-    inclusion ι and a projection π such that π∘ι = 1. The pairing
-    (ψ, φ) ↦ ψ∘φ is bilinear, so it is nonzero on some pair of basis
-    elements, and a nonzero endomorphism of an irreducible is invertible."""
-    into = intertwiner_space(p.gen_images, leaf.gen_images)
-    back = intertwiner_space(leaf.gen_images, p.gen_images)
-    for phi, psi in itertools.product(into, back):
-        if (psi @ phi).det():
-            return phi, RatMatrix.from_columns([list(v) for v in psi.kernel_basis()])
-    raise DecompositionError("no pair of intertwiners with a smaller class splits a leaf")
-
-
-def _trace_multiple(sub: RationalRep, rep0: RationalRep) -> Optional[int]:
-    """k when dim sub = k·dim rep0 and each generator's trace on sub is k
-    times its trace on rep0, else None: a test read off the generator
-    images, with no product."""
-    k, rest = divmod(sub.dimension, rep0.dimension)
-    if rest or any(a.trace() != k * b.trace() for a, b in zip(sub.gen_images, rep0.gen_images)):
-        return None
-    return k
-
-
-def _filling_class(sub: RationalRep, classes: dict) -> Optional[tuple[RationalRep, int]]:
-    """(L, k) for the first proven class L with χ_sub = k·χ_L, so that
-    sub ≅ L^k, or None. The character of sub is read only once
-    _trace_multiple has passed."""
-    for key, (cert, _) in classes.items():
-        if cert.proof == "search":
-            continue
-        rep0 = cert.commutant.rep
-        k = _trace_multiple(sub, rep0)
-        if k is not None and sub.character == tuple(k * x for x in key):
-            return rep0, k
-    return None
-
-
-def _copies(rep0: RationalRep, sub: RationalRep, k: int) -> list[RatMatrix]:
-    """k maps φ_i ∈ Hom_G(rep0, sub) with sub = ⊕ im φ_i, for sub ≅ rep0^k and
-    rep0 irreducible: each basis map whose image raises the rank of the
-    images kept so far by dim rep0. An irreducible image meets their sum
-    trivially or lies inside it, and the whole basis spans sub."""
+def peel(rep0: RationalRep, sub: RationalRep, k: int) -> tuple[list[RatMatrix], Optional[RatMatrix]]:
+    """(maps, complement) for sub holding exactly k copies of the irreducible
+    rep0: each basis map of Hom_G(rep0, sub) whose image raises the rank of
+    the images kept so far, until k are kept (an irreducible image meets
+    their sum trivially or lies inside it); and None when their images fill
+    sub, else the common kernel of Hom_G(sub, rep0), which meets the
+    rep0-isotypic part in zero and holds every other summand."""
     kept, columns = [], []
     for phi in intertwiner_space(rep0.gen_images, sub.gen_images):
         more = columns + [list(phi.column(j)) for j in range(phi.cols)]
@@ -499,19 +427,43 @@ def _copies(rep0: RationalRep, sub: RationalRep, k: int) -> list[RatMatrix]:
             kept.append(phi)
             columns = more
             if len(kept) == k:
-                return kept
-    raise DecompositionError("the images of Hom_G from a class do not fill a node of its character")
+                break
+    else:
+        raise DecompositionError(f"Hom_G from a class has images of fewer than {k} copies of it")
+    if len(columns) == sub.dimension:
+        return kept, None
+    back = intertwiner_space(sub.gen_images, rep0.gen_images)
+    kernel = RatMatrix.from_rows([psi.row(i) for psi in back for i in range(psi.rows)]).kernel_basis()
+    if len(kernel) + len(columns) != sub.dimension:
+        raise DecompositionError("a node holds more copies of a class than its character says")
+    return kept, RatMatrix.from_columns([list(v) for v in kernel])
+
+
+def _meeting_class(sub: RationalRep, classes: dict) -> Optional[tuple[RationalRep, int]]:
+    """(L, k) for the first proven class L that sub meets, where
+    k = ⟨χ_L, χ_sub⟩ / dim E_L is the number of copies of L in sub, or None.
+    classes maps a character to (the first leaf's certificate, the class's
+    members); χ_sub is read only once a proven class exists."""
+    for cert, _ in classes.values():
+        if cert.proof == "search":
+            continue
+        k = character_inner_product(cert.commutant.rep, sub) / cert.commutant.dimension
+        if k.denominator != 1:
+            raise DecompositionError(f"a node meets a class in {k} copies")
+        if k:
+            return cert.commutant.rep, k.numerator
+    return None
 
 
 def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> list[ComponentProfile]:
     """Recursive splitting into Q-irreducibles, grouped into classes by
-    character in the order of their first leaves. The parts of each split
-    are queued smallest first, and a node that a proven class fills takes
-    no commutant (module docstring). The random trials come from one
-    random.Random(0), so the result depends on rep alone. When the queue
-    empties, a "search" class that meets a smaller class is split through
-    it and its halves queued again. `ambient` is the commutant of rep when
-    the caller has solved it already."""
+    character in the order of their first leaves. A node that meets a
+    proven class is peeled through it and takes no commutant; the parts of
+    each split, and the complement of each peel, are queued last (module
+    docstring). The random trials come from one random.Random(0), so the
+    result depends on rep alone. When the queue empties, the members of a
+    "search" class that a proven class meets are queued again. `ambient` is
+    the commutant of rep when the caller has solved it already."""
     rng = random.Random(0)
     n = rep.dimension
     pending = [(RatMatrix.identity(n), rep, ambient)]
@@ -519,14 +471,17 @@ def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> lis
     classes: dict[tuple, tuple[IrreducibleCertificate, list[ComponentMember]]] = {}
     while pending:
         basis, sub, com = pending.pop(0)
-        filled = _filling_class(sub, classes)
-        if filled is not None:
-            rep0, k = filled
+        met = _meeting_class(sub, classes)
+        if met is not None:
+            rep0, k = met
             _, members = classes[rep0.character]
-            if k == 1:
+            if sub.dimension == rep0.dimension:
                 members.append(ComponentMember(basis, sub))
             else:
-                members += [ComponentMember(basis @ phi, rep0) for phi in _copies(rep0, sub, k)]
+                maps, rest = peel(rep0, sub, k)
+                members += [ComponentMember(basis @ phi, rep0) for phi in maps]
+                if rest is not None:
+                    pending.append((basis @ rest, restrict_rep(sub, rest), None))
         else:
             result = _split_once(sub, rng, com=com)
             if isinstance(result, IrreducibleCertificate):
@@ -535,22 +490,21 @@ def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> lis
             else:
                 parts = sorted(result, key=lambda part: part.cols)
                 pending += [(basis @ k, restrict_rep(sub, k), None) for k in parts]
-        overlap = None if pending else _overlap(classes)
-        if overlap is not None:
-            p, q_key = overlap
-            for leaf in classes.pop(q_key)[1]:
-                pending += [(leaf.basis @ k, restrict_rep(leaf.rep, k), None) for k in _split_through(p, leaf.rep)]
+        if not pending:
+            for key, (cert, members) in list(classes.items()):
+                if cert.proof == "search" and _meeting_class(members[0].rep, classes):
+                    del classes[key]
+                    pending += [(m.basis, m.rep, None) for m in members]
 
     profiles = [component_profile(cert.commutant, members, cert.proof) for cert, members in classes.values()]
     total = sum(p.multiplicity * p.dimension for p in profiles)
     if total != n:
         raise DecompositionError(f"component dimensions sum to {total}, ambient is {n}")
-    for p in profiles:
-        inner = character_inner_product(p.sub_rep, p.sub_rep)
-        if inner != p.dim_E:
-            raise DecompositionError(
-                f"commutant dimension {p.dim_E} disagrees with character inner product {inner}"
-            )
+    # ⟨χ, χ⟩ = dim E for each class, and 0 for two classes
+    for p, q in itertools.combinations_with_replacement(profiles, 2):
+        inner = character_inner_product(p.sub_rep, q.sub_rep)
+        if inner != (p.dim_E if p is q else 0):
+            raise DecompositionError(f"character inner product {inner} breaks dim E or orthogonality")
     return profiles
 
 

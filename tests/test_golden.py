@@ -3,8 +3,9 @@
 `golden_cli.json` holds the JSON printed by each invocation in INVOCATIONS,
 with every `timings` field removed: the six demos, and `decide`,
 `decide --witness`, `no-cert`, `decompose` and `porteous` on small corpus
-inputs (multiples of ρ3, Q8, the C5 rotation, and three copies of ρ3 in a
-dense basis), `units`, `graded-action` and `hall-basis` on the README's
+inputs (multiples of ρ3, Q8, the C5 rotation, three copies of ρ3 in a
+dense basis, and sums of D3's irreducibles ρ1, ρ2 and ρ3 in which a node
+holds a proven class and more besides), `units`, `graded-action` and `hall-basis` on the README's
 examples, two cyclotomic `units` searches whose found unit prints its log
 vector, and `units` on a linear polynomial, an imaginary quadratic and a
 radicand that is not squarefree. `graded-action` also runs on a dense
@@ -24,9 +25,11 @@ from pathlib import Path
 
 import pytest
 
+from anosov import corpus
 from anosov.cli import main
+from anosov.fingrp import direct_sum
 
-from conftest import DENSE_3RHO3
+from conftest import DENSE_3RHO3, dense_basis
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
 
@@ -57,6 +60,17 @@ def _input(gens, k, c):
         "rep_images": None if k == 1 else [literal(_copies(g, k)) for g in gens],
         "class": c,
     }
+
+
+def _d3_sum(a: int, b: int, c: int):
+    """a·ρ1 ⊕ b·ρ2 ⊕ c·ρ3 of D3, in its block basis."""
+    group = corpus.d3_group()
+    return direct_sum([corpus.rho1(group)] * a + [corpus.rho2(group)] * b + [corpus.rho3(group)] * c)
+
+
+def _rep_input(rep, c):
+    """The CLI input for a representation of D3 at class c."""
+    return {"generators": D3, "rep_images": [m.to_json_obj() for m in rep.gen_images], "class": c}
 
 
 INPUTS = {
@@ -92,9 +106,16 @@ INVOCATIONS = {
     # Q8's leaf is not absolutely irreducible; with m = 3 > c the tensor
     # shortcut serves the block all the same
     "witness 3q8_c2": (["decide", "-", "--witness"], _input(Q8, 3, 2)),
-    # a leaf ρ3 ⊕ ρ3 that no trial splits is split through the class of ρ3,
+    # a leaf ρ3 ⊕ ρ3 that no trial splits is peeled through the class of ρ3,
     # whose character it meets: one class (2, 3, 1)
     "decide 3rho3_dense_c2": (["decide", "-"], DENSE_3RHO3),
+    # a node that holds a copy of ρ1, once ρ1 is proven, and more besides
+    "decompose 2rho1+2rho3_dense0": (["decompose", "-"], _rep_input(dense_basis(_d3_sum(2, 0, 2), 0), 1)),
+    "witness 3rho1+3rho3_c2": (["decide", "-", "--witness"], _rep_input(_d3_sum(3, 0, 3), 2)),
+    "witness 2rho1+2rho2+3rho3_dense1_c1": (
+        ["decide", "-", "--witness"],
+        _rep_input(dense_basis(_d3_sum(2, 2, 3), 1), 1),
+    ),
     **{
         f"no-cert {key} h{h}": (["no-cert", "-", "--height-bound", str(h)], INPUTS[key])
         for key, h in (("rho3_c1", 2), ("2rho3_c2", 1), ("2rho3_c2", 3), ("q8_c1", 1))

@@ -198,21 +198,23 @@ def test_pairwise_sums_built_lazily(monkeypatch):
 
 @pytest.mark.parametrize("make_rep", [regular_d4, lambda: multiple(corpus.q8_rep(), 2)], ids=["reg_d4", "2q8"])
 def test_commutant_solved_once_per_split(make_rep, monkeypatch):
-    """Each node that no proven class fills solves its commutant once, and
-    component_profile reuses the class representative's. A node that a
-    proven class L fills solves no commutant, and at most one Hom_G(L, W),
-    from L's own images. decompose makes no other intertwiner_space call.
-    Every node is the root or a part that a splitting node returned,
-    whatever the number of parts per split."""
+    """Each node that meets no proven class solves its commutant once, and
+    component_profile reuses the class representative's. A node that meets
+    a proven class L solves no commutant, and at most two Hom_G solves, each
+    between L's own images and the node's. decompose makes no other
+    intertwiner_space call. Every node is the root, a part that a splitting
+    node returned, whatever the number of parts per split, or the complement
+    that a peel returned."""
     rep = make_rep()
-    solves = homs = calls = splits = parts = leaves = filled = 0
+    solves = homs = calls = splits = parts = leaves = met = complements = 0
     certified = []
-    intertwiners, split, filling = repdec.intertwiner_space, repdec._split_once, repdec._filling_class
+    intertwiners, split = repdec.intertwiner_space, repdec._split_once
+    meeting, peel = repdec._meeting_class, repdec.peel
 
     def counting_intertwiners(left, right):
         nonlocal solves, homs, calls
         solves += left is right
-        homs += any(left is r.gen_images for r in certified)
+        homs += left is not right and any(x is r.gen_images for r in certified for x in (left, right))
         calls += 1
         return intertwiners(left, right)
 
@@ -227,20 +229,97 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
             parts += len(result)
         return result
 
-    def counting_filling(sub, classes):
-        nonlocal filled
-        result = filling(sub, classes)
-        filled += result is not None
+    def counting_meeting(sub, classes):
+        nonlocal met
+        result = meeting(sub, classes)
+        met += result is not None
+        return result
+
+    def counting_peel(rep0, sub, k):
+        nonlocal complements
+        result = peel(rep0, sub, k)
+        complements += result[1] is not None
         return result
 
     monkeypatch.setattr(repdec, "intertwiner_space", counting_intertwiners)
     monkeypatch.setattr(repdec, "_split_once", counting_split)
-    monkeypatch.setattr(repdec, "_filling_class", counting_filling)
+    monkeypatch.setattr(repdec, "_meeting_class", counting_meeting)
+    monkeypatch.setattr(repdec, "peel", counting_peel)
     profiles = decompose(rep)
-    assert filled and splits + filled == 1 + parts
-    assert leaves + filled <= sum(p.multiplicity for p in profiles)
-    assert solves == splits and homs <= filled
+    # with no "search" class, _meeting_class runs once per node
+    assert not any(p.unproven for p in profiles)
+    assert met and splits + met == 1 + parts + complements
+    assert leaves + met <= sum(p.multiplicity for p in profiles)
+    assert solves == splits and homs <= 2 * met
     assert calls == solves + homs
+
+
+def d3_sum(ones: int, threes: int):
+    """ones·ρ1 ⊕ threes·ρ3 of D3, in its block basis."""
+    d3 = corpus.d3_group()
+    return direct_sum([corpus.rho1(d3)] * ones + [corpus.rho3(d3)] * threes)
+
+
+def regular_b3():
+    """The right regular representation of the hyperoctahedral group B3 of
+    order 48, the signed permutations of three letters."""
+    flip = RatMatrix.block_diag([RatMatrix.from_rows([[-1]]), RatMatrix.identity(2)])
+    return regular_rep(
+        generate_group([perm_matrix(Permutation([1, 2, 0])), perm_matrix(Permutation([1, 0, 2])), flip])
+    )
+
+
+@pytest.mark.parametrize(
+    "make_rep, commutant_solves, rows",
+    [
+        (lambda: d3_sum(2, 2), 4, [(1, 2, 1), (2, 2, 1)]),
+        (regular_b3, 17, [(1, 1, 1)] * 2 + [(3, 3, 1)] * 2 + [(1, 1, 1)] * 2 + [(3, 3, 1)] * 2 + [(2, 2, 1)] * 2),
+    ],
+    ids=["rho1+rho1+rho3+rho3", "reg_b3"],
+)
+def test_a_node_that_meets_a_proven_class_takes_no_commutant(make_rep, commutant_solves, rows, monkeypatch):
+    """A node that holds a proven class and more besides is peeled through
+    it, where splitting it would solve its commutant: ρ1⊕ρ1⊕ρ3⊕ρ3 takes 4
+    commutant solves in place of 5, and regular B3 17 in place of 21, with
+    the same rows in the same order."""
+    solves = 0
+    intertwiners = repdec.intertwiner_space
+
+    def counting(left, right):
+        nonlocal solves
+        solves += left is right
+        return intertwiners(left, right)
+
+    monkeypatch.setattr(repdec, "intertwiner_space", counting)
+    profiles = decompose(make_rep())
+    assert solves == commutant_solves
+    assert [(p.dimension, p.multiplicity, p.r_components) for p in profiles] == rows
+
+
+class TestPeel:
+    """peel(ρ3, ρ1⊕ρ3⊕ρ3, 2): two maps whose images carry ρ3's own images,
+    and a complement that meets ρ3 nowhere."""
+
+    @staticmethod
+    def _check(sub):
+        rho3 = corpus.rho3(sub.group)
+        maps, rest = repdec.peel(rho3, sub, 2)
+        assert len(maps) == 2
+        # sub(g)·[φ1 φ2] = [φ1 φ2]·(ρ3(g) ⊕ ρ3(g)), with independent columns
+        block = RatMatrix.from_columns([list(phi.column(j)) for phi in maps for j in range(phi.cols)])
+        assert restrict_rep(sub, block).gen_images == tuple(RatMatrix.block_diag([g, g]) for g in rho3.gen_images)
+        assert rest is not None and rest.cols == 1
+        columns = [list(block.column(j)) for j in range(4)] + [list(rest.column(0))]
+        assert RatMatrix.from_columns(columns).rank() == 5
+        assert character_inner_product(rho3, restrict_rep(sub, rest)) == 0
+
+    def test_block_basis(self):
+        self._check(d3_sum(1, 2))
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_under_unimodular_base_changes(self, seed):
+        self._check(conjugate_rep(d3_sum(1, 2), random_unimodular(random.Random(seed), 5)))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -573,8 +652,8 @@ class TestIrreducibleCertificate:
 
 
 class TestSearchLeafMeetingAnotherClass:
-    """A "search" leaf whose character meets another class's is split
-    through it, so no verdict comes from two classes whose characters are
+    """A "search" leaf whose character meets a proven class's is peeled
+    through it, and no verdict comes from two classes whose characters are
     not orthogonal."""
 
     @staticmethod
@@ -603,47 +682,67 @@ class TestSearchLeafMeetingAnotherClass:
 
     def test_meeting_leaf_split_through_the_smaller_class(self, monkeypatch):
         # in the 12th dense basis of 5·ρ3 a leaf ρ3 ⊕ ρ3 ends in "search"
-        # before any ρ3 is proven, so no proven class fills it
-        calls = []
-        split = repdec._split_through
+        # before any ρ3 is proven; once the queue empties it is queued
+        # again, and peeled as peel(ρ3, leaf, 2)
+        searched, peeled = [], []
+        split, peel = repdec._split_once, repdec.peel
 
-        def recording(p, leaf):
-            calls.append((p.dimension, leaf.dimension))
-            return split(p, leaf)
+        def recording_split(rep, *args, **kwargs):
+            result = split(rep, *args, **kwargs)
+            if isinstance(result, IrreducibleCertificate) and result.proof == "search":
+                searched.append(rep)
+            return result
 
-        monkeypatch.setattr(repdec, "_split_through", recording)
+        def recording_peel(rep0, sub, k):
+            peeled.append((rep0, sub, k))
+            return peel(rep0, sub, k)
+
+        monkeypatch.setattr(repdec, "_split_once", recording_split)
+        monkeypatch.setattr(repdec, "peel", recording_peel)
         profiles = decompose(dense_basis(m_rho3(5), 12))
-        assert calls == [(2, 4)]
         assert [(p.dimension, p.multiplicity) for p in profiles] == [(2, 5)]
+        (leaf,) = searched
+        assert leaf.dimension == 4
+        assert [(rep0, k) for rep0, sub, k in peeled if sub is leaf] == [(profiles[0].sub_rep, 2)]
 
     def test_proven_classes_do_no_extra_work(self, monkeypatch):
-        # the one inner product per class is ⟨χ, χ⟩, checked against dim E
+        # regular Q8 ends in no "search" class, so no node is queued twice;
+        # every inner product reads a class representative's character
+        # against a node's, in a meeting test or in the last check
         inner = repdec.character_inner_product
+        firsts = []
 
-        def own_only(a, b):
-            assert a is b, "a proven class was checked against another"
+        def recording(a, b):
+            firsts.append(a)
             return inner(a, b)
 
-        monkeypatch.setattr(repdec, "character_inner_product", own_only)
+        monkeypatch.setattr(repdec, "character_inner_product", recording)
         profiles = repdec.decompose(regular_rep(corpus.q8_rep().group))
         assert not any(p.unproven for p in profiles)
+        representatives = [p.sub_rep for p in profiles]
+        assert all(any(a is r for r in representatives) for a in firsts)
 
-    def test_no_pair_of_intertwiners_is_an_error(self, d3):
+    def test_peel_through_no_summand_is_an_error(self, d3):
         # ρ1 ⊕ ρ2 meets ρ1 ⊕ ρ3 ⊕ ρ3, but is no summand of it
         rho1, rho2, rho3 = corpus.rho1(d3), corpus.rho2(d3), corpus.rho3(d3)
         with pytest.raises(repdec.DecompositionError):
-            repdec._split_through(direct_sum([rho1, rho2]), direct_sum([rho1, rho3, rho3]))
+            repdec.peel(direct_sum([rho1, rho2]), direct_sum([rho1, rho3, rho3]), 1)
 
-    def test_search_classes_of_one_dimension_that_meet_are_an_error(self, d3):
+    def test_search_classes_of_one_dimension_that_meet_are_an_error(self, d3, monkeypatch):
+        # ρ1 ⊕ ρ1 and ρ1 ⊕ ρ2, each declared a "search" leaf, meet, and no
+        # proven class peels either: the last check refuses the classes
         rho1, rho2 = corpus.rho1(d3), corpus.rho2(d3)
+        unit = [[int(i == j) for i in range(4)] for j in range(4)]
+        halves = [RatMatrix.from_columns(unit[:2]), RatMatrix.from_columns(unit[2:])]
 
-        def search_class(rep):
-            cert = IrreducibleCertificate(trials=0, commutant=commutant(rep), proof="search")
-            return rep.character, (cert, [ComponentMember(RatMatrix.identity(2), rep)])
+        def two_search_leaves(rep, rng, com=None):
+            if rep.dimension == 4:
+                return halves
+            return IrreducibleCertificate(trials=0, commutant=commutant(rep), proof="search")
 
-        classes = dict(search_class(r) for r in (direct_sum([rho1, rho1]), direct_sum([rho1, rho2])))
-        with pytest.raises(repdec.DecompositionError):
-            repdec._overlap(classes)
+        monkeypatch.setattr(repdec, "_split_once", two_search_leaves)
+        with pytest.raises(repdec.DecompositionError, match="orthogonality"):
+            decompose(direct_sum([rho1, rho1, rho1, rho2]))
 
 
 class TestUnprovenRows:
@@ -719,7 +818,7 @@ class TestDecompositionCrossCheck:
     def test_dense_bases(self, name):
         make_rep, closed_form = CLOSED_FORMS[name]
         through_hom = sum(self._check(dense_basis(make_rep(), k), closed_form, k) for k in range(15))
-        # from three copies on, some node is filled with two or more
+        # from three copies on, some node is peeled into two or more
         assert through_hom or max(m for _, m, _ in closed_form) < 3
 
     def test_regular_s4(self):

@@ -42,3 +42,12 @@ def test_boundary_sweep_prints_table():
 def test_witness_gallery_reverifies():
     lines = run_script("witness_gallery.py").splitlines()
     assert lines and all("reverified=True" in line for line in lines)
+
+
+def test_corpus_outputs_prints_every_golden_output():
+    lines = [line.split("\t") for line in run_script("corpus_outputs.py").splitlines()]
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    outputs = {label: out for label, code, out in lines}
+    assert len(outputs) == len(lines) > len(golden)
+    assert all(code == "0" for _, code, _ in lines)
+    assert all(outputs[name] == json.dumps(golden[name]) for name in golden)
