@@ -2,20 +2,27 @@
 graph, conjugacy classes, and class sums: characters, the inner product
 ⟨χ,ψ⟩ and the indicator sum (1/|G|)·Σ tr ρ(g²).
 
-Groups are always represented faithfully by exact rational matrices; closure
-is breadth-first from the identity with the generator order as given, so the
-element ordering (and everything downstream) is deterministic. No step
-forms the |G|² multiplication table: closure takes |G|·#gens matrix products,
-walking the Cayley graph g ↦ g·s of the generators s (Holt–Eick–O'Brien,
-*Handbook of Computational Group Theory* §4.1), and so do a representation's
-images and its homomorphism check together, the images along the
-breadth-first tree edges and the check on the other edges only; squares,
-inverses and conjugacy classes are read off that graph with no products at
-all.
+A group is given by its rational generator matrices and closed
+breadth-first from the identity with the generator order as given, so the
+element ordering (and everything downstream) is deterministic. Closure runs
+on base images (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*
+§4.1 and §4.4; Sims, 1970): the generators' permutations of O, the union of
+the orbits of the standard basis vectors, take at most n·|G|·#gens
+matrix–vector products; n points of O that span Q^n form a basis, and an
+element g is held as the orbit indices of g⁻¹ at those points, n ints that
+fix g. Walking the Cayley graph g ↦ g·s of the generators s then takes
+|G|·#gens lookups of n indices each and no arithmetic. The matrix of every
+element is natural_rep(group).images, built on first read. No step forms
+the |G|² multiplication table: a representation's images and its
+homomorphism check take |G|·#gens matrix products together, the images
+along the breadth-first tree edges and the check on the other edges only;
+squares, inverses and conjugacy classes are read off the Cayley graph with
+no products at all.
 
 After ingestion every step costs #generators or #classes, not |G|. A
 representation is held by its generator images; its full image list is built
-on first read, and only check_homomorphism, at ingestion, reads it.
+on first read, and in the package only check_homomorphism, at ingestion,
+reads it.
 Characters are class functions (Serre, *Linear Representations of Finite
 Groups*, §2.2–2.5), so the class sums read a representation's character, the
 trace of its image at one representative per class, evaluated once per
@@ -28,9 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
+from math import gcd
 from typing import Sequence
 
-from .ratmat import RatMatrix, json_int
+from .ratmat import RatMatrix, _insert, json_int
 
 DEFAULT_MAX_ORDER = 10000
 
@@ -47,14 +56,18 @@ class HomomorphismError(ValueError):
 class FiniteMatrixGroup:
     """Closed finite group of invertible rational matrices.
 
-    elements[0] is the identity, and the elements are in breadth-first order
-    from it. right[g][s] = index of elements[g] @ (generator s): the generator
-    Cayley graph. parent[g] = (i, s) is the breadth-first tree edge with
-    elements[g] = elements[i] @ (generator s); parent[0] is None.
-    sq_map[g] and inv_map[g] are the indices of g² and g⁻¹.
+    gen_matrices holds the generators as given. elements holds one key per
+    element, in breadth-first order from the identity, elements[0]: the
+    orbit indices of g⁻¹ at the basis points of generate_group's orbit, a
+    tuple of n ints; the element's matrix is natural_rep(group).images[g].
+    right[g][s] = index of g·(generator s): the generator Cayley graph.
+    parent[g] = (i, s) is the breadth-first tree edge with g = i·(generator
+    s); parent[0] is None. sq_map[g] and inv_map[g] are the indices of g²
+    and g⁻¹.
     """
 
     elements: tuple
+    gen_matrices: tuple
     gen_indices: tuple
     right: tuple
     parent: tuple
@@ -67,10 +80,10 @@ class FiniteMatrixGroup:
 
     @property
     def degree(self) -> int:
-        return self.elements[0].rows
+        return self.gen_matrices[0].rows
 
     def generators(self) -> list[RatMatrix]:
-        return [self.elements[i] for i in self.gen_indices]
+        return list(self.gen_matrices)
 
     @cached_property
     def class_data(self) -> "ClassData":
@@ -103,7 +116,10 @@ class ClassData:
 
 
 def generate_group(gens: Sequence[RatMatrix], max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
-    """Breadth-first closure of the given invertible generators."""
+    """Breadth-first closure of the given invertible generators, on the base
+    images of _orbit_action: an element g is keyed by the orbit indices of
+    g⁻¹·b_j over the basis points b_j, which fix g⁻¹ and so g, and the key
+    of g·s is that of g with s⁻¹ applied to each index."""
     if not gens:
         raise ValueError("need at least one generator")
     if max_order < 1:
@@ -120,23 +136,27 @@ def generate_group(gens: Sequence[RatMatrix], max_order: int = DEFAULT_MAX_ORDER
                 f"a generator has determinant {det}, so it has infinite order "
                 f"(a rational matrix of finite order has determinant ±1)"
             )
-    ident = RatMatrix.identity(n)
+    perms, basis = _orbit_action(gens, max_order)
+    steps = []  # steps[s] maps an orbit index k to that of s⁻¹·O[k]
+    for perm in perms:
+        inverse = [0] * len(perm)
+        for k, j in enumerate(perm):
+            inverse[j] = k
+        steps.append(inverse.__getitem__)
+    ident = tuple(basis)
     elements = [ident]
     index = {ident: 0}
     parent: list = [None]
     right = []
     # elements doubles as the breadth-first queue: it grows while it is read
-    for i, elem in enumerate(elements):
+    for i, key in enumerate(elements):
         row = []
-        for s, g in enumerate(gens):
-            prod = elem @ g
+        for s, step in enumerate(steps):
+            prod = tuple(map(step, key))
             j = index.get(prod)
             if j is None:
                 if len(elements) >= max_order:
-                    raise GroupClosureError(
-                        f"group order exceeds max_order={max_order}; generators may "
-                        f"generate an infinite group"
-                    )
+                    raise _order_error(max_order)
                 j = index[prod] = len(elements)
                 elements.append(prod)
                 parent.append((i, s))
@@ -166,12 +186,73 @@ def generate_group(gens: Sequence[RatMatrix], max_order: int = DEFAULT_MAX_ORDER
         inv_map.append(y)
     return FiniteMatrixGroup(
         elements=tuple(elements),
-        gen_indices=tuple(index[g] for g in gens),
+        gen_matrices=tuple(gens),
+        gen_indices=right[0],
         right=tuple(right),
         parent=tuple(parent),
         sq_map=tuple(sq_map),
         inv_map=tuple(inv_map),
     )
+
+
+def _order_error(max_order: int) -> GroupClosureError:
+    return GroupClosureError(
+        f"group order exceeds max_order={max_order}; generators may generate an infinite group"
+    )
+
+
+def _orbit_action(gens: Sequence[RatMatrix], max_order: int) -> tuple[list, list]:
+    """The generators' permutations of O, the union of the orbits of the
+    standard basis vectors e_0, e_1, … under v ↦ s·v, each e_i taken as a
+    seed only when it lies outside the span of the orbits before it. A point
+    is held as (numerators, d), the vector numerators/d with d > 0 and
+    gcd(numerators…, d) = 1, so equal vectors are equal tuples.
+
+    Returns (perms, basis): perms[s][k] is the index in O of gens[s]·O[k],
+    and basis lists the indices of the n points that raised the rank of the
+    span, in order. One matrix–vector product per point and generator: at
+    most n·|G|·#gens, as an orbit has at most |G| points, so an orbit of
+    more than max_order points raises GroupClosureError."""
+    n = gens[0].rows
+    acts = []  # per generator: its nonzero numerators (column, value) by row, and its denominator
+    for g in gens:
+        nums, den = g.integer_form()
+        rows = [[(j, a) for j, a in enumerate(nums[i * n : (i + 1) * n]) if a] for i in range(n)]
+        acts.append((rows, den))
+    points: list = []
+    index: dict = {}
+    perms: list = [[] for _ in gens]
+    basis: list = []
+    span: dict = {}  # the echelon rows of ratmat._insert
+    for i in range(n):
+        if _insert(span, {i: 1}) is None:
+            continue
+        start = len(points)
+        seed = (tuple(int(i == j) for j in range(n)), 1)
+        basis.append(start)
+        index[seed] = start
+        points.append(seed)
+        # points doubles as the orbit's breadth-first queue
+        for nums, d in islice(points, start, None):
+            for (rows, den), perm in zip(acts, perms):
+                image = [sum([a * nums[j] for j, a in row]) for row in rows]
+                image_d = den * d
+                if image_d != 1:
+                    c = gcd(image_d, *image)
+                    if c != 1:
+                        image = [x // c for x in image]
+                        image_d //= c
+                point = (tuple(image), image_d)
+                k = index.get(point)
+                if k is None:
+                    if len(points) - start >= max_order:
+                        raise _order_error(max_order)
+                    k = index[point] = len(points)
+                    points.append(point)
+                    if len(basis) < n and _insert(span, {j: x for j, x in enumerate(image) if x}) is not None:
+                        basis.append(k)
+                perm.append(k)
+    return perms, basis
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[int]]:
@@ -204,7 +285,9 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[int]]:
 class RationalRep:
     """Rational representation, held by its generator images, one per entry
     of group.gen_indices. `images`, one matrix per group element, is built
-    on first read; check_homomorphism is its only reader."""
+    on first read; in the package check_homomorphism is its only reader, and
+    tests read the natural representation's for the matrix of each
+    element."""
 
     group: FiniteMatrixGroup
     gen_images: tuple

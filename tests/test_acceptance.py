@@ -76,8 +76,7 @@ def test_criterion_1_d3_reproduction():
             chi = character(rep)
             rows.append(tuple(chi[g] for g in class_reps))
         assert rows == [(1, 1, 1), (1, 1, -1), (2, -1, 0)]
-        a_img = group.elements[group.gen_indices[0]]
-        b_img = group.elements[group.gen_indices[1]]
+        a_img, b_img = group.generators()
         pairs = [(1, 3), (1, 4), (2, 3), (2, 4)]
         assert restricted_degree2_action(RatMatrix.block_diag([a_img, a_img]), pairs) == A_EXPECTED
         assert restricted_degree2_action(RatMatrix.block_diag([b_img, b_img]), pairs) == B_EXPECTED

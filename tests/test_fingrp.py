@@ -36,11 +36,15 @@ def perm(images):
     return perm_matrix(Permutation(images))
 
 
+ORDER_MESSAGE = r"^group order exceeds max_order={}; generators may generate an infinite group$"
+
+
 # the hyperoctahedral group B3 (order 48), A5 (order 60) and S5 (order 120)
 # on their natural modules
 B3_GENS = [perm([1, 2, 0]), perm([1, 0, 2]), RatMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
 A5_GENS = [perm([1, 2, 3, 4, 0]), perm([1, 2, 0, 3, 4])]
 S5_GENS = [perm([1, 2, 3, 4, 0]), perm([1, 0, 2, 3, 4])]
+HALVE = RatMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def dense_conjugates(gens, seed: int) -> list:
@@ -61,6 +65,8 @@ def groups(d3, q8_rep):
         "s5": generate_group(S5_GENS),
         "b3_dense": generate_group(dense_conjugates(B3_GENS, 3)),
         "a5_dense": generate_group(dense_conjugates(A5_GENS, 5)),
+        # entries ±1/2 and ±2: orbit points with denominators
+        "b3_halves": generate_group([HALVE @ g @ HALVE.inverse() for g in B3_GENS]),
     }
 
 
@@ -84,6 +90,38 @@ class TestGenerateGroup:
         with pytest.raises(GroupClosureError):
             generate_group([RatMatrix.from_rows([[1, 1], [0, 1]])], max_order=50)
 
+    def test_guard_on_an_orbit(self):
+        # the companion matrix of Φ5 has order 5, and the orbit of e_0 is
+        # e_0, e_1, e_2, e_3, −(e_0 + e_1 + e_2 + e_3)
+        rotation = RatMatrix.from_rows([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]])
+        with pytest.raises(GroupClosureError, match=ORDER_MESSAGE.format(4)) as excinfo:
+            generate_group([rotation], max_order=4)
+        assert excinfo.traceback[-1].name == "_orbit_action"
+
+    def test_guard_on_the_closure(self):
+        # S4 on its natural module: orbits of at most 4 points, order 24
+        s4 = [perm([1, 2, 3, 0]), perm([1, 0, 2, 3])]
+        with pytest.raises(GroupClosureError, match=ORDER_MESSAGE.format(23)) as excinfo:
+            generate_group(s4, max_order=23)
+        assert excinfo.traceback[-1].name == "generate_group"
+        assert generate_group(s4, max_order=24).order == 24
+
+    def test_closure_takes_no_matrix_products(self, monkeypatch):
+        """Closing S7 on its natural module works on orbit indices only."""
+        products = 0
+        matmul = RatMatrix.__matmul__
+
+        def counting(self, other):
+            nonlocal products
+            products += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(RatMatrix, "__matmul__", counting)
+        group = generate_group([perm([1, 2, 3, 4, 5, 6, 0]), perm([1, 0, 2, 3, 4, 5, 6])])
+        assert products == 0
+        assert group.order == 5040
+        assert len(conjugacy_classes(group)) == 15
+
     def test_non_invertible_generator(self):
         with pytest.raises(ValueError):
             generate_group([RatMatrix.from_rows([[1, 1], [1, 1]])])
@@ -97,21 +135,22 @@ class TestGenerateGroup:
         with pytest.raises(ValueError, match="max_order"):
             generate_group([RatMatrix.identity(2)], max_order=0)
 
-    @pytest.mark.parametrize("name", ["d3", "q8", "b3", "b3_dense", "a5_dense"])
+    @pytest.mark.parametrize("name", ["d3", "q8", "b3", "b3_dense", "a5_dense", "b3_halves"])
     def test_cayley_graph_squares_inverses(self, name, groups):
         group = groups[name]
         gens = group.generators()
-        ident = group.elements[0]
+        elements = natural_rep(group).images
+        ident = elements[0]
         assert ident == RatMatrix.identity(group.degree)
-        assert len(set(group.elements)) == group.order
-        for g, elem in enumerate(group.elements):
+        assert len(set(elements)) == group.order
+        for g, elem in enumerate(elements):
             for s, j in enumerate(group.right[g]):
-                assert group.elements[j] == elem @ gens[s]
+                assert elements[j] == elem @ gens[s]
             if g:
                 i, s = group.parent[g]
                 assert i < g and group.right[i][s] == g
-            assert group.elements[group.sq_map[g]] == elem @ elem
-            assert elem @ group.elements[group.inv_map[g]] == ident
+            assert elements[group.sq_map[g]] == elem @ elem
+            assert elem @ elements[group.inv_map[g]] == ident
 
     @pytest.mark.parametrize(
         "name, sizes",
@@ -122,16 +161,18 @@ class TestGenerateGroup:
             ("a5", [1, 12, 12, 15, 20]),
             ("b3_dense", [1, 1, 3, 3, 6, 6, 6, 6, 8, 8]),
             ("a5_dense", [1, 12, 12, 15, 20]),
+            ("b3_halves", [1, 1, 3, 3, 6, 6, 6, 6, 8, 8]),
         ],
     )
     def test_classes_match_brute_force_conjugation(self, name, sizes, groups):
         group = groups[name]
-        index = {elem: i for i, elem in enumerate(group.elements)}
-        inverses = [elem.inverse() for elem in group.elements]
+        elements = natural_rep(group).images
+        index = {elem: i for i, elem in enumerate(elements)}
+        inverses = [elem.inverse() for elem in elements]
         expected, seen = [], set()
-        for i, x in enumerate(group.elements):
+        for i, x in enumerate(elements):
             if i not in seen:
-                cls = sorted({index[h @ x @ h_inv] for h, h_inv in zip(group.elements, inverses)})
+                cls = sorted({index[h @ x @ h_inv] for h, h_inv in zip(elements, inverses)})
                 expected.append(cls)
                 seen.update(cls)
         assert conjugacy_classes(group) == expected

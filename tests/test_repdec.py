@@ -487,8 +487,9 @@ def test_trace_partner_refuses_a_nilpotent_orthogonal_to_the_basis():
 def _left_multiplication(group, h: RatMatrix) -> RatMatrix:
     """e_g ↦ e_{h·g} on the basis of the regular representation, built as
     regular_rep builds e_g ↦ e_{g·s}; left and right multiplication commute."""
-    index = {g: i for i, g in enumerate(group.elements)}
-    return perm_matrix(Permutation(index[h @ g] for g in group.elements))
+    elements = natural_rep(group).images
+    index = {g: i for i, g in enumerate(elements)}
+    return perm_matrix(Permutation(index[h @ g] for g in elements))
 
 
 @pytest.mark.parametrize(
