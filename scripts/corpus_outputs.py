@@ -10,6 +10,8 @@ one diff:
     (change the program)
     PYTHONPATH=src python3 scripts/corpus_outputs.py > after.txt
     diff before.txt after.txt
+
+tests/test_scripts.py compares the output with tests/corpus_outputs.txt.
 """
 
 import argparse

@@ -11,18 +11,16 @@ the orbits of the standard basis vectors, take at most n·|G|·#gens
 matrix–vector products; n points of O that span Q^n form a basis, and an
 element g is held as the orbit indices of g⁻¹ at those points, n ints that
 fix g. Walking the Cayley graph g ↦ g·s of the generators s then takes
-|G|·#gens lookups of n indices each and no arithmetic. The matrix of every
-element is natural_rep(group).images, built on first read. No step forms
-the |G|² multiplication table: a representation's images and its
-homomorphism check take |G|·#gens matrix products together, the images
-along the breadth-first tree edges and the check on the other edges only;
-squares, inverses and conjugacy classes are read off the Cayley graph with
-no products at all.
+|G|·#gens lookups of n indices each and no arithmetic. The homomorphism
+check of a representation runs the same way on its generator images, with
+|G| as the orbit bound, and takes no matrix product either. The matrix of
+every element is natural_rep(group).images, built on first read. No step
+forms the |G|² multiplication table; squares, inverses and conjugacy
+classes are read off the Cayley graph.
 
-After ingestion every step costs #generators or #classes, not |G|. A
+After closure every step costs #generators or #classes, not |G|. A
 representation is held by its generator images; its full image list is built
-on first read, and in the package only check_homomorphism, at ingestion,
-reads it.
+on first read, and no module of the package reads it.
 Characters are class functions (Serre, *Linear Representations of Finite
 Groups*, §2.2–2.5), so the class sums read a representation's character, the
 trace of its image at one representative per class, evaluated once per
@@ -136,13 +134,7 @@ def generate_group(gens: Sequence[RatMatrix], max_order: int = DEFAULT_MAX_ORDER
                 f"a generator has determinant {det}, so it has infinite order "
                 f"(a rational matrix of finite order has determinant ±1)"
             )
-    perms, basis = _orbit_action(gens, max_order)
-    steps = []  # steps[s] maps an orbit index k to that of s⁻¹·O[k]
-    for perm in perms:
-        inverse = [0] * len(perm)
-        for k, j in enumerate(perm):
-            inverse[j] = k
-        steps.append(inverse.__getitem__)
+    steps, basis = _orbit_action(gens, max_order)
     ident = tuple(basis)
     elements = [ident]
     index = {ident: 0}
@@ -208,17 +200,18 @@ def _orbit_action(gens: Sequence[RatMatrix], max_order: int) -> tuple[list, list
     is held as (numerators, d), the vector numerators/d with d > 0 and
     gcd(numerators…, d) = 1, so equal vectors are equal tuples.
 
-    Returns (perms, basis): perms[s][k] is the index in O of gens[s]·O[k],
-    and basis lists the indices of the n points that raised the rank of the
-    span, in order. One matrix–vector product per point and generator: at
-    most n·|G|·#gens, as an orbit has at most |G| points, so an orbit of
-    more than max_order points raises GroupClosureError."""
+    Returns (steps, basis): steps[s] maps the index in O of a point v to
+    that of gens[s]⁻¹·v, and basis lists the indices of the n points that
+    raised the rank of the span, in order. One matrix–vector product per
+    point and generator: at most n·|G|·#gens, as an orbit has at most |G|
+    points, so an orbit of more than max_order points raises
+    GroupClosureError."""
     n = gens[0].rows
-    acts = []  # per generator: its nonzero numerators (column, value) by row, and its denominator
+    acts = []  # per generator: nonzero numerators (row, value) by column, read at a point's nonzeros; denominator
     for g in gens:
         nums, den = g.integer_form()
-        rows = [[(j, a) for j, a in enumerate(nums[i * n : (i + 1) * n]) if a] for i in range(n)]
-        acts.append((rows, den))
+        cols = [[(i, nums[i * n + j]) for i in range(n) if nums[i * n + j]] for j in range(n)]
+        acts.append((cols, den))
     points: list = []
     index: dict = {}
     perms: list = [[] for _ in gens]
@@ -234,8 +227,12 @@ def _orbit_action(gens: Sequence[RatMatrix], max_order: int) -> tuple[list, list
         points.append(seed)
         # points doubles as the orbit's breadth-first queue
         for nums, d in islice(points, start, None):
-            for (rows, den), perm in zip(acts, perms):
-                image = [sum([a * nums[j] for j, a in row]) for row in rows]
+            support = [(j, x) for j, x in enumerate(nums) if x]
+            for (cols, den), perm in zip(acts, perms):
+                image = [0] * n
+                for j, x in support:
+                    for i, a in cols[j]:
+                        image[i] += a * x
                 image_d = den * d
                 if image_d != 1:
                     c = gcd(image_d, *image)
@@ -252,7 +249,8 @@ def _orbit_action(gens: Sequence[RatMatrix], max_order: int) -> tuple[list, list
                     if len(basis) < n and _insert(span, {j: x for j, x in enumerate(image) if x}) is not None:
                         basis.append(k)
                 perm.append(k)
-    return perms, basis
+    # the inverse of a permutation sorts its positions by their images
+    return [sorted(range(len(perm)), key=perm.__getitem__).__getitem__ for perm in perms], basis
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[int]]:
@@ -285,9 +283,8 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[int]]:
 class RationalRep:
     """Rational representation, held by its generator images, one per entry
     of group.gen_indices. `images`, one matrix per group element, is built
-    on first read; in the package check_homomorphism is its only reader, and
-    tests read the natural representation's for the matrix of each
-    element."""
+    on first read; no module of the package reads it, and tests read the
+    natural representation's for the matrix of each element."""
 
     group: FiniteMatrixGroup
     gen_images: tuple
@@ -316,20 +313,29 @@ class RationalRep:
         return tuple(t.numerator for t in traces)
 
     def check_homomorphism(self) -> None:
-        """Check ρ(e) = I and ρ(g·s) = ρ(g)·ρ(s) for every element g and
-        generator s. This is complete: for h = s₁⋯s_k, induction on k gives
-        ρ(g·h) = ρ(g)·ρ(s₁)⋯ρ(s_k), and with g = e that product is ρ(h).
+        """Check ρ(g·s) = ρ(g)·ρ(s) for every element g and generator s, ρ
+        built along the breadth-first tree from ρ(e) = I. This is complete:
+        for h = s₁⋯s_k, induction on k gives ρ(g·h) = ρ(g)·ρ(s₁)⋯ρ(s_k).
 
-        images is built along the breadth-first tree, ρ(j) = ρ(g)·ρ(s) for
-        parent[j] = (g, s), so the equation of each of those |G| − 1 edges
-        holds by construction; only the other edges are multiplied out, and
-        building and checking the images take |G|·#gens products together."""
-        images, parent = self.images, self.group.parent
-        if images[0] != RatMatrix.identity(self.dimension):
-            raise HomomorphismError("the identity element's image is not the identity matrix")
-        for g, row in enumerate(self.group.right):
+        It runs on base images, as generate_group does: ρ(g) is keyed by the
+        orbit indices of ρ(g)⁻¹ at n basis points of the images' orbits, so
+        equal keys are equal matrices and no edge takes a matrix product.
+        An orbit of more than |G| points means a larger image group."""
+        group = self.group
+        try:
+            steps, basis = _orbit_action(self.gen_images, group.order)
+        except GroupClosureError:
+            raise HomomorphismError(
+                f"the images have an orbit of more than |G| = {group.order} points, so they generate a larger group"
+            ) from None
+        keys = [tuple(basis)] + [None] * (group.order - 1)
+        # a tree edge is the first edge into its node, so keys[g] is set when read
+        for g, row in enumerate(group.right):
             for s, j in enumerate(row):
-                if parent[j] != (g, s) and images[j] != images[g] @ self.gen_images[s]:
+                key = tuple(map(steps[s], keys[g]))
+                if group.parent[j] == (g, s):
+                    keys[j] = key
+                elif key != keys[j]:
                     raise HomomorphismError(
                         f"images violate the Cayley graph at element {g} times generator {s}"
                     )
@@ -353,8 +359,8 @@ def _tree_images(rep: RationalRep, targets) -> dict:
 
 
 def rep_from_generator_images(group: FiniteMatrixGroup, gen_images: Sequence[RatMatrix]) -> RationalRep:
-    """The representation with the given generator images; every image is
-    built along the breadth-first tree, one product per element, and checked.
+    """The representation with the given generator images, checked on base
+    images with no matrix product.
 
     Raises HomomorphismError if the assignment does not define a homomorphism.
     """

@@ -16,7 +16,9 @@ basis, its pairwise sums and a run of random combinations, drawn in decompose
 from one fixed random.Random(0), so every run draws the same trials.
 
 A leaf V with commutant E is proved irreducible, exactly, by one of:
-- "dimension-one": dim V = 1 or E = Q;
+- "dimension-one": dim V = 1 or E = Q, read with no commutant solve from
+  ⟨χ_V, χ_V⟩ = dim_Q E = 1 (Serre, §2.3), asked only when dim V divides
+  |G| and dim V² ≤ |G|, as an absolutely irreducible degree does (§6.5);
 - "definite": dim E ≤ 4 and (x, y) ↦ tr_V(x·y) is negative definite on the
   trace-zero part of E, so E has no idempotent but 0 and 1 (an idempotent e
   of rank k, 0 < k < dim V, gives x = e − (k/dim V)·I with tr_V(x²) > 0);
@@ -321,8 +323,13 @@ def _split_once(rep: RationalRep, rng: random.Random, com: Optional[CommutantBas
     """Either an IrreducibleCertificate or _split_with's subspace bases, one
     per primary kernel of a trial; the random trials come from rng."""
     if com is None:
-        com = commutant(rep)
-    if rep.dimension == 1 or com.dimension == 1:
+        dim, order = rep.dimension, rep.group.order
+        # E = Q iff ⟨χ, χ⟩ = 1 (module docstring)
+        if dim == 1 or dim * dim <= order and order % dim == 0 and character_inner_product(rep, rep) == 1:
+            com = CommutantBasis(rep, (RatMatrix.identity(dim),))
+        else:
+            com = commutant(rep)
+    if com.dimension == 1:
         return IrreducibleCertificate(trials=0, commutant=com, proof="dimension-one")
     # E⊗R is R, C or H only if dim E <= 4
     if com.dimension <= 4 and _trace_form_negative_definite(com.basis):

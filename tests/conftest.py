@@ -183,6 +183,26 @@ def regular_rep(group):
     return rep_from_generator_images(group, images)
 
 
+# -- product oracle for anosov.fingrp.RationalRep.check_homomorphism ---------
+
+
+def homomorphism_by_products(rep) -> bool:
+    """Whether ρ(g·s) = ρ(g)·ρ(s) for every element g and generator s, with ρ
+    built along the breadth-first tree from ρ(e) = I: the tree edges hold by
+    construction, and every other edge is multiplied out, |G|·#gens matrix
+    products in all."""
+    group = rep.group
+    images = [RatMatrix.identity(rep.dimension)] + [None] * (group.order - 1)
+    for g, row in enumerate(group.right):
+        for s, j in enumerate(row):
+            product = images[g] @ rep.gen_images[s]
+            if group.parent[j] == (g, s):
+                images[j] = product
+            elif product != images[j]:
+                return False
+    return True
+
+
 # -- per-element oracles for the class sums of anosov.fingrp ------------------
 
 

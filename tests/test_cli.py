@@ -257,6 +257,16 @@ def test_infinite_order_generator_fails_fast(tmp_path, capsys):
     assert code == 2 and "invalid input:" in err and "determinant 2" in err
 
 
+def test_infinite_image_group_fails_fast(tmp_path, capsys):
+    # a ↦ [[1, 1], [0, 1]] has infinite order: the check stops on an image
+    # orbit of more than |G| = 6 points, whatever --max-order is
+    obj = {**D3_INPUT, "rep_images": [[["1", "1"], ["0", "1"]], [["1", "0"], ["0", "1"]]]}
+    path = write_input(tmp_path, obj)
+    code, out, err = run(["decide", path], capsys)
+    assert code == 2 and out == ""
+    assert "invalid input:" in err and "|G| = 6" in err and "max" not in err
+
+
 def test_max_order_below_one_exit_code(tmp_path, capsys):
     path = write_input(tmp_path, D3_INPUT)
     code, _, err = run(["decide", path, "--max-order", "0"], capsys)

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -24,8 +26,10 @@ from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
 
 from conftest import (
+    benchmark_cases,
     character,
     fs_indicator_by_element,
+    homomorphism_by_products,
     inner_product_by_element,
     random_unimodular,
     regular_rep,
@@ -53,6 +57,31 @@ def dense_conjugates(gens, seed: int) -> list:
     u = random_unimodular(random.Random(seed), gens[0].rows)
     u_inv = u.inverse()
     return [u @ g @ u_inv for g in gens]
+
+
+def keyed_check_accepts(rep) -> bool:
+    try:
+        rep.check_homomorphism()
+    except HomomorphismError:
+        return False
+    return True
+
+
+def perturbations(images: list) -> list:
+    """images, then images with one of them negated, with two of them
+    swapped, and with one of them times the shear I + E_{0,n−1} (det 1)."""
+    n = images[0].rows
+    shear = RatMatrix.from_rows([[int(i == j) + int((i, j) == (0, n - 1)) for j in range(n)] for i in range(n)])
+    out = [images]
+    for s in range(len(images)):
+        out.append(images[:s] + [-images[s]] + images[s + 1 :])
+        if n > 1:
+            out.append(images[:s] + [images[s] @ shear] + images[s + 1 :])
+    for s, t in itertools.combinations(range(len(images)), 2):
+        swapped = list(images)
+        swapped[s], swapped[t] = images[t], images[s]
+        out.append(swapped)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -268,26 +297,28 @@ class TestRepFromGeneratorImages:
 
     @pytest.mark.parametrize("name", ["d3", "q8", "b3"])
     def test_check_reaches_every_element(self, name, groups):
-        # altering any single image, generators and the identity included, is caught
+        """Each generator image s moved to ρ(s·k), for every element k, is
+        accepted or rejected as the product oracle says; k = e is accepted,
+        and some other k is not."""
         group = groups[name]
-        rep = natural_rep(group)
-        rep.check_homomorphism()
-        for k in range(group.order):
-            images = list(rep.images)
-            images[k] = -images[k]
-            altered = RationalRep(group=group, gen_images=tuple(images[i] for i in group.gen_indices))
-            # the check reads this list as given, not one rebuilt from the generators
-            vars(altered)["images"] = tuple(images)
-            with pytest.raises(HomomorphismError):
-                altered.check_homomorphism()
+        images = natural_rep(group).images
+        verdicts = []
+        for s, k in itertools.product(range(len(group.gen_indices)), range(group.order)):
+            gen_images = [images[i] for i in group.gen_indices]
+            gen_images[s] = gen_images[s] @ images[k]
+            rep = RationalRep(group=group, gen_images=tuple(gen_images))
+            verdict = homomorphism_by_products(rep)
+            assert keyed_check_accepts(rep) == verdict
+            verdicts.append(verdict)
+        assert all(verdicts[:: group.order]) and not all(verdicts)
 
     def test_size_mismatch(self, d3):
         with pytest.raises(ValueError):
             rep_from_generator_images(d3, [RatMatrix.identity(1)])
 
-    def test_images_and_check_take_one_product_per_edge(self, groups, monkeypatch):
-        """The images are built along the |G| − 1 tree edges and the check
-        multiplies out the other edges only: |G|·#gens = 48·3 products."""
+    def test_check_takes_no_matrix_products(self, groups, monkeypatch):
+        """The check runs on orbit indices; the image list, read afterwards,
+        is built along the |G| − 1 tree edges, one product each."""
         group = groups["b3"]
         products = 0
         matmul = RatMatrix.__matmul__
@@ -298,8 +329,41 @@ class TestRepFromGeneratorImages:
             return matmul(self, other)
 
         monkeypatch.setattr(RatMatrix, "__matmul__", counting)
-        rep_from_generator_images(group, group.generators())
-        assert products == group.order * len(group.gen_indices) == 144
+        rep = rep_from_generator_images(group, group.generators())
+        assert products == 0
+        assert len(rep.images) == group.order
+        assert products == group.order - 1 == 47
+
+    def test_infinite_image_group_fails_on_the_orbit_bound(self, d3):
+        # the shear's orbit of e_1 is e_1 + k·e_0 for every k ≥ 0
+        shear = RatMatrix.from_rows([[1, 1], [0, 1]])
+        message = r"^the images have an orbit of more than \|G\| = 6 points, so they generate a larger group$"
+        with pytest.raises(HomomorphismError, match=message) as excinfo:
+            rep_from_generator_images(d3, [shear, RatMatrix.identity(2)])
+        assert excinfo.traceback[-1].name == "check_homomorphism"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_agrees_with_products_on_the_benchmark_corpus(self, seed):
+        """On every generator set of the benchmark corpus, and on each with
+        one image negated, two images swapped or one image sheared (det 1),
+        the keyed check accepts exactly when the product oracle does."""
+        cases = benchmark_cases()
+        seen, verdicts = set(), []
+        for corpus in (cases.WORKLOADS, cases.FULL, cases.TOO_SLOW):
+            for make_cases in corpus.values():
+                for case in make_cases():
+                    obj = case.input_obj(seed)
+                    key = json.dumps([obj["generators"], obj["rep_images"]])
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    group, rep, _ = group_rep_from_json_obj(obj)
+                    for gen_images in perturbations(list(rep.gen_images)):
+                        perturbed = RationalRep(group=group, gen_images=tuple(gen_images))
+                        verdict = homomorphism_by_products(perturbed)
+                        assert keyed_check_accepts(perturbed) == verdict, case.case_id
+                        verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
 
 
 def test_group_rep_json_schema(d3):

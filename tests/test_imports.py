@@ -3,8 +3,8 @@ but numfield, whose embeddings give the log-vector screen, names a
 floating-point library, and numfield's make_field does not; numfield
 neither factors nor counts real roots, and make_field loads no sympy; no
 module imports sympy or mpmath when it is imported, so that the decision
-path starts without them; only the homomorphism check reads a
-representation's full image list; and the Krylov minimal polynomial serves
+path starts without them; no module reads a representation's full image
+list; and the Krylov minimal polynomial serves
 commutant elements only, a field element being read through its
 characteristic polynomial."""
 
@@ -74,9 +74,9 @@ def test_no_module_level_heavy_imports(path):
     assert not heavy, f"{path.name} imports at module level: {heavy}"
 
 
-# The one reader of RationalRep.images, and Permutation's own field of that
-# name: (module, enclosing class and function names) prefixes.
-IMAGES_READERS = (("fingrp.py", "RationalRep", "check_homomorphism"), ("ratmat.py", "Permutation"))
+# Permutation's own field of that name, the one `.images` read in the
+# package: (module, enclosing class and function names) prefixes.
+IMAGES_READERS = (("ratmat.py", "Permutation"),)
 
 
 def _images_reads(tree: ast.Module) -> list[tuple]:
@@ -97,7 +97,8 @@ def _images_reads(tree: ast.Module) -> list[tuple]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_full_image_list_read_only_by_the_homomorphism_check(path):
-    # after ingestion every step costs #generators or #classes, not |G|
+    # every step after closure costs #generators or #classes, not |G|: no
+    # module reads RationalRep.images, not even the homomorphism check
     tree = ast.parse(path.read_text(), filename=str(path))
     reads = [(path.name, *scope) for scope in _images_reads(tree)]
     stray = [r for r in reads if not any(r[: len(a)] == a for a in IMAGES_READERS)]

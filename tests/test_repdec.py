@@ -198,15 +198,16 @@ def test_pairwise_sums_built_lazily(monkeypatch):
 
 @pytest.mark.parametrize("make_rep", [regular_d4, lambda: multiple(corpus.q8_rep(), 2)], ids=["reg_d4", "2q8"])
 def test_commutant_solved_once_per_split(make_rep, monkeypatch):
-    """Each node that meets no proven class solves its commutant once, and
-    component_profile reuses the class representative's. A node that meets
-    a proven class L solves no commutant, and at most two Hom_G solves, each
-    between L's own images and the node's. decompose makes no other
-    intertwiner_space call. Every node is the root, a part that a splitting
-    node returned, whatever the number of parts per split, or the complement
-    that a peel returned."""
+    """Each node that meets no proven class solves its commutant once,
+    unless ⟨χ, χ⟩ = 1 or dim 1 makes it a "dimension-one" leaf, which solves
+    none, and component_profile reuses the class representative's. A node
+    that meets a proven class L solves no commutant, and at most two Hom_G
+    solves, each between L's own images and the node's. decompose makes no
+    other intertwiner_space call. Every node is the root, a part that a
+    splitting node returned, whatever the number of parts per split, or the
+    complement that a peel returned."""
     rep = make_rep()
-    solves = homs = calls = splits = parts = leaves = met = complements = 0
+    solves = homs = calls = splits = parts = leaves = unsolved = met = complements = 0
     certified = []
     intertwiners, split = repdec.intertwiner_space, repdec._split_once
     meeting, peel = repdec._meeting_class, repdec.peel
@@ -219,11 +220,12 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
         return intertwiners(left, right)
 
     def counting_split(*args, **kwargs):
-        nonlocal splits, parts, leaves
+        nonlocal splits, parts, leaves, unsolved
         splits += 1
         result = split(*args, **kwargs)
         if isinstance(result, IrreducibleCertificate):
             leaves += 1
+            unsolved += result.proof == "dimension-one"
             certified.append(result.commutant.rep)
         else:
             parts += len(result)
@@ -250,7 +252,7 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
     assert not any(p.unproven for p in profiles)
     assert met and splits + met == 1 + parts + complements
     assert leaves + met <= sum(p.multiplicity for p in profiles)
-    assert solves == splits and homs <= 2 * met
+    assert solves == splits - unsolved and homs <= 2 * met
     assert calls == solves + homs
 
 
@@ -272,16 +274,17 @@ def regular_b3():
 @pytest.mark.parametrize(
     "make_rep, commutant_solves, rows",
     [
-        (lambda: d3_sum(2, 2), 4, [(1, 2, 1), (2, 2, 1)]),
-        (regular_b3, 17, [(1, 1, 1)] * 2 + [(3, 3, 1)] * 2 + [(1, 1, 1)] * 2 + [(3, 3, 1)] * 2 + [(2, 2, 1)] * 2),
+        (lambda: d3_sum(2, 2), 2, [(1, 2, 1), (2, 2, 1)]),
+        (regular_b3, 7, [(1, 1, 1)] * 2 + [(3, 3, 1)] * 2 + [(1, 1, 1)] * 2 + [(3, 3, 1)] * 2 + [(2, 2, 1)] * 2),
     ],
     ids=["rho1+rho1+rho3+rho3", "reg_b3"],
 )
 def test_a_node_that_meets_a_proven_class_takes_no_commutant(make_rep, commutant_solves, rows, monkeypatch):
     """A node that holds a proven class and more besides is peeled through
-    it, where splitting it would solve its commutant: ρ1⊕ρ1⊕ρ3⊕ρ3 takes 4
-    commutant solves in place of 5, and regular B3 17 in place of 21, with
-    the same rows in the same order."""
+    it, where splitting it would solve its commutant, and a leaf with
+    ⟨χ, χ⟩ = 1 is proven from its character: only the nodes that split
+    solve one, 2 on ρ1⊕ρ1⊕ρ3⊕ρ3 in place of 5 and 7 on regular B3 in place
+    of 21, with the same rows in the same order."""
     solves = 0
     intertwiners = repdec.intertwiner_space
 
@@ -346,6 +349,37 @@ def test_classes_by_character_match_classes_by_hom(seed, monkeypatch):
         leaves.clear()
         profiles = decompose(rep)
         assert [list(p.members) for p in profiles] == classes_by_hom(leaves), case.case_id
+
+
+def test_own_inner_product_is_the_commutant_dimension(monkeypatch):
+    """On every node that decompose visits on the benchmark's full corpus,
+    ⟨χ_W, χ_W⟩ = dim_Q End_G(W) (Serre, §2.3), the identity the
+    "dimension-one" leaves are read from; where it is 1, the solved
+    commutant is spanned by the identity that those leaves carry."""
+    nodes = []
+    meeting = repdec._meeting_class
+
+    def recording(sub, classes):
+        nodes.append(sub)
+        return meeting(sub, classes)
+
+    monkeypatch.setattr(repdec, "_meeting_class", recording)
+    cases = benchmark_cases()
+    seen = set()
+    for make_cases in cases.FULL.values():
+        for case in make_cases():
+            key = (case.generators, case.rep_images)
+            if key in seen:
+                continue
+            seen.add(key)
+            _, rep, _ = group_rep_from_json_obj(case.input_obj(0))
+            decompose(rep)
+    assert len(nodes) > len(seen)
+    for sub in nodes:
+        com = commutant(sub)
+        assert character_inner_product(sub, sub) == com.dimension
+        if com.dimension == 1:
+            assert com.basis == (RatMatrix.identity(sub.dimension),)
 
 
 def _perm_group(*images):
@@ -709,19 +743,22 @@ class TestSearchLeafMeetingAnotherClass:
     def test_proven_classes_do_no_extra_work(self, monkeypatch):
         # regular Q8 ends in no "search" class, so no node is queued twice;
         # every inner product reads a class representative's character
-        # against a node's, in a meeting test or in the last check
+        # against a node's, in a meeting test or in the last check, or is a
+        # node's own ⟨χ, χ⟩, asked once by a node that passes the degree gate
         inner = repdec.character_inner_product
-        firsts = []
+        pairs = []
 
         def recording(a, b):
-            firsts.append(a)
+            pairs.append((a, b))
             return inner(a, b)
 
         monkeypatch.setattr(repdec, "character_inner_product", recording)
         profiles = repdec.decompose(regular_rep(corpus.q8_rep().group))
         assert not any(p.unproven for p in profiles)
         representatives = [p.sub_rep for p in profiles]
-        assert all(any(a is r for r in representatives) for a in firsts)
+        own = [a for a, b in pairs if a is b and not any(a is r for r in representatives)]
+        assert all(any(a is r for r in representatives) or a is b for a, b in pairs)
+        assert own and len({id(a) for a in own}) == len(own)
 
     def test_peel_through_no_summand_is_an_error(self, d3):
         # ρ1 ⊕ ρ2 meets ρ1 ⊕ ρ3 ⊕ ρ3, but is no summand of it

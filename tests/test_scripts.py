@@ -45,9 +45,16 @@ def test_witness_gallery_reverifies():
 
 
 def test_corpus_outputs_prints_every_golden_output():
-    lines = [line.split("\t") for line in run_script("corpus_outputs.py").splitlines()]
+    """Every golden output, and every line of tests/corpus_outputs.txt, the
+    script's recorded output: a change meant to leave every output alone
+    leaves it byte for byte. A change meant to alter outputs records it
+    again, with `PYTHONPATH=src python3 scripts/corpus_outputs.py`."""
+    out = run_script("corpus_outputs.py")
+    lines = [line.split("\t") for line in out.splitlines()]
     golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
     outputs = {label: out for label, code, out in lines}
     assert len(outputs) == len(lines) > len(golden)
     assert all(code == "0" for _, code, _ in lines)
     assert all(outputs[name] == json.dumps(golden[name]) for name in golden)
+    recorded = (ROOT / "tests" / "corpus_outputs.txt").read_text().splitlines()
+    assert out.splitlines() == recorded and len(recorded) == 250
