@@ -3,9 +3,9 @@
 Subcommands: decide (with --witness / --solvable), porteous, decompose,
 units, graded-action, hall-basis, no-cert, demo. Each registers only the
 flags its handler reads, and `main` builds the parser of the subcommand it
-is given alone. Input is a JSON object read from a file argument or
-stdin; output is JSON with a stable field order, or a human-readable table
-with --pretty.
+is given alone, as a top-level parser. Input is a JSON object read from a
+file argument or stdin; output is JSON with a stable field order, or a
+human-readable table with --pretty.
 
 Exit codes: 0 decided, 2 invalid input.
 """
@@ -243,39 +243,36 @@ def _add_class(p) -> None:
     p.add_argument("--class", dest="class_c", type=int, default=None)
 
 
-def _rep_parser(sub, name, help, func):
-    """A subcommand that reads a representation from the input."""
-    p = sub.add_parser(name, help=help)
+def _add_rep(p, func) -> None:
+    """The arguments of a subcommand that reads a representation."""
     p.set_defaults(func=func)
     _add_input(p)
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--pretty", action="store_true")
-    return p
 
 
-def _add_decide(sub) -> None:
-    p = _rep_parser(sub, "decide", "run the component criterion", cmd_decide)
+def _add_decide(p) -> None:
+    _add_rep(p, cmd_decide)
     _add_class(p)
     p.add_argument("--witness", action="store_true", help="construct a verified witness on YES")
     p.add_argument("--solvable", type=int, default=None, metavar="D", help="solvable-model metadata")
 
 
-def _add_porteous(sub) -> None:
-    _rep_parser(sub, "porteous", "the flat c = 1 criterion", cmd_porteous)
+def _add_porteous(p) -> None:
+    _add_rep(p, cmd_porteous)
 
 
-def _add_decompose(sub) -> None:
-    _rep_parser(sub, "decompose", "report the Q-irreducible component profiles", cmd_decompose)
+def _add_decompose(p) -> None:
+    _add_rep(p, cmd_decompose)
 
 
-def _add_no_cert(sub) -> None:
-    p = _rep_parser(sub, "no-cert", "exhaustive empty-search report for NO verdicts", cmd_no_cert)
+def _add_no_cert(p) -> None:
+    _add_rep(p, cmd_no_cert)
     _add_class(p)
     p.add_argument("--height-bound", type=int, default=5)
 
 
-def _add_units(sub) -> None:
-    p = sub.add_parser("units", help="search a number field for c-hyperbolic units")
+def _add_units(p) -> None:
     _add_input(p)
     _add_class(p)
     p.add_argument("--pretty", action="store_true")
@@ -286,23 +283,20 @@ def _add_units(sub) -> None:
     p.set_defaults(func=cmd_units)
 
 
-def _add_graded_action(sub) -> None:
-    p = sub.add_parser("graded-action", help="induced action on the free nilpotent gradeds")
+def _add_graded_action(p) -> None:
     _add_input(p)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_graded_action)
 
 
-def _add_hall_basis(sub) -> None:
-    p = sub.add_parser("hall-basis", help="Hall basis dimensions and elements")
+def _add_hall_basis(p) -> None:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--class", dest="class_c", type=int, required=True)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_hall_basis)
 
 
-def _add_demo(sub) -> None:
-    p = sub.add_parser("demo", help="run a named corpus entry")
+def _add_demo(p) -> None:
     p.add_argument("name")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_demo)
@@ -311,43 +305,56 @@ def _add_demo(sub) -> None:
 # the help width a non-terminal gets; fixed, so no parser queries the terminal
 HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
+# name: (the line the top-level help gives it, the function adding its arguments)
 SUBCOMMANDS = {
-    "decide": _add_decide,
-    "porteous": _add_porteous,
-    "decompose": _add_decompose,
-    "no-cert": _add_no_cert,
-    "units": _add_units,
-    "graded-action": _add_graded_action,
-    "hall-basis": _add_hall_basis,
-    "demo": _add_demo,
+    "decide": ("run the component criterion", _add_decide),
+    "porteous": ("the flat c = 1 criterion", _add_porteous),
+    "decompose": ("report the Q-irreducible component profiles", _add_decompose),
+    "no-cert": ("exhaustive empty-search report for NO verdicts", _add_no_cert),
+    "units": ("search a number field for c-hyperbolic units", _add_units),
+    "graded-action": ("induced action on the free nilpotent gradeds", _add_graded_action),
+    "hall-basis": ("Hall basis dimensions and elements", _add_hall_basis),
+    "demo": ("run a named corpus entry", _add_demo),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with the named one alone. The
-    named one alone keeps the metavar that lists all of them, so its usage
-    lines and errors read the same."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="anosov",
         description="Decide whether an infra-nilmanifold holonomy datum admits an "
         "Anosov diffeomorphism, and construct verified witness matrices.",
         formatter_class=HELP_FORMATTER,
     )
-    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
     subparser = functools.partial(argparse.ArgumentParser, formatter_class=HELP_FORMATTER)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, parser_class=subparser)
-    for name, add in SUBCOMMANDS.items():
-        if command in (None, name):
-            add(sub)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    for name, (line, add) in SUBCOMMANDS.items():
+        add(sub.add_parser(name, help=line))
     return parser
 
 
+def subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The named subcommand's parser alone, as build_parser's would be."""
+    parser = argparse.ArgumentParser(prog=f"anosov {name}", formatter_class=HELP_FORMATTER)
+    SUBCOMMANDS[name][1](parser)
+    return parser
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """argv read as build_parser reads it: by the subcommand's parser alone
+    when the first argument names one, else by the parser with all of them.
+    The parser with all of them reports the arguments a subcommand leaves
+    over, so it is built for that error too."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return build_parser().parse_args(argv)
+    args, extras = subcommand_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:
+        build_parser().error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a subcommand's parser alone, when the first argument names one; help,
-    # a missing command and an unknown one get the parser with all of them
-    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         args.func(args)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:

@@ -13,14 +13,13 @@ element g is held as the orbit indices of g⁻¹ at those points, n ints that
 fix g. Walking the Cayley graph g ↦ g·s of the generators s then takes
 |G|·#gens lookups of n indices each and no arithmetic. The homomorphism
 check of a representation runs the same way on its generator images, with
-|G| as the orbit bound, and takes no matrix product either. The matrix of
-every element is natural_rep(group).images, built on first read. No step
-forms the |G|² multiplication table; squares, inverses and conjugacy
-classes are read off the Cayley graph.
+|G| as the orbit bound, and takes no matrix product either. No step forms
+the |G|² multiplication table; squares, inverses and conjugacy classes are
+read off the Cayley graph.
 
 After closure every step costs #generators or #classes, not |G|. A
-representation is held by its generator images; its full image list is built
-on first read, and no module of the package reads it.
+representation is held by its generator images, and no step builds the
+matrix of every element.
 Characters are class functions (Serre, *Linear Representations of Finite
 Groups*, §2.2–2.5), so the class sums read a representation's character, the
 trace of its image at one representative per class, evaluated once per
@@ -57,7 +56,8 @@ class FiniteMatrixGroup:
     gen_matrices holds the generators as given. elements holds one key per
     element, in breadth-first order from the identity, elements[0]: the
     orbit indices of g⁻¹ at the basis points of generate_group's orbit, a
-    tuple of n ints; the element's matrix is natural_rep(group).images[g].
+    tuple of n ints; the element's matrix is the product of the generators
+    along the breadth-first tree.
     right[g][s] = index of g·(generator s): the generator Cayley graph.
     parent[g] = (i, s) is the breadth-first tree edge with g = i·(generator
     s); parent[0] is None. sq_map[g] and inv_map[g] are the indices of g²
@@ -282,9 +282,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> list[list[int]]:
 @dataclass(frozen=True)
 class RationalRep:
     """Rational representation, held by its generator images, one per entry
-    of group.gen_indices. `images`, one matrix per group element, is built
-    on first read; no module of the package reads it, and tests read the
-    natural representation's for the matrix of each element."""
+    of group.gen_indices."""
 
     group: FiniteMatrixGroup
     gen_images: tuple
@@ -294,19 +292,24 @@ class RationalRep:
         return self.gen_images[0].rows
 
     @cached_property
-    def images(self) -> tuple:
-        """ρ(g) for every element g, in element order."""
-        images = _tree_images(self, range(self.group.order))
-        return tuple(images[g] for g in range(self.group.order))
-
-    @cached_property
     def character(self) -> tuple:
         """χ = tr ρ on each conjugacy class, in the order of group.class_data,
         read at the class representatives; evaluated once per representation.
         The values are Python ints: the trace of a matrix of finite order is a
-        sum of roots of unity, and a rational one is an integer."""
-        reps = self.group.class_data.reps
-        images = _tree_images(self, reps)
+        sum of roots of unity, and a rational one is an integer. ρ is built
+        at the representatives and their breadth-first ancestors, one product
+        per element from its parent's image."""
+        reps, parent = self.group.class_data.reps, self.group.parent
+        needed = {0}
+        for g in reps:
+            while g not in needed:
+                needed.add(g)
+                g = parent[g][0]
+        images = {0: RatMatrix.identity(self.dimension)}
+        # parents precede their children
+        for g in sorted(needed)[1:]:
+            i, s = parent[g]
+            images[g] = images[i] @ self.gen_images[s]
         traces = [images[g].trace() for g in reps]
         if any(t.denominator != 1 for t in traces):
             raise HomomorphismError("a trace at an element of finite order is not an integer")
@@ -339,23 +342,6 @@ class RationalRep:
                     raise HomomorphismError(
                         f"images violate the Cayley graph at element {g} times generator {s}"
                     )
-
-
-def _tree_images(rep: RationalRep, targets) -> dict:
-    """ρ at the target element indices and at their breadth-first ancestors,
-    keyed by index: one product per element, from its parent's image."""
-    parent = rep.group.parent
-    needed = {0}
-    for g in targets:
-        while g not in needed:
-            needed.add(g)
-            g = parent[g][0]
-    images = {0: RatMatrix.identity(rep.dimension)}
-    # parents precede their children
-    for g in sorted(needed)[1:]:
-        i, s = parent[g]
-        images[g] = images[i] @ rep.gen_images[s]
-    return images
 
 
 def rep_from_generator_images(group: FiniteMatrixGroup, gen_images: Sequence[RatMatrix]) -> RationalRep:

@@ -13,7 +13,7 @@ reversal followed by a real root count: a root on the circle is shared
 with the reversal, and the palindromic part of the gcd is X^d·T(X + 1/X)
 with a real root of T in (−2, 2) for each conjugate pair on the circle.
 Neither step needs a squarefree input: a root z occurs in the gcd as often
-as 1/z does, and root isolation counts distinct roots.
+as 1/z does, and the Sturm count counts distinct roots.
 """
 
 from __future__ import annotations

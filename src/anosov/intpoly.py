@@ -1,18 +1,18 @@
 """Integer polynomial arithmetic: factorization over Q, gcds, cyclotomic
 polynomials, coefficient reversal, and eigenvalue-product polynomials.
 
-Factorization takes a closed form where the answer has one: the power of X,
-small integer roots and every quadratic are split off here. The rest of a
-factorization, and gcds, squarefree parts, division and real root counts,
-run on sympy's dense integer kernels (`dup_*` over ZZ: Zassenhaus
-factorization, heuristic and subresultant gcds, real root isolation), which
-take coefficient lists directly; an `IntPoly` crosses that boundary as a list
-of ZZ elements, leading coefficient first, and comes back through `int`. Each
-kernel is imported inside the function that calls it, so that a run whose
-polynomials all factor in closed form never loads sympy. Cyclotomic
-polynomials, from their Möbius product, and the eigenvalue-product
-polynomials, from power sums of the roots, are computed here in integer
-arithmetic.
+Everything but Zassenhaus factorization is integer arithmetic here. gcds
+take the heuristic gcd (Char, Geddes and Gonnet, 1989), accepted only when
+exact division shows that it divides both inputs, with the primitive
+remainder sequence when it fails; the squarefree part is f / gcd(f, f′) by
+exact division; real roots are counted by a Sturm sequence of sign-keeping
+pseudo-remainders. Factorization takes a closed form where the answer has
+one: the power of X, small integer roots and every quadratic are split off
+here, and only a residual of degree three or more goes to sympy's dense
+Zassenhaus kernel, imported inside the function that calls it, so that a
+run whose polynomials all factor in closed form never loads sympy.
+Cyclotomic polynomials come from their Möbius product, and the
+eigenvalue-product polynomials from power sums of the roots.
 """
 
 from __future__ import annotations
@@ -103,10 +103,7 @@ class IntPoly:
         return not self.is_zero and self.coeffs[-1] == 1
 
     def __call__(self, value):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return _eval(self.coeffs, value)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -182,21 +179,6 @@ class IntPoly:
         return text
 
 
-# -- dense ZZ boundary ----------------------------------------------------------
-
-
-def _dense(f: IntPoly) -> list:
-    """f as a dense coefficient list over ZZ, leading coefficient first."""
-    from sympy.polys.domains import ZZ
-
-    return [ZZ(c) for c in reversed(f.coeffs)]
-
-
-def _from_dense(coeffs: list) -> IntPoly:
-    """The inverse of `_dense`; IntPoly reads each coefficient with int()."""
-    return IntPoly(tuple(reversed(coeffs)))
-
-
 # -- operations -----------------------------------------------------------------
 
 
@@ -224,7 +206,9 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
         from sympy.polys.domains import ZZ
         from sympy.polys.factortools import dup_factor_list
 
-        factors += [(_from_dense(p), m) for p, m in dup_factor_list(_dense(g), ZZ)[1]]
+        # sympy's dense lists run leading coefficient first
+        dense = dup_factor_list([ZZ(c) for c in reversed(g.coeffs)], ZZ)[1]
+        factors += [(IntPoly(tuple(reversed(p))), m) for p, m in dense]
     return sorted(factors, key=lambda fm: (fm[0].degree, fm[1], fm[0].coeffs[::-1]))
 
 
@@ -302,33 +286,178 @@ def cyclotomic(d: int) -> IntPoly:
     return IntPoly(tuple(series))
 
 
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """gcd over Q, returned primitive with positive leading coefficient."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_gcd
+# -- integer kernels ------------------------------------------------------------
+#
+# The helpers below work on coefficient lists, ascending and without trailing
+# zeros.
 
-    return _from_dense(dup_gcd(_dense(f), _dense(g), ZZ)).primitive_part()
+# Evaluation points the heuristic gcd tries before the primitive remainder
+# sequence takes over.
+HEU_GCD_ATTEMPTS = 6
+
+
+def _quotient(f: list, g: list):
+    """f / g when the nonzero g divides f in Z[X], else None. For a
+    primitive g that is exactly when g divides f over Q (Gauss)."""
+    m = len(g)
+    if len(f) < m:
+        return None if f else []
+    r, lc = list(f), g[-1]
+    q = [0] * (len(f) - m + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[i + m - 1], lc)
+        if rest:
+            return None
+        q[i] = c
+        if c:
+            for j in range(m - 1):
+                r[i + j] -= c * g[j]
+    return None if any(r[: m - 1]) else q
+
+
+def _remainder(f: list, g: list) -> list:
+    """A positive multiple of the remainder of f by the nonzero g over Q,
+    with its content divided out: each step scales by |lc g|, so signs are
+    kept."""
+    r, m, lc = list(f), len(g), g[-1]
+    a, sign = abs(lc), 1 if lc > 0 else -1
+    while len(r) >= m:
+        c = sign * r.pop()  # a·r − c·X^shift·g cancels the leading term
+        shift = len(r) - m + 1
+        if a != 1:
+            r = [a * x for x in r]
+        for j in range(m - 1):
+            r[shift + j] -= c * g[j]
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)
+
+
+def _primitive(f: list) -> list:
+    """f over its content, which is positive: signs are kept."""
+    content = _int_gcd(*f)
+    return [x // content for x in f] if content > 1 else f
+
+
+def _eval(f, x):
+    """f(x) by Horner's scheme."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _heuristic_gcd(f: list, g: list):
+    """The primitive gcd of nonzero primitive f and g, up to sign, or None:
+    the heuristic gcd (Char, Geddes and Gonnet, J. Symb. Comp. 7,
+    1989). gcd(f(ξ), g(ξ)) is read back as a polynomial with coefficients
+    in (−ξ/2, ξ/2]; if its primitive part h divides f and g, and ξ ≥
+    2·min(‖f‖∞, ‖g‖∞) + 2, then h is the gcd (Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, Thm 7.7)."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(HEU_GCD_ATTEMPTS):
+        gamma, h = _int_gcd(_eval(f, xi), _eval(g, xi)), []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            h.append(d)
+            gamma = (gamma - d) // xi
+        h = _primitive(h)
+        if len(h) == 1 or _quotient(f, h) is not None and _quotient(g, h) is not None:
+            return h
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(f: list, g: list) -> list:
+    """The gcd of nonzero f and g, up to sign: the primitive remainder
+    sequence."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _remainder(f, g)
+    return _primitive(f)
+
+
+def _gcd(f: list, g: list) -> list:
+    """The primitive gcd of nonzero f and g, up to sign."""
+    f, g = _primitive(f), _primitive(g)
+    return _heuristic_gcd(f, g) or _prs_gcd(f, g)
+
+
+def _normal(f: list) -> IntPoly:
+    """The primitive f with its leading coefficient made positive."""
+    return IntPoly(tuple(f if f[-1] > 0 else [-x for x in f]))
+
+
+def _signs_at(chain: list, point) -> list:
+    """The signs of the polynomials of chain at a rational point or at ±∞,
+    given as a float."""
+    if isinstance(point, float):
+        return [(1 if p[-1] > 0 else -1) * (1 if point > 0 or len(p) % 2 else -1) for p in chain]
+    num, den = point.numerator, point.denominator
+    signs = []
+    for p in chain:
+        acc, scale = 0, 1
+        for c in reversed(p):  # den^deg·p(num/den) by Horner's scheme
+            acc = acc * num + c * scale
+            scale *= den
+        signs.append((acc > 0) - (acc < 0))
+    return signs
+
+
+def _variations(signs: list) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+
+
+def _sturm_chain(f: list) -> list:
+    """f, f′ and the negated remainders: a Sturm sequence of f when f is
+    squarefree, its last entry being a constant; else that entry has the
+    degree of gcd(f, f′)."""
+    chain = [f, [i * c for i, c in enumerate(f) if i]]
+    while True:
+        r = _remainder(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append([-x for x in r])
+
+
+def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """gcd over Q, returned primitive with positive leading coefficient: the
+    heuristic gcd, with the primitive remainder sequence when it fails."""
+    if f.is_zero or g.is_zero:
+        return (g if f.is_zero else f).primitive_part()
+    return _normal(_gcd(list(f.coeffs), list(g.coeffs)))
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:
     """f / gcd(f, f'), primitive with positive leading coefficient."""
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    from sympy.polys.domains import ZZ
-    from sympy.polys.sqfreetools import dup_sqf_part
-
-    return _from_dense(dup_sqf_part(_dense(f), ZZ))
+    if f.degree == 0:
+        return IntPoly((1,))
+    a = _primitive(list(f.coeffs))
+    # a quotient of primitive polynomials is primitive (Gauss)
+    return _normal(_quotient(a, _gcd(a, [i * c for i, c in enumerate(a) if i])))
 
 
 def real_root_count(f: IntPoly, lo=None, hi=None) -> int:
     """Number of distinct real roots of f in [lo, hi], an omitted bound
-    being infinite: one isolating interval per root, found over ZZ by
-    continued fractions on the squarefree factors of f."""
-    from sympy.polys.domains import QQ, ZZ
-    from sympy.polys.rootisolation import dup_isolate_real_roots
-
-    inf, sup = (None if b is None else QQ(b) for b in (lo, hi))
-    return len(dup_isolate_real_roots(_dense(f), ZZ, inf=inf, sup=sup))
+    being infinite, by Sturm's theorem on the squarefree part s of f: the
+    sign variations of its Sturm sequence drop by one at each root of s, so
+    V(lo) − V(hi) counts the roots in (lo, hi]."""
+    if f.degree < 1:
+        return 0
+    lo, hi = (Fraction(b) if b is not None else float(side) for b, side in ((lo, "-inf"), (hi, "inf")))
+    if lo > hi:
+        return 0
+    chain = _sturm_chain(list(f.coeffs))
+    if len(chain[-1]) > 1:  # the chain of f / gcd(f, f′)
+        chain = _sturm_chain(_quotient(list(f.coeffs), _primitive(chain[-1])))
+    low = _signs_at(chain, lo)
+    return _variations(low) - _variations(_signs_at(chain, hi)) + (low[0] == 0)
 
 
 def reversal(f: IntPoly) -> IntPoly:
@@ -405,12 +534,7 @@ def divides(f: IntPoly, g: IntPoly) -> bool:
     """True iff f divides g over Q."""
     if f.is_zero:
         return g.is_zero
-    from sympy.polys.densearith import dup_div
-    from sympy.polys.domains import ZZ
-
-    # over Z a primitive f divides g exactly when it does over Q (Gauss)
-    _, r = dup_div(_dense(g), _dense(f.primitive_part()), ZZ)
-    return not r
+    return _quotient(list(g.coeffs), list(f.primitive_part().coeffs)) is not None
 
 
 def poly_from_json_obj(obj) -> IntPoly:

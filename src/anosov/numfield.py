@@ -19,8 +19,8 @@ integer square root, and ζ_d^k for k prime to d in Q[X]/(Φ_d) (Washington,
 Introduction to Cyclotomic Fields, §2), by mpmath. A log vector evaluates
 the unit at each embedding in the same fixed point, and mpmath takes only
 the final logarithm. Every candidate that passes the screen is certified
-exactly. mpmath, and sympy's integer factorization, are imported by the
-functions that use them, so importing this module loads neither.
+exactly. mpmath is imported by the functions that use it, so importing
+this module does not load it, and the module never loads sympy.
 """
 
 from __future__ import annotations
@@ -309,21 +309,32 @@ def unit_generators_for_field(field: NumberFieldCtx) -> list[UnitElem]:
     if rank == 0:
         return []
     if field.degree == 2 and field.s_real == 2:
-        import sympy
-
         # X² + bX + c with positive discriminant; express the fundamental
         # unit of Q(√d0) in this power basis via √d0 = (2θ + b)/t
         b, c = field.min_poly.coeffs[1], field.min_poly.coeffs[0]
         disc = b * b - 4 * c
-        d0 = 1
-        for p, e in sympy.factorint(disc).items():
-            if e % 2:
-                d0 *= int(p)
+        d0 = squarefree_kernel(disc)
         t = isqrt(disc // d0)
         x, y = _fundamental_unit_coords(d0)
         coords = (x + Fraction(y * b, t), Fraction(2 * y, t))
         return [make_unit(field, field.mult_matrix(coords))]
     return _cyclotomic_units(field, field.cyclotomic_index)
+
+
+def squarefree_kernel(n: int) -> int:
+    """The squarefree d with n = d·t², for n ≥ 1, by trial division by the p
+    with p³ at most what is left: the rest then has at most two prime
+    factors, so it is a square or squarefree."""
+    d, rest, p = 1, n, 2
+    while p * p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e % 2:
+            d *= p
+        p += 1 if p == 2 else 2
+    return d if isqrt(rest) ** 2 == rest else d * rest
 
 
 def totient(d: int) -> int:

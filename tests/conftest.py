@@ -7,10 +7,14 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.rootisolation import dup_isolate_real_roots
+from sympy.polys.sqfreetools import dup_sqf_part
 
 from anosov import corpus
 from anosov.fingrp import conjugate_rep, generate_group, natural_rep, rep_from_generator_images
-from anosov.hyper import FOUND, unit_circle_root_test
+from anosov.hyper import FOUND, _trace_form, unit_circle_root_test
 from anosov.intpoly import IntPoly, _eig_products, cyclotomic, real_root_count, squarefree_part
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
@@ -203,27 +207,38 @@ def homomorphism_by_products(rep) -> bool:
     return True
 
 
+def element_matrices(rep) -> list:
+    """ρ(g) for every element g, in element order: one product per element,
+    from its breadth-first parent's image."""
+    group = rep.group
+    images = [RatMatrix.identity(rep.dimension)]
+    for g in range(1, group.order):
+        i, s = group.parent[g]
+        images.append(images[i] @ rep.gen_images[s])
+    return images
+
+
 # -- per-element oracles for the class sums of anosov.fingrp ------------------
 
 
 def character(rep) -> list:
     """χ(g) = tr ρ(g), indexed by element."""
-    return [img.trace() for img in rep.images]
+    return [img.trace() for img in element_matrices(rep)]
 
 
 def fs_indicator_by_element(rep) -> Fraction:
     """(1/|G|)·Σ_g tr ρ(g²), summed over every element."""
-    group = rep.group
-    total = sum((rep.images[group.sq_map[g]].trace() for g in range(group.order)), Fraction(0))
+    group, images = rep.group, element_matrices(rep)
+    total = sum((images[group.sq_map[g]].trace() for g in range(group.order)), Fraction(0))
     return total / group.order
 
 
 def inner_product_by_element(rep_a, rep_b) -> Fraction:
     """⟨χ_a, χ_b⟩ = (1/|G|)·Σ_g χ_a(g)·χ_b(g⁻¹), summed over every element."""
-    group = rep_a.group
+    group, images_a, images_b = rep_a.group, element_matrices(rep_a), element_matrices(rep_b)
     total = Fraction(0)
     for g in range(group.order):
-        total += rep_a.images[g].trace() * rep_b.images[group.inv_map[g]].trace()
+        total += images_a[g].trace() * images_b[group.inv_map[g]].trace()
     return total / group.order
 
 
@@ -259,6 +274,33 @@ def loop_only_verdict(f, c: int) -> bool:
     with no closed form."""
     base = squarefree_part(f)
     return all(unit_circle_root_test(_eig_products(base, k)).status != FOUND for k in range(1, c + 1))
+
+
+def sympy_route_report(f, c: int) -> dict:
+    """is_c_hyperbolic_poly's JSON report with its three kernels run by
+    sympy's dense ZZ routines: dup_sqf_part for the squarefree part, dup_gcd
+    for the gcd with the reversal, and the number of isolating intervals in
+    [−2, 2] of dup_isolate_real_roots for the real roots of the trace form."""
+
+    def dense(g):
+        return [ZZ(x) for x in reversed(g.coeffs)]
+
+    def on_circle(g):
+        common = IntPoly(tuple(int(x) for x in reversed(dup_gcd(dense(g), dense(g)[::-1], ZZ)))).primitive_part()
+        if common.degree < 1:
+            return False
+        if common(1) == 0 or common(-1) == 0:
+            return True
+        return bool(dup_isolate_real_roots(dense(_trace_form(common)), ZZ, inf=QQ(-2), sup=QQ(2)))
+
+    base = IntPoly(tuple(int(x) for x in reversed(dup_sqf_part(dense(f), ZZ))))
+    report = {"c_tested": c, "verdict": True, "certified_exact": True}
+    if 1 <= base.degree <= c and abs(base.coeffs[0]) == abs(base.leading):
+        return {**report, "verdict": False, "offending_product": {"k": base.degree}}
+    for k in range(1, c + 1):
+        if on_circle(_eig_products(base, k)):
+            return {**report, "verdict": False, "offending_product": {"k": k}}
+    return report
 
 
 def lattice_search_every_candidate(com, c: int, height_bound: int):

@@ -41,7 +41,7 @@ from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import commutant, component_profile, decompose
 from anosov.witness import verify_witness
 
-from conftest import character
+from conftest import character, element_matrices
 
 A_EXPECTED = RatMatrix.from_rows([[0, 0, 0, 1], [0, 0, -1, 1], [0, -1, 0, 1], [1, -1, -1, 1]])
 B_EXPECTED = RatMatrix.from_rows([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
@@ -98,7 +98,7 @@ def test_criterion_3_witness_production():
             assert verdict.witness_status == "attached", (m, c)
             w = verdict.witness.witness
             # independent re-verification, all six element images
-            assert all(w @ img == img @ w for img in rep.images)
+            assert all(w @ img == img @ w for img in element_matrices(rep))
             coeffs = w.char_poly()
             IntPoly.from_rationals(coeffs)  # raises unless in Z[X]
             assert abs(w.det()) == 1

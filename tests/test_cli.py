@@ -4,7 +4,7 @@ import time
 import pytest
 
 from anosov import cli, freenilp, numfield, ratmat
-from anosov.cli import SUBCOMMANDS, build_parser, main
+from anosov.cli import SUBCOMMANDS, build_parser, main, parse_args
 from anosov.intpoly import cyclotomic
 from anosov.ratmat import RatMatrix
 from anosov.numfield import MAX_LATTICE_CANDIDATES
@@ -404,11 +404,11 @@ def test_removed_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def _parse_outcome(parser, argv, capsys):
-    """(exit code, stdout, stderr) of parse_args, which exits on help and
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse_args, which exits on help and
     on a usage error."""
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
+        parse(argv)
     out = capsys.readouterr()
     return exc.value.code, out.out, out.err
 
@@ -437,20 +437,26 @@ def test_one_subcommand_parser_reads_as_the_full_one(name, tail, capsys, monkeyp
     """main builds only the subcommand it is given; its help, usage lines,
     errors and exit codes match the parser with every subcommand."""
     monkeypatch.setenv("COLUMNS", "80")
-    full = _parse_outcome(build_parser(), [name, *tail], capsys)
-    alone = _parse_outcome(build_parser(name), [name, *tail], capsys)
+    full = _parse_outcome(build_parser().parse_args, [name, *tail], capsys)
+    alone = _parse_outcome(parse_args, [name, *tail], capsys)
     assert alone == full
     assert full[0] in (0, 2)
 
 
 def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
     built = []
+    build, alone = cli.build_parser, cli.subcommand_parser
 
-    def spy(command=None):
-        built.append(command)
-        return build_parser(command)
+    def spy_full():
+        built.append(None)
+        return build()
 
-    monkeypatch.setattr(cli, "build_parser", spy)
+    def spy_alone(name):
+        built.append(name)
+        return alone(name)
+
+    monkeypatch.setattr(cli, "build_parser", spy_full)
+    monkeypatch.setattr(cli, "subcommand_parser", spy_alone)
     assert main(["hall-basis", "--r", "2", "--class", "2"]) == 0
     with pytest.raises(SystemExit):
         main(["--help"])

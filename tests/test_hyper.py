@@ -24,11 +24,38 @@ from anosov.ratmat import RatMatrix
 from anosov.repdec import commutant
 from anosov.witness import companion_matrix, lattice_search
 
-from conftest import k_fold_products, loop_only_verdict, random_unimodular, roots_of
+from conftest import (
+    element_matrices,
+    k_fold_products,
+    loop_only_verdict,
+    random_unimodular,
+    roots_of,
+    sympy_route_report,
+)
 
 FIB = RatMatrix.from_rows([[2, 1], [1, 1]])
 PLASTIC = IntPoly((-1, -1, 0, 1))  # X^3 - X - 1
 SILVER = IntPoly((-1, -2, 1))  # minimal polynomial of 1 + sqrt(2)
+
+# factors for products: palindromic of degree 2 to 6, with roots on and off
+# the circle, cyclotomic, and the minimal polynomials of Pisot numbers
+PALINDROMIC = st.builds(
+    lambda half: IntPoly((*half, *reversed(half[:-1]))),
+    st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda h: h[0] != 0),
+)
+CYCLOTOMIC = st.integers(1, 30).map(cyclotomic)
+PISOT = st.sampled_from(
+    [
+        IntPoly((-1, -1, 1)),  # golden ratio
+        SILVER,
+        IntPoly((-1, -1, 0, 1)),  # plastic number
+        IntPoly((-1, 0, -1, 1)),  # X^3 - X^2 - 1
+        IntPoly((-1, -1, -1, 1)),  # tribonacci
+        IntPoly((-1, 0, 0, -1, 1)),  # X^4 - X^3 - 1
+        IntPoly((1, -3, 1)),  # (3 + sqrt 5)/2, a unit with norm 1
+        IntPoly((-1, -3, 1)),  # (3 + sqrt 13)/2
+    ]
+)
 
 
 class TestIntegerLike:
@@ -298,6 +325,16 @@ class TestPolyHyperbolicity:
         assert is_c_hyperbolic_poly(f, 1).verdict
         assert not is_c_hyperbolic_poly(f, 2).verdict
 
+    @given(st.lists(PISOT, min_size=1, max_size=2), st.one_of(st.none(), PALINDROMIC, CYCLOTOMIC), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_sympy_route(self, pisot, other, c):
+        # products with repeated factors, coinciding k-fold products and
+        # roots on the circle, checked against sympy's kernels
+        f = other or IntPoly((1,))
+        for g in pisot:
+            f = f * g
+        assert is_c_hyperbolic_poly(f, c).to_json_obj() == sympy_route_report(f, c)
+
 
 def test_full_product_blocks_n_hyperbolicity():
     # |det| = 1 forces the n-fold eigenvalue product onto the unit circle
@@ -318,7 +355,7 @@ def test_commutant_elements_never_km_hyperbolic():
     for _ in range(5):
         u = random_unimodular(rng, 2)
         cand = u.kron_identity(2)
-        assert all(cand @ img == img @ cand for img in rep.images)
+        assert all(cand @ img == img @ cand for img in element_matrices(rep))
         assert abs(cand.det()) == 1
         assert not is_c_hyperbolic_matrix(cand, 2).verdict
 

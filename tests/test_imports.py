@@ -3,8 +3,9 @@ but numfield, whose embeddings give the log-vector screen, names a
 floating-point library, and numfield's make_field does not; numfield
 neither factors nor counts real roots, and make_field loads no sympy; no
 module imports sympy or mpmath when it is imported, so that the decision
-path starts without them; no module reads a representation's full image
-list; and the Krylov minimal polynomial serves
+path starts without them, and the hyperbolicity test, the witness search
+and the empty-search report do not load them either; no module builds a
+representation's full image list; and the Krylov minimal polynomial serves
 commutant elements only, a field element being read through its
 characteristic polynomial."""
 
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from anosov import corpus
+from anosov.fingrp import RationalRep
 from conftest import benchmark_cases
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "anosov"
@@ -97,8 +100,10 @@ def _images_reads(tree: ast.Module) -> list[tuple]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_full_image_list_read_only_by_the_homomorphism_check(path):
-    # every step after closure costs #generators or #classes, not |G|: no
-    # module reads RationalRep.images, not even the homomorphism check
+    # every step after closure costs #generators or #classes, not |G|: a
+    # representation offers no list of all |G| images, and no module reads
+    # an `.images` attribute but Permutation's own
+    assert not hasattr(RationalRep, "images")
     tree = ast.parse(path.read_text(), filename=str(path))
     reads = [(path.name, *scope) for scope in _images_reads(tree)]
     stray = [r for r in reads if not any(r[: len(a)] == a for a in IMAGES_READERS)]
@@ -223,3 +228,38 @@ def test_decision_path_loads_no_sympy_or_mpmath():
         else:
             flat = case if command == "decide" else dataclasses.replace(case, c=1)
             assert cases.fingerprint(flat, obj) == flat.expected(), (case.case_id, command)
+
+
+def _input_text(rep) -> str:
+    """The CLI input for a representation: its group's generators and their
+    images."""
+    return json.dumps(
+        {
+            "generators": [m.to_json_obj() for m in rep.group.generators()],
+            "rep_images": [m.to_json_obj() for m in rep.gen_images],
+        }
+    )
+
+
+# The hyperbolicity test, the witness search and the empty-search report run
+# in integer arithmetic: each run, alone in a fresh interpreter, loads
+# neither sympy nor mpmath.
+@pytest.mark.parametrize(
+    "argv, rep, key",
+    [
+        (["decide", "--witness", "--class", "2", "-"], corpus.m_rho3(3), "witness"),
+        (["decide", "--witness", "--class", "2", "-"], corpus.torus_rep(3), "witness"),
+        (["no-cert", "--class", "2", "--height-bound", "1", "-"], corpus.m_rho3(2), "candidates_screened"),
+    ],
+    ids=["witness-3rho3", "witness-3-torus", "no-cert-2rho3"],
+)
+def test_witness_and_no_cert_load_no_sympy_or_mpmath(argv, rep, key):
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(SRC.parent), *HEAVY],
+        input=json.dumps([[argv, _input_text(rep)]]), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    ((rc, out),) = result["outputs"]
+    assert rc == 0 and key in json.loads(out)

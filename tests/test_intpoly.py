@@ -218,6 +218,27 @@ class TestDenseKernelsMatchPolyOracle:
             assert cyclotomic(d) == _from_sympy(sympy.Poly(sympy.cyclotomic_poly(d, _X), _X))
 
 
+class TestPrimitiveRemainderFallback:
+    """The heuristic gcd given no evaluation point: every gcd then comes from
+    the primitive remainder sequence, and the results stay the oracles'."""
+
+    @given(nonzero_polys, nonzero_polys, nonzero_polys, st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_oracles(self, a, b, common, power):
+        f = a**power * b
+        fallbacks = []
+        prs_gcd = anosov.intpoly._prs_gcd
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anosov.intpoly, "HEU_GCD_ATTEMPTS", 0)
+            mp.setattr(anosov.intpoly, "_prs_gcd", lambda *args: fallbacks.append(args) or prs_gcd(*args))
+            assert poly_gcd(a * common, b * common) == gcd_oracle(a * common, b * common)
+            assert squarefree_part(f) == squarefree_oracle(f)
+            assert divides(a, f) == divides_oracle(a, f)
+            assert divides(common, f) == divides_oracle(common, f)
+        # a gcd of two polynomials of degree one or more took the fallback
+        assert fallbacks or min((a * common).degree, (b * common).degree) < 1 and f.degree < 2
+
+
 class TestFactor:
     def test_x4_minus_1(self):
         factors = {f: m for f, m in factor_over_Q(IntPoly((-1, 0, 0, 0, 1)))}

@@ -4,10 +4,9 @@ from math import gcd
 import mpmath
 import pytest
 import sympy.polys.factortools
-import sympy.polys.rootisolation
 from fractions import Fraction
 
-from anosov import numfield
+from anosov import intpoly, numfield
 from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q, real_root_count
 from anosov.numfield import (
     FieldError,
@@ -21,6 +20,7 @@ from anosov.numfield import (
     max_hyperbolicity_bound,
     max_norm_shell,
     search_c_hyperbolic_unit,
+    squarefree_kernel,
     unit_generators_for_field,
 )
 from anosov.hyper import FOUND, is_c_hyperbolic_poly, unit_circle_root_test
@@ -42,15 +42,14 @@ def _oracle_signature(f: IntPoly):
 
 
 def _refuse_factoring(monkeypatch):
-    """Makes sympy's Zassenhaus factorization, Sturm count and real root
-    isolation, which real_root_count calls, raise."""
+    """Makes sympy's Zassenhaus factorization and the Sturm sequence, which
+    real_root_count builds, raise."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("factored or root-counted")
 
     monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", refuse)
-    monkeypatch.setattr(sympy.polys.rootisolation, "dup_count_real_roots", refuse)
-    monkeypatch.setattr(sympy.polys.rootisolation, "dup_isolate_real_roots", refuse)
+    monkeypatch.setattr(intpoly, "_sturm_chain", refuse)
 
 
 def _signature_or_none(f: IntPoly):
@@ -156,6 +155,16 @@ def _units(name):
     if name.startswith("zeta"):
         return unit_generators_for_field(cyclotomic_field(int(name[4:])))
     return unit_generators_for_field(make_field(IntPoly((-int(name[4:]), 0, 1))))
+
+
+def test_squarefree_kernel_matches_factorint():
+    # the d with n = d·t², d squarefree, from sympy's factorization
+    for n in range(1, 10**4 + 1):
+        d = 1
+        for p, e in sympy.factorint(n).items():
+            if e % 2:
+                d *= int(p)
+        assert squarefree_kernel(n) == d, n
 
 
 class TestMinimalPolynomials:
