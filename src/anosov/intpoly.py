@@ -8,9 +8,10 @@ remainder sequence when it fails; the squarefree part is f / gcd(f, f′) by
 exact division; real roots are counted by a Sturm sequence of sign-keeping
 pseudo-remainders. Factorization takes a closed form where the answer has
 one: the power of X, small integer roots and every quadratic are split off
-here, and only a residual of degree three or more goes to sympy's dense
-Zassenhaus kernel, imported inside the function that calls it, so that a
-run whose polynomials all factor in closed form never loads sympy.
+here, a cyclotomic residual is returned whole, and only any other residual
+of degree three or more goes to sympy's dense Zassenhaus kernel, imported
+inside the function that calls it, so that a run whose polynomials all
+factor in closed form never loads sympy.
 Cyclotomic polynomials come from their Möbius product, and the
 eigenvalue-product polynomials from power sums of the roots.
 """
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd as _int_gcd, isqrt, lcm as _int_lcm, prod
+from typing import Optional
 
 from .ratmat import json_int
 
@@ -190,8 +192,10 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
     in sympy's order (degree, multiplicity, coefficients leading-first), and
     every factorization equals `dup_factor_list`'s. The power of X, the
     integer roots of a monic polynomial with a small constant term, and a
-    residual of degree at most two are split off in closed form; only a
-    residual of degree three or more goes to Zassenhaus.
+    residual of degree at most two are split off in closed form, and a
+    residual that is a cyclotomic polynomial, which is irreducible, is
+    recognised; only any other residual of degree three or more goes to
+    Zassenhaus.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
@@ -202,6 +206,8 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
         g = _split_integer_roots(g, factors)
     if g.degree <= 2:
         factors += _factor_quadratic(g)
+    elif g.leading == 1 and abs(g.coeffs[0]) == 1 and cyclotomic_index_of(g):
+        factors.append((g, 1))
     else:
         from sympy.polys.domains import ZZ
         from sympy.polys.factortools import dup_factor_list
@@ -284,6 +290,31 @@ def cyclotomic(d: int) -> IntPoly:
             for i in range(d, k - 1, -1):
                 series[i] -= series[i - k]
     return IntPoly(tuple(series))
+
+
+def totient(d: int) -> int:
+    """Euler's φ(d) by trial division."""
+    result, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
+
+
+def cyclotomic_index_of(f: IntPoly) -> Optional[int]:
+    """d with f = Φ_d, or None. Uses φ(d) ≥ √(d/2) to bound the search."""
+    if not f.is_monic or f.degree < 1:
+        return None
+    k = f.degree
+    for d in range(1, 2 * k * k + 2):
+        if totient(d) == k and cyclotomic(d) == f:
+            return d
+    return None
 
 
 # -- integer kernels ------------------------------------------------------------

@@ -33,7 +33,7 @@ from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
-from .intpoly import IntPoly, cyclotomic, squarefree_part
+from .intpoly import IntPoly, cyclotomic, cyclotomic_index_of, squarefree_part
 from .ratmat import RatMatrix
 from .repdec import poly_at_matrix
 
@@ -335,31 +335,6 @@ def squarefree_kernel(n: int) -> int:
             d *= p
         p += 1 if p == 2 else 2
     return d if isqrt(rest) ** 2 == rest else d * rest
-
-
-def totient(d: int) -> int:
-    """Euler's φ(d) by trial division."""
-    result, rest, p = d, d, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
-
-
-def cyclotomic_index_of(f: IntPoly) -> Optional[int]:
-    """d with f = Φ_d, or None. Uses φ(d) ≥ √(d/2) to bound the search."""
-    if not f.is_monic or f.degree < 1:
-        return None
-    k = f.degree
-    for d in range(1, 2 * k * k + 2):
-        if totient(d) == k and cyclotomic(d) == f:
-            return d
-    return None
 
 
 # -- c-hyperbolic unit search -------------------------------------------------------

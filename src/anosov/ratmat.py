@@ -8,10 +8,11 @@ layout of FLINT's fmpq_mat). Equal matrices thus have equal storage, so
 equality and hashing compare integer tuples. Products, sums, scalings,
 transposes and traces work on the integers and normalise once at the end;
 `__getitem__`, `row`, `column` and `entries` hand out `fractions.Fraction`s.
-A product row skips zero entries, starts from the row of the right factor
-that its first nonzero entry selects, as it is when that entry is 1, and
-adds or subtracts later rows unscaled for entries ±1: a permutation on the
-left costs one slice per row and no arithmetic.
+A product row is an integer row combination (`int_combination`, which the
+lattice search shares): it skips zero entries, starts from the row of the
+right factor that its first nonzero entry selects, as it is when that
+entry is 1, and adds or subtracts later rows unscaled for entries ±1: a
+permutation on the left costs one slice per row and no arithmetic.
 A JSON literal is read straight into numerators over their common
 denominator: integers and decimal-integer strings as ints, and only "p/q"
 strings through `Fraction`.
@@ -20,12 +21,16 @@ Kernels, ranks, solves and inverses go through one elimination routine,
 `_eliminate`: fraction-free Gauss–Jordan on sparse integer rows, each
 reduced by integer cross-multiplication and divided by the gcd of its
 entries. A matrix's rows enter it as its numerators, since scaling a row by
-the denominator changes no kernel, rank or solution. `int_det` runs
-Bareiss's fraction-free elimination (Bareiss, Math. Comp. 1968) and
-`int_char_poly` Berkowitz's division-free algorithm (Berkowitz, IPL 18,
-1984) on row-major integer numerators; `det` and `char_poly` call them and
-divide by a power of the denominator once. The methods are those of Cohen,
-A Course in Computational Algebraic Number Theory, §2.2.
+the denominator changes no kernel, rank or solution. `int_det` and
+`int_char_poly` work on row-major integer numerators, and `det` and
+`char_poly` call them and divide by a power of the denominator once. Up to
+size 4 both are straight-line closed forms: the determinant by Laplace
+expansion along complementary 2×2 minors, and the characteristic
+polynomial as signed sums of principal minors, which reuse those 2×2
+minors. At size 0 and from size 5 on, `int_det` runs Bareiss's
+fraction-free elimination (Bareiss, Math. Comp. 1968) and `int_char_poly`
+Berkowitz's division-free algorithm (Berkowitz, IPL 18, 1984); the methods
+are those of Cohen, A Course in Computational Algebraic Number Theory, §2.2.
 `sparse_kernel_basis` takes a system given as sparse integer rows, for
 callers whose equations have few nonzero coefficients.
 """
@@ -382,6 +387,88 @@ def _make(rows: int, cols: int, n: tuple, d: int) -> RatMatrix:
 
 
 def int_det(a: Sequence[int], n: int) -> int:
+    """The determinant of the row-major n×n integer matrix a: a closed form
+    for 1 ≤ n ≤ 4, Bareiss's elimination otherwise."""
+    if 0 < n < 5:
+        return _SMALL_DET[n](a)
+    return _bareiss_det(a, n)
+
+
+def int_char_poly(a: Sequence[int], n: int) -> list[int]:
+    """det(X·I − A) for the row-major n×n integer matrix a, ascending: a
+    closed form for 1 ≤ n ≤ 4, Berkowitz's algorithm otherwise."""
+    if 0 < n < 5:
+        return _SMALL_CHAR_POLY[n](a)
+    return _berkowitz_char_poly(a, n)
+
+
+# The closed forms. The coefficient of X^(n−k) in det(X·I − A) is (−1)^k
+# times the sum of the k×k principal minors of A (Horn and Johnson, Matrix
+# Analysis, §1.2). The 4×4 determinant is the Laplace expansion along rows
+# 0–1: the sum over columns i < j of the 2×2 minor of rows 0–1 on i, j times
+# the complementary minor of rows 2–3, signed (−1)^(i+j+1). The 3×3
+# principal minors on rows 0, 1, 2 and 0, 1, 3 expand along their last row
+# into the minors of rows 0–1, and those on rows 0, 2, 3 and 1, 2, 3 along
+# their first row into the minors of rows 2–3.
+
+
+def _det2(a) -> int:
+    a0, a1, a2, a3 = a
+    return a0 * a3 - a1 * a2
+
+
+def _det3(a) -> int:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    return a0 * (a4 * a8 - a5 * a7) - a1 * (a3 * a8 - a5 * a6) + a2 * (a3 * a7 - a4 * a6)
+
+
+def _det4(a) -> int:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    return (
+        (a0 * a5 - a1 * a4) * (a10 * a15 - a11 * a14)
+        - (a0 * a6 - a2 * a4) * (a9 * a15 - a11 * a13)
+        + (a0 * a7 - a3 * a4) * (a9 * a14 - a10 * a13)
+        + (a1 * a6 - a2 * a5) * (a8 * a15 - a11 * a12)
+        - (a1 * a7 - a3 * a5) * (a8 * a14 - a10 * a12)
+        + (a2 * a7 - a3 * a6) * (a8 * a13 - a9 * a12)
+    )
+
+
+def _char_poly2(a) -> list[int]:
+    a0, a1, a2, a3 = a
+    return [a0 * a3 - a1 * a2, -a0 - a3, 1]
+
+
+def _char_poly3(a) -> list[int]:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    m01, m02, m12 = a0 * a4 - a1 * a3, a0 * a8 - a2 * a6, a4 * a8 - a5 * a7
+    det = a0 * m12 - a1 * (a3 * a8 - a5 * a6) + a2 * (a3 * a7 - a4 * a6)
+    return [-det, m01 + m02 + m12, -a0 - a4 - a8, 1]
+
+
+def _char_poly4(a) -> list[int]:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    # s_ij: rows 0–1, columns i, j; t_ij: rows 2–3, columns i, j
+    s01, s02, s03 = a0 * a5 - a1 * a4, a0 * a6 - a2 * a4, a0 * a7 - a3 * a4
+    s12, s13, s23 = a1 * a6 - a2 * a5, a1 * a7 - a3 * a5, a2 * a7 - a3 * a6
+    t01, t02, t03 = a8 * a13 - a9 * a12, a8 * a14 - a10 * a12, a8 * a15 - a11 * a12
+    t12, t13, t23 = a9 * a14 - a10 * a13, a9 * a15 - a11 * a13, a10 * a15 - a11 * a14
+    det = s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01
+    minors3 = (
+        a10 * s01 - a9 * s02 + a8 * s12  # rows 0, 1, 2
+        + a15 * s01 - a13 * s03 + a12 * s13  # rows 0, 1, 3
+        + a0 * t23 - a2 * t03 + a3 * t02  # rows 0, 2, 3
+        + a5 * t23 - a6 * t13 + a7 * t12  # rows 1, 2, 3
+    )
+    minors2 = s01 + t23 + a0 * a10 - a2 * a8 + a0 * a15 - a3 * a12 + a5 * a10 - a6 * a9 + a5 * a15 - a7 * a13
+    return [det, -minors3, minors2, -a0 - a5 - a10 - a15, 1]
+
+
+_SMALL_DET = (None, lambda a: a[0], _det2, _det3, _det4)
+_SMALL_CHAR_POLY = (None, lambda a: [-a[0], 1], _char_poly2, _char_poly3, _char_poly4)
+
+
+def _bareiss_det(a: Sequence[int], n: int) -> int:
     """The determinant of the row-major n×n integer matrix a, by Bareiss's
     fraction-free elimination. A row that is zero in the pivot column is
     left as it is when the pivot equals the previous one."""
@@ -407,7 +494,7 @@ def int_det(a: Sequence[int], n: int) -> int:
     return sign * prev
 
 
-def int_char_poly(a: Sequence[int], n: int) -> list[int]:
+def _berkowitz_char_poly(a: Sequence[int], n: int) -> list[int]:
     """det(X·I − A) for the row-major n×n integer matrix a, ascending, by
     Berkowitz's division-free algorithm: the characteristic polynomial of
     each leading (k+1)×(k+1) block is a Toeplitz matrix times that of the
@@ -430,31 +517,37 @@ def int_char_poly(a: Sequence[int], n: int) -> list[int]:
 
 
 def _int_matmul(a: tuple, b: tuple, n: int, k: int, m: int) -> tuple:
-    """The n×m integer product of the row-major n×k a and k×m b: each row of
-    a combines the rows of b that its nonzero entries select. The first
-    selected row starts the sum, as it is when its entry is 1 and scaled
-    once otherwise; a later one is added or subtracted unscaled when its
-    entry is ±1. A zero row of a gives one shared zero row."""
+    """The n×m integer product of the row-major n×k a and k×m b: row i is
+    int_combination of the rows of b with the entries of row i of a. A zero
+    row of a gives one shared zero row."""
     brows = [b[t * m : (t + 1) * m] for t in range(k)]
     zero = (0,) * m
     out = []
     for i in range(n):
-        acc = zero
-        terms = zip(a[i * k : (i + 1) * k], brows)
-        for x, brow in terms:
-            if x:
-                acc = brow if x == 1 else list(map(mul, brow, repeat(x)))
-                break
-        # the terms after the first nonzero one
-        for x, brow in terms:
-            if x == 1:
-                acc = list(map(add, acc, brow))
-            elif x == -1:
-                acc = list(map(sub, acc, brow))
-            elif x:
-                acc = list(map(add, acc, map(mul, brow, repeat(x))))
-        out.extend(acc)
+        out.extend(int_combination(a[i * k : (i + 1) * k], brows, zero))
     return tuple(out)
+
+
+def int_combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], zero: Sequence[int]) -> Sequence[int]:
+    """Σ coeffs[t]·rows[t] for integer rows of one length, and zero when
+    every coefficient is 0. The first row with a nonzero coefficient starts
+    the sum, as it is when the coefficient is 1 and scaled once otherwise; a
+    later one is added or subtracted unscaled when its coefficient is ±1."""
+    acc = zero
+    terms = zip(coeffs, rows)
+    for x, row in terms:
+        if x:
+            acc = row if x == 1 else list(map(mul, row, repeat(x)))
+            break
+    # the terms after the first nonzero one
+    for x, row in terms:
+        if x == 1:
+            acc = list(map(add, acc, row))
+        elif x == -1:
+            acc = list(map(sub, acc, row))
+        elif x:
+            acc = list(map(add, acc, map(mul, row, repeat(x))))
+    return acc
 
 
 def _right_block(stored: dict, n: int, width: int) -> RatMatrix:

@@ -26,26 +26,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import mul
 from typing import Optional
 
 from .fingrp import RationalRep
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
-from .intpoly import IntPoly, cyclotomic
+from .intpoly import IntPoly, cyclotomic, cyclotomic_index_of, totient
 from .numfield import (
     FieldError,
     companion_matrix,
-    cyclotomic_index_of,
     hyperbolic_companion_poly,
     lattice_height,
     make_field,
     max_hyperbolicity_bound,
     max_norm_shell,
     search_c_hyperbolic_unit,
-    totient,
     unit_generators_for_field,
 )
-from .ratmat import RatMatrix, matrix_min_poly
+from .ratmat import RatMatrix, int_combination, matrix_min_poly
 from .repdec import CommutantBasis, ComponentProfile, poly_at_matrix
 
 TENSOR_SHORTCUT = "tensor-shortcut"
@@ -207,7 +204,11 @@ def lattice_search(
     Many candidates share a characteristic polynomial, and the verdict
     depends only on that polynomial and c, so each is tested once, by
     is_c_hyperbolic_poly's closed form when its squarefree part has degree
-    ≤ c. Candidates are integer numerators over one denominator; only a hit
+    ≤ c. Candidates are integer numerators over one denominator d: each is
+    the sum of the basis numerators over d scaled by its nonzero coordinates
+    (int_combination: a coordinate ±1 adds or subtracts with no product),
+    screened by its determinant before its characteristic polynomial
+    (integer_char_poly; both in closed form up to size 4). Only a hit
     becomes a RatMatrix.
 
     Each candidate is screened once, but only one of each pair ±X is tested.
@@ -228,14 +229,15 @@ def lattice_search(
         return None, 0
     forms = [b.integer_form() for b in basis]
     d = lcm(*(den for _, den in forms))
-    # entries[i]: the i-th numerator of every basis element, over d
-    entries = list(zip(*(tuple(x * (d // den) for x in n) for n, den in forms)))
+    # the numerators of every basis element over d
+    scaled = [tuple(x * (d // den) for x in n) for n, den in forms]
+    zero = (0,) * (dim * dim)
     for h in range(1, lattice_height(len(basis), height_bound) + 1):
         for vec in max_norm_shell(len(basis), h):
             screened += 1
             if next(filter(None, vec)) < 0:
                 continue
-            acc = [sum(map(mul, vec, e)) for e in entries]
+            acc = int_combination(vec, scaled, zero)
             f = integer_char_poly(acc, dim, d)
             if f is None:
                 continue

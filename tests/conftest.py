@@ -7,6 +7,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.rootisolation import dup_isolate_real_roots
@@ -15,10 +16,10 @@ from sympy.polys.sqfreetools import dup_sqf_part
 from anosov import corpus
 from anosov.fingrp import conjugate_rep, generate_group, natural_rep, rep_from_generator_images
 from anosov.hyper import FOUND, _trace_form, unit_circle_root_test
-from anosov.intpoly import IntPoly, _eig_products, cyclotomic, real_root_count, squarefree_part
+from anosov.intpoly import IntPoly, _eig_products, cyclotomic, cyclotomic_index_of, real_root_count, squarefree_part
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
-from anosov.numfield import MAX_LATTICE_CANDIDATES, NumberFieldCtx, companion_matrix, cyclotomic_index_of
+from anosov.numfield import MAX_LATTICE_CANDIDATES, NumberFieldCtx, companion_matrix
 
 
 @pytest.fixture(scope="session")
@@ -268,6 +269,8 @@ def classes_by_hom(leaves) -> list:
 
 # -- every-candidate oracle for anosov.witness.lattice_search -----------------
 
+SYMPY_X = sympy.Symbol("x")
+
 
 def loop_only_verdict(f, c: int) -> bool:
     """c-hyperbolicity of f from the unit-circle test at every k = 1, …, c,
@@ -306,7 +309,8 @@ def sympy_route_report(f, c: int) -> dict:
 def lattice_search_every_candidate(com, c: int, height_bound: int):
     """(hit, candidates_screened) of the lattice search that builds every
     candidate as Σ c_i·b_i and tests each one, ±X alike, in the same order,
-    through RatMatrix.det and char_poly and loop_only_verdict."""
+    through sympy's Matrix.det and charpoly, which share no kernel with
+    RatMatrix, and loop_only_verdict."""
     dim = com.rep.dimension
     screened = 0
     verdicts = {}
@@ -325,12 +329,13 @@ def lattice_search_every_candidate(com, c: int, height_bound: int):
             for cf, b in zip(vec, basis):
                 if cf:
                     acc = acc + b.scale(cf)
-            if abs(acc.det()) != 1:
+            m = sympy.Matrix(dim, dim, [sympy.Rational(x.numerator, x.denominator) for x in acc.entries()])
+            if abs(m.det()) != 1:
                 continue
-            coeffs = acc.char_poly()
-            if any(x.denominator != 1 for x in coeffs):
+            coeffs = m.charpoly(SYMPY_X).all_coeffs()
+            if not all(x.is_integer for x in coeffs):
                 continue
-            f = IntPoly.from_rationals(coeffs)
+            f = IntPoly(tuple(int(x) for x in reversed(coeffs)))
             if f not in verdicts:
                 verdicts[f] = loop_only_verdict(f, c)
             if verdicts[f]:

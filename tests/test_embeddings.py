@@ -9,14 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q, real_root_count
+from anosov.intpoly import IntPoly, cyclotomic, cyclotomic_index_of, factor_over_Q, real_root_count, totient
 from anosov.numfield import (
     FIXED_BITS,
     UnsupportedFieldError,
     _PISOT_FAMILY,
     _curated_degree_polys,
-    totient,
-    cyclotomic_index_of,
     make_field,
     make_unit,
 )

@@ -4,10 +4,11 @@ floating-point library, and numfield's make_field does not; numfield
 neither factors nor counts real roots, and make_field loads no sympy; no
 module imports sympy or mpmath when it is imported, so that the decision
 path starts without them, and the hyperbolicity test, the witness search
-and the empty-search report do not load them either; no module builds a
-representation's full image list; and the Krylov minimal polynomial serves
-commutant elements only, a field element being read through its
-characteristic polynomial."""
+and the empty-search report do not load them either; the witness of a
+cyclotomic rotation loads no sympy; no module builds a representation's
+full image list; and the Krylov minimal polynomial serves commutant
+elements only, a field element being read through its characteristic
+polynomial."""
 
 import ast
 import dataclasses
@@ -21,7 +22,7 @@ import pytest
 
 from anosov import corpus
 from anosov.fingrp import RationalRep
-from conftest import benchmark_cases
+from conftest import benchmark_cases, rotation_rep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "anosov"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -263,3 +264,28 @@ def test_witness_and_no_cert_load_no_sympy_or_mpmath(argv, rep, key):
     assert result["loaded"] == []
     ((rc, out),) = result["outputs"]
     assert rc == 0 and key in json.loads(out)
+
+
+# A cyclotomic rotation's minimal polynomials are cyclotomic, which
+# factor_over_Q recognises without Zassenhaus: each run, alone in a fresh
+# interpreter, loads no sympy. mpmath is the unit search's log screen.
+@pytest.mark.parametrize(
+    "argv, rep",
+    [
+        (["decide", "--witness", "--class", "1", "-"], corpus.c5_rep()),
+        (["decide", "--witness", "--class", "1", "-"], rotation_rep(8)),
+        (["demo", "c5"], None),
+    ],
+    ids=["witness-c5", "witness-c8", "demo-c5"],
+)
+def test_cyclotomic_witness_loads_no_sympy(argv, rep):
+    text = _input_text(rep) if rep else ""
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(SRC.parent), "sympy"],
+        input=json.dumps([[argv, text]]), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    ((rc, out),) = result["outputs"]
+    assert rc == 0 and '"admits_anosov": true' in out

@@ -217,6 +217,21 @@ class TestDenseKernelsMatchPolyOracle:
         for d in range(1, 61):
             assert cyclotomic(d) == _from_sympy(sympy.Poly(sympy.cyclotomic_poly(d, _X), _X))
 
+    def test_factor_over_Q_of_cyclotomics_to_60(self, monkeypatch):
+        # each Φ_d as Zassenhaus factors it, with Zassenhaus never called;
+        # a product of two is not cyclotomic and still goes to Zassenhaus
+        expected = {d: dense_factor_oracle(cyclotomic(d)) for d in range(1, 61)}
+        products = [cyclotomic(d) * cyclotomic(e) for d in (5, 8, 12) for e in (7, 9, 10)]
+        product_factors = [dense_factor_oracle(f) for f in products]
+        zassenhaus = []
+        monkeypatch.setattr(
+            "sympy.polys.factortools.dup_factor_list", lambda *args: zassenhaus.append(args) or dup_factor_list(*args)
+        )
+        assert {d: factor_over_Q(cyclotomic(d)) for d in range(1, 61)} == expected
+        assert zassenhaus == []
+        assert [factor_over_Q(f) for f in products] == product_factors
+        assert len(zassenhaus) == len(products)
+
 
 class TestPrimitiveRemainderFallback:
     """The heuristic gcd given no evaluation point: every gcd then comes from

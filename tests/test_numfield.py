@@ -4,10 +4,11 @@ from math import gcd
 import mpmath
 import pytest
 import sympy.polys.factortools
+from sympy.polys.domains import ZZ
 from fractions import Fraction
 
 from anosov import intpoly, numfield
-from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q, real_root_count
+from anosov.intpoly import IntPoly, cyclotomic, factor_over_Q, real_root_count, totient
 from anosov.numfield import (
     FieldError,
     UnsupportedFieldError,
@@ -34,8 +35,10 @@ PLASTIC = IntPoly((-1, -1, 0, 1))
 
 
 def _oracle_signature(f: IntPoly):
-    """(s, t) by factoring and counting real roots, or None when f is reducible."""
-    if factor_over_Q(f) != [(f, 1)]:
+    """(s, t) by Zassenhaus factoring and counting real roots, or None when f
+    is reducible."""
+    _, factors = sympy.polys.factortools.dup_factor_list([ZZ(c) for c in reversed(f.coeffs)], ZZ)
+    if len(factors) != 1 or factors[0][1] != 1:
         return None
     s = real_root_count(f)
     return s, (f.degree - s) // 2
@@ -88,7 +91,7 @@ class TestMakeField:
         signature (1, 0) for d ≤ 2 and (0, φ(d)/2) otherwise) agrees with
         factoring and counting real roots, which make_field does not call."""
         # φ(d) ≥ √(d/2) bounds d by 2·16²
-        indices = [d for d in range(1, 2 * 16 * 16 + 2) if numfield.totient(d) <= 16]
+        indices = [d for d in range(1, 2 * 16 * 16 + 2) if totient(d) <= 16]
         expected = {d: _oracle_signature(cyclotomic(d)) for d in indices}
         _refuse_factoring(monkeypatch)
         assert {d: make_field(cyclotomic(d)).signature for d in indices} == expected

@@ -12,6 +12,8 @@ from anosov.ratmat import (
     Permutation,
     RatMatrix,
     SingularMatrixError,
+    _bareiss_det,
+    _berkowitz_char_poly,
     _eliminate,
     int_char_poly,
     int_det,
@@ -605,9 +607,9 @@ INT_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40), NEAR_2
 
 
 @st.composite
-def integer_square(draw) -> tuple[int, list]:
-    """(n, row-major entries) of an n×n integer matrix, n ≤ 5."""
-    n = draw(st.integers(0, 5))
+def integer_square(draw, max_n: int = 7) -> tuple[int, list]:
+    """(n, row-major entries) of an n×n integer matrix, n ≤ max_n."""
+    n = draw(st.integers(0, max_n))
     return n, draw(st.lists(INT_ENTRIES, min_size=n * n, max_size=n * n))
 
 
@@ -620,3 +622,12 @@ class TestIntegerKernels:
         assert int_det(a, n) == m.det()
         x = sympy.Symbol("x")
         assert int_char_poly(a, n) == [int(c) for c in reversed(m.charpoly(x).all_coeffs())]
+
+    @given(integer_square(max_n=4))
+    @DIFFERENTIAL
+    def test_closed_forms_match_bareiss_and_berkowitz(self, drawn):
+        # below size 5 the kernels take closed forms; the general routes
+        # stay callable as the reference
+        n, a = drawn
+        assert int_det(a, n) == _bareiss_det(a, n)
+        assert int_char_poly(a, n) == _berkowitz_char_poly(a, n)
