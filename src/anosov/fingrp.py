@@ -80,9 +80,6 @@ class FiniteMatrixGroup:
     def degree(self) -> int:
         return self.gen_matrices[0].rows
 
-    def generators(self) -> list[RatMatrix]:
-        return list(self.gen_matrices)
-
     @cached_property
     def class_data(self) -> "ClassData":
         """The conjugacy classes as the class sums read them; computed once
@@ -365,7 +362,7 @@ def rep_from_generator_images(group: FiniteMatrixGroup, gen_images: Sequence[Rat
 
 def natural_rep(group: FiniteMatrixGroup) -> RationalRep:
     """The defining representation: each element maps to itself."""
-    return RationalRep(group=group, gen_images=tuple(group.generators()))
+    return RationalRep(group=group, gen_images=tuple(group.gen_matrices))
 
 
 def direct_sum(reps: Sequence[RationalRep]) -> RationalRep:
@@ -387,11 +384,6 @@ def conjugate_rep(rep: RationalRep, u: RatMatrix) -> RationalRep:
     """Base change g ↦ U ρ(g) U⁻¹."""
     u_inv = u.inverse()
     return RationalRep(group=rep.group, gen_images=tuple(u @ img @ u_inv for img in rep.gen_images))
-
-
-def class_character(rep: RationalRep) -> list[int]:
-    """χ = tr ρ on each conjugacy class, in the order of group.class_data."""
-    return list(rep.character)
 
 
 def fs_indicator_value(rep: RationalRep) -> Fraction:

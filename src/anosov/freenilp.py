@@ -26,7 +26,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 
 from .hyper import FOUND, unit_circle_root_test
-from .intpoly import IntPoly, divides, eig_product_poly, factor_over_Q
+from .intpoly import IntPoly, divides, eig_product_poly, factor_over_Q, squarefree_part
 from .ratmat import RatMatrix, SingularMatrixError
 
 MAX_TOTAL_DIMENSION = 10**5
@@ -169,7 +169,8 @@ def full_action_hyperbolic(m: RatMatrix, c: int) -> tuple[bool, list[dict]]:
     graded action of degree ≤ c, with a root-set containment cross-check
     against the eigenvalue-product polynomial of the degree-1 matrix."""
     basis = hall_basis(m.rows, c)
-    f1 = IntPoly.clear_denominators(m.char_poly())
+    # divides reads only the root set of the product polynomial
+    f1 = squarefree_part(IntPoly.clear_denominators(m.char_poly()))
     hyperbolic = True
     reports = []
     for degree in range(1, c + 1):

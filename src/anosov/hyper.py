@@ -1,17 +1,21 @@
-"""Matrix predicates: integer-like and c-hyperbolic.
+"""c-hyperbolicity of a root set, and the integer-like screen on integer
+matrices.
 
 A matrix is integer-like when its characteristic polynomial has integer
 coefficients and its determinant is ±1. It is c-hyperbolic when no product of
-k ≤ c eigenvalues (repetitions allowed) has absolute value 1.
+k ≤ c eigenvalues (repetitions allowed) has absolute value 1. A matrix is
+verified through its characteristic polynomial by witness.verify_witness;
+this module answers the polynomial questions.
 
 Every verdict is exact, on the squarefree part of the input, computed once.
 Its n distinct roots multiply to ±a_0/a_n (Vieta), so when |a_0| = |a_n|
 and n ≤ c their n-fold product is on the circle. Otherwise, for each k ≤ c
-the k-fold eigenvalue products are the roots of an integer polynomial built
-from the squarefree part. The unit-circle test on it is a gcd with the
-reversal followed by a real root count: a root on the circle is shared
-with the reversal, and the palindromic part of the gcd is X^d·T(X + 1/X)
-with a real root of T in (−2, 2) for each conjugate pair on the circle.
+the k-fold eigenvalue products are the roots of the integer polynomial that
+intpoly.eig_product_poly builds from the squarefree part. The unit-circle
+test on it is a gcd with the reversal followed by a real root count: a root
+on the circle is shared with the reversal, and the palindromic part of the
+gcd is X^d·T(X + 1/X) with a real root of T in (−2, 2) for each conjugate
+pair on the circle.
 Neither step needs a squarefree input: a root z occurs in the gcd as often
 as 1/z does, and the Sturm count counts distinct roots.
 """
@@ -23,13 +27,13 @@ from typing import Optional, Sequence
 
 from .intpoly import (
     IntPoly,
-    _eig_products,
+    eig_product_poly,
     poly_gcd,
     real_root_count,
     reversal,
     squarefree_part,
 )
-from .ratmat import RatMatrix, SingularMatrixError, int_char_poly, int_det
+from .ratmat import int_char_poly, int_det
 
 # unit_circle_root_test outcomes
 NONE_CERTIFIED = "none-certified"
@@ -51,17 +55,9 @@ class HyperbolicityReport:
     verdict: bool
     offending_product: Optional[dict] = field(default=None)
 
-    @property
-    def certified_exact(self) -> bool:
-        """Always true: no step of the test is numeric."""
-        return True
-
     def to_json_obj(self) -> dict:
-        obj = {
-            "c_tested": self.c_tested,
-            "verdict": self.verdict,
-            "certified_exact": self.certified_exact,
-        }
+        # certified_exact: no step of the test is numeric
+        obj = {"c_tested": self.c_tested, "verdict": self.verdict, "certified_exact": True}
         if self.offending_product is not None:
             obj["offending_product"] = self.offending_product
         return obj
@@ -80,14 +76,6 @@ def integer_char_poly(a: Sequence[int], n: int, d: int) -> Optional[IntPoly]:
             return None
         coeffs = [x // d ** (n - i) for i, x in enumerate(coeffs)]
     return IntPoly(tuple(coeffs))
-
-
-def is_integer_like(m: RatMatrix) -> bool:
-    """Characteristic polynomial in Z[X] and determinant ±1."""
-    if not m.is_square:
-        raise ValueError("integer-like test requires a square matrix")
-    a, d = m.integer_form()
-    return integer_char_poly(a, m.rows, d) is not None
 
 
 def _trace_form(g: IntPoly) -> IntPoly:
@@ -137,15 +125,6 @@ def is_c_hyperbolic_poly(f: IntPoly, c: int) -> HyperbolicityReport:
     if 1 <= base.degree <= c and abs(base.coeffs[0]) == abs(base.leading):
         return HyperbolicityReport(c_tested=c, verdict=False, offending_product={"k": base.degree})
     for k in range(1, c + 1):
-        if unit_circle_root_test(_eig_products(base, k)).status == FOUND:
+        if unit_circle_root_test(eig_product_poly(base, k)).status == FOUND:
             return HyperbolicityReport(c_tested=c, verdict=False, offending_product={"k": k})
     return HyperbolicityReport(c_tested=c, verdict=True)
-
-
-def is_c_hyperbolic_matrix(m: RatMatrix, c: int) -> HyperbolicityReport:
-    """c-hyperbolicity of a square invertible rational matrix."""
-    if not m.is_square:
-        raise ValueError("c-hyperbolicity requires a square matrix")
-    if m.det() == 0:
-        raise SingularMatrixError("c-hyperbolicity requires an invertible matrix")
-    return is_c_hyperbolic_poly(IntPoly.clear_denominators(m.char_poly()), c)

@@ -12,8 +12,10 @@ here, a cyclotomic residual is returned whole, and only any other residual
 of degree three or more goes to sympy's dense Zassenhaus kernel, imported
 inside the function that calls it, so that a run whose polynomials all
 factor in closed form never loads sympy.
-Cyclotomic polynomials come from their Möbius product, and the
-eigenvalue-product polynomials from power sums of the roots.
+Cyclotomic polynomials come from their Möbius product. The
+eigenvalue-product polynomials have one builder, eig_product_poly, which
+works from power sums of the roots of a squarefree base and takes no
+squarefree part itself.
 """
 
 from __future__ import annotations
@@ -64,16 +66,11 @@ class IntPoly:
 
     @classmethod
     def clear_denominators(cls, coeffs) -> "IntPoly":
-        """Primitive integer polynomial with the same roots as the rational input."""
+        """Primitive integer polynomial with positive leading coefficient and
+        the same roots as the rational input."""
         fracs = [Fraction(c) for c in coeffs]
-        if not any(fracs):
-            raise ZeroPolynomialError("zero polynomial")
         denom = _int_lcm(*(c.denominator for c in fracs))
-        ints = [int(c * denom) for c in fracs]
-        g = 0
-        for c in ints:
-            g = _int_gcd(g, abs(c))
-        return cls(tuple(c // g for c in ints))
+        return cls(tuple(int(c * denom) for c in fracs)).primitive_part()
 
     @classmethod
     def monomials(cls, *terms) -> "IntPoly":
@@ -147,18 +144,10 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, abs(c))
-        return g
-
     def primitive_part(self) -> "IntPoly":
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial")
-        g = self.content()
-        sign = 1 if self.leading > 0 else -1
-        return IntPoly(tuple(sign * c // g for c in self.coeffs))
+        return _normal(_primitive(list(self.coeffs)))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -224,31 +213,22 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _deflate(g: IntPoly, r: int) -> tuple[int, IntPoly]:
-    """(g(r), the quotient of g by X − r), by Horner's scheme."""
-    acc, quotient = 0, []
-    for c in reversed(g.coeffs):
-        acc = acc * r + c
-        quotient.append(acc)
-    remainder = quotient.pop()
-    return remainder, IntPoly(tuple(reversed(quotient)))
-
-
 def _split_integer_roots(g: IntPoly, factors: list) -> IntPoly:
     """Append (X − r, multiplicity) to factors for every integer root r of the
     monic g, and return g with them divided out. An integer root of a monic
     integer polynomial divides its constant term."""
-    for d in _divisors(abs(g.coeffs[0])):
+    a = list(g.coeffs)
+    for d in _divisors(abs(a[0])):
         for r in (d, -d):
             m = 0
-            while g.coeffs[0] % r == 0:
-                remainder, quotient = _deflate(g, r)
-                if remainder:
+            while a[0] % r == 0:
+                quotient = _quotient(a, [-r, 1])
+                if quotient is None:
                     break
-                g, m = quotient, m + 1
+                a, m = quotient, m + 1
             if m:
                 factors.append((IntPoly((-r, 1)), m))
-    return g
+    return IntPoly(tuple(a))
 
 
 def _factor_quadratic(g: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -511,25 +491,14 @@ def _newton_sums(f: IntPoly, count: int) -> list:
     return s
 
 
-def eig_product_poly(f: IntPoly, k: int) -> IntPoly:
-    """Squarefree polynomial whose root set is all products of exactly k
-    roots of f, repetitions allowed: the squarefree part of `_eig_products`
-    on the squarefree part of f."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if f.is_zero:
-        raise ZeroPolynomialError("zero polynomial")
-    if f.coeffs[0] == 0:
-        raise ValueError("eigenvalue products need f(0) != 0")
-    base = squarefree_part(f)
-    return base if k == 1 else squarefree_part(_eig_products(base, k))
-
-
-def _eig_products(base: IntPoly, k: int) -> IntPoly:
+def eig_product_poly(base: IntPoly, k: int) -> IntPoly:
     """The polynomial ∏_α (X − λ^α), up to a constant, over the k-multisets α
-    of the roots λ_1 … λ_n of the squarefree polynomial base, with base(0) ≠ 0.
-    Its roots are the k-fold products, with multiplicity when products
-    coincide.
+    of the roots λ_1 … λ_n of base, counted with multiplicity, with
+    base(0) ≠ 0. Its roots are the products of exactly k roots of base,
+    repetitions allowed, with multiplicity when products coincide. Its
+    degree is C(n+k−1, k); callers pass a squarefree base, so that a
+    repeated root adds no degree. This is the only builder of the
+    eigenvalue-product polynomials.
 
     Power-sum method (Bostan–Flajolet–Salvy–Schost, Fast computation of
     special resultants, JSC 2006). Scaled by the leading coefficient a, the
@@ -539,6 +508,12 @@ def _eig_products(base: IntPoly, k: int) -> IntPoly:
     the μ. Newton's identities turn P_1 … P_D back into the monic polynomial
     with roots a^k·λ^α, and substituting X ↦ a^k·X gives the result.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if base.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    if base.coeffs[0] == 0:
+        raise ValueError("eigenvalue products need f(0) != 0")
     if k == 1 or base.degree == 0:
         return base
     n, a = base.degree, base.leading

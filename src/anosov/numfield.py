@@ -33,7 +33,7 @@ from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .hyper import HyperbolicityReport, integer_char_poly, is_c_hyperbolic_poly
-from .intpoly import IntPoly, cyclotomic, cyclotomic_index_of, squarefree_part
+from .intpoly import IntPoly, cyclotomic_index_of, squarefree_part
 from .ratmat import RatMatrix
 from .repdec import poly_at_matrix
 
@@ -277,10 +277,6 @@ def _fundamental_unit_coords(d: int) -> tuple:
             break
     # ε = q_{ℓ−1}·ω + q_{ℓ−2} with ω = (p_init + √d)/q_init
     return Fraction(k_cur * p_init, q_init) + k_prev, Fraction(k_cur, q_init)
-
-
-def cyclotomic_field(d: int) -> NumberFieldCtx:
-    return make_field(cyclotomic(d))
 
 
 def _cyclotomic_units(field: NumberFieldCtx, d: int) -> list[UnitElem]:

@@ -513,7 +513,3 @@ def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> lis
         if inner != (p.dim_E if p is q else 0):
             raise DecompositionError(f"character inner product {inner} breaks dim E or orthogonality")
     return profiles
-
-
-def decomposition_report(profiles: Sequence[ComponentProfile]) -> list[dict]:
-    return [p.to_json_obj() for p in profiles]

@@ -16,7 +16,7 @@ from sympy.polys.sqfreetools import dup_sqf_part
 from anosov import corpus
 from anosov.fingrp import conjugate_rep, generate_group, natural_rep, rep_from_generator_images
 from anosov.hyper import FOUND, _trace_form, unit_circle_root_test
-from anosov.intpoly import IntPoly, _eig_products, cyclotomic, cyclotomic_index_of, real_root_count, squarefree_part
+from anosov.intpoly import IntPoly, cyclotomic, cyclotomic_index_of, eig_product_poly, real_root_count, squarefree_part
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
 from anosov.repdec import intertwiner_space
 from anosov.numfield import MAX_LATTICE_CANDIDATES, NumberFieldCtx, companion_matrix
@@ -276,7 +276,7 @@ def loop_only_verdict(f, c: int) -> bool:
     """c-hyperbolicity of f from the unit-circle test at every k = 1, …, c,
     with no closed form."""
     base = squarefree_part(f)
-    return all(unit_circle_root_test(_eig_products(base, k)).status != FOUND for k in range(1, c + 1))
+    return all(unit_circle_root_test(eig_product_poly(base, k)).status != FOUND for k in range(1, c + 1))
 
 
 def sympy_route_report(f, c: int) -> dict:
@@ -301,7 +301,7 @@ def sympy_route_report(f, c: int) -> dict:
     if 1 <= base.degree <= c and abs(base.coeffs[0]) == abs(base.leading):
         return {**report, "verdict": False, "offending_product": {"k": base.degree}}
     for k in range(1, c + 1):
-        if on_circle(_eig_products(base, k)):
+        if on_circle(eig_product_poly(base, k)):
             return {**report, "verdict": False, "offending_product": {"k": k}}
     return report
 

@@ -8,11 +8,11 @@ from anosov.corpus import circle_rep, m_rho3
 from anosov.decider import (
     CriterionError,
     decide,
-    decide_solvable,
     decide_with_witness,
     demo,
     no_certificate_search,
     porteous_flat,
+    with_solvable_model,
 )
 from anosov.fingrp import (
     RationalRep,
@@ -85,13 +85,13 @@ class TestPorteous:
 
 class TestSolvableVariant:
     def test_metadata_roundtrip(self, rho3):
-        verdict = decide_solvable(multiple(rho3, 2), 1, 2)
+        verdict = with_solvable_model(decide(multiple(rho3, 2), 1), 2)
         assert verdict.model == {"family": "free-nilpotent-and-solvable", "c": 1, "d": 2}
         assert verdict.admits_anosov
 
     def test_same_verdicts_as_decide(self, rho3, klein):
         for rep, c in ((multiple(rho3, 3), 2), (klein, 1)):
-            assert decide_solvable(rep, c, 3).admits_anosov == decide(rep, c).admits_anosov
+            assert with_solvable_model(decide(rep, c), 3).admits_anosov == decide(rep, c).admits_anosov
 
 
 class TestWitnessPipeline:

@@ -68,7 +68,7 @@ class TestGradedAction:
         assert action.matrix == RatMatrix.from_rows([[1]])
 
     def test_published_degree2_matrices(self, d3):
-        a_img, b_img = d3.generators()
+        a_img, b_img = d3.gen_matrices
         pairs = [(1, 3), (1, 4), (2, 3), (2, 4)]
         assert restricted_degree2_action(RatMatrix.block_diag([a_img, a_img]), pairs) == A_EXPECTED
         assert restricted_degree2_action(RatMatrix.block_diag([b_img, b_img]), pairs) == B_EXPECTED

@@ -14,12 +14,10 @@ from anosov.hyper import (
     FOUND,
     NONE_CERTIFIED,
     integer_char_poly,
-    is_c_hyperbolic_matrix,
     is_c_hyperbolic_poly,
-    is_integer_like,
     unit_circle_root_test,
 )
-from anosov.intpoly import IntPoly, _eig_products, cyclotomic, factor_over_Q, squarefree_part
+from anosov.intpoly import IntPoly, cyclotomic, eig_product_poly, factor_over_Q, squarefree_part
 from anosov.ratmat import RatMatrix
 from anosov.repdec import commutant
 from anosov.witness import companion_matrix, lattice_search
@@ -58,18 +56,29 @@ PISOT = st.sampled_from(
 )
 
 
+def screened_char_poly(m: RatMatrix):
+    """integer_char_poly on the numerators and denominator of m."""
+    a, d = m.integer_form()
+    return integer_char_poly(a, m.rows, d)
+
+
+def char_poly(m: RatMatrix) -> IntPoly:
+    """The characteristic polynomial of an integer matrix."""
+    return IntPoly.from_rationals(m.char_poly())
+
+
 class TestIntegerLike:
     def test_fibonacci_like(self):
-        assert is_integer_like(FIB)
+        assert screened_char_poly(FIB) == IntPoly((1, -3, 1))
 
     def test_rational_diagonal_rejected(self):
-        assert not is_integer_like(RatMatrix.from_rows([["1/2", 0], [0, 2]]))
+        assert screened_char_poly(RatMatrix.from_rows([["1/2", 0], [0, 2]])) is None
 
     def test_plastic_companion(self):
-        assert is_integer_like(companion_matrix(PLASTIC))
+        assert screened_char_poly(companion_matrix(PLASTIC)) == PLASTIC
 
     def test_det_two_rejected(self):
-        assert not is_integer_like(RatMatrix.from_rows([[2, 0], [0, 1]]))
+        assert screened_char_poly(RatMatrix.from_rows([[2, 0], [0, 1]])) is None
 
 
 class TestUnitCircleRootTest:
@@ -192,7 +201,7 @@ class TestVietaClosedForm:
         report = is_c_hyperbolic_poly(f, c)
         if 1 <= base.degree <= c and abs(base.coeffs[0]) == abs(base.leading):
             assert report.offending_product == {"k": base.degree}
-            assert unit_circle_root_test(_eig_products(base, base.degree)).status == FOUND
+            assert unit_circle_root_test(eig_product_poly(base, base.degree)).status == FOUND
         assert report.verdict == loop_only_verdict(f, c)
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4])
@@ -284,24 +293,24 @@ def test_exact_path_builds_no_poly_objects(rho3, monkeypatch):
 
 class TestMatrixHyperbolicity:
     def test_fibonacci_boundary(self):
-        assert is_c_hyperbolic_matrix(FIB, 1).verdict
-        report = is_c_hyperbolic_matrix(FIB, 2)
+        assert is_c_hyperbolic_poly(char_poly(FIB), 1).verdict
+        report = is_c_hyperbolic_poly(char_poly(FIB), 2)
         assert not report.verdict
         assert report.offending_product == {"k": 2}
 
     def test_plastic_boundary(self):
-        comp = companion_matrix(PLASTIC)
-        assert is_c_hyperbolic_matrix(comp, 2).verdict
-        report = is_c_hyperbolic_matrix(comp, 3)
+        f = char_poly(companion_matrix(PLASTIC))
+        assert is_c_hyperbolic_poly(f, 2).verdict
+        report = is_c_hyperbolic_poly(f, 3)
         assert not report.verdict and report.offending_product == {"k": 3}
 
     def test_identity_fails_immediately(self):
-        assert not is_c_hyperbolic_matrix(RatMatrix.identity(3), 1).verdict
+        assert not is_c_hyperbolic_poly(char_poly(RatMatrix.identity(3)), 1).verdict
 
     def test_monotone_in_c(self):
-        comp = companion_matrix(PLASTIC)
-        assert is_c_hyperbolic_matrix(comp, 2).verdict
-        assert is_c_hyperbolic_matrix(comp, 1).verdict
+        f = char_poly(companion_matrix(PLASTIC))
+        assert is_c_hyperbolic_poly(f, 2).verdict
+        assert is_c_hyperbolic_poly(f, 1).verdict
 
 
 class TestPolyHyperbolicity:
@@ -344,7 +353,7 @@ def test_full_product_blocks_n_hyperbolicity():
         (companion_matrix(IntPoly((-1, 0, 0, -1, 1))), 4),
     ]:
         assert abs(mat.det()) == 1
-        assert not is_c_hyperbolic_matrix(mat, n).verdict
+        assert not is_c_hyperbolic_poly(char_poly(mat), n).verdict
 
 
 def test_commutant_elements_never_km_hyperbolic():
@@ -357,7 +366,7 @@ def test_commutant_elements_never_km_hyperbolic():
         cand = u.kron_identity(2)
         assert all(cand @ img == img @ cand for img in element_matrices(rep))
         assert abs(cand.det()) == 1
-        assert not is_c_hyperbolic_matrix(cand, 2).verdict
+        assert not is_c_hyperbolic_poly(char_poly(cand), 2).verdict
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -378,5 +387,5 @@ def test_matrix_route_agrees_with_graded_action_route(seed):
             checked += 1
             for c in classes:
                 ok, reports = full_action_hyperbolic(m, c)
-                assert is_c_hyperbolic_matrix(m, c).verdict == ok, (m, c)
+                assert is_c_hyperbolic_poly(char_poly(m), c).verdict == ok, (m, c)
                 assert all(rep["certified_exact"] for rep in reports)

@@ -137,8 +137,19 @@ def test_field_elements_read_through_one_char_poly(path):
     names = _names(ast.parse(path.read_text(), filename=str(path)))
     if path.name not in MIN_POLY_MODULES:
         assert "matrix_min_poly" not in names
-    if path.name == "numfield.py":
-        assert "is_integer_like" not in names
+
+
+def test_hyper_reads_intpoly_through_public_names():
+    # the eigenvalue-product polynomials have one builder, eig_product_poly
+    tree = ast.parse((SRC / "hyper.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "intpoly"
+        for alias in node.names
+    ]
+    assert "eig_product_poly" in imported
+    assert not [name for name in imported if name.startswith("_")]
 
 
 def test_make_field_finds_no_roots():
@@ -236,7 +247,7 @@ def _input_text(rep) -> str:
     images."""
     return json.dumps(
         {
-            "generators": [m.to_json_obj() for m in rep.group.generators()],
+            "generators": [m.to_json_obj() for m in rep.group.gen_matrices],
             "rep_images": [m.to_json_obj() for m in rep.gen_images],
         }
     )

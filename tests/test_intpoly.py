@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -283,7 +284,7 @@ class TestFactor:
         product = IntPoly((1,))
         for factor, mult in factor_over_Q(f):
             assert factor.leading > 0
-            assert factor.content() == 1 or factor.degree == 0
+            assert gcd(*factor.coeffs) == 1 or factor.degree == 0
             product = product * factor**mult
         if f.degree >= 1:
             assert product.primitive_part() == f.primitive_part()
@@ -371,6 +372,13 @@ class TestEigProductPoly:
         # relation among them in degree 5: all C(10, 5) products are distinct
         h = eig_product_poly(IntPoly((-1, 0, 0, 0, 0, -1, 1)), 5)
         assert h.degree == 252 and abs(h.leading) == 1 and abs(h.coeffs[0]) == 1
+        assert squarefree_part(h).degree == 252
+
+    def test_takes_no_squarefree_part(self):
+        # k = 1 returns the input; X^2 + 1 has the 2-fold products -1, 1, -1
+        f = IntPoly((1, 0, 1)) ** 2
+        assert eig_product_poly(f, 1) is f
+        assert eig_product_poly(IntPoly((1, 0, 1)), 2) == IntPoly((1, 1)) ** 2 * IntPoly((-1, 1))
 
     @given(
         st.lists(st.integers(-5, 5), min_size=2, max_size=5),
@@ -384,11 +392,19 @@ class TestEigProductPoly:
         assume(base.degree >= 1 and base.coeffs[0] != 0)
         f = base**power
         assume(f.degree <= 4)
-        assert eig_product_poly(f, k) == squarefree_part(eig_product_oracle(f, k))
+        h = eig_product_poly(f, k)
+        assert h.degree == comb(f.degree + k - 1, k)
+        assert squarefree_part(h) == squarefree_part(eig_product_oracle(f, k))
 
     def test_rejects_zero_constant(self):
         with pytest.raises(ValueError):
             eig_product_poly(IntPoly((0, 1)), 2)
+
+    def test_rejects_zero_polynomial_and_k_below_one(self):
+        with pytest.raises(ZeroPolynomialError):
+            eig_product_poly(IntPoly(()), 2)
+        with pytest.raises(ValueError):
+            eig_product_poly(GOLDEN, 0)
 
     def test_brute_force_root_products(self):
         # root multiset of h_k matches all k-fold products of numeric roots
@@ -405,8 +421,7 @@ class TestEigProductPoly:
             checked += 1
             base = roots_of(f)
             for k in (1, 2, 3):
-                h = eig_product_poly(f, k)
-                got = roots_of(h)
+                got = roots_of(squarefree_part(eig_product_poly(f, k)))
                 expected = set(k_fold_products(base, k))
                 for z in got:
                     assert min(abs(complex(z) - w) for w in expected) < 1e-8

@@ -14,7 +14,6 @@ from anosov.numfield import (
     UnsupportedFieldError,
     _cyclotomic_units,
     companion_matrix,
-    cyclotomic_field,
     hyperbolic_companion_poly,
     make_field,
     make_unit,
@@ -127,7 +126,7 @@ class TestLazyEmbeddings:
         assert max_hyperbolicity_bound(imaginary) == 0
         golden = make_field(GOLDEN)
         (phi,) = unit_generators_for_field(golden)
-        zeta8 = cyclotomic_field(8)
+        zeta8 = make_field(cyclotomic(8))
         (unit,) = unit_generators_for_field(zeta8)
         assert unit.coords == (1, 1, 1, 0)
 
@@ -153,10 +152,10 @@ def _units(name):
     if name == "silver_in_zeta8":
         # 1 + ζ − ζ³ = 1 + √2: degree 2 in a degree-4 field, so its
         # characteristic polynomial is the square of its minimal polynomial
-        field = cyclotomic_field(8)
+        field = make_field(cyclotomic(8))
         return [make_unit(field, field.mult_matrix((1, 1, 0, -1)))]
     if name.startswith("zeta"):
-        return unit_generators_for_field(cyclotomic_field(int(name[4:])))
+        return unit_generators_for_field(make_field(cyclotomic(int(name[4:]))))
     return unit_generators_for_field(make_field(IntPoly((-int(name[4:]), 0, 1))))
 
 
@@ -185,7 +184,7 @@ class TestMinimalPolynomials:
     @pytest.mark.parametrize("d", (5, 7, 8, 9, 10, 12, 15, 18))
     def test_cyclotomic_units_are_geometric_sums(self, d):
         # 1 + ζ + … + ζ^(a−1): mult_matrix((1,) * a), or at ζ = θ² for d ≡ 2 mod 4
-        field = cyclotomic_field(d)
+        field = make_field(cyclotomic(d))
         d0, step = (d // 2, 2) if d % 4 == 2 else (d, 1)
         expected = [
             field.mult_matrix(tuple(int(i % step == 0) for i in range(step * (a - 1) + 1)))
@@ -246,7 +245,7 @@ class TestLogEmbedding:
         assert x[1] == pytest.approx(float(mpmath.log((3 + mpmath.sqrt(13)) / 2)), abs=1e-12)
         assert x[0] + x[1] == pytest.approx(0.0, abs=1e-25)
         # 1 + ζ at ζ7^k, k = 3, 2, 1, has modulus 2·cos(πk/7)
-        one_plus_zeta = unit_generators_for_field(cyclotomic_field(7))[0]
+        one_plus_zeta = unit_generators_for_field(make_field(cyclotomic(7)))[0]
         x = [float(v) for v in one_plus_zeta.log_vector]
         assert x[2] == pytest.approx(float(mpmath.log(2 * mpmath.cospi(mpmath.mpf(1) / 7))), abs=1e-12)
         assert 2 * (x[0] + x[1] + x[2]) == pytest.approx(0.0, abs=1e-25)
@@ -282,21 +281,21 @@ class TestFundamentalUnits:
 
 class TestCyclotomicUnits:
     def test_zeta5_unit_is_golden_shaped(self):
-        (unit,) = unit_generators_for_field(cyclotomic_field(5))
+        (unit,) = unit_generators_for_field(make_field(cyclotomic(5)))
         assert unit.coords == (1, 1, 0, 0)  # 1 + zeta
         moduli = sorted(abs(float(v)) for v in unit.log_vector)
         golden = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
         assert moduli[0] == pytest.approx(golden, abs=1e-12)
 
     def test_zeta8_unit(self):
-        units = unit_generators_for_field(cyclotomic_field(8))
+        units = unit_generators_for_field(make_field(cyclotomic(8)))
         first = units[0]
         assert first.coords == (1, 1, 1, 0)
         assert abs(first.min_poly().coeffs[0]) == 1
 
     def test_geometric_ratio_identity(self):
         # (1 - zeta^2) / (1 - zeta) = 1 + zeta, exactly
-        field = cyclotomic_field(5)
+        field = make_field(cyclotomic(5))
         one_minus_z2 = field.mult_matrix((1, 0, -1, 0))
         one_minus_z = field.mult_matrix((1, -1, 0, 0))
         ratio = one_minus_z2 @ one_minus_z.inverse()
@@ -317,22 +316,22 @@ class TestHyperbolicUnitSearch:
         assert not outcome.found and outcome.reason == "theoretical-bound"
 
     def test_zeta5_at_max(self):
-        field = cyclotomic_field(5)
+        field = make_field(cyclotomic(5))
         outcome = search_c_hyperbolic_unit(field, unit_generators_for_field(field), 1, 12)
         assert outcome.found and outcome.unit.coords == (1, 1, 0, 0)
 
     def test_zeta5_beyond_max(self):
-        field = cyclotomic_field(5)
+        field = make_field(cyclotomic(5))
         outcome = search_c_hyperbolic_unit(field, unit_generators_for_field(field), 2, 12)
         assert not outcome.found
 
     def test_rank_zero_field(self):
-        field = cyclotomic_field(4)
+        field = make_field(cyclotomic(4))
         assert unit_generators_for_field(field) == []
         assert not search_c_hyperbolic_unit(field, [], 1, 12).found
 
     def test_found_units_certify(self):
-        field = cyclotomic_field(7)
+        field = make_field(cyclotomic(7))
         outcome = search_c_hyperbolic_unit(field, unit_generators_for_field(field), 2, 8)
         assert outcome.found
         assert is_c_hyperbolic_poly(outcome.unit.min_poly(), 2).verdict

@@ -684,7 +684,7 @@ class TestIrreducibleCertificate:
         assert calls == 0
 
     def test_proof_not_in_default_json(self, q8_rep):
-        assert all("proof" not in row for row in repdec.decomposition_report(decompose(q8_rep)))
+        assert all("proof" not in p.to_json_obj() for p in decompose(q8_rep))
         assert "proof" not in str(decide(q8_rep, 1).to_json_obj())
 
 
@@ -791,7 +791,7 @@ class TestUnprovenRows:
         rep = q32_rep()
         (profile,) = decompose(rep)
         assert profile.proof == "search" and profile.unproven
-        assert repdec.decomposition_report([profile])[0]["unproven"] is True
+        assert profile.to_json_obj()["unproven"] is True
         (row,) = decide(rep, 1).to_json_obj()["components"]
         assert row["unproven"] is True and row["passes"] is True
 
@@ -809,7 +809,7 @@ class TestUnprovenRows:
             assert all(key in closed_form or row.get("unproven") for key, row in zip(keys, rows)), k
 
     def test_proven_rows_carry_no_flag(self, q8_rep):
-        assert all("unproven" not in row for row in repdec.decomposition_report(decompose(q8_rep)))
+        assert all("unproven" not in p.to_json_obj() for p in decompose(q8_rep))
         assert all("unproven" not in row for row in decide(q8_rep, 1).to_json_obj()["components"])
 
 

@@ -4,18 +4,12 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import integer_nthroot, totient
+from sympy import Matrix, Rational, integer_nthroot, totient
 
 from anosov import corpus, decider, hyper, numfield, witness
 from anosov.decider import decide_with_witness
 from anosov.fingrp import group_rep_from_json_obj, multiple
-from anosov.hyper import (
-    HyperbolicityReport,
-    integer_char_poly,
-    is_c_hyperbolic_matrix,
-    is_c_hyperbolic_poly,
-    is_integer_like,
-)
+from anosov.hyper import integer_char_poly, is_c_hyperbolic_poly
 from anosov.intpoly import IntPoly, cyclotomic
 from anosov.ratmat import RatMatrix, matrix_min_poly
 from anosov.repdec import commutant, decompose
@@ -29,7 +23,7 @@ from anosov.witness import (
     verify_witness,
 )
 
-from conftest import benchmark_cases, lattice_search_every_candidate
+from conftest import benchmark_cases, lattice_search_every_candidate, sympy_route_report
 
 PLASTIC = IntPoly((-1, -1, 0, 1))
 
@@ -324,21 +318,28 @@ class TestVerifyWitness:
             [[1, "1/2"], [0, 1]],
             [["1/2", 0], [0, "1/2"]],
             [[0, 1], [1, 1]],
+            [[1, 2], [2, 4]],
+            [[2, 0], [0, 1]],
+            [["1/3", 1], [0, 3]],
+            [[3, "1/2"], [2, 1]],
         ],
     )
     def test_char_poly_route_matches_matrix_predicates(self, torus, rows):
         """Integrality and hyperbolicity read off the one characteristic
-        polynomial agree with the matrix predicates of anosov.hyper, and a
+        polynomial agree with sympy's Matrix.det and charpoly and with
+        sympy_route_report, which share no kernel with verify_witness; a
         singular candidate reports k = 1."""
-        m = RatMatrix.from_rows(rows)
-        cert = verify_witness(torus, m, 2)
-        assert cert.integer_like == is_integer_like(m)
+        cert = verify_witness(torus, RatMatrix.from_rows(rows), 2)
+        m = Matrix([[Rational(str(x)) for x in row] for row in rows])
+        coeffs = m.charpoly().all_coeffs()[::-1]
+        assert list(cert.char_poly) == coeffs
+        assert cert.integer_like == (abs(m.det()) == 1 and all(x.is_integer for x in coeffs))
         if m.det() == 0:
-            expected = HyperbolicityReport(c_tested=2, verdict=False, offending_product={"k": 1})
+            expected = {"c_tested": 2, "verdict": False, "certified_exact": True, "offending_product": {"k": 1}}
         else:
-            expected = is_c_hyperbolic_matrix(m, 2)
-        assert cert.hyperbolicity == expected
-        assert cert.char_poly == m.char_poly()
+            denom = lcm(*(x.q for x in coeffs))
+            expected = sympy_route_report(IntPoly(tuple(int(x * denom) for x in coeffs)), 2)
+        assert cert.hyperbolicity.to_json_obj() == expected
 
     def test_one_char_poly_and_no_det(self, rho3, monkeypatch):
         """Verifying a candidate and emitting its JSON compute its
