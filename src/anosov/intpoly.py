@@ -8,10 +8,16 @@ remainder sequence when it fails; the squarefree part is f / gcd(f, f′) by
 exact division; real roots are counted by a Sturm sequence of sign-keeping
 pseudo-remainders. Factorization takes a closed form where the answer has
 one: the power of X, small integer roots and every quadratic are split off
-here, a cyclotomic residual is returned whole, and only any other residual
-of degree three or more goes to sympy's dense Zassenhaus kernel, imported
-inside the function that calls it, so that a run whose polynomials all
-factor in closed form never loads sympy.
+here, and a residual is returned whole when it is cyclotomic or the degree
+sieve proves it irreducible (Musser, J. ACM 25, 1978): modulo a prime p
+dividing neither its leading coefficient nor its discriminant, a factor over
+Q has a degree that is a sum of the degrees of its factors mod p, read by
+distinct-degree factorization (von zur Gathen and Gerhard, Modern Computer
+Algebra, §14.2), and none is left when no proper degree is such a sum at
+every prime of SIEVE_PRIMES. Only any other residual of degree three or
+more goes to sympy's dense Zassenhaus kernel, imported inside the function
+that calls it, so a run whose polynomials all factor in closed form never
+loads sympy.
 Cyclotomic polynomials come from their Möbius product. The
 eigenvalue-product polynomials have one builder, eig_product_poly, which
 works from power sums of the roots of a squarefree base and takes no
@@ -23,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd as _int_gcd, isqrt, lcm as _int_lcm, prod
 from typing import Optional
 
@@ -33,6 +39,8 @@ from .ratmat import json_int
 # this bound: its divisors are then found by at most isqrt(2**20) = 1024
 # trial divisions. A larger constant term goes to Zassenhaus whole.
 INTEGER_ROOT_BOUND = 2**20
+
+SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 class ZeroPolynomialError(ValueError):
@@ -181,10 +189,9 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
     in sympy's order (degree, multiplicity, coefficients leading-first), and
     every factorization equals `dup_factor_list`'s. The power of X, the
     integer roots of a monic polynomial with a small constant term, and a
-    residual of degree at most two are split off in closed form, and a
-    residual that is a cyclotomic polynomial, which is irreducible, is
-    recognised; only any other residual of degree three or more goes to
-    Zassenhaus.
+    residual of degree at most two are split off in closed form; a residual
+    that is cyclotomic or passes the degree sieve is irreducible (module
+    docstring), and only any other goes to Zassenhaus.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
@@ -195,7 +202,7 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
         g = _split_integer_roots(g, factors)
     if g.degree <= 2:
         factors += _factor_quadratic(g)
-    elif g.leading == 1 and abs(g.coeffs[0]) == 1 and cyclotomic_index_of(g):
+    elif g.leading == 1 and abs(g.coeffs[0]) == 1 and cyclotomic_index_of(g) or _irreducible_by_degrees(g):
         factors.append((g, 1))
     else:
         from sympy.polys.domains import ZZ
@@ -205,6 +212,64 @@ def factor_over_Q(f: IntPoly) -> list[tuple[IntPoly, int]]:
         dense = dup_factor_list([ZZ(c) for c in reversed(g.coeffs)], ZZ)[1]
         factors += [(IntPoly(tuple(reversed(p))), m) for p, m in dense]
     return sorted(factors, key=lambda fm: (fm[0].degree, fm[1], fm[0].coeffs[::-1]))
+
+
+def _irreducible_by_degrees(g: IntPoly) -> bool:
+    """Whether the degree sieve (module docstring) leaves g no proper factor degree."""
+    possible = (1 << g.degree) - 2  # bit d: a factor of degree d is not ruled out
+    for p in SIEVE_PRIMES:
+        possible &= _factor_degree_sums(list(g.coeffs), p)
+        if not possible:
+            return True
+    return False
+
+
+def _factor_degree_sums(a: list, p: int) -> int:
+    """The bit set of the subset sums of the degrees of a's factors mod p (of
+    every sum if p divides a's leading coefficient or discriminant): the
+    factors of degree dividing d make gcd(a, X^(p^d) − X), and one over n/2."""
+    f, n = _mod_monic(a, p), len(a) - 1
+    if len(f) <= n or len(_mod_gcd(f, [i * c for i, c in enumerate(f) if i], p)) > 1:
+        return (2 << n) - 1
+    h, degrees = [0, 1], []
+    for d in range(1, n // 2 + 1):
+        x = [1]
+        for bit in bin(p)[2:]:  # h^p by repeated squaring
+            x = _mod_mul(x, x, f, p)
+            x = _mod_mul(x, h, f, p) if bit == "1" else x
+        h = x
+        below = sum(e for e in degrees if d % e == 0)
+        degrees += [d] * ((len(_mod_gcd(f, h[:1] + [h[1] - 1] + h[2:], p)) - 1 - below) // d)
+    # the last degree is that of the factor of degree over n/2, or 0
+    return reduce(lambda sums, d: sums | sums << d, degrees + [n - sum(degrees)], 1)
+
+
+def _mod_monic(a: list, p: int) -> list:
+    """a mod p, trimmed and made monic; [] for a zero residue."""
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return [x * pow(a[-1], -1, p) % p for x in a]
+
+
+def _mod_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over F_p of the monic a and of b."""
+    while b := _mod_monic(b, p):
+        a, b = b, _mod_mul(a, [1], b, p)
+    return a
+
+
+def _mod_mul(a: list, b: list, f: list, p: int) -> list:
+    """a·b modulo the monic f of degree n over F_p, as n coefficients."""
+    n = len(f) - 1
+    out = [0] * max(len(a) + len(b), n)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for top in range(len(out) - 1, n - 1, -1):
+        for j in range(n):
+            out[top - n + j] -= out[top] * f[j]
+    return [x % p for x in out[:n]]
 
 
 def _divisors(n: int) -> list[int]:

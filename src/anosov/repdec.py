@@ -63,6 +63,14 @@ check that the characters of the classes are pairwise orthogonal keeps a
 verdict off two classes that meet: a "search" class that only "search"
 classes meet is an error, and one that meets no other is kept, its rows
 flagged unproven.
+
+With no given commutant, V ≅ U^k (k ≥ 2), which holds exactly when
+χ_V = k·χ_U for an irreducible U (Serre, §2.3), is tried first. A gate on
+χ_V asks ⟨χ, χ⟩ ≠ 1, a trivial multiplicity of 0 or dim V, and a k ≥ 2
+dividing every χ(g), with dim E_U = ⟨χ, χ⟩/k² dividing dim U = dim V/k.
+U = Q[G]·e_0 is spun up to dim V/k for the least such k; if χ_V = k·χ_U and
+U has a proof other than "search", from its own random.Random(0), the k
+maps of peel(U, V, k) fill V as one class. Otherwise V is split.
 """
 
 from __future__ import annotations
@@ -76,7 +84,7 @@ from typing import Optional, Sequence
 
 from .fingrp import RationalRep, character_inner_product, fs_indicator_value
 from .intpoly import IntPoly, factor_over_Q
-from .ratmat import RatMatrix, matrix_min_poly, sparse_kernel_basis
+from .ratmat import RatMatrix, _insert, matrix_min_poly, sparse_kernel_basis
 
 RANDOM_TRIALS = 20
 COEFF_RANGE = 5
@@ -462,20 +470,57 @@ def _meeting_class(sub: RationalRep, classes: dict) -> Optional[tuple[RationalRe
     return None
 
 
+def _spin(rep: RationalRep, bound: int) -> Optional[RatMatrix]:
+    """Columns spanning Q[G]·e_0, breadth first, each generator's image of a
+    kept vector kept if it raises the rank (ratmat._insert); None past bound."""
+    kept = [RatMatrix.from_integers(rep.dimension, 1, [1] + [0] * (rep.dimension - 1))]
+    span: dict = {0: {0: 1}}
+    for v in kept:  # kept doubles as the breadth-first queue
+        for img in rep.gen_images:
+            w = img @ v
+            if _insert(span, {i: x for i, x in enumerate(w.integer_form()[0]) if x}) is not None:
+                if len(kept) == bound:
+                    return None
+                kept.append(w)
+    return RatMatrix.from_columns([v.entries() for v in kept])
+
+
+def _isotypic_class(rep: RationalRep) -> Optional[tuple]:
+    """(χ_U, (U's certificate, rep's members)) when rep ≅ U^k, k ≥ 2, for
+    U = Q[G]·e_0 proven irreducible, or None (module docstring)."""
+    chi, n = rep.character, rep.dimension
+    norm = character_inner_product(rep, rep).numerator
+    trivial = sum(map(mul, rep.group.class_data.sizes, chi)) // rep.group.order
+    g = gcd(*chi)
+    # k | χ, and dim E_U = ⟨χ, χ⟩/k² divides dim U = n/k
+    k_min = next((k for k in range(2, g + 1) if g % k == 0 == norm % (k * k) and (n // k) % (norm // k // k) == 0), 0)
+    if not (k_min and norm != 1 and trivial in (0, n)) or (span := _spin(rep, n // k_min)) is None:
+        return None
+    sub = restrict_rep(rep, span)
+    k = n // sub.dimension
+    if chi != tuple(k * x for x in sub.character):
+        return None
+    cert = _split_once(sub, random.Random(0))
+    if not isinstance(cert, IrreducibleCertificate) or cert.proof == "search":
+        return None
+    return sub.character, (cert, [ComponentMember(phi, sub) for phi in peel(sub, rep, k)[0]])
+
+
 def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> list[ComponentProfile]:
     """Recursive splitting into Q-irreducibles, grouped into classes by
-    character in the order of their first leaves. A node that meets a
-    proven class is peeled through it and takes no commutant; the parts of
-    each split, and the complement of each peel, are queued last (module
-    docstring). The random trials come from one random.Random(0), so the
-    result depends on rep alone. When the queue empties, the members of a
-    "search" class that a proven class meets are queued again. `ambient` is
-    the commutant of rep when the caller has solved it already."""
+    character in the order of their first leaves, after the isotypic
+    shortcut when no `ambient` is given (module docstring). A node that
+    meets a proven class is peeled through it and takes no commutant; the
+    parts of each split, and the complement of each peel, are queued last.
+    The random trials come from one random.Random(0), so the result depends
+    on rep alone. `ambient` is the commutant of rep when the caller has
+    solved it already."""
     rng = random.Random(0)
     n = rep.dimension
-    pending = [(RatMatrix.identity(n), rep, ambient)]
+    root = None if ambient is not None else _isotypic_class(rep)
+    pending = [] if root else [(RatMatrix.identity(n), rep, ambient)]
     # character -> (the first leaf's certificate, the class's members)
-    classes: dict[tuple, tuple[IrreducibleCertificate, list[ComponentMember]]] = {}
+    classes: dict[tuple, tuple[IrreducibleCertificate, list[ComponentMember]]] = dict([root] if root else [])
     while pending:
         basis, sub, com = pending.pop(0)
         met = _meeting_class(sub, classes)

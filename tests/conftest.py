@@ -14,7 +14,7 @@ from sympy.polys.rootisolation import dup_isolate_real_roots
 from sympy.polys.sqfreetools import dup_sqf_part
 
 from anosov import corpus
-from anosov.fingrp import conjugate_rep, generate_group, natural_rep, rep_from_generator_images
+from anosov.fingrp import conjugate_rep, direct_sum, generate_group, natural_rep, rep_from_generator_images
 from anosov.hyper import FOUND, _trace_form, unit_circle_root_test
 from anosov.intpoly import IntPoly, cyclotomic, cyclotomic_index_of, eig_product_poly, real_root_count, squarefree_part
 from anosov.ratmat import Permutation, RatMatrix, perm_matrix
@@ -176,6 +176,25 @@ def benchmark_cases():
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def with_trivial_summand(rep):
+    """1 ⊕ rep: the trivial representation of rep's group, then rep."""
+    trivial = rep_from_generator_images(rep.group, [RatMatrix.identity(1)] * len(rep.gen_images))
+    return direct_sum([trivial, rep])
+
+
+def assert_isotypic_shortcut_calls(rep, profiles, calls) -> None:
+    """The intertwiner_space calls (left images, right images) that decide
+    made on rep, which the isotypic shortcut of decompose serves: one class,
+    no solve on rep's own images, one Hom_G solve from the class's
+    representation U into rep, and at most one commutant solve, on U."""
+    (profile,) = profiles
+    u = profile.sub_rep.gen_images
+    homs = [(left, right) for left, right in calls if left is not right]
+    solved = [left for left, right in calls if left is right]
+    assert len(homs) == 1 and homs[0][0] is u and homs[0][1] is rep.gen_images
+    assert len(solved) <= 1 and all(left is u for left in solved)
 
 
 def regular_rep(group):

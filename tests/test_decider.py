@@ -28,7 +28,16 @@ from anosov.intpoly import IntPoly, cyclotomic
 from anosov.ratmat import RatMatrix
 from anosov.witness import companion_matrix, verify_witness
 
-from conftest import benchmark_cases, d7_rep, dense_basis, random_unimodular, regular_rep, rotation_rep
+from conftest import (
+    assert_isotypic_shortcut_calls,
+    benchmark_cases,
+    d7_rep,
+    dense_basis,
+    random_unimodular,
+    regular_rep,
+    rotation_rep,
+    with_trivial_summand,
+)
 
 
 class TestDecide:
@@ -360,11 +369,19 @@ class TestDemos:
 # -- each component computed once -------------------------------------------------
 
 
+# Inputs of _grouping_reps that the isotypic shortcut of decompose serves.
+ISOTYPIC = ("3rho3", "2q8")
+
+
 def _grouping_reps():
     d3 = corpus.d3_group()
+    dense_3rho3 = conjugate_rep(m_rho3(3), random_unimodular(random.Random(5), 6))
+    two_q8 = multiple(corpus.q8_rep(), 2)
     return {
-        "3rho3": conjugate_rep(m_rho3(3), random_unimodular(random.Random(5), 6)),
-        "2q8": multiple(corpus.q8_rep(), 2),
+        "3rho3": dense_3rho3,
+        "rho1+3rho3": with_trivial_summand(dense_3rho3),
+        "2q8": two_q8,
+        "1+2q8": with_trivial_summand(two_q8),
         "rho1+rho1+rho3+rho3": direct_sum([corpus.rho1(d3)] * 2 + [corpus.rho3(d3)] * 2),
         "reg_d4": regular_rep(
             generate_group([RatMatrix.from_rows([[0, -1], [1, 0]]), RatMatrix.from_rows([[1, 0], [0, -1]])])
@@ -392,12 +409,18 @@ def _commutant_solves(calls) -> int:
 @pytest.mark.parametrize("name", sorted(_grouping_reps()))
 def test_decide_solves_no_hom_space(name, monkeypatch):
     """decide groups components by character, with no Hom-space solve per
-    leaf and class. Every intertwiner_space call it makes is a commutant
-    solve, or a Hom_G solve, in either direction, between a proven class
-    representative L and a node W that meets it, ⟨χ_L, χ_W⟩ ≠ 0; such a
-    node solves no commutant."""
+    leaf and class. On an input that splits, every intertwiner_space call it
+    makes is a commutant solve, or a Hom_G solve, in either direction,
+    between a proven class representative L and a node W that meets it,
+    ⟨χ_L, χ_W⟩ ≠ 0; such a node solves no commutant. An isotypic input
+    solves nothing on its own images: one Hom_G solve from its proven
+    Q[G]·e_0 and at most one commutant solve, on that."""
     calls = _record_intertwiner_calls(monkeypatch)
-    verdict = decide(_grouping_reps()[name], 1)
+    rep = _grouping_reps()[name]
+    verdict = decide(rep, 1)
+    if name in ISOTYPIC:
+        assert_isotypic_shortcut_calls(rep, verdict.profiles, calls)
+        return
     proven = [p.sub_rep for p in verdict.profiles if not p.unproven]
     solved = [left for left, right in calls if left is right]
     assert solved

@@ -5,7 +5,8 @@ neither factors nor counts real roots, and make_field loads no sympy; no
 module imports sympy or mpmath when it is imported, so that the decision
 path starts without them, and the hyperbolicity test, the witness search
 and the empty-search report do not load them either; the witness of a
-cyclotomic rotation loads no sympy; no module builds a representation's
+cyclotomic rotation, and every case of the benchmark's full corpus, load
+no sympy; no module builds a representation's
 full image list; and the Krylov minimal polynomial serves commutant
 elements only, a field element being read through its characteristic
 polynomial."""
@@ -300,3 +301,26 @@ def test_cyclotomic_witness_loads_no_sympy(argv, rep):
     assert result["loaded"] == []
     ((rc, out),) = result["outputs"]
     assert rc == 0 and '"admits_anosov": true' in out
+
+
+def test_full_corpus_loads_no_sympy():
+    """Every case of the benchmark's full corpus, at seeds 0, 1, 2 and 17,
+    run through the CLI in one fresh interpreter, gives its expected
+    fingerprint and loads no sympy: every polynomial it factors takes a
+    closed form or the degree sieve."""
+    cases = benchmark_cases()
+    runs = [
+        (case, [case.argv(), json.dumps(case.input_obj(seed))])
+        for make_cases in cases.FULL.values()
+        for case in make_cases()
+        for seed in (0, 1, 2, 17)
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(SRC.parent), "sympy"],
+        input=json.dumps([run for _, run in runs]), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    for (case, _), (rc, out) in zip(runs, result["outputs"]):
+        assert rc == 0 and cases.fingerprint(case, json.loads(out)) == case.expected(), case.case_id

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from math import comb, gcd
 
@@ -11,7 +12,7 @@ from sympy.polys.factortools import dup_factor_list
 
 import anosov.intpoly
 import anosov.repdec
-from anosov.decider import decide
+from anosov.decider import decide, decide_with_witness, no_certificate_search
 from anosov.fingrp import group_rep_from_json_obj
 from anosov.intpoly import (
     IntPoly,
@@ -234,6 +235,66 @@ class TestDenseKernelsMatchPolyOracle:
         assert len(zassenhaus) == len(products)
 
 
+# products of two random irreducibles of degree 3–8, some not monic, or
+# cyclotomic polynomials
+random_irreducibles = (
+    st.lists(st.integers(-9, 9), min_size=3, max_size=8)
+    .flatmap(lambda c: st.sampled_from([1, 2, -3]).map(lambda lead: IntPoly((*c, lead))))
+    .filter(lambda q: q.coeffs[0] != 0 and _to_sympy(q).is_irreducible)
+)
+sieve_inputs = st.lists(
+    st.one_of(random_irreducibles, st.integers(3, 20).map(cyclotomic)), min_size=1, max_size=2
+).map(lambda fs: functools.reduce(IntPoly.__mul__, fs))
+
+
+class TestDegreeSieve:
+    """The degree sieve of factor_over_Q against Zassenhaus and against
+    sympy's factorization modulo p."""
+
+    @given(sieve_inputs)
+    @settings(max_examples=80, deadline=None)
+    def test_factorizations_agree_with_zassenhaus(self, f):
+        expected = dense_factor_oracle(f)
+        assert factor_over_Q(f) == expected
+        if anosov.intpoly._irreducible_by_degrees(f.primitive_part()):
+            assert expected == [(f.primitive_part(), 1)]
+
+    @given(random_irreducibles, st.sampled_from(anosov.intpoly.SIEVE_PRIMES))
+    @settings(max_examples=150, deadline=None)
+    def test_degrees_mod_p_agree_with_sympy(self, f, p):
+        n = f.degree
+        factors = sympy.Poly(list(reversed(f.coeffs)), _X, modulus=p).factor_list()[1]
+        if f.leading % p == 0 or any(m > 1 for _, m in factors):
+            expected = (2 << n) - 1  # no information
+        else:
+            expected = functools.reduce(lambda sums, q: sums | sums << q[0].degree(), factors, 1)
+        assert anosov.intpoly._factor_degree_sums(list(f.coeffs), p) == expected
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            IntPoly((1, 0, -10, 0, 1)),  # √2 + √3, Galois group V4: no 4-cycle
+            IntPoly((576, 0, -960, 0, 352, 0, -40, 0, 1)),  # √2 + √3 + √5, Swinnerton-Dyer
+        ],
+        ids=["x4-10x2+1", "swinnerton-dyer-3"],
+    )
+    def test_irreducibles_that_split_modulo_every_prime_fall_back(self, f, monkeypatch):
+        zassenhaus = []
+        monkeypatch.setattr(
+            "sympy.polys.factortools.dup_factor_list", lambda *args: zassenhaus.append(args) or dup_factor_list(*args)
+        )
+        assert not anosov.intpoly._irreducible_by_degrees(f)
+        assert factor_over_Q(f) == [(f, 1)]
+        assert len(zassenhaus) == 1
+
+    def test_dense_c5_quartic_proved_at_the_first_prime(self, monkeypatch):
+        calls = []
+        sums = anosov.intpoly._factor_degree_sums
+        monkeypatch.setattr(anosov.intpoly, "_factor_degree_sums", lambda a, p: calls.append(p) or sums(a, p))
+        assert anosov.intpoly._irreducible_by_degrees(IntPoly((1, -2, 4, -3, 1)))
+        assert calls == [2]
+
+
 class TestPrimitiveRemainderFallback:
     """The heuristic gcd given no evaluation point: every gcd then comes from
     the primitive remainder sequence, and the results stay the oracles'."""
@@ -291,14 +352,16 @@ class TestFactor:
 
 
 def test_corpus_decides_factor_in_closed_form(monkeypatch):
-    """decide on the isotypic and closure corpora never calls Zassenhaus, and
-    takes every closed form: the power of X, integer roots, and quadratics
-    with and without a square discriminant."""
+    """Every case of the benchmark's full corpus, at seeds 0, 1, 2 and 17,
+    never calls Zassenhaus, and takes every closed form: the power of X,
+    integer roots, quadratics with and without a square discriminant, and
+    residuals that the degree sieve proves irreducible."""
     zassenhaus, branches = [], Counter()
     monkeypatch.setattr(
         "sympy.polys.factortools.dup_factor_list", lambda *args: zassenhaus.append(args) or dup_factor_list(*args)
     )
     factor, split, quadratic = factor_over_Q, anosov.intpoly._split_integer_roots, anosov.intpoly._factor_quadratic
+    sieve = anosov.intpoly._irreducible_by_degrees
 
     def counted_factor(f):
         branches["power of X"] += f.coeffs[0] == 0
@@ -316,16 +379,32 @@ def test_corpus_decides_factor_in_closed_form(monkeypatch):
             branches["square" if all(p.degree == 1 for p, _ in out) else "irreducible quadratic"] += 1
         return out
 
+    def counted_sieve(g):
+        proved = sieve(g)
+        branches["degree sieve"] += proved
+        return proved
+
     monkeypatch.setattr(anosov.repdec, "factor_over_Q", counted_factor)
     monkeypatch.setattr(anosov.intpoly, "_split_integer_roots", counted_split)
     monkeypatch.setattr(anosov.intpoly, "_factor_quadratic", counted_quadratic)
+    monkeypatch.setattr(anosov.intpoly, "_irreducible_by_degrees", counted_sieve)
     cases = benchmark_cases()
-    for case in cases.FULL["isotypic"]() + cases.FULL["closure"]():
-        for seed in (0, 1):
+    for case in [case for make_cases in cases.FULL.values() for case in make_cases()]:
+        for seed in (0, 1, 2, 17):
             _, rep, c = group_rep_from_json_obj(case.input_obj(seed))
-            assert decide(rep, c).admits_anosov == case.expected()["verdict"]
+            if case.command == "witness":
+                verdict = decide_with_witness(rep, c)
+                assert verdict.witness_status == "attached", (case.case_id, seed)
+            elif case.command == "no-cert":
+                assert no_certificate_search(rep, c, case.height_bound)["hits"] == 0
+                continue
+            else:
+                verdict = decide(rep, c)
+            assert verdict.admits_anosov == case.expected()["verdict"], (case.case_id, seed)
     assert zassenhaus == []
-    assert set(+branches) == {"power of X", "integer roots", "square", "irreducible quadratic"}, branches
+    assert set(+branches) == {
+        "power of X", "integer roots", "square", "irreducible quadratic", "degree sieve"
+    }, branches
 
 
 class TestCyclotomic:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -41,6 +42,8 @@ from conftest import (
     q32_rep,
     random_unimodular,
     regular_rep,
+    rotation_rep,
+    with_trivial_summand,
 )
 
 
@@ -197,8 +200,16 @@ def test_pairwise_sums_built_lazily(monkeypatch):
     assert calls < d * (d - 1) // 2
 
 
-@pytest.mark.parametrize("make_rep", [regular_d4, lambda: multiple(corpus.q8_rep(), 2)], ids=["reg_d4", "2q8"])
-def test_commutant_solved_once_per_split(make_rep, monkeypatch):
+@pytest.mark.parametrize(
+    "make_rep, isotypic",
+    [
+        (regular_d4, False),
+        (lambda: multiple(corpus.q8_rep(), 2), True),
+        (lambda: with_trivial_summand(multiple(corpus.q8_rep(), 2)), False),
+    ],
+    ids=["reg_d4", "2q8", "1+2q8"],
+)
+def test_commutant_solved_once_per_split(make_rep, isotypic, monkeypatch):
     """Each node that meets no proven class solves its commutant once,
     unless ⟨χ, χ⟩ = 1 or dim 1 makes it a "dimension-one" leaf, which solves
     none, and component_profile reuses the class representative's. A node
@@ -206,7 +217,9 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
     solves, each between L's own images and the node's. decompose makes no
     other intertwiner_space call. Every node is the root, a part that a
     splitting node returned, whatever the number of parts per split, or the
-    complement that a peel returned."""
+    complement that a peel returned. An isotypic input that the shortcut
+    serves is no node: one _split_once call proves its Q[G]·e_0, solving
+    that commutant at most once, and one Hom_G solve peels the input."""
     rep = make_rep()
     solves = homs = calls = splits = parts = leaves = unsolved = met = complements = 0
     certified = []
@@ -249,8 +262,12 @@ def test_commutant_solved_once_per_split(make_rep, monkeypatch):
     monkeypatch.setattr(repdec, "_meeting_class", counting_meeting)
     monkeypatch.setattr(repdec, "peel", counting_peel)
     profiles = decompose(rep)
-    # with no "search" class, _meeting_class runs once per node
     assert not any(p.unproven for p in profiles)
+    if isotypic:
+        assert (splits, leaves, met, parts, complements) == (1, 1, 0, 0, 0)
+        assert solves == splits - unsolved and homs == 1 and calls == solves + homs
+        return
+    # with no "search" class, _meeting_class runs once per node
     assert met and splits + met == 1 + parts + complements
     assert leaves + met <= sum(p.multiplicity for p in profiles)
     assert solves == splits - unsolved and homs <= 2 * met
@@ -416,14 +433,20 @@ def test_restriction_solves_once_per_generator(monkeypatch):
 def test_decompose_builds_no_full_image_list(monkeypatch):
     """On the natural representation of S5 (order 120), and on benchmark
     inputs whose splitting meets proper prime-power minimal polynomials, no
-    split node, leaf or class sum reads a full image list."""
+    split node, leaf or class sum reads a full image list. The isotypic
+    inputs 4·ρ3 and 2·Q8 split only with a trivial summand added: alone,
+    the isotypic shortcut serves them with no split."""
     s5 = natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4]))
     cases = {case.case_id: case for case in benchmark_cases().FULL["isotypic"]() + benchmark_cases().FULL["closure"]()}
     # ingestion checks the homomorphism on the full image list: build first
-    prime_power = [
+    isotypic = [
         (cases[name], group_rep_from_json_obj(cases[name].input_obj(seed, 0))[1])
-        for name, seed in (("4rho3_c3", 1), ("2q8_c1", 2), ("2s5_c1", 1))
+        for name, seed in (("4rho3_c3", 1), ("2q8_c1", 2))
     ]
+    prime_power = [
+        (dataclasses.replace(case, components=case.components + ((1, 1, 1),)), with_trivial_summand(rep))
+        for case, rep in isotypic
+    ] + [(cases["2s5_c1"], group_rep_from_json_obj(cases["2s5_c1"].input_obj(1, 0))[1])]
 
     def forbidden(self):
         raise AssertionError("a full image list was built")
@@ -447,6 +470,11 @@ def test_decompose_builds_no_full_image_list(monkeypatch):
         rows = sorted((p.dimension, p.multiplicity, p.r_components) for p in profiles)
         assert rows == sorted(case.components), case.case_id
         assert steps > 0, case.case_id
+    for case, rep in isotypic:
+        steps = 0
+        profiles = decompose(rep)
+        assert [(p.dimension, p.multiplicity, p.r_components) for p in profiles] == list(case.components)
+        assert steps == 0, case.case_id
 
 
 def _prime_power_trials(com):
@@ -967,3 +995,102 @@ class TestLeadingMinors:
     def test_zero_and_positive_leading_minors(self, a, expected):
         assert self._per_minor(a) == expected
         assert repdec._leading_minors_positive(a) == expected
+
+
+# -- the isotypic shortcut ----------------------------------------------------------
+
+SHORTCUT_INPUTS = {
+    **{f"{m}rho3": lambda m=m: m_rho3(m) for m in range(2, 7)},
+    **{f"{k}q8": lambda k=k: multiple(corpus.q8_rep(), k) for k in range(1, 4)},
+    "t2": lambda: corpus.torus_rep(2),
+    "t3": lambda: corpus.torus_rep(3),
+    "2c5": lambda: multiple(rotation_rep(5), 2),
+    "2c7": lambda: multiple(rotation_rep(7), 2),
+    "3c4": lambda: multiple(rotation_rep(4), 3),
+}
+
+
+class TestIsotypicShortcut:
+    @pytest.mark.parametrize("name", sorted(SHORTCUT_INPUTS))
+    def test_agrees_with_the_split(self, name, monkeypatch):
+        """Wherever the shortcut serves an input, in the block basis, after
+        conftest.random_unimodular seeded 1–3 and in conftest.dense_basis
+        0–15, the split it replaces gives the same rows; each member map
+        intertwines, and their images span the input."""
+        rep = SHORTCUT_INPUTS[name]()
+        n = rep.dimension
+        bases = [rep] + [conjugate_rep(rep, random_unimodular(random.Random(s), n)) for s in (1, 2, 3)]
+        bases += [dense_basis(rep, k) for k in range(16)]
+        served = 0
+        shortcut = repdec._isotypic_class
+        for base in bases:
+            monkeypatch.setattr(repdec, "_isotypic_class", shortcut)
+            if shortcut(base) is None:
+                continue
+            served += 1
+            profiles = decompose(base)
+            (profile,) = profiles
+            for member in profile.members:
+                assert member.rep is profile.sub_rep
+                for img, own in zip(base.gen_images, member.rep.gen_images):
+                    assert img @ member.basis == member.basis @ own
+            columns = [list(m.basis.column(j)) for m in profile.members for j in range(m.basis.cols)]
+            assert RatMatrix.from_columns(columns).rank() == n
+            monkeypatch.setattr(repdec, "_isotypic_class", lambda rep: None)
+            split = decompose(base)
+            assert [p.to_json_obj() for p in split] == [profile.to_json_obj()]
+        # the gate rejects one copy of Q8; every other input is served at least in its block basis
+        assert served == 0 if name == "1q8" else served >= 1
+
+    @pytest.mark.parametrize(
+        "make_rep",
+        [
+            regular_d4,
+            lambda: regular_rep(corpus.q8_rep().group),
+            lambda: regular_rep(_perm_group([1, 2, 3, 0], [1, 0, 2, 3])),
+            lambda: natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 2, 0, 3, 4])),
+            lambda: natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4])),
+            corpus.klein_rep,
+        ],
+        ids=["reg_d4", "reg_q8", "reg_s4", "a5_natural", "s5_natural", "klein"],
+    )
+    def test_gate_spins_nothing_on_split_inputs(self, make_rep, monkeypatch):
+        """Regular representations and permutation modules hold the trivial
+        representation once, and the two characters of the Klein bottle
+        differ: the gate declines each from its character, with no spin."""
+        spins = []
+        spin = repdec._spin
+        monkeypatch.setattr(repdec, "_spin", lambda rep, bound: spins.append(bound) or spin(rep, bound))
+        assert repdec._isotypic_class(make_rep()) is None
+        assert spins == []
+        assert repdec._isotypic_class(m_rho3(2)) is not None
+        assert spins == [2]
+
+    @pytest.mark.parametrize("k", [15, 16])
+    def test_a_reducible_spin_falls_back(self, k, monkeypatch):
+        """In dense bases 15 and 16 of 4·ρ3, Q[G]·e_0 is ρ3 ⊕ ρ3, which passes
+        χ = 2·χ_U and splits: the input goes to the split with its trials
+        untouched, and its rows, the unproven one included, are the split's."""
+        rep = dense_basis(m_rho3(4), k)
+        results = []
+        split = repdec._split_once
+        monkeypatch.setattr(repdec, "_split_once", lambda *args, **kw: results.append(split(*args, **kw)) or results[-1])
+        assert repdec._isotypic_class(rep) is None
+        assert len(results) == 1 and isinstance(results[0], list)
+        monkeypatch.setattr(repdec, "_split_once", split)
+        rows = [p.to_json_obj() for p in decompose(rep)]
+        monkeypatch.setattr(repdec, "_isotypic_class", lambda rep: None)
+        assert rows == [p.to_json_obj() for p in decompose(rep)]
+
+    def test_search_proof_falls_back(self, monkeypatch):
+        """A Q[G]·e_0 proven only by "search" is not taken."""
+        rep = m_rho3(3)
+        split = repdec._split_once
+
+        def search(sub, rng, com=None):
+            cert = split(sub, rng, com=com)
+            return IrreducibleCertificate(trials=cert.trials, commutant=cert.commutant, proof="search")
+
+        assert repdec._isotypic_class(rep) is not None
+        monkeypatch.setattr(repdec, "_split_once", search)
+        assert repdec._isotypic_class(rep) is None
