@@ -3,7 +3,9 @@
 construction path, characteristic polynomial, and verification flags."""
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 from anosov.corpus import c5_rep, m_rho3, q8_rep, torus_rep
 from anosov.decider import decide_with_witness
@@ -11,6 +13,9 @@ from anosov.fingrp import generate_group, multiple, natural_rep
 from anosov.intpoly import IntPoly, cyclotomic
 from anosov.ratmat import RatMatrix
 from anosov.witness import companion_matrix, verify_witness
+
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import dense_basis  # noqa: E402
 
 
 def d7_rep():
@@ -31,6 +36,7 @@ def main() -> None:
         ("2 copies of the dihedral plane, c=1", m_rho3(2), 1),
         ("3 copies, c=2", m_rho3(3), 2),
         ("4 copies, c=3", m_rho3(4), 3),
+        ("4 copies of the dihedral plane, dense basis 15, c=3", dense_basis(m_rho3(4), 15), 3),
         ("order-5 rotation, c=1", c5_rep(), 1),
         ("2 copies of the order-5 rotation, c=2", multiple(c5_rep(), 2), 2),
         ("2 copies of the quaternion group, c=1", multiple(q8_rep(), 2), 1),

@@ -138,7 +138,9 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return _make(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
+        nums = [0] * (n * n)
+        nums[:: n + 1] = [1] * n
+        return _make(n, n, tuple(nums), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":

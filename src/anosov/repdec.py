@@ -64,13 +64,16 @@ verdict off two classes that meet: a "search" class that only "search"
 classes meet is an error, and one that meets no other is kept, its rows
 flagged unproven.
 
-With no given commutant, V ≅ U^k (k ≥ 2), which holds exactly when
-χ_V = k·χ_U for an irreducible U (Serre, §2.3), is tried first. A gate on
-χ_V asks ⟨χ, χ⟩ ≠ 1, a trivial multiplicity of 0 or dim V, and a k ≥ 2
-dividing every χ(g), with dim E_U = ⟨χ, χ⟩/k² dividing dim U = dim V/k.
-U = Q[G]·e_0 is spun up to dim V/k for the least such k; if χ_V = k·χ_U and
-U has a proof other than "search", from its own random.Random(0), the k
-maps of peel(U, V, k) fill V as one class. Otherwise V is split.
+With no given commutant, U = Q[G]·e_0 is decomposed by the same loop and
+its proven classes seed V's. A gate on χ_V asks ⟨χ, χ⟩ ≠ 1, a trivial
+multiplicity of 0 or dim V, and a k ≥ 2 dividing every χ(g), with
+dim E_U = ⟨χ, χ⟩/k² dividing dim U = dim V/k and, when it is 1, an
+indicator of k, as a Q-irreducible with E = Q has indicator +1. U is spun
+up to dim V/k for the least such k, and its loop draws from its own
+random.Random(0). Each class of U with a proof other than "search" enters
+V's class table with no members, so V meets it and is peeled through it,
+and the rest of V is split as usual. When nothing is seeded, V is split
+with its trials untouched.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from typing import Optional, Sequence
 
 from .fingrp import RationalRep, character_inner_product, fs_indicator_value
 from .intpoly import IntPoly, factor_over_Q
-from .ratmat import RatMatrix, _insert, matrix_min_poly, sparse_kernel_basis
+from .ratmat import RatMatrix, _insert, int_char_poly, matrix_min_poly, sparse_kernel_basis
 
 RANDOM_TRIALS = 20
 COEFF_RANGE = 5
@@ -293,9 +296,8 @@ def _trace_form_negative_definite(basis: Sequence[RatMatrix]) -> bool:
 
     Each basis element is scaled to its integer numerators, which rescales
     the form by positive factors only. With t_i the traces and t_p ≠ 0, the
-    x_i = t_p·N_i − t_i·N_p (i ≠ p) span the trace-zero part; the form is
-    negative definite iff every leading principal minor of its negated Gram
-    matrix is positive."""
+    x_i = t_p·N_i − t_i·N_p (i ≠ p) span the trace-zero part, and the form
+    is negative definite iff its negated Gram matrix is positive definite."""
     n = basis[0].rows
     nums = [b.integer_form()[0] for b in basis]
     traces = [sum(m[:: n + 1]) for m in nums]
@@ -305,26 +307,14 @@ def _trace_form_negative_definite(basis: Sequence[RatMatrix]) -> bool:
         for i, m in enumerate(nums)
         if i != p
     ]
-    return _leading_minors_positive([[-t for t in _trace_pairings(xs, y, n)] for y in xs])
+    return _positive_definite([-t for y in xs for t in _trace_pairings(xs, y, n)], len(xs))
 
 
-def _leading_minors_positive(a: list[list[int]]) -> bool:
-    """Whether every leading principal minor of the square integer matrix a
-    is positive; a is overwritten. One pass of Bareiss's elimination without
-    row exchanges: its k-th pivot is the k-th leading principal minor, and
-    each update divides exactly by the pivot before (Bareiss, Math. Comp.
-    1968), so the pass stops at the first pivot ≤ 0."""
-    prev = 1
-    for k, row in enumerate(a):
-        p = row[k]
-        if p <= 0:
-            return False
-        for other in a[k + 1 :]:
-            f = other[k]
-            for j in range(k + 1, len(a)):
-                other[j] = (other[j] * p - f * row[j]) // prev
-        prev = p
-    return True
+def _positive_definite(a: Sequence[int], n: int) -> bool:
+    """Whether the symmetric row-major n×n integer matrix a is positive
+    definite: its eigenvalues are real, so they are all positive exactly
+    when the coefficients of det(X·I − a) strictly alternate in sign."""
+    return all((-1) ** (n - k) * c > 0 for k, c in enumerate(int_char_poly(a, n)))
 
 
 def _split_once(rep: RationalRep, rng: random.Random, com: Optional[CommutantBasis] = None):
@@ -485,42 +475,17 @@ def _spin(rep: RationalRep, bound: int) -> Optional[RatMatrix]:
     return RatMatrix.from_columns([v.entries() for v in kept])
 
 
-def _isotypic_class(rep: RationalRep) -> Optional[tuple]:
-    """(χ_U, (U's certificate, rep's members)) when rep ≅ U^k, k ≥ 2, for
-    U = Q[G]·e_0 proven irreducible, or None (module docstring)."""
-    chi, n = rep.character, rep.dimension
-    norm = character_inner_product(rep, rep).numerator
-    trivial = sum(map(mul, rep.group.class_data.sizes, chi)) // rep.group.order
-    g = gcd(*chi)
-    # k | χ, and dim E_U = ⟨χ, χ⟩/k² divides dim U = n/k
-    k_min = next((k for k in range(2, g + 1) if g % k == 0 == norm % (k * k) and (n // k) % (norm // k // k) == 0), 0)
-    if not (k_min and norm != 1 and trivial in (0, n)) or (span := _spin(rep, n // k_min)) is None:
-        return None
-    sub = restrict_rep(rep, span)
-    k = n // sub.dimension
-    if chi != tuple(k * x for x in sub.character):
-        return None
-    cert = _split_once(sub, random.Random(0))
-    if not isinstance(cert, IrreducibleCertificate) or cert.proof == "search":
-        return None
-    return sub.character, (cert, [ComponentMember(phi, sub) for phi in peel(sub, rep, k)[0]])
+def _within(basis: RatMatrix, m: RatMatrix) -> RatMatrix:
+    """basis·m; only the root's basis, the identity, is square."""
+    return m if basis.rows == basis.cols else basis @ m
 
 
-def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> list[ComponentProfile]:
-    """Recursive splitting into Q-irreducibles, grouped into classes by
-    character in the order of their first leaves, after the isotypic
-    shortcut when no `ambient` is given (module docstring). A node that
-    meets a proven class is peeled through it and takes no commutant; the
-    parts of each split, and the complement of each peel, are queued last.
-    The random trials come from one random.Random(0), so the result depends
-    on rep alone. `ambient` is the commutant of rep when the caller has
-    solved it already."""
+def _classes(rep: RationalRep, com: Optional[CommutantBasis], classes: dict) -> dict:
+    """Splits and peels rep into the class table classes, character ->
+    (the first leaf's certificate, the class's members), and returns it; the
+    trials come from one random.Random(0). com is rep's commutant, if solved."""
     rng = random.Random(0)
-    n = rep.dimension
-    root = None if ambient is not None else _isotypic_class(rep)
-    pending = [] if root else [(RatMatrix.identity(n), rep, ambient)]
-    # character -> (the first leaf's certificate, the class's members)
-    classes: dict[tuple, tuple[IrreducibleCertificate, list[ComponentMember]]] = dict([root] if root else [])
+    pending = [(RatMatrix.identity(rep.dimension), rep, com)]
     while pending:
         basis, sub, com = pending.pop(0)
         met = _meeting_class(sub, classes)
@@ -531,9 +496,9 @@ def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> lis
                 members.append(ComponentMember(basis, sub))
             else:
                 maps, rest = peel(rep0, sub, k)
-                members += [ComponentMember(basis @ phi, rep0) for phi in maps]
+                members += [ComponentMember(_within(basis, phi), rep0) for phi in maps]
                 if rest is not None:
-                    pending.append((basis @ rest, restrict_rep(sub, rest), None))
+                    pending.append((_within(basis, rest), restrict_rep(sub, rest), None))
         else:
             result = _split_once(sub, rng, com=com)
             if isinstance(result, IrreducibleCertificate):
@@ -541,13 +506,38 @@ def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> lis
                 members.append(ComponentMember(basis, result.commutant.rep))
             else:
                 parts = sorted(result, key=lambda part: part.cols)
-                pending += [(basis @ k, restrict_rep(sub, k), None) for k in parts]
+                pending += [(_within(basis, k), restrict_rep(sub, k), None) for k in parts]
         if not pending:
             for key, (cert, members) in list(classes.items()):
                 if cert.proof == "search" and _meeting_class(members[0].rep, classes):
                     del classes[key]
                     pending += [(m.basis, m.rep, None) for m in members]
+    return classes
 
+
+def _seeded_classes(rep: RationalRep) -> dict:
+    """The classes of U = Q[G]·e_0 proven other than by "search", with no
+    members, if the gate passes and the spin stays in bound; else {}."""
+    chi, n = rep.character, rep.dimension
+    norm = character_inner_product(rep, rep).numerator
+    trivial = sum(map(mul, rep.group.class_data.sizes, chi)) // rep.group.order
+    g = gcd(*chi)
+    # k | χ, dim E_U = ⟨χ, χ⟩/k² divides dim U = n/k, and E_U = Q has indicator +1
+    ks = (k for k in range(2, g + 1) if g % k == 0 == norm % (k * k) and (n // k) % (norm // k // k) == 0)
+    k_min = next((k for k in ks if norm != k * k or fs_indicator_value(rep) == k), 0)
+    if not (k_min and norm != 1 and trivial in (0, n)) or (span := _spin(rep, n // k_min)) is None:
+        return {}
+    classes = _classes(restrict_rep(rep, span), None, {})
+    return {key: (cert, []) for key, (cert, _) in classes.items() if cert.proof != "search"}
+
+
+def decompose(rep: RationalRep, ambient: Optional[CommutantBasis] = None) -> list[ComponentProfile]:
+    """Recursive splitting into Q-irreducibles, grouped into classes by
+    character in the order of their first leaves; with no `ambient`, the
+    proven classes of U = Q[G]·e_0 seed them (module docstring). The result
+    depends on rep alone. `ambient` is rep's commutant, if already solved."""
+    n = rep.dimension
+    classes = _classes(rep, ambient, {} if ambient is not None else _seeded_classes(rep))
     profiles = [component_profile(cert.commutant, members, cert.proof) for cert, members in classes.values()]
     total = sum(p.multiplicity * p.dimension for p in profiles)
     if total != n:

@@ -186,9 +186,9 @@ def with_trivial_summand(rep):
 
 def assert_isotypic_shortcut_calls(rep, profiles, calls) -> None:
     """The intertwiner_space calls (left images, right images) that decide
-    made on rep, which the isotypic shortcut of decompose serves: one class,
-    no solve on rep's own images, one Hom_G solve from the class's
-    representation U into rep, and at most one commutant solve, on U."""
+    made on rep, one isotypic block whose class Q[G]·e_0 seeds in decompose:
+    one class, no solve on rep's own images, one Hom_G solve from the
+    class's representation U into rep, and at most one commutant solve, on U."""
     (profile,) = profiles
     u = profile.sub_rep.gen_images
     homs = [(left, right) for left, right in calls if left is not right]

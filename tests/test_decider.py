@@ -369,7 +369,7 @@ class TestDemos:
 # -- each component computed once -------------------------------------------------
 
 
-# Inputs of _grouping_reps that the isotypic shortcut of decompose serves.
+# Inputs of _grouping_reps whose one class Q[G]·e_0 seeds in decompose.
 ISOTYPIC = ("3rho3", "2q8")
 
 

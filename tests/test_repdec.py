@@ -217,9 +217,10 @@ def test_commutant_solved_once_per_split(make_rep, isotypic, monkeypatch):
     solves, each between L's own images and the node's. decompose makes no
     other intertwiner_space call. Every node is the root, a part that a
     splitting node returned, whatever the number of parts per split, or the
-    complement that a peel returned. An isotypic input that the shortcut
-    serves is no node: one _split_once call proves its Q[G]·e_0, solving
-    that commutant at most once, and one Hom_G solve peels the input."""
+    complement that a peel returned. On an isotypic input whose Q[G]·e_0
+    seeds its class, one _split_once call proves Q[G]·e_0, solving that
+    commutant at most once, and the input meets the seed and is peeled by
+    one Hom_G solve."""
     rep = make_rep()
     solves = homs = calls = splits = parts = leaves = unsolved = met = complements = 0
     certified = []
@@ -264,7 +265,7 @@ def test_commutant_solved_once_per_split(make_rep, isotypic, monkeypatch):
     profiles = decompose(rep)
     assert not any(p.unproven for p in profiles)
     if isotypic:
-        assert (splits, leaves, met, parts, complements) == (1, 1, 0, 0, 0)
+        assert (splits, leaves, met, parts, complements) == (1, 1, 1, 0, 0)
         assert solves == splits - unsolved and homs == 1 and calls == solves + homs
         return
     # with no "search" class, _meeting_class runs once per node
@@ -347,15 +348,24 @@ class TestPeel:
 def test_classes_by_character_match_classes_by_hom(seed, monkeypatch):
     """On every leaf of the benchmark's isotypic and witness corpora,
     grouping by character gives the classes and member order that grouping
-    by Hom spaces gives: dim Hom_G(V, W) = ⟨χ_V, χ_W⟩."""
+    by Hom spaces gives: dim Hom_G(V, W) = ⟨χ_V, χ_W⟩. Only the members of
+    the input's own loop are recorded, not those of the loop on Q[G]·e_0
+    that seeds it, which are dropped."""
     leaves = []
+    seeded = repdec._seeded_classes
 
     def recording(basis, rep):
         leaf = ComponentMember(basis, rep)
         leaves.append(leaf)
         return leaf
 
+    def seeding(rep):
+        seeds = seeded(rep)
+        leaves.clear()
+        return seeds
+
     monkeypatch.setattr(repdec, "ComponentMember", recording)
+    monkeypatch.setattr(repdec, "_seeded_classes", seeding)
     cases = benchmark_cases()
     seen = set()
     for case in cases.FULL["isotypic"]() + cases.FULL["witness"]():
@@ -435,7 +445,7 @@ def test_decompose_builds_no_full_image_list(monkeypatch):
     inputs whose splitting meets proper prime-power minimal polynomials, no
     split node, leaf or class sum reads a full image list. The isotypic
     inputs 4·ρ3 and 2·Q8 split only with a trivial summand added: alone,
-    the isotypic shortcut serves them with no split."""
+    the class that Q[G]·e_0 seeds peels them with no split."""
     s5 = natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4]))
     cases = {case.case_id: case for case in benchmark_cases().FULL["isotypic"]() + benchmark_cases().FULL["closure"]()}
     # ingestion checks the homomorphism on the full image list: build first
@@ -970,7 +980,8 @@ def _symmetric_integer_matrices(draw):
 
 
 class TestLeadingMinors:
-    """The one-pass Bareiss test against a determinant per leading minor."""
+    """The sign pattern of the characteristic polynomial against Sylvester's
+    criterion, a determinant per leading minor."""
 
     @staticmethod
     def _per_minor(a) -> bool:
@@ -980,7 +991,7 @@ class TestLeadingMinors:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_per_minor_determinants(self, a):
         expected = self._per_minor(a)
-        assert repdec._leading_minors_positive([list(row) for row in a]) == expected
+        assert repdec._positive_definite([x for row in a for x in row], len(a)) == expected
 
     @pytest.mark.parametrize(
         "a, expected",
@@ -994,10 +1005,10 @@ class TestLeadingMinors:
     )
     def test_zero_and_positive_leading_minors(self, a, expected):
         assert self._per_minor(a) == expected
-        assert repdec._leading_minors_positive(a) == expected
+        assert repdec._positive_definite([x for row in a for x in row], len(a)) == expected
 
 
-# -- the isotypic shortcut ----------------------------------------------------------
+# -- the classes that Q[G]·e_0 seeds -------------------------------------------
 
 SHORTCUT_INPUTS = {
     **{f"{m}rho3": lambda m=m: m_rho3(m) for m in range(2, 7)},
@@ -1010,37 +1021,77 @@ SHORTCUT_INPUTS = {
 }
 
 
+def klein_four_twice_two():
+    """2χ_1 ⊕ 2χ_2 of the Klein four-group, for two of its nontrivial
+    characters χ_1 and χ_2, in the block basis."""
+    minus, one = RatMatrix.identity(2).scale(-1), RatMatrix.identity(2)
+    return natural_rep(generate_group([RatMatrix.block_diag([minus, one]), RatMatrix.block_diag([one, minus])]))
+
+
+def sorted_rows(profiles) -> list:
+    return sorted(sorted(p.to_json_obj().items()) for p in profiles)
+
+
 class TestIsotypicShortcut:
+    """With no ambient commutant, the classes of U = Q[G]·e_0 proven other
+    than by "search" seed decompose's class table."""
+
+    @staticmethod
+    def _seeded_rows(rep, monkeypatch) -> tuple:
+        """(rows, split's rows) for an input that gets seeds: each member map
+        intertwines, and the members' images span the input; the split's rows
+        are decompose's with _seeded_classes returning {}."""
+        assert repdec._seeded_classes(rep)
+        profiles = decompose(rep)
+        for member in (member for p in profiles for member in p.members):
+            for img, own in zip(rep.gen_images, member.rep.gen_images):
+                assert img @ member.basis == member.basis @ own
+        columns = [list(m.basis.column(j)) for p in profiles for m in p.members for j in range(m.basis.cols)]
+        assert RatMatrix.from_columns(columns).rank() == rep.dimension
+        with monkeypatch.context() as patch:
+            patch.setattr(repdec, "_seeded_classes", lambda rep: {})
+            return sorted_rows(profiles), sorted_rows(decompose(rep))
+
     @pytest.mark.parametrize("name", sorted(SHORTCUT_INPUTS))
     def test_agrees_with_the_split(self, name, monkeypatch):
-        """Wherever the shortcut serves an input, in the block basis, after
+        """Wherever Q[G]·e_0 seeds an input, in the block basis, after
         conftest.random_unimodular seeded 1–3 and in conftest.dense_basis
-        0–15, the split it replaces gives the same rows; each member map
-        intertwines, and their images span the input."""
+        0–15, the rows are the split's, except where the split leaves a row
+        unproven: in dense basis 15 of 4·ρ3 the seed proves the true rows."""
         rep = SHORTCUT_INPUTS[name]()
         n = rep.dimension
-        bases = [rep] + [conjugate_rep(rep, random_unimodular(random.Random(s), n)) for s in (1, 2, 3)]
-        bases += [dense_basis(rep, k) for k in range(16)]
-        served = 0
-        shortcut = repdec._isotypic_class
-        for base in bases:
-            monkeypatch.setattr(repdec, "_isotypic_class", shortcut)
-            if shortcut(base) is None:
+        bases = {"block": rep}
+        bases |= {f"unimodular {s}": conjugate_rep(rep, random_unimodular(random.Random(s), n)) for s in (1, 2, 3)}
+        bases |= {f"dense {k}": dense_basis(rep, k) for k in range(16)}
+        seeded, differ = 0, []
+        expected = sorted_rows(decompose(rep))
+        for label, base in bases.items():
+            if not repdec._seeded_classes(base):
                 continue
-            served += 1
-            profiles = decompose(base)
-            (profile,) = profiles
-            for member in profile.members:
-                assert member.rep is profile.sub_rep
-                for img, own in zip(base.gen_images, member.rep.gen_images):
-                    assert img @ member.basis == member.basis @ own
-            columns = [list(m.basis.column(j)) for m in profile.members for j in range(m.basis.cols)]
-            assert RatMatrix.from_columns(columns).rank() == n
-            monkeypatch.setattr(repdec, "_isotypic_class", lambda rep: None)
-            split = decompose(base)
-            assert [p.to_json_obj() for p in split] == [profile.to_json_obj()]
-        # the gate rejects one copy of Q8; every other input is served at least in its block basis
-        assert served == 0 if name == "1q8" else served >= 1
+            seeded += 1
+            rows, split = self._seeded_rows(base, monkeypatch)
+            assert rows == expected and not any(("unproven", True) in row for row in rows)
+            if split != rows:
+                assert any(("unproven", True) in row for row in split)
+                differ.append(label)
+        assert differ == (["dense 15"] if name == "4rho3" else [])
+        # the gate declines one copy of Q8; every other input is seeded at least in its block basis
+        assert seeded == 0 if name == "1q8" else seeded >= 1
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_every_dense_basis_seeds(self, m):
+        """A generic e_0 spins ρ3 ⊕ ρ3 in m·ρ3, whose proven class seeds the
+        input in every dense basis."""
+        assert all(repdec._seeded_classes(dense_basis(m_rho3(m), k)) for k in range(16))
+
+    def test_two_characters_seed_two_classes(self, monkeypatch):
+        """2χ_1 ⊕ 2χ_2 of the Klein four-group, whose χ is not a multiple of
+        one spun U's, is seeded and ends as two classes, with the split's
+        rows, in its block basis and dense bases 0–5."""
+        rep = klein_four_twice_two()
+        for base in [rep] + [dense_basis(rep, k) for k in range(6)]:
+            rows, split = self._seeded_rows(base, monkeypatch)
+            assert rows == split and len(rows) == 2
 
     @pytest.mark.parametrize(
         "make_rep",
@@ -1051,39 +1102,45 @@ class TestIsotypicShortcut:
             lambda: natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 2, 0, 3, 4])),
             lambda: natural_rep(_perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4])),
             corpus.klein_rep,
+            corpus.q8_rep,
+            lambda: rotation_rep(8),
         ],
-        ids=["reg_d4", "reg_q8", "reg_s4", "a5_natural", "s5_natural", "klein"],
+        ids=["reg_d4", "reg_q8", "reg_s4", "a5_natural", "s5_natural", "klein", "q8", "c8"],
     )
     def test_gate_spins_nothing_on_split_inputs(self, make_rep, monkeypatch):
         """Regular representations and permutation modules hold the trivial
-        representation once, and the two characters of the Klein bottle
-        differ: the gate declines each from its character, with no spin."""
+        representation once, the two characters of the Klein bottle differ,
+        and one copy of Q8 and the C8 rotation are Q-irreducible with
+        indicators −2 and 0, where ⟨χ, χ⟩ = k² would need +k: the gate
+        declines each from its character, with no spin."""
         spins = []
         spin = repdec._spin
         monkeypatch.setattr(repdec, "_spin", lambda rep, bound: spins.append(bound) or spin(rep, bound))
-        assert repdec._isotypic_class(make_rep()) is None
+        assert repdec._seeded_classes(make_rep()) == {}
         assert spins == []
-        assert repdec._isotypic_class(m_rho3(2)) is not None
+        assert repdec._seeded_classes(m_rho3(2))
         assert spins == [2]
 
     @pytest.mark.parametrize("k", [15, 16])
-    def test_a_reducible_spin_falls_back(self, k, monkeypatch):
-        """In dense bases 15 and 16 of 4·ρ3, Q[G]·e_0 is ρ3 ⊕ ρ3, which passes
-        χ = 2·χ_U and splits: the input goes to the split with its trials
-        untouched, and its rows, the unproven one included, are the split's."""
+    def test_a_reducible_spin_seeds_its_class(self, k, monkeypatch):
+        """In dense bases 15 and 16 of 4·ρ3, Q[G]·e_0 is ρ3 ⊕ ρ3: its loop
+        splits it, and its proven ρ3 seeds the input, which the split alone
+        leaves as an unproven (4, 2, 2). The row is (2, 4, 1), proven, and
+        decide --witness attaches a valid witness at c = 2 and 3."""
         rep = dense_basis(m_rho3(4), k)
-        results = []
-        split = repdec._split_once
-        monkeypatch.setattr(repdec, "_split_once", lambda *args, **kw: results.append(split(*args, **kw)) or results[-1])
-        assert repdec._isotypic_class(rep) is None
-        assert len(results) == 1 and isinstance(results[0], list)
-        monkeypatch.setattr(repdec, "_split_once", split)
-        rows = [p.to_json_obj() for p in decompose(rep)]
-        monkeypatch.setattr(repdec, "_isotypic_class", lambda rep: None)
-        assert rows == [p.to_json_obj() for p in decompose(rep)]
+        spun = []
+        spin = repdec._spin
+        monkeypatch.setattr(repdec, "_spin", lambda rep, bound: spun.append(spin(rep, bound)) or spun[-1])
+        profiles = decompose(rep)
+        assert [s.cols for s in spun] == [4]
+        assert [(p.dimension, p.multiplicity, p.r_components, p.unproven) for p in profiles] == [(2, 4, 1, False)]
+        for c in (2, 3):
+            verdict = decide_with_witness(rep, c)
+            assert verdict.admits_anosov and verdict.witness_status == "attached"
+            assert verify_witness(rep, verdict.witness.witness, c).is_valid
 
     def test_search_proof_falls_back(self, monkeypatch):
-        """A Q[G]·e_0 proven only by "search" is not taken."""
+        """A Q[G]·e_0 proven only by "search" seeds nothing."""
         rep = m_rho3(3)
         split = repdec._split_once
 
@@ -1091,6 +1148,6 @@ class TestIsotypicShortcut:
             cert = split(sub, rng, com=com)
             return IrreducibleCertificate(trials=cert.trials, commutant=cert.commutant, proof="search")
 
-        assert repdec._isotypic_class(rep) is not None
+        assert repdec._seeded_classes(rep)
         monkeypatch.setattr(repdec, "_split_once", search)
-        assert repdec._isotypic_class(rep) is None
+        assert repdec._seeded_classes(rep) == {}
